@@ -14,8 +14,8 @@ from .dynamics import (Converged, Cycle, CycleBoundReport, CycleDetected,
                        check_cycle_necessary_conditions, classify_seed,
                        closed_form_iterate, detect_cycle_from,
                        enumerate_cycles, trace)
-from .errors import (BoundPreconditionError, CollatzKitError,
-                     CoprimalityError, DigestMismatchError,
+from .errors import (BoundPreconditionError, CheckpointError,
+                     CollatzKitError, CoprimalityError, DigestMismatchError,
                      InvalidFamilyParamsError, InvalidTargetsError,
                      InvalidTripletError, IterateFormulaDomainError,
                      MTooSmallError, NoApplicableCaseError, NotACycleError,

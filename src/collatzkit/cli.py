@@ -2,7 +2,8 @@
 resume.  Human-readable tables go to stdout; --json/--csv write reports.
 
 Exit status: 0 success, 1 domain error (message names the violated
-precondition), 2 usage error.
+precondition, a malformed checkpoint, or a file that cannot be read or
+written), 2 usage error.
 """
 
 from __future__ import annotations
@@ -168,8 +169,12 @@ def _limits_from(args) -> Limits:
 
 
 def _policy_from(args) -> PrecisionPolicy:
-    return PrecisionPolicy(start_bits=args.precision_bits,
-                           max_bits=args.max_precision_bits)
+    try:
+        return PrecisionPolicy(start_bits=args.precision_bits,
+                               max_bits=args.max_precision_bits)
+    except ValueError as exc:
+        raise argparse.ArgumentError(
+            None, f"--precision-bits/--max-precision-bits: {exc}") from None
 
 
 def _cmd_check(args) -> int:
@@ -431,9 +436,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CollatzKitError as exc:
+    except (CollatzKitError, OSError) as exc:  # OSError: a file named on the command line
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except argparse.ArgumentError as exc:  # a flag value the parser let through
+        print(f"{ap.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -59,3 +59,7 @@ class ShortcutUnsoundError(CollatzKitError):
 
 class DigestMismatchError(CollatzKitError):
     """Checkpoint digest does not match its embedded job description."""
+
+
+class CheckpointError(CollatzKitError):
+    """A checkpoint file is not a well-formed collatzkit checkpoint."""

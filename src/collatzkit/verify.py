@@ -7,24 +7,34 @@ seed; by strong induction that certifies convergence only when the prefix
 frontier).  When exceptions exist, only seeds up to min(exception) - 1 are
 claimed verified, since the induction is grounded only below the first
 undecided seed.
+
+Under the shortcut, a residue-class sieve (`build_sieve`) skips every seed
+whose class mod d^k alone proves that it descends; the report is the same
+as without it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import time
+from array import array
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import PLUS, Triplet, parse_triplet
 from .dynamics import Cycle, Limits, canonicalize
-from .errors import (DigestMismatchError, InvalidTargetsError,
-                     NotACycleError, ShortcutUnsoundError)
+from .errors import (CheckpointError, DigestMismatchError,
+                     InvalidTargetsError, NotACycleError, ShortcutUnsoundError)
 
 DEFAULT_CHUNK = 1 << 16
+# the sieve works mod d^k for the largest k with d^k <= this cap; a larger
+# cap costs more to build and ship to workers than its extra exits save
+SIEVE_MODULUS_CAP = 1 << 16
 THREADS_ENV = "COLLATZKIT_THREADS"
 
 STEP_CAP = "step_cap"
@@ -91,13 +101,151 @@ def _validate_targets(job: VerificationJob) -> None:
                 f"target claims minimum {c.omega} but cycle minimum is {again.omega}")
 
 
-def _scan_chunk(args) -> list[tuple[int, str]]:
-    """Scan seeds [lo, hi]; returns (seed, status) for every undecided seed."""
-    (d, alpha, beta, kappa, lo, hi, members, max_elem,
+@dataclass(frozen=True)
+class ResidueSieve:
+    """Residues mod d^k whose classes a shortcut scan still has to visit.
+
+    Every iterate up to the descent of a seed n in a sieved class is at
+    most peak_coeff * (n // modulus) + peak_const.
+    """
+
+    depth: int  # k
+    modulus: int  # d^k
+    survivors: array  # sorted residues in [0, d^k) that are not sieved
+    peak_coeff: int
+    peak_const: int
+
+
+def build_sieve(t: Triplet) -> Optional[ResidueSieve]:
+    """Residue classes mod d^k, k the largest with d^k <= SIEVE_MODULUS_CAP,
+    that are not proven to descend within k steps; None when k = 0.
+
+    Rule.  Write n = d^k*m + r with 0 <= r < d^k.  For j < k, d divides the
+    m-coefficient of iterate j, so its residue mod d is that of T^j(r) and
+    the next step is the same for the whole class.  Hence for j <= k,
+    iterate j is the affine form alpha^(o_j) * d^(k-j) * m + T^j(r), where
+    o_j counts the steps with a non-zero residue and T^j(0) = 0.  The class
+    of r is sieved when some j <= k has alpha^(o_j) <= d^j and T^j(r) < r.
+
+    Soundness.  For such a j and every m >= 0, iterate j of n is at most
+    d^j * d^(k-j) * m + T^j(r) < d^k*m + r = n, so n falls below itself
+    within j <= k steps.  The shortcut scan of a seed n > max_elem is a
+    pure descent loop: it reports nothing for n exactly when n falls below
+    itself within max_steps steps and no iterate before that exceeds
+    max_value.  A sieved seed therefore reports nothing, and needs no scan,
+    when k <= max_steps and its iterates up to step k stay at or below
+    max_value.  `_sieve_applies` checks both for a whole chunk, bounding
+    those iterates for every n <= hi by peak_coeff * (hi // d^k) +
+    peak_const.  Seeds up to max_elem and seeds in surviving classes are
+    scanned from n itself as before, so every exception, its status, and
+    the frontier are unchanged; the below-frontier induction that makes a
+    descent count as convergence is the shortcut's, not the sieve's.
+
+    Build.  Residues are refined one base-d digit at a time, and only
+    classes that survive are extended.  A class mod d^j carries its j-step
+    form alpha^(o_j) * m + T^j(r) (here n = d^j*m + r) and a floor F such
+    that every member of the class that is at least F meets the rule at
+    some step i <= j.  A step with alpha^(o_i) < d^i and T^i(r) >= r
+    contributes the least member r + d^i*m with
+    m*(d^i - alpha^(o_i)) > T^i(r) - r.  A refined residue at or above F
+    is sieved together with all its own refinements, which are no
+    smaller; what is left at level k is exactly the classes the rule does
+    not sieve.
+    """
+    d, alpha, beta = t.d, t.alpha, t.beta
+    plus = t.kappa == PLUS
+    depth, modulus = 0, 1
+    while modulus * d <= SIEVE_MODULUS_CAP:
+        depth += 1
+        modulus *= d
+    if depth == 0:
+        return None
+    peak_coeff = peak_const = 0
+    # (r, a, b, floor, C, P) per class mod d^j: iterate j of n = d^j*m + r
+    # is a*m + b, floor is F above (None until a step has a < d^i), and
+    # iterates 1..j are at most C*m + P
+    live = [(0, 1, 0, None, 0, 0)]
+    scale = 1  # d^(j-1)
+    for _ in range(depth):
+        level = scale * d  # d^j
+        refined = []
+        for r, a, b, floor, c_max, p_max in live:
+            for digit in range(d):
+                rr = r + digit * scale
+                # n = d^j*m + rr has m_(j-1) = d*m + digit in the parent's form
+                c_new = c_max * d
+                p_new = c_max * digit + p_max
+                if floor is None or rr < floor:
+                    v = a * digit + b  # constant of iterate j-1
+                    res = v % d
+                    if res == 0:
+                        v //= d
+                        coeff = a
+                    else:
+                        v = (alpha * v + beta * (res if plus else d - res)) // d
+                        coeff = a * alpha
+                    c_new = max(c_new, coeff)
+                    p_new = max(p_new, v)
+                    if coeff > level or v >= rr:
+                        fl = floor
+                        if coeff < level:
+                            start = rr + level * ((v - rr) // (level - coeff) + 1)
+                            fl = start if fl is None else min(fl, start)
+                        refined.append((rr, coeff, v, fl, c_new, p_new))
+                        continue
+                # sieved: n falls below itself by step j, and with
+                # m = d^(k-j)*(n // d^k) + u, u < d^(k-j), iterates 1..j are
+                # at most C*d^(k-j)*(n // d^k) + C*(d^(k-j) - 1) + P
+                widen = modulus // level
+                peak_coeff = max(peak_coeff, c_new * widen)
+                peak_const = max(peak_const, c_new * (widen - 1) + p_new)
+        live = refined
+        scale = level
+    survivors = array("l", sorted(entry[0] for entry in live))
+    return ResidueSieve(depth, modulus, survivors, peak_coeff, peak_const)
+
+
+def _sieve_applies(sieve: Optional[ResidueSieve], hi: int, max_steps: int,
+                   max_value: int) -> bool:
+    """Whether skipping sieved seeds n <= hi is sound under these caps."""
+    return (sieve is not None and sieve.depth <= max_steps
+            and sieve.peak_coeff * (hi // sieve.modulus) + sieve.peak_const <= max_value)
+
+
+def _survivor_seeds(sieve: ResidueSieve, lo: int, hi: int) -> Iterable[int]:
+    """Seeds in [lo, hi] whose residue mod d^k is a survivor, ascending."""
+    survivors, modulus = sieve.survivors, sieve.modulus
+    base = lo - lo % modulus
+    start = bisect_left(survivors, lo - base)
+    while base <= hi:
+        stop = bisect_right(survivors, hi - base)
+        for r in survivors[start:stop]:
+            yield base + r
+        base += modulus
+        start = 0
+
+
+def _scan_chunk(args, sieve: Optional[ResidueSieve] = None) -> list[tuple[int, str]]:
+    """Scan seeds [lo, hi]; returns (seed, status) for every undecided seed.
+
+    With a sieve, seeds above max_elem are scanned only in surviving
+    classes, where `_sieve_applies` allows it for this chunk.
+    """
+    (_d, _alpha, _beta, _kappa, lo, hi, _members, max_elem,
+     max_steps, max_value, shortcut) = args
+    if shortcut and _sieve_applies(sieve, hi, max_steps, max_value):
+        split = min(hi, max_elem)
+        return (_scan_seeds(args, range(lo, split + 1))
+                + _scan_seeds(args, _survivor_seeds(sieve, max(lo, split + 1), hi)))
+    return _scan_seeds(args, range(lo, hi + 1))
+
+
+def _scan_seeds(args, seeds: Iterable[int]) -> list[tuple[int, str]]:
+    (d, alpha, beta, kappa, _lo, _hi, members, max_elem,
      max_steps, max_value, shortcut) = args
     exceptions: list[tuple[int, str]] = []
     plus = kappa == PLUS
-    for n in range(lo, hi + 1):
+    for n in seeds:
         v = n
         steps = 0
         status = None
@@ -139,6 +287,20 @@ def _scan_chunk(args) -> list[tuple[int, str]]:
     return exceptions
 
 
+# set in each pool worker by its initializer, so the table crosses the
+# process boundary once per worker instead of once per chunk
+_worker_sieve: Optional[ResidueSieve] = None
+
+
+def _init_worker(sieve: Optional[ResidueSieve]) -> None:
+    global _worker_sieve
+    _worker_sieve = sieve
+
+
+def _scan_chunk_in_worker(args) -> list[tuple[int, str]]:
+    return _scan_chunk(args, _worker_sieve)
+
+
 def _worker_count(workers: Optional[int]) -> int:
     if workers is not None:
         return max(1, workers)
@@ -174,11 +336,13 @@ def verify_range(job: VerificationJob, workers: Optional[int] = None) -> Checkpo
         a = b + 1
     nworkers = _worker_count(workers)
     start = time.perf_counter()
+    sieve = build_sieve(t) if job.below_frontier_shortcut else None
     if nworkers == 1 or len(chunks) == 1:
-        results = [_scan_chunk(c) for c in chunks]
+        results = [_scan_chunk(c, sieve) for c in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(_scan_chunk, chunks))
+        with ProcessPoolExecutor(max_workers=nworkers, initializer=_init_worker,
+                                 initargs=(sieve,)) as pool:
+            results = list(pool.map(_scan_chunk_in_worker, chunks))
     wall = time.perf_counter() - start
     exceptions: list[tuple[int, str]] = []
     for r in results:
@@ -252,53 +416,75 @@ def checkpoint_to_json_dict(cp: Checkpoint) -> dict:
 
 
 def checkpoint_from_json_dict(doc: dict) -> Checkpoint:
+    """Inverse of checkpoint_to_json_dict; CheckpointError when a field is
+    missing or has the wrong type."""
+    if not isinstance(doc, dict):
+        raise CheckpointError("checkpoint is not a JSON object")
     if doc.get("version") != 1:
-        raise InvalidTargetsError(f"unsupported checkpoint version {doc.get('version')}")
-    jd = doc["job"]
-    td = jd["triplet"]
-    t = parse_triplet(f"{td['d']}:{td['alpha']}:{td['beta']}:{td['kappa']}")
-    targets = []
-    for c in jd["targets"]:
-        elements = tuple(int(x) for x in c["elements"])
-        targets.append(Cycle(
-            elements=elements,
-            omega=int(c["omega"]),
-            length=int(c["length"]),
-            kbar=int(c["kbar"]),
-            max_elem=int(c["max_elem"]),
-        ))
-    job = VerificationJob(
-        triplet=t,
-        lo=int(jd["lo"]),
-        hi=int(jd["hi"]),
-        targets=tuple(targets),
-        limits=Limits(max_steps=int(jd["max_steps"]), max_value=int(jd["max_value"])),
-        chunk_size=int(jd["chunk_size"]),
-        below_frontier_shortcut=bool(jd["below_frontier_shortcut"]),
-        prefix_verified_to=int(jd["prefix_verified_to"]),
-    )
-    return Checkpoint(
-        job=job,
-        digest=doc["digest"],
-        verified_frontier=int(doc["verified_frontier"]),
-        exceptions=tuple((int(n), status) for n, status in doc["exceptions"]),
-        seeds_scanned=int(doc["seeds_scanned"]),
-        wall_time=float(doc["wall_time"]),
-        throughput=float(doc["throughput"]),
-    )
+        raise CheckpointError(f"unsupported checkpoint version {doc.get('version')}")
+    try:
+        jd = doc["job"]
+        td = jd["triplet"]
+        t = parse_triplet(f"{td['d']}:{td['alpha']}:{td['beta']}:{td['kappa']}")
+        targets = []
+        for c in jd["targets"]:
+            elements = tuple(int(x) for x in c["elements"])
+            targets.append(Cycle(
+                elements=elements,
+                omega=int(c["omega"]),
+                length=int(c["length"]),
+                kbar=int(c["kbar"]),
+                max_elem=int(c["max_elem"]),
+            ))
+        job = VerificationJob(
+            triplet=t,
+            lo=int(jd["lo"]),
+            hi=int(jd["hi"]),
+            targets=tuple(targets),
+            limits=Limits(max_steps=int(jd["max_steps"]), max_value=int(jd["max_value"])),
+            chunk_size=int(jd["chunk_size"]),
+            below_frontier_shortcut=bool(jd["below_frontier_shortcut"]),
+            prefix_verified_to=int(jd["prefix_verified_to"]),
+        )
+        return Checkpoint(
+            job=job,
+            digest=doc["digest"],
+            verified_frontier=int(doc["verified_frontier"]),
+            exceptions=tuple((int(n), status) for n, status in doc["exceptions"]),
+            seeds_scanned=int(doc["seeds_scanned"]),
+            wall_time=float(doc["wall_time"]),
+            throughput=float(doc["throughput"]),
+        )
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint lacks field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed checkpoint: {exc}") from None
 
 
 def save_checkpoint(cp: Checkpoint, path: str) -> None:
-    """Atomic write: temp file in the same directory, then rename."""
+    """Atomic, durable write: temp file in the same directory, flushed and
+    fsynced, then renamed over path.  On any failure the temp file is
+    removed and path keeps its previous content."""
     doc = checkpoint_to_json_dict(cp)
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp.{os.getpid()}")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, encoding="utf-8") as fh:
-        return checkpoint_from_json_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise CheckpointError(f"checkpoint {path} is not JSON: {exc}") from None
+    return checkpoint_from_json_dict(doc)

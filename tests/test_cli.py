@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import collatzkit
 
 from collatzkit.cli import emit_table, parse_natural, run
 from collatzkit import detect_cycle_from, parse_triplet, verify_range, VerificationJob
@@ -183,3 +189,40 @@ def test_emit_checkpoint_csv_empty_exceptions():
     text = emit_table(cp, "csv")
     sections = text.strip().splitlines()
     assert sections[-1] == "n,status"  # header only, no exception rows
+
+
+def test_resume_checkpoint_without_job(capsys, tmp_path):
+    cp_path = tmp_path / "cp.json"
+    cp_path.write_text('{"version": 1}')
+    assert run(["resume", "--checkpoint", str(cp_path), "--hi", "100"]) == 1
+    assert "error: checkpoint lacks field 'job'" in capsys.readouterr().err
+
+
+def test_resume_missing_checkpoint(capsys, tmp_path):
+    rc = run(["resume", "--checkpoint", str(tmp_path / "nosuch.json"), "--hi", "100"])
+    assert rc == 1
+    assert "error: [Errno 2] No such file or directory" in capsys.readouterr().err
+
+
+def test_unwritable_report_path(capsys, tmp_path):
+    rc = run(["verify", "--triplet", "2:3:1:+", "--hi", "100", "--targets", "1",
+              "--threads", "1", "--json", str(tmp_path / "no" / "such" / "dir.json")])
+    assert rc == 1
+    assert "error: [Errno 2] No such file or directory" in capsys.readouterr().err
+
+
+def test_bound_precision_out_of_range_is_usage_error(capsys):
+    rc = run(["bound", "alg1", "--triplet", "5:6:4:+", "--min-omega", "5^15",
+              "--precision-bits", "4"])
+    assert rc == 2
+    assert "--precision-bits" in capsys.readouterr().err
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(collatzkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "collatzkit", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: collatzkit")
