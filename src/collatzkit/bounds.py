@@ -249,8 +249,7 @@ def exact_farey_sign(t: Triplet, M: int, p: int, q: int) -> int:
 
 
 def farey_bound(t: Triplet, M: int,
-                policy: PrecisionPolicy = DEFAULT_POLICY,
-                exact_check_limit: int = EXACT_SIGN_Q_LIMIT) -> BoundReport:
+                policy: PrecisionPolicy = DEFAULT_POLICY) -> BoundReport:
     """Cycle-length bound p_(2*n0+1) from the first odd convergent index
     where D_n = xi + log_d(1 + beta*(d-1)/(alpha*M)) - p_n/q_n turns positive.
 
@@ -280,7 +279,7 @@ def farey_bound(t: Triplet, M: int,
         except PrecisionExhaustedError as exc:
             raise PrecisionExhaustedError(str(exc), ambiguous_index=n) from None
         bits_used = max(bits_used, enc.bits_used)
-        if q <= exact_check_limit:
+        if q <= EXACT_SIGN_Q_LIMIT:
             exact = exact_farey_sign(t, M, p, q)
             if exact != sign:
                 raise AssertionError(
@@ -301,8 +300,7 @@ def farey_bound(t: Triplet, M: int,
 
 
 def mu_bound(t: Triplet, M: int, mu: Union[int, Fraction],
-             policy: PrecisionPolicy = DEFAULT_POLICY,
-             max_terms: Optional[int] = None) -> BoundReport:
+             policy: PrecisionPolicy = DEFAULT_POLICY) -> BoundReport:
     """Advisory bound max_n min(q_n, gamma0*M/q_n^mu) for a caller-supplied
     irrationality measure mu >= 2.
 
@@ -348,7 +346,7 @@ def mu_bound(t: Triplet, M: int, mu: Union[int, Fraction],
 
         qsign, enc = certified_sign(slack, policy, what=f"gamma0*M - q_{n}")
         bits_used = max(bits_used, enc.bits_used)
-        if qsign < 0 or (max_terms is not None and n + 1 >= max_terms):
+        if qsign < 0:
             break
         n += 1
     constants = _constants_echo(t, policy)

@@ -148,9 +148,7 @@ def check_wellformed(t: Triplet) -> WellFormedness:
     satisfied = divisibility_ok and magnitude_ok
     witness = None
     if not satisfied:
-        for n in range(1, t.d + 1):
-            if n % t.d == 0:
-                continue
+        for n in range(1, t.d):
             numerator = t.alpha * n + t.beta * signed_residue(n, t.d, t.kappa)
             if numerator <= 0 or numerator % t.d != 0:
                 witness = n
@@ -164,10 +162,9 @@ def apply_map(t: Triplet, n: int) -> int:
         raise InvalidTripletError(f"map domain is n >= 1, got {n}")
     if not t.is_wellformed:
         raise NotWellFormedError(f"triplet {t} is not well-formed")
-    r = n % t.d
-    if r == 0:
+    if n % t.d == 0:
         return n // t.d
-    numerator = t.alpha * n + t.beta * (r if t.kappa == PLUS else t.d - r)
+    numerator = t.alpha * n + t.beta * signed_residue(n, t.d, t.kappa)
     quotient, remainder = divmod(numerator, t.d)
     if remainder != 0 or quotient < 1:
         # unreachable for a well-formed triplet; would indicate a defect here

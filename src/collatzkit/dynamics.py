@@ -119,37 +119,54 @@ class Trajectory:
     path: tuple[int, ...] = field(repr=False, default=())
 
 
+_STOP, _REVISIT, _STEP_CAP, _VALUE_CAP = range(4)
+
+
+def _walk(step, v: int, max_steps: int, max_value, stop=(),
+          floor: range = range(0)) -> tuple[int, int, int, dict[int, int]]:
+    """Iterate step from v; returns (last value, steps taken, why it ended,
+    path), path mapping each visited value to its step index in order.
+
+    Before each step the walk ends on a value in stop or in the half-open
+    range floor (_STOP), then at the step cap (_STEP_CAP); after it, on a
+    value above max_value (_VALUE_CAP), then on a revisit (_REVISIT).
+    """
+    path = {v: 0}
+    steps = 0
+    while v not in stop and v not in floor:
+        if steps >= max_steps:
+            return v, steps, _STEP_CAP, path
+        v = step(v)
+        steps += 1
+        if v > max_value:
+            return v, steps, _VALUE_CAP, path
+        if v in path:
+            return v, steps, _REVISIT, path
+        path[v] = steps
+    return v, steps, _STOP, path
+
+
 def trace(t: Triplet, n: int, limits: Limits = Limits()) -> Trajectory:
     """Iterate T from n until a known minimum, a revisit, or a cap.
 
     Stops at the first of: current value is one of the known cycle minima,
     revisit of a value seen in this trajectory (the cycle is extracted),
-    step cap, value cap.
+    step cap, value cap.  On the value cap the path ends with the value
+    that went over it.
     """
-    step = t.step_function()
-    known = limits.known_cycle_minima
-    path = [n]
-    seen = {n: 0}
-    peak = n
-    v = n
-    steps = 0
-    while True:
-        if v in known:
-            return Trajectory(n, steps, EnteredKnownCycle(v), peak, tuple(path))
-        if steps >= limits.max_steps:
-            return Trajectory(n, steps, StepCapExceeded(), peak, tuple(path))
-        v = step(v)
-        steps += 1
-        if v > peak:
-            peak = v
-        if v > limits.max_value:
-            path.append(v)
-            return Trajectory(n, steps, ValueCapExceeded(), peak, tuple(path))
-        if v in seen:
-            cycle = canonicalize(t, path[seen[v]:])
-            return Trajectory(n, steps, CycleDetected(cycle), peak, tuple(path))
-        seen[v] = len(path)
-        path.append(v)
+    v, steps, end, path = _walk(t.step_function(), n, limits.max_steps, limits.max_value,
+                                limits.known_cycle_minima)
+    values = tuple(path)
+    if end == _STOP:
+        terminal = EnteredKnownCycle(v)
+    elif end == _REVISIT:
+        terminal = CycleDetected(canonicalize(t, values[path[v]:]))
+    elif end == _VALUE_CAP:
+        values += (v,)
+        terminal = ValueCapExceeded()
+    else:
+        terminal = StepCapExceeded()
+    return Trajectory(n, steps, terminal, max(values), values)
 
 
 def detect_cycle_from(t: Triplet, n: int, limits: Limits = Limits(),
@@ -160,23 +177,11 @@ def detect_cycle_from(t: Triplet, n: int, limits: Limits = Limits(),
     switches to Brent's constant-memory detection from the current point.
     Either way the extracted period is exact.
     """
-    step = t.step_function()
-    budget = min(limits.max_steps, memory_budget)
-    path = [n]
-    index = {n: 0}
-    v = n
-    steps = 0
-    while steps < limits.max_steps and len(path) <= budget:
-        v = step(v)
-        steps += 1
-        if v > limits.max_value:
-            return None
-        hit = index.get(v)
-        if hit is not None:
-            return canonicalize(t, path[hit:])
-        index[v] = len(path)
-        path.append(v)
-    if steps >= limits.max_steps:
+    v, steps, end, path = _walk(t.step_function(), n, min(limits.max_steps, memory_budget),
+                                limits.max_value)
+    if end == _REVISIT:
+        return canonicalize(t, tuple(path)[path[v]:])
+    if end == _VALUE_CAP or steps >= limits.max_steps:
         return None
     return _brent_from(t, v, limits.max_steps - steps, limits.max_value)
 
@@ -223,32 +228,16 @@ def enumerate_cycles(t: Triplet, seed_lo: int, seed_hi: int,
     if seed_lo > seed_hi or seed_lo < 1:
         raise InvalidTripletError(f"bad seed range [{seed_lo}, {seed_hi}]")
     step = t.step_function()
-    max_steps, max_value = limits.max_steps, limits.max_value
     found: dict[int, Cycle] = {}
     known_elements: set[int] = set()
     for seed in range(seed_lo, seed_hi + 1):
-        if seed in known_elements:
-            continue
-        v = seed
-        index = {seed: 0}
-        path = [seed]
-        steps = 0
-        while steps < max_steps:
-            if v in known_elements:
-                break
-            v = step(v)
-            steps += 1
-            if v > max_value or (seed_lo <= v < seed):
-                break
-            hit = index.get(v)
-            if hit is not None:
-                cycle = canonicalize(t, path[hit:])
-                if cycle.omega not in found:
-                    found[cycle.omega] = cycle
-                    known_elements.update(cycle.elements)
-                break
-            index[v] = len(path)
-            path.append(v)
+        v, _, end, path = _walk(step, seed, limits.max_steps, limits.max_value,
+                                known_elements, range(seed_lo, seed))
+        if end == _REVISIT:
+            # a new cycle: reaching a found one would have stopped the walk
+            cycle = canonicalize(t, tuple(path)[path[v]:])
+            found[cycle.omega] = cycle
+            known_elements.update(cycle.elements)
     return tuple(sorted(found.values(), key=lambda c: (c.length, c.omega)))
 
 
@@ -271,26 +260,12 @@ def classify_seed(t: Triplet, n: int, cycles: Iterable[Cycle],
                   limits: Limits = Limits()) -> SeedLabel:
     """Converged(omega) when the orbit hits any element of a given cycle.
 
-    Caps produce Undecided; membership in a divergent class is never
-    asserted.
+    Caps, and a cycle that holds no target element, produce Undecided;
+    membership in a divergent class is never asserted.
     """
-    owner: dict[int, int] = {}
-    for c in cycles:
-        for x in c.elements:
-            owner[x] = c.omega
-    step = t.step_function()
-    v = n
-    steps = 0
-    while True:
-        hit = owner.get(v)
-        if hit is not None:
-            return Converged(hit)
-        if steps >= limits.max_steps:
-            return Undecided()
-        v = step(v)
-        steps += 1
-        if v > limits.max_value:
-            return Undecided()
+    owner = {x: c.omega for c in cycles for x in c.elements}
+    v, _, end, _ = _walk(t.step_function(), n, limits.max_steps, limits.max_value, owner)
+    return Converged(owner[v]) if end == _STOP else Undecided()
 
 
 # --- closed-form iterate for the square-gap family ---------------------------

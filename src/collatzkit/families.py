@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import MINUS, PLUS, Triplet
-from .dynamics import Cycle, canonicalize
+from .dynamics import _REVISIT, Cycle, _walk, canonicalize
 from .errors import (InvalidFamilyParamsError, NoApplicableCaseError,
                      NotACycleError)
 
@@ -128,18 +128,14 @@ def _ladder_elements(start: int, d: int, nu: int) -> list[int]:
     return [start] + [start * d**e for e in range(nu - 1, 0, -1)]
 
 
-def _orbit_until_return(t: Triplet, start: int, max_len: int) -> list[int]:
-    """Forward orbit from start back to start, at most max_len steps."""
-    step = t.step_function()
-    elems = [start]
-    v = step(start)
-    while v != start:
-        if len(elems) >= max_len:
-            raise NotACycleError(
-                f"orbit of {start} under {t} did not close within {max_len} steps")
-        elems.append(v)
-        v = step(v)
-    return elems
+def _orbit_until_return(t: Triplet, start: int, length: int) -> Cycle:
+    """The cycle of start, whose orbit must return to it after exactly
+    length steps."""
+    v, steps, end, path = _walk(t.step_function(), start, length, math.inf)
+    if end != _REVISIT or v != start or steps != length:
+        raise NotACycleError(
+            f"orbit of {start} under {t} does not return to it in exactly {length} steps")
+    return canonicalize(t, tuple(path))
 
 
 def build_ladder_family(params: LadderParams) -> PredictedCycleSet:
@@ -217,11 +213,7 @@ def build_square_gap_family(params: SquareGapParams) -> PredictedCycleSet:
                 for r3 in range(1, cap + 1):
                     generated += 1
                     seed = r1 * (r2 * d**k + r3 * alpha)
-                    elems = _orbit_until_return(t, seed, expected_len)
-                    if len(elems) != expected_len:
-                        raise NotACycleError(
-                            f"seed {seed} closed in {len(elems)} steps, expected {expected_len}")
-                    cyc = canonicalize(t, elems)
+                    cyc = _orbit_until_return(t, seed, expected_len)
                     by_omega.setdefault(cyc.omega, cyc)
     if params.nu1 == 1 and beta > 0:
         extra = canonicalize(t, [m * beta for m in range(1, d + 1)])
@@ -317,11 +309,7 @@ def build_two_power_family(p: int, q: int) -> PredictedCycleSet:
             f"main cycle mismatch for (p,q)=({p},{q}): omega={main.omega}, L={main.length}")
     by_omega = {main.omega: main}
     for omega, length in TWO_POWER_EXCEPTIONS.get((p, q), ()):
-        elems = _orbit_until_return(t, omega, length)
-        if len(elems) != length:
-            raise NotACycleError(
-                f"exceptional cycle at {omega} closed in {len(elems)} steps, table says {length}")
-        cyc = canonicalize(t, elems)
+        cyc = _orbit_until_return(t, omega, length)
         if cyc.omega != omega:
             raise NotACycleError(
                 f"tabulated start {omega} is not its cycle minimum ({cyc.omega})")

@@ -182,6 +182,13 @@ def test_verify_rejects_bad_target(capsys):
     assert "not the minimum" in capsys.readouterr().err
 
 
+def test_verify_rejects_ill_formed_triplet(capsys):
+    rc = run(["verify", "--triplet", "3:4:1:+", "--hi", "10", "--targets", "1",
+              "--threads", "1"])
+    assert rc == 1
+    assert "error: triplet (3,4,1)+ is not well-formed" in capsys.readouterr().err
+
+
 def test_emit_checkpoint_csv_empty_exceptions():
     t = parse_triplet("10:12:8:+")
     cp = verify_range(VerificationJob(

@@ -3,7 +3,7 @@ import pytest
 from collatzkit import (BoundPreconditionError, Converged, CycleDetected,
                         EnteredKnownCycle, IterateFormulaDomainError, Limits,
                         NotACycleError, StepCapExceeded, Triplet, Undecided,
-                        ValueCapExceeded, apply_map_iter, canonicalize,
+                        ValueCapExceeded, apply_map, apply_map_iter, canonicalize,
                         check_cycle_necessary_conditions, classify_seed,
                         closed_form_iterate, detect_cycle_from,
                         enumerate_cycles, parse_triplet, trace)
@@ -164,6 +164,153 @@ class TestClassify:
     def test_empty_targets_undecided(self):
         assert classify_seed(parse_triplet("2:9:1:+"), 5, (),
                              Limits(max_steps=100, max_value=10**9)) == Undecided()
+
+
+def ref_walk(t, n, limits):
+    """Naive orbit walk on a list, in the documented stop order: a known
+    minimum, then the step cap; after each step, the value cap, then a
+    revisit.  Returns (end, steps, path), where path ends with the value
+    that ended the walk."""
+    path = [n]
+    while True:
+        v = path[-1]
+        if v in limits.known_cycle_minima:
+            return "stop", len(path) - 1, path
+        if len(path) - 1 >= limits.max_steps:
+            return "step_cap", len(path) - 1, path
+        w = apply_map(t, v)
+        if w > limits.max_value:
+            return "value_cap", len(path), path + [w]
+        if w in path:
+            return "revisit", len(path), path + [w]
+        path.append(w)
+
+
+def ref_classify(t, n, owner, limits):
+    """Naive classify_seed with no revisit check: a periodic orbit runs on
+    to the step cap.  Past 2,000 steps the orbit is asserted periodic,
+    which decides Undecided without running the remaining steps."""
+    path = [n]
+    while path[-1] not in owner:
+        if len(path) > limits.max_steps:
+            return Undecided()
+        if len(path) > 2000:
+            assert len(set(path)) < len(path)
+            return Undecided()
+        path.append(apply_map(t, path[-1]))
+        if path[-1] > limits.max_value:
+            return Undecided()
+    return Converged(owner[path[-1]])
+
+
+def ref_cycle(path):
+    """Min-first rotation of the cycle closed by the last value of path."""
+    elems = path[path.index(path[-1]):-1]
+    i = elems.index(min(elems))
+    return tuple(elems[i:] + elems[:i])
+
+
+WALK_TRIPLETS = [T231, T3819, T10128, T341M, parse_triplet("2:3:1:-"),
+                 parse_triplet("3:4:-1:+"), parse_triplet("5:6:1:-"),
+                 parse_triplet("8:12:4:+")]
+WALK_SEEDS = range(1, 120)
+
+
+def walk_limit_sets(t):
+    minima = frozenset(c.omega for c in enumerate_cycles(t, 1, 100))
+    return [Limits(), Limits(max_steps=5), Limits(max_value=200), Limits(max_value=40),
+            Limits(known_cycle_minima=minima),
+            Limits(max_steps=12, max_value=10**4, known_cycle_minima=minima)]
+
+
+class TestWalkerAgainstReference:
+    @pytest.mark.parametrize("t", WALK_TRIPLETS, ids=str)
+    def test_trace(self, t):
+        for limits in walk_limit_sets(t):
+            for n in WALK_SEEDS:
+                end, steps, path = ref_walk(t, n, limits)
+                tr = trace(t, n, limits)
+                assert tr.visited_count == steps
+                assert tr.peak == max(path)
+                if end == "revisit":
+                    assert tr.terminal.cycle.elements == ref_cycle(path)
+                    assert tr.path == tuple(path[:-1])
+                else:
+                    assert tr.path == tuple(path)
+                    assert tr.terminal == {"stop": EnteredKnownCycle(path[-1]),
+                                           "step_cap": StepCapExceeded(),
+                                           "value_cap": ValueCapExceeded()}[end]
+
+    @pytest.mark.parametrize("t", WALK_TRIPLETS, ids=str)
+    def test_detect_cycle_from(self, t):
+        for limits in walk_limit_sets(t):
+            limits = Limits(limits.max_steps, limits.max_value)
+            for n in WALK_SEEDS:
+                end, steps, path = ref_walk(t, n, limits)
+                expected = ref_cycle(path) if end == "revisit" else None
+                found = detect_cycle_from(t, n, limits)
+                assert (found.elements if found else None) == expected
+                if end == "revisit" and limits == Limits():
+                    # the hash phase ends on the revisiting step or just
+                    # before it, where Brent's method takes over
+                    for budget in (steps, steps - 1):
+                        assert detect_cycle_from(t, n, limits, budget).elements == expected
+
+    @pytest.mark.parametrize("t", WALK_TRIPLETS, ids=str)
+    def test_classify_seed(self, t):
+        cycles = enumerate_cycles(t, 1, 100)
+        owner = {x: cycles[0].omega for x in cycles[0].elements}
+        for limits in walk_limit_sets(t):
+            limits = Limits(limits.max_steps, limits.max_value)
+            for n in WALK_SEEDS:
+                expected = ref_classify(t, n, owner, limits)
+                assert classify_seed(t, n, cycles[:1], limits) == expected
+
+    @pytest.mark.parametrize("t", WALK_TRIPLETS, ids=str)
+    def test_enumerate_cycles(self, t):
+        for limits in walk_limit_sets(t):
+            limits = Limits(limits.max_steps, limits.max_value)
+            for lo, hi in ((1, 150), (20, 150)):
+                expected = set()
+                for n in range(lo, hi + 1):
+                    end, _, path = ref_walk(t, n, limits)
+                    if end == "revisit":
+                        expected.add(ref_cycle(path))
+                found = enumerate_cycles(t, lo, hi, limits)
+                assert {c.elements for c in found} == expected
+
+    def test_trace_path_ends_with_the_value_over_the_cap(self):
+        tr = trace(parse_triplet("2:9:1:+"), 1, Limits(max_value=1000))
+        assert tr.path == (1, 5, 23, 104, 52, 26, 13, 59, 266, 133, 599, 2696)
+        assert tr.terminal == ValueCapExceeded()
+        assert tr.visited_count == 11 and tr.peak == 2696
+
+    def test_value_cap_precedes_revisit(self):
+        # 18 lies on the cycle (2, 18, 6) above the cap; returning to it
+        # goes over the cap first
+        tr = trace(T3819, 18, Limits(max_value=10))
+        assert tr.terminal == ValueCapExceeded()
+        assert tr.path == (18, 6, 2, 18) and tr.visited_count == 3
+        assert detect_cycle_from(T3819, 18, Limits(max_value=10)) is None
+
+    def test_visited_count_at_each_terminal(self):
+        known = Limits(known_cycle_minima=frozenset({1}))
+        assert trace(T231, 1, known).visited_count == 0
+        assert trace(T231, 27, known).visited_count == 70
+        assert trace(T231, 27, Limits(max_steps=9)).visited_count == 9
+        # 2 -> 18 -> 6 -> 2: the revisit is the third step
+        cyc = trace(T3819, 2)
+        assert cyc.visited_count == 3 and cyc.path == (2, 18, 6)
+        assert trace(T231, 1).visited_count == 2  # 1 -> 2 -> 1
+
+    def test_classify_undecided_at_step_cap_before_target(self):
+        target = (detect_cycle_from(T231, 1),)
+        # 27 first meets the cycle (1, 2) at 2, after 69 steps
+        assert classify_seed(T231, 27, target, Limits(max_steps=68)) == Undecided()
+        assert classify_seed(T231, 27, target, Limits(max_steps=69)) == Converged(1)
+        # a seed on another cycle never reaches the target
+        other = (detect_cycle_from(T3819, 19),)
+        assert classify_seed(T3819, 2, other) == Undecided()
 
 
 class TestClosedForm:

@@ -322,6 +322,19 @@ class TestCheckpoints:
         assert extended.digest == oneshot.digest
         assert extended.verified_frontier == oneshot.verified_frontier == 66
         assert extended.exceptions == oneshot.exceptions
+        assert extended.seeds_scanned == oneshot.seeds_scanned == 5000
+
+    def test_resume_past_exceptions_counts_each_seed_once(self):
+        targets = TARGETS[T8124][:1]  # leaves 67 and its class undecided
+        cp = verify_range(job(T8124, 1, 100, targets), workers=1)
+        assert cp.verified_frontier == 66
+        for hi in (300, 1000):
+            cp = resume(cp, hi, workers=1)
+            oneshot = verify_range(job(T8124, 1, hi, targets), workers=1)
+            assert cp.exceptions == oneshot.exceptions
+            assert cp.seeds_scanned == oneshot.seeds_scanned == hi
+        late = verify_range(job(T8124, 50, 100, targets, prefix_verified_to=49), workers=1)
+        assert resume(late, 1000, workers=1).seeds_scanned == 951
 
     def test_digest_ignores_scheduling_fields(self):
         a = job(T231, 1, 1000, (OMEGA1,), chunk_size=100)
