@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -23,36 +22,35 @@ from .core import Triplet, apply_map, apply_map_iter, parse_triplet
 from .dynamics import (CycleDetected, EnteredKnownCycle, Limits,
                        StepCapExceeded, ValueCapExceeded, detect_cycle_from,
                        enumerate_cycles, trace)
-from .errors import CollatzKitError, InvalidTargetsError
-from .families import (LadderParams, PredictedCycleSet, SquareGapParams,
-                       build_dplus1_family, build_ladder_family,
-                       build_mersenne_family, build_square_gap_family,
-                       build_two_power_family, parse_family_spec,
-                       scale_cycles)
+from .errors import CollatzKitError, InvalidFamilyParamsError, InvalidTargetsError
+from .families import FAMILIES, PredictedCycleSet, parse_family_spec, parse_natural as _natural
 from .intervals import DEFAULT_POLICY, PrecisionPolicy
 from .verify import (Checkpoint, VerificationJob, load_checkpoint, resume,
                      save_checkpoint, verify_range)
 
-_POWER_RE = re.compile(r"^(\d+)\^(\d+)$")
+
+def _flag_type(parse):
+    """An argparse type from a family value parser: a bad value is a usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except InvalidFamilyParamsError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
-def parse_natural(text: str) -> int:
-    """Decimal or base^exponent shorthand (5^15, 2^71)."""
-    s = text.strip()
-    m = _POWER_RE.match(s)
-    if m:
-        return int(m.group(1)) ** int(m.group(2))
-    if s.isdigit():
-        return int(s)
-    raise argparse.ArgumentTypeError(f"expected a natural number or b^e, got {text!r}")
+parse_natural = _flag_type(_natural)  # decimal or b^e (5^15, 2^71)
 
 
-def _sign(text: str) -> int:
-    if text in ("+", "+1"):
-        return 1
-    if text in ("-", "-1"):
-        return -1
-    raise argparse.ArgumentTypeError(f"expected + or -, got {text!r}")
+def _naturals(text: str) -> list[int]:
+    return [parse_natural(part) for part in text.split(",")]
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a fraction, got {text!r}") from None
 
 
 # --- table emission -----------------------------------------------------------
@@ -148,6 +146,12 @@ def _csv_string(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return buf.getvalue()
 
 
+def _emit(report, args) -> int:
+    print(emit_table(report, "text"))
+    _write_outputs(report, args)
+    return 0
+
+
 def _write_outputs(report, args) -> None:
     if getattr(args, "json", None):
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -160,12 +164,8 @@ def _write_outputs(report, args) -> None:
 # --- command handlers ---------------------------------------------------------
 
 def _limits_from(args) -> Limits:
-    known = frozenset()
-    raw = getattr(args, "known", None)
-    if raw:
-        known = frozenset(parse_natural(x) for x in raw.split(","))
     return Limits(max_steps=args.max_steps, max_value=args.max_value,
-                  known_cycle_minima=known)
+                  known_cycle_minima=frozenset(getattr(args, "known", None) or ()))
 
 
 def _policy_from(args) -> PrecisionPolicy:
@@ -230,59 +230,36 @@ def _cmd_cycles(args) -> int:
     cycles = enumerate_cycles(t, args.seed_lo, args.seed_hi, _limits_from(args))
     report = PredictedCycleSet(t, cycles, f"seeds:{args.seed_lo}..{args.seed_hi}",
                                len(cycles))
-    print(emit_table(report, "text"))
-    _write_outputs(report, args)
-    return 0
+    return _emit(report, args)
 
 
 def _cmd_family(args) -> int:
-    kind = args.kind
-    if kind == "ladder":
-        report = build_ladder_family(LadderParams(
-            args.d, args.nu0, args.nu1, args.delta, args.k0, args.k1))
-    elif kind == "squaregap":
-        report = build_square_gap_family(SquareGapParams(args.d, args.nu1, args.mu0))
-    elif kind == "dplus1":
-        report = build_dplus1_family(args.d, args.kappa)
-    elif kind == "mersenne":
-        report = build_mersenne_family(args.p)
-    elif kind == "power2":
-        report = build_two_power_family(args.p, args.q)
-    elif kind == "scale":
-        base = parse_family_spec(args.of)
-        report = scale_cycles(base.triplet, base.cycles, args.a0)
-    elif kind == "spec":
-        report = parse_family_spec(args.spec)
-    else:  # pragma: no cover
-        raise AssertionError(kind)
-    print(emit_table(report, "text"))
-    _write_outputs(report, args)
-    return 0
+    if args.kind in FAMILIES:
+        build, params = FAMILIES[args.kind]
+        return _emit(build(*(getattr(args, key) for key, _ in params)), args)
+    return _emit(parse_family_spec(args.spec), args)
+
+
+# Method or alias -> bound; lambdas see a later rebinding of a bound's name.
+_BOUND_METHODS = {
+    "alg1": lambda t, m, mu, policy: r_infinity_bound(t, m, policy),
+    "r-infinity": lambda t, m, mu, policy: r_infinity_bound(t, m, policy),
+    "alg2": lambda t, m, mu, policy: farey_bound(t, m, policy),
+    "farey": lambda t, m, mu, policy: farey_bound(t, m, policy),
+    "hurwitz": lambda t, m, mu, policy: hurwitz_bound(t, m, policy),
+    "mu": lambda t, m, mu, policy: mu_bound(t, m, mu, policy),
+}
 
 
 def _cmd_bound(args) -> int:
     t = parse_triplet(args.triplet)
-    policy = _policy_from(args)
-    method = args.method
-    if method in ("alg1", "r-infinity"):
-        report = r_infinity_bound(t, args.min_omega, policy)
-    elif method in ("alg2", "farey"):
-        report = farey_bound(t, args.min_omega, policy)
-    elif method == "hurwitz":
-        report = hurwitz_bound(t, args.min_omega, policy)
-    elif method == "mu":
-        report = mu_bound(t, args.min_omega, Fraction(args.mu), policy)
-    else:  # pragma: no cover
-        raise AssertionError(method)
-    print(emit_table(report, "text"))
-    _write_outputs(report, args)
-    return 0
+    report = _BOUND_METHODS[args.method](t, args.min_omega, args.mu, _policy_from(args))
+    return _emit(report, args)
 
 
-def _targets_for(t: Triplet, spec: str, limits: Limits):
+def _targets_for(t: Triplet, minima: Sequence[int], limits: Limits):
     targets = []
-    for part in spec.split(","):
-        omega = parse_natural(part)
+    for omega in minima:
         cycle = detect_cycle_from(t, omega, limits)
         if cycle is None or cycle.omega != omega:
             raise InvalidTargetsError(
@@ -349,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="trajectory until cycle, known minimum, or cap")
     p.add_argument("--triplet", required=True)
     p.add_argument("--n", type=parse_natural, required=True)
-    p.add_argument("--known", help="comma-separated known cycle minima")
+    p.add_argument("--known", type=_naturals, help="comma-separated known cycle minima")
     _add_caps(p)
     p.set_defaults(func=_cmd_trace)
 
@@ -363,42 +340,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="build a trivial-cycle family")
     fam = p.add_subparsers(dest="kind", required=True)
-    f = fam.add_parser("ladder")
-    f.add_argument("--d", type=parse_natural, required=True)
-    f.add_argument("--nu0", type=parse_natural, required=True)
-    f.add_argument("--nu1", type=parse_natural, required=True)
-    f.add_argument("--delta", type=parse_natural, required=True)
-    f.add_argument("--k0", type=_sign, required=True)
-    f.add_argument("--k1", type=_sign, required=True)
-    f = fam.add_parser("squaregap")
-    f.add_argument("--d", type=parse_natural, required=True)
-    f.add_argument("--nu1", type=parse_natural, required=True)
-    f.add_argument("--mu0", type=parse_natural, required=True)
-    f = fam.add_parser("dplus1")
-    f.add_argument("--d", type=parse_natural, required=True)
-    f.add_argument("--kappa", type=_sign, required=True)
-    f = fam.add_parser("mersenne")
-    f.add_argument("--p", type=parse_natural, required=True)
-    f = fam.add_parser("power2")
-    f.add_argument("--p", type=parse_natural, required=True)
-    f.add_argument("--q", type=parse_natural, required=True)
-    f = fam.add_parser("scale")
-    f.add_argument("--of", required=True,
-                   help="base family spec, e.g. squaregap:d=5,nu1=1,mu0=2")
-    f.add_argument("--a0", type=parse_natural, required=True)
+    for name, (_, params) in FAMILIES.items():
+        f = fam.add_parser(name)
+        for key, parse in params:
+            flag = "--of" if key == "base" else f"--{key}"
+            f.add_argument(flag, dest=key, type=_flag_type(parse), required=True)
     f = fam.add_parser("spec")
-    f.add_argument("spec", help="family spec string, e.g. power2:p=3,q=1")
+    f.add_argument("spec", help="family spec string, NAME:KEY=VALUE,...")
     for f in fam.choices.values():
         _add_outputs(f)
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("bound", help="lower bounds on hypothetical cycle length")
-    p.add_argument("method", choices=["alg1", "r-infinity", "alg2", "farey",
-                                      "hurwitz", "mu"])
+    p.add_argument("method", choices=_BOUND_METHODS)
     p.add_argument("--triplet", required=True)
     p.add_argument("--min-omega", type=parse_natural, required=True,
                    help="threshold M: every cycle minimum is assumed >= M")
-    p.add_argument("--mu", default="2", help="irrationality measure (mu method)")
+    p.add_argument("--mu", type=_fraction, default="2",
+                   help="irrationality measure (mu method)")
     p.add_argument("--precision-bits", type=int, default=DEFAULT_POLICY.start_bits)
     p.add_argument("--max-precision-bits", type=int, default=DEFAULT_POLICY.max_bits)
     _add_outputs(p)
@@ -408,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triplet", required=True)
     p.add_argument("--lo", type=parse_natural, default=1)
     p.add_argument("--hi", type=parse_natural, required=True)
-    p.add_argument("--targets", required=True, help="comma-separated cycle minima")
+    p.add_argument("--targets", type=_naturals, required=True,
+                   help="comma-separated cycle minima")
     p.add_argument("--chunk", type=parse_natural, default=1 << 16)
     p.add_argument("--threads", type=int, default=None,
                    help=f"worker processes (default: $COLLATZKIT_THREADS or cores)")

@@ -8,7 +8,8 @@ these builders encode proven statements and a mismatch means a bug here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import astuple, dataclass
 from typing import Iterable, Optional
 
 from .core import MINUS, PLUS, Triplet
@@ -47,12 +48,6 @@ class LadderParams:
     def beta(self) -> int:
         return self.kappa0 * (self.d**self.nu0 - self.alpha)
 
-    @property
-    def spec_string(self) -> str:
-        s = lambda k: "+" if k == PLUS else "-"
-        return (f"ladder:d={self.d},nu0={self.nu0},nu1={self.nu1},"
-                f"delta={self.delta},k0={s(self.kappa0)},k1={s(self.kappa1)}")
-
 
 @dataclass(frozen=True)
 class SquareGapParams:
@@ -83,10 +78,6 @@ class SquareGapParams:
     @property
     def cycle_length(self) -> int:
         return 2 * self.mu0exp + self.nu1
-
-    @property
-    def spec_string(self) -> str:
-        return f"squaregap:d={self.d},nu1={self.nu1},mu0={self.mu0exp}"
 
 
 @dataclass(frozen=True)
@@ -188,7 +179,7 @@ def build_ladder_family(params: LadderParams) -> PredictedCycleSet:
         raise NoApplicableCaseError(
             f"no ladder case applies to {params}: " + "; ".join(gates))
     cycles = _sorted_cycles(by_omega)
-    return PredictedCycleSet(t, cycles, params.spec_string, len(cycles))
+    return PredictedCycleSet(t, cycles, _spec_string("ladder", *astuple(params)), len(cycles))
 
 
 def build_square_gap_family(params: SquareGapParams) -> PredictedCycleSet:
@@ -221,8 +212,8 @@ def build_square_gap_family(params: SquareGapParams) -> PredictedCycleSet:
             raise NotACycleError(f"extra cycle at beta has length {extra.length}, expected {d}")
         by_omega.setdefault(extra.omega, extra)
     cycles = _sorted_cycles(by_omega)
-    return PredictedCycleSet(t, cycles, params.spec_string, len(cycles),
-                             generated_count=generated)
+    return PredictedCycleSet(t, cycles, _spec_string("squaregap", *astuple(params)),
+                             len(cycles), generated_count=generated)
 
 
 def scale_cycles(base: Triplet, cycles: Iterable[Cycle], a0: int) -> PredictedCycleSet:
@@ -261,8 +252,7 @@ def build_dplus1_family(d: int, kappa: int) -> PredictedCycleSet:
     else:
         raise InvalidFamilyParamsError(f"kappa must be +1 or -1, got {kappa}")
     cycles = _sorted_cycles(by_omega)
-    sign = "+" if kappa == PLUS else "-"
-    return PredictedCycleSet(t, cycles, f"dplus1:d={d},kappa={sign}", len(cycles))
+    return PredictedCycleSet(t, cycles, _spec_string("dplus1", d, kappa), len(cycles))
 
 
 def build_mersenne_family(p: int) -> PredictedCycleSet:
@@ -274,7 +264,7 @@ def build_mersenne_family(p: int) -> PredictedCycleSet:
     cyc = canonicalize(t, [2**i for i in range(p)])
     if cyc.length != p:
         raise NotACycleError(f"mersenne cycle has length {cyc.length}, expected {p}")
-    return PredictedCycleSet(t, (cyc,), f"mersenne:p={p}", 1)
+    return PredictedCycleSet(t, (cyc,), _spec_string("mersenne", p), 1)
 
 
 # Exceptional two-power pairs carrying extra cycles beyond the doubling one.
@@ -315,17 +305,62 @@ def build_two_power_family(p: int, q: int) -> PredictedCycleSet:
                 f"tabulated start {omega} is not its cycle minimum ({cyc.omega})")
         by_omega.setdefault(cyc.omega, cyc)
     cycles = _sorted_cycles(by_omega)
-    return PredictedCycleSet(t, cycles, f"power2:p={p},q={q}", len(cycles))
+    return PredictedCycleSet(t, cycles, _spec_string("power2", p, q), len(cycles))
 
 
-# --- family spec strings ------------------------------------------------------
+# --- family registry: spec strings and CLI flags -----------------------------
 
-def _parse_sign(s: str) -> int:
-    if s in ("+", "+1"):
+_NATURAL_RE = re.compile(r"(\d+)(?:\^(\d+))?")
+
+
+def parse_natural(text: str) -> int:
+    """Decimal or base^exponent shorthand (5^15, 2^71)."""
+    m = _NATURAL_RE.fullmatch(text.strip())
+    if not m:
+        raise InvalidFamilyParamsError(f"expected a natural number or b^e, got {text!r}")
+    base, exp = m.groups()
+    return int(base) if exp is None else int(base) ** int(exp)
+
+
+def parse_sign(text: str) -> int:
+    """+ or +1, - or -1."""
+    if text in ("+", "+1"):
         return PLUS
-    if s in ("-", "-1"):
+    if text in ("-", "-1"):
         return MINUS
-    raise InvalidFamilyParamsError(f"cannot parse sign {s!r}")
+    raise InvalidFamilyParamsError(f"expected + or -, got {text!r}")
+
+
+def _scale_spec(a0: int, base: str) -> PredictedCycleSet:
+    """Scale the family of a base spec, ';'-nested ('squaregap;d=5;nu1=1;mu0=2')
+    or plain ('squaregap:d=5,nu1=1,mu0=2')."""
+    plain = base.replace(";", ",")
+    base_set = parse_family_spec(plain if ":" in plain else plain.replace(",", ":", 1))
+    return scale_cycles(base_set.triplet, base_set.cycles, a0)
+
+
+# Family name -> (builder, (key, value parser) pairs in argument order); the keys
+# are spec keys and `family` flags.  Lambdas see a later rebinding of a builder.
+FAMILIES = {
+    "ladder": (lambda *a: build_ladder_family(LadderParams(*a)),
+               (("d", parse_natural), ("nu0", parse_natural), ("nu1", parse_natural),
+                ("delta", parse_natural), ("k0", parse_sign), ("k1", parse_sign))),
+    "squaregap": (lambda *a: build_square_gap_family(SquareGapParams(*a)),
+                  (("d", parse_natural), ("nu1", parse_natural), ("mu0", parse_natural))),
+    "dplus1": (lambda *a: build_dplus1_family(*a),
+               (("d", parse_natural), ("kappa", parse_sign))),
+    "mersenne": (lambda *a: build_mersenne_family(*a), (("p", parse_natural),)),
+    "power2": (lambda *a: build_two_power_family(*a),
+               (("p", parse_natural), ("q", parse_natural))),
+    "scale": (_scale_spec, (("a0", parse_natural), ("base", str))),
+}
+
+
+def _spec_string(name: str, *values: int) -> str:
+    """The spec of one family member, its keys in table order."""
+    return f"{name}:" + ",".join(
+        f"{key}={('+' if v == PLUS else '-') if parse is parse_sign else v}"
+        for (key, parse), v in zip(FAMILIES[name][1], values))
 
 
 def parse_family_spec(spec: str) -> PredictedCycleSet:
@@ -337,38 +372,18 @@ def parse_family_spec(spec: str) -> PredictedCycleSet:
     """
     name, _, rest = spec.partition(":")
     name = name.strip().lower()
-    kv: dict[str, str] = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            if not val:
-                raise InvalidFamilyParamsError(f"bad parameter {item!r} in {spec!r}")
-            kv[key.strip()] = val.strip()
-
-    def need(*keys: str) -> list[str]:
-        missing = [k for k in keys if k not in kv]
-        if missing:
-            raise InvalidFamilyParamsError(f"{name} spec missing {missing}")
-        return [kv[k] for k in keys]
-
-    if name == "ladder":
-        d, nu0, nu1, delta, k0, k1 = need("d", "nu0", "nu1", "delta", "k0", "k1")
-        return build_ladder_family(LadderParams(
-            int(d), int(nu0), int(nu1), int(delta), _parse_sign(k0), _parse_sign(k1)))
-    if name == "squaregap":
-        d, nu1, mu0 = need("d", "nu1", "mu0")
-        return build_square_gap_family(SquareGapParams(int(d), int(nu1), int(mu0)))
-    if name == "dplus1":
-        d, kappa = need("d", "kappa")
-        return build_dplus1_family(int(d), _parse_sign(kappa))
-    if name == "mersenne":
-        (p,) = need("p")
-        return build_mersenne_family(int(p))
-    if name == "power2":
-        p, q = need("p", "q")
-        return build_two_power_family(int(p), int(q))
-    if name == "scale":
-        a0, base = need("a0", "base")
-        base_set = parse_family_spec(base.replace(";", ",").replace(",", ":", 1))
-        return scale_cycles(base_set.triplet, base_set.cycles, int(a0))
-    raise InvalidFamilyParamsError(f"unknown family {name!r} in {spec!r}")
+    if name not in FAMILIES:
+        raise InvalidFamilyParamsError(f"unknown family {name!r} in {spec!r}")
+    build, params = FAMILIES[name]
+    parsers = dict(params)  # the keys not yet given
+    values = {}
+    for item in rest.split(",") if rest else ():
+        key, _, val = (part.strip() for part in item.partition("="))
+        parse = parsers.pop(key, None)
+        if parse is None or not val:
+            raise InvalidFamilyParamsError(
+                f"unknown, repeated or empty parameter {item!r} in {spec!r}")
+        values[key] = parse(val)
+    if parsers:
+        raise InvalidFamilyParamsError(f"{name} spec missing {list(parsers)}")
+    return build(*(values[key] for key, _ in params))

@@ -10,6 +10,10 @@ import collatzkit
 
 from collatzkit.cli import emit_table, parse_natural, run
 from collatzkit import detect_cycle_from, parse_triplet, verify_range, VerificationJob
+from collatzkit import (LadderParams, SquareGapParams, build_dplus1_family,
+                        build_ladder_family, build_mersenne_family,
+                        build_square_gap_family, build_two_power_family,
+                        parse_family_spec, scale_cycles)
 
 
 def test_power_shorthand():
@@ -91,6 +95,63 @@ def test_family_domain_error(capsys):
               "--a0", "4"])
     assert rc == 1
     assert "congruent to 1 mod d" in capsys.readouterr().err
+
+
+def _scaled_square_gap():
+    base = build_square_gap_family(SquareGapParams(5, 1, 2))
+    return scale_cycles(base.triplet, base.cycles, 121)
+
+
+FAMILY_FORMS = [  # (flags, spec, direct builder call)
+    (["ladder", "--d", "3", "--nu0", "3", "--nu1", "2", "--delta", "1", "--k0", "+",
+      "--k1", "-"], "ladder:d=3,nu0=3,nu1=2,delta=1,k0=+,k1=-",
+     lambda: build_ladder_family(LadderParams(3, 3, 2, 1, 1, -1))),
+    (["squaregap", "--d", "5", "--nu1", "1", "--mu0", "2"], "squaregap:d=5,nu1=1,mu0=2",
+     lambda: build_square_gap_family(SquareGapParams(5, 1, 2))),
+    (["dplus1", "--d", "4", "--kappa", "-"], "dplus1:d=4,kappa=-",
+     lambda: build_dplus1_family(4, -1)),
+    (["mersenne", "--p", "5"], "mersenne:p=5", lambda: build_mersenne_family(5)),
+    (["power2", "--p", "5", "--q", "2"], "power2:p=5,q=2",
+     lambda: build_two_power_family(5, 2)),
+    (["scale", "--of", "squaregap:d=5,nu1=1,mu0=2", "--a0", "121"],
+     "scale:a0=121,base=squaregap;d=5;nu1=1;mu0=2", _scaled_square_gap),
+    (["scale", "--of", "squaregap;d=5;nu1=1;mu0=2", "--a0", "121"],
+     "scale:a0=121,base=squaregap:d=5;nu1=1;mu0=2", _scaled_square_gap),
+]
+
+
+@pytest.mark.parametrize("flags, spec, direct", FAMILY_FORMS, ids=[
+    "ladder", "squaregap", "dplus1", "mersenne", "power2", "scale", "scale-nested-of"])
+def test_family_flags_spec_and_builder_agree(flags, spec, direct, capsys, tmp_path):
+    docs = []
+    for argv in (["family", *flags], ["family", "spec", spec]):
+        path = tmp_path / "f.json"
+        assert run(argv + ["--json", str(path)]) == 0
+        docs.append(json.loads(path.read_text()))
+    assert docs[0] == docs[1] == direct().to_json_dict()
+    assert parse_family_spec(spec) == direct()
+
+
+def test_family_spec_malformed_is_domain_error(capsys):
+    assert run(["family", "spec", "power2:p=x,q=1"]) == 1
+    assert "error: expected a natural number or b^e, got 'x'" in capsys.readouterr().err
+    assert run(["family", "spec", "power2:p=3,q=1,zz=4"]) == 1
+    assert "'zz=4'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["family", "dplus1", "--d", "4", "--kappa", "x"], "--kappa"),
+    (["family", "mersenne", "--p", "-5"], "--p"),
+    (["trace", "--triplet", "2:3:1:+", "--n", "6", "--known", "abc"], "--known"),
+    (["verify", "--triplet", "2:3:1:+", "--hi", "10", "--targets", "abc"], "--targets"),
+    (["verify", "--triplet", "2:3:1:+", "--hi", "10", "--targets", "1,"], "--targets"),
+    (["bound", "mu", "--triplet", "5:6:4:+", "--min-omega", "5^10", "--mu", "abc"], "--mu"),
+    (["bound", "mu", "--triplet", "5:6:4:+", "--min-omega", "5^10", "--mu", "1/0"], "--mu"),
+], ids=["kappa", "p", "known", "targets", "targets-empty-item", "mu", "mu-zero-denominator"])
+def test_bad_flag_value_is_usage_error(argv, flag, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}:" in err and "Traceback" not in err
 
 
 def test_bound_alg1_table(capsys, tmp_path):

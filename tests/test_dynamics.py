@@ -257,6 +257,30 @@ class TestWalkerAgainstReference:
                         assert detect_cycle_from(t, n, limits, budget).elements == expected
 
     @pytest.mark.parametrize("t", WALK_TRIPLETS, ids=str)
+    def test_detect_cycle_from_every_memory_budget(self, t):
+        # a budget past the reference walk's last step hashes the whole walk,
+        # so budgets 1 .. min(max_steps, steps) + 1 cover every hand-off point
+        for limits in walk_limit_sets(t):
+            limits = Limits(limits.max_steps, limits.max_value)
+            for n in WALK_SEEDS:
+                end, steps, path = ref_walk(t, n, limits)
+                expected = ref_cycle(path) if end == "revisit" else None
+                for budget in range(1, min(limits.max_steps, steps) + 2):
+                    found = detect_cycle_from(t, n, limits, budget)
+                    assert (found.elements if found else None) == expected, budget
+
+    @pytest.mark.parametrize("max_steps", [23, 24, 30])
+    def test_detect_cycle_from_under_a_step_cap_at_every_budget(self, max_steps):
+        # 10:12:8:+ from 25 first revisits the 6-cycle at 4 on step 24
+        limits = Limits(max_steps=max_steps)
+        end, steps, path = ref_walk(T10128, 25, limits)
+        expected = ref_cycle(path) if end == "revisit" else None
+        assert (expected is None) == (max_steps < 24)
+        for budget in range(1, max_steps + 2):
+            found = detect_cycle_from(T10128, 25, limits, budget)
+            assert (found.elements if found else None) == expected, budget
+
+    @pytest.mark.parametrize("t", WALK_TRIPLETS, ids=str)
     def test_classify_seed(self, t):
         cycles = enumerate_cycles(t, 1, 100)
         owner = {x: cycles[0].omega for x in cycles[0].elements}

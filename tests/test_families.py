@@ -235,6 +235,38 @@ class TestSpecStrings:
         with pytest.raises(InvalidFamilyParamsError):
             parse_family_spec("ladder:d=3")
 
+    @pytest.mark.parametrize("spec", [
+        "power2:p=x,q=1",            # not a number
+        "power2:p=3,q=1,zz=4",       # unknown key
+        "mersenne:p=3,p=5",          # repeated key
+        "mersenne:p=",               # empty value
+        "power2:p=-1,q=0",           # not a natural
+        "dplus1:d=4,kappa=x",        # not a sign
+        "scale:a0=4,base=nosuch;p=1",
+    ])
+    def test_malformed_specs(self, spec):
+        with pytest.raises(InvalidFamilyParamsError):
+            parse_family_spec(spec)
+
+    def test_power_shorthand_and_both_base_forms(self):
+        assert parse_family_spec("mersenne:p=2^2") == build_mersenne_family(4)
+        nested = parse_family_spec("scale:a0=121,base=squaregap;d=5;nu1=1;mu0=2")
+        plain = parse_family_spec("scale:a0=121,base=squaregap:d=5;nu1=1;mu0=2")
+        assert nested == plain
+
+    def test_provenance_reparses_to_the_same_set(self):
+        sets = [build_dplus1_family(4, 1), build_dplus1_family(3, -1),
+                build_mersenne_family(5), build_two_power_family(5, 2)]
+        rng = random.Random(20240817)
+        sets += [build_ladder_family(_random_ladder_params(rng)) for _ in range(20)]
+        rng = random.Random(414243)
+        for _ in range(20):
+            d, mu0 = rng.randint(2, 5), rng.randint(1, 3)
+            nu1 = rng.randint(1, 2 * mu0 - 1)
+            sets.append(build_square_gap_family(SquareGapParams(d, nu1, mu0)))
+        for ps in sets:
+            assert parse_family_spec(ps.provenance) == ps
+
 
 def _random_ladder_params(rng: random.Random) -> LadderParams:
     while True:
