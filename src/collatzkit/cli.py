@@ -42,6 +42,13 @@ def _flag_type(parse):
 parse_natural = _flag_type(_natural)  # decimal or b^e (5^15, 2^71)
 
 
+def _positive(text: str) -> int:
+    n = parse_natural(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def _naturals(text: str) -> list[int]:
     return [parse_natural(part) for part in text.split(",")]
 
@@ -370,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", type=_naturals, required=True,
                    help="comma-separated cycle minima")
     p.add_argument("--chunk", type=parse_natural, default=1 << 16)
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"worker processes (default: $COLLATZKIT_THREADS or cores)")
+    p.add_argument("--threads", type=_positive, default=None,
+                   help="worker processes (default: $COLLATZKIT_THREADS or cores)")
     p.add_argument("--no-shortcut", action="store_true",
                    help="disable the below-frontier shortcut")
     p.add_argument("--checkpoint", metavar="PATH")
@@ -382,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resume", help="extend a checkpointed verification")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--hi", type=parse_natural, required=True)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_positive, default=None)
     _add_outputs(p)
     p.set_defaults(func=_cmd_resume)
     return ap

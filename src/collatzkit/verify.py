@@ -9,8 +9,10 @@ claimed verified, since the induction is grounded only below the first
 undecided seed.
 
 Under the shortcut, a residue-class sieve (`build_sieve`) skips every seed
-whose class mod d^k alone proves that it descends; the report is the same
-as without it.
+whose class mod d^k alone proves that it descends; without it, a table of
+exact k-step jumps (`build_jumps`) lets the membership loop take k steps at
+once wherever no member, cap or exit can lie inside them.  Either way the
+report is the same as without the table.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ DEFAULT_CHUNK = 1 << 16
 # the sieve works mod d^k for the largest k with d^k <= this cap; a larger
 # cap costs more to build and ship to workers than its extra exits save
 SIEVE_MODULUS_CAP = 1 << 16
+# the jump table works mod d^k for the largest k with d^k <= this cap; at
+# 2^12 and above its build time and memory outweigh the longer jumps
+JUMP_MODULUS_CAP = 1 << 10
 THREADS_ENV = "COLLATZKIT_THREADS"
 
 STEP_CAP = "step_cap"
@@ -116,6 +121,15 @@ class ResidueSieve:
     peak_const: int
 
 
+def _depth_under(d: int, cap: int) -> tuple[int, int]:
+    """The largest k with d^k <= cap, and d^k."""
+    depth, modulus = 0, 1
+    while modulus * d <= cap:
+        depth += 1
+        modulus *= d
+    return depth, modulus
+
+
 def build_sieve(t: Triplet) -> Optional[ResidueSieve]:
     """Residue classes mod d^k, k the largest with d^k <= SIEVE_MODULUS_CAP,
     that are not proven to descend within k steps; None when k = 0.
@@ -154,10 +168,7 @@ def build_sieve(t: Triplet) -> Optional[ResidueSieve]:
     """
     d, alpha, beta = t.d, t.alpha, t.beta
     plus = t.kappa == PLUS
-    depth, modulus = 0, 1
-    while modulus * d <= SIEVE_MODULUS_CAP:
-        depth += 1
-        modulus *= d
+    depth, modulus = _depth_under(d, SIEVE_MODULUS_CAP)
     if depth == 0:
         return None
     peak_coeff = peak_const = 0
@@ -205,6 +216,111 @@ def build_sieve(t: Triplet) -> Optional[ResidueSieve]:
     return ResidueSieve(depth, modulus, survivors, peak_coeff, peak_const)
 
 
+@dataclass(frozen=True)
+class JumpTable:
+    """Exact k-step jumps for the membership scan, per residue mod d^k.
+
+    For n = d^k*q + r, iterate k of n is coeff[r]*q + const[r]; a jump from
+    n is taken only when hit[r] < q <= qmax (see `build_jumps`).
+    """
+
+    depth: int  # k
+    modulus: int  # d^k
+    coeff: list
+    const: list
+    hit: list  # largest q whose iterates 1..k-1 meet a member, or -1
+    qmax: int  # iterates 1..k stay at or below max_value for q <= qmax
+
+
+def build_jumps(t: Triplet, members: Iterable[int],
+                max_value: int) -> Optional[JumpTable]:
+    """The k-step jump table mod d^k, k the largest with d^k <= JUMP_MODULUS_CAP,
+    for a scan toward `members` under `max_value`; None when k = 0.
+
+    Form.  Write n = d^k*q + r with 0 <= r < d^k.  As in `build_sieve`, for
+    j <= k iterate j of n is alpha^(o_j) * d^(k-j) * q + T^j(r) for every
+    q >= 0, so iterate k is coeff[r]*q + const[r] with coeff[r] =
+    alpha^(o_k) and const[r] = T^k(r).
+
+    Guards.  hit[r] is the largest q for which some iterate 1..k-1 of
+    d^k*q + r is a member, or -1 when there is none; C*q + P bounds
+    iterates 1..k of every class, and qmax = (max_value - P) // C.  The
+    membership scan, at a value v = d^k*q + r that is not a member, with
+    steps < max_steps taken, jumps to iterate k with steps + k only when
+    hit[r] < q <= qmax and steps + k <= max_steps.
+
+    Exactness.  Stepping one at a time from v, the scan would stop inside
+    the jump only at a member among iterates 1..k-1, at the step cap before
+    one of steps + 1 .. steps + k - 1, or at an iterate 1..k above
+    max_value.  q > hit[r] rules out the first (and makes q >= 0, so the
+    forms hold); steps + k <= max_steps the second; q <= qmax puts every
+    iterate 1..k at or below C*q + P <= max_value, which rules out the
+    third.  So the scan reaches iterate k after exactly k steps either
+    way, and the landing value meets the member test at the top of the
+    loop as before: every exception, its status, the frontier,
+    seeds_scanned and the digest are unchanged.  The jump never crosses a
+    below-frontier exit, because the table is used only without the
+    shortcut.
+
+    Build.  Residues are refined one base-d digit at a time, as in
+    `build_sieve` but without pruning.  A class mod d^j carries its j-step
+    form a*m + b (here n = d^j*m + r) and a bound C*m + P on iterates 1..j;
+    the table's C and P are the largest of these over the classes mod d^k.
+    For j < k, each member e = a*m + b with m >= 0 names the one seed
+    n = d^j*m + r whose iterate j is e, and raises hit[n mod d^k] to at
+    least n // d^k; every seed with a member among iterates 1..k-1 is named
+    so, hence hit is exact.
+    """
+    d, alpha, beta = t.d, t.alpha, t.beta
+    plus = t.kappa == PLUS
+    depth, modulus = _depth_under(d, JUMP_MODULUS_CAP)
+    if depth == 0:
+        return None
+    members = sorted(members)
+    max_elem = members[-1]
+    # members grouped by residue mod a, for each coefficient a <= max_elem
+    by_residue: dict[int, dict[int, list[int]]] = {}
+    hit = [-1] * modulus
+    # (r, a, b, C, P) per class mod d^j: iterate j of n = d^j*m + r is a*m + b
+    # and iterates 1..j are at most C*m + P
+    live = [(0, 1, 0, 0, 0)]
+    scale = 1  # d^(j-1)
+    for j in range(1, depth + 1):
+        level = scale * d  # d^j
+        refined = []
+        for r, a, b, c_max, p_max in live:
+            for digit in range(d):
+                rr = r + digit * scale
+                v = a * digit + b  # constant of iterate j-1
+                res = v % d
+                if res == 0:
+                    v //= d
+                    coeff = a
+                else:
+                    v = (alpha * v + beta * (res if plus else d - res)) // d
+                    coeff = a * alpha
+                if j < depth and v <= max_elem:
+                    if coeff not in by_residue:
+                        groups = by_residue[coeff] = {}
+                        for e in members:
+                            groups.setdefault(e % coeff, []).append(e)
+                    group = by_residue[coeff].get(v % coeff, ())
+                    for e in group[bisect_left(group, v):]:
+                        q, rk = divmod(level * ((e - v) // coeff) + rr, modulus)
+                        hit[rk] = max(hit[rk], q)
+                refined.append((rr, coeff, v, max(c_max * d, coeff),
+                                max(c_max * digit + p_max, v)))
+        live = refined
+        scale = level
+    coeff, const = [0] * modulus, [0] * modulus
+    for r, a, b, _c, _p in live:
+        coeff[r], const[r] = a, b
+    peak_coeff = max(entry[3] for entry in live)
+    peak_const = max(entry[4] for entry in live)
+    return JumpTable(depth, modulus, coeff, const, hit,
+                     (max_value - peak_const) // peak_coeff)
+
+
 def _sieve_applies(sieve: Optional[ResidueSieve], hi: int, max_steps: int,
                    max_value: int) -> bool:
     """Whether skipping sieved seeds n <= hi is sound under these caps."""
@@ -225,11 +341,14 @@ def _survivor_seeds(sieve: ResidueSieve, lo: int, hi: int) -> Iterable[int]:
         start = 0
 
 
-def _scan_chunk(args, sieve: Optional[ResidueSieve] = None) -> list[tuple[int, str]]:
+def _scan_chunk(args, sieve: Optional[ResidueSieve] = None,
+                jumps: Optional[JumpTable] = None) -> list[tuple[int, str]]:
     """Scan seeds [lo, hi]; returns (seed, status) for every undecided seed.
 
     With a sieve, seeds above max_elem are scanned only in surviving
-    classes, where `_sieve_applies` allows it for this chunk.
+    classes, where `_sieve_applies` allows it for this chunk.  With a jump
+    table (built without the shortcut only), the membership loop takes its
+    guarded k-step jumps.
     """
     (_d, _alpha, _beta, _kappa, lo, hi, _members, max_elem,
      max_steps, max_value, shortcut) = args
@@ -237,14 +356,21 @@ def _scan_chunk(args, sieve: Optional[ResidueSieve] = None) -> list[tuple[int, s
         split = min(hi, max_elem)
         return (_scan_seeds(args, range(lo, split + 1))
                 + _scan_seeds(args, _survivor_seeds(sieve, max(lo, split + 1), hi)))
-    return _scan_seeds(args, range(lo, hi + 1))
+    return _scan_seeds(args, range(lo, hi + 1), jumps)
 
 
-def _scan_seeds(args, seeds: Iterable[int]) -> list[tuple[int, str]]:
+def _scan_seeds(args, seeds: Iterable[int],
+                jumps: Optional[JumpTable] = None) -> list[tuple[int, str]]:
     (d, alpha, beta, kappa, _lo, _hi, members, max_elem,
      max_steps, max_value, shortcut) = args
     exceptions: list[tuple[int, str]] = []
     plus = kappa == PLUS
+    # a jump may start only while steps <= jump_last, i.e. steps + k <= max_steps
+    jump_last = -1
+    if jumps is not None:
+        depth, modulus, qmax = jumps.depth, jumps.modulus, jumps.qmax
+        coeff, const, hit = jumps.coeff, jumps.const, jumps.hit
+        jump_last = max_steps - depth
     for n in seeds:
         v = n
         steps = 0
@@ -268,11 +394,17 @@ def _scan_seeds(args, seeds: Iterable[int]) -> list[tuple[int, str]]:
                     break
         else:
             while True:
-                if v in members or (shortcut and v < n):
+                if (v <= max_elem and v in members) or (shortcut and v < n):
                     break
                 if steps >= max_steps:
                     status = STEP_CAP
                     break
+                if steps <= jump_last:
+                    q, r = divmod(v, modulus)
+                    if hit[r] < q <= qmax:
+                        v = coeff[r] * q + const[r]
+                        steps += depth
+                        continue
                 r = v % d
                 if r == 0:
                     v //= d
@@ -288,18 +420,19 @@ def _scan_seeds(args, seeds: Iterable[int]) -> list[tuple[int, str]]:
     return exceptions
 
 
-# set in each pool worker by its initializer, so the table crosses the
+# set in each pool worker by its initializer, so the tables cross the
 # process boundary once per worker instead of once per chunk
 _worker_sieve: Optional[ResidueSieve] = None
+_worker_jumps: Optional[JumpTable] = None
 
 
-def _init_worker(sieve: Optional[ResidueSieve]) -> None:
-    global _worker_sieve
-    _worker_sieve = sieve
+def _init_worker(sieve: Optional[ResidueSieve], jumps: Optional[JumpTable]) -> None:
+    global _worker_sieve, _worker_jumps
+    _worker_sieve, _worker_jumps = sieve, jumps
 
 
 def _scan_chunk_in_worker(args) -> list[tuple[int, str]]:
-    return _scan_chunk(args, _worker_sieve)
+    return _scan_chunk(args, _worker_sieve, _worker_jumps)
 
 
 def _worker_count(workers: Optional[int]) -> int:
@@ -333,14 +466,18 @@ def verify_range(job: VerificationJob, workers: Optional[int] = None) -> Checkpo
                        job.limits.max_steps, job.limits.max_value,
                        job.below_frontier_shortcut))
         a = b + 1
-    nworkers = _worker_count(workers)
+    # extra workers would only cost spawn time
+    nworkers = min(_worker_count(workers), len(chunks))
     start = time.perf_counter()
-    sieve = build_sieve(t) if job.below_frontier_shortcut else None
-    if nworkers == 1 or len(chunks) == 1:
-        results = [_scan_chunk(c, sieve) for c in chunks]
+    if job.below_frontier_shortcut:
+        sieve, jumps = build_sieve(t), None
+    else:
+        sieve, jumps = None, build_jumps(t, members, job.limits.max_value)
+    if nworkers == 1:
+        results = [_scan_chunk(c, sieve, jumps) for c in chunks]
     else:
         with ProcessPoolExecutor(max_workers=nworkers, initializer=_init_worker,
-                                 initargs=(sieve,)) as pool:
+                                 initargs=(sieve, jumps)) as pool:
             results = list(pool.map(_scan_chunk_in_worker, chunks))
     wall = time.perf_counter() - start
     exceptions: list[tuple[int, str]] = []
@@ -463,8 +600,9 @@ def checkpoint_from_json_dict(doc: dict) -> Checkpoint:
 
 def save_checkpoint(cp: Checkpoint, path: str) -> None:
     """Atomic, durable write: temp file in the same directory, flushed and
-    fsynced, then renamed over path.  On any failure the temp file is
-    removed and path keeps its previous content."""
+    fsynced, then renamed over path, and the directory fsynced so the
+    rename survives a crash.  On any failure before the rename the temp
+    file is removed and path keeps its previous content."""
     doc = checkpoint_to_json_dict(cp)
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp.{os.getpid()}")
@@ -479,6 +617,11 @@ def save_checkpoint(cp: Checkpoint, path: str) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def load_checkpoint(path: str) -> Checkpoint:

@@ -154,6 +154,16 @@ def test_bad_flag_value_is_usage_error(argv, flag, capsys):
     assert f"error: argument {flag}:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("command", ["verify", "resume"])
+def test_threads_must_be_positive(command, value, capsys, tmp_path):
+    args = (["--triplet", "2:3:1:+", "--hi", "10", "--targets", "1"] if command == "verify"
+            else ["--checkpoint", str(tmp_path / "cp.json"), "--hi", "20"])
+    assert run([command, *args, "--threads", value]) == 2
+    err = capsys.readouterr().err
+    assert "error: argument --threads:" in err and "Traceback" not in err
+
+
 def test_bound_alg1_table(capsys, tmp_path):
     csv_path = tmp_path / "t.csv"
     rc = run(["bound", "alg1", "--triplet", "5:6:4:+", "--min-omega", "5^15",

@@ -1,5 +1,7 @@
 import json
 import os
+import stat
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -12,7 +14,7 @@ from collatzkit import (DigestMismatchError, InvalidTargetsError, Limits,
                         save_checkpoint, verify, verify_range)
 from collatzkit.core import PLUS, Triplet
 from collatzkit.dynamics import Cycle
-from collatzkit.verify import (_sieve_applies, build_sieve,
+from collatzkit.verify import (_scan_chunk, _sieve_applies, build_jumps, build_sieve,
                                checkpoint_to_json_dict, job_digest)
 
 T10128 = parse_triplet("10:12:8:+")
@@ -23,12 +25,17 @@ OMEGA1 = detect_cycle_from(T231, 1)
 
 T3241 = parse_triplet("3:4:1:-")
 T8124 = parse_triplet("8:12:4:+")
+T34m1 = parse_triplet("3:4:-1:+")
+T23m1 = parse_triplet("2:3:-1:+")
 TARGETS = {
     T231: (OMEGA1,),
     T10128: (OMEGA4,),
     T3241: (detect_cycle_from(T3241, 1), detect_cycle_from(T3241, 7)),
     T8124: (detect_cycle_from(T8124, 1), detect_cycle_from(T8124, 67)),
 }
+CYCLE_MEMBERS = {t: frozenset(x for c in cycles for x in c.elements)
+                 for t, cycles in TARGETS.items()}
+CYCLE_MEMBERS[T34m1] = frozenset({1, 2})  # two fixed points
 
 
 def job(t, lo, hi, targets, **kw):
@@ -250,6 +257,157 @@ class TestResidueSieve:
             limits=Limits(max_steps=max_steps, max_value=max_value)))
 
 
+def scan_args(t, lo, hi, members, max_steps=10**5, max_value=10**30):
+    """A `_scan_chunk` argument tuple for a scan without the shortcut."""
+    members = frozenset(members)
+    return (t.d, t.alpha, t.beta, t.kappa, lo, hi, members, max(members),
+            max_steps, max_value, False)
+
+
+def assert_jumps_keep_scan(t, lo, hi, members, **caps):
+    """_scan_chunk with its jump table against the same scan with no table."""
+    args = scan_args(t, lo, hi, members, **caps)
+    jumps = build_jumps(t, args[6], args[9])
+    jumped = _scan_chunk(args, None, jumps)
+    assert jumped == _scan_chunk(args)
+    return jumped
+
+
+def iterates(t: Triplet, n: int, k: int) -> list[int]:
+    step = t.step_function()
+    out = []
+    for _ in range(k):
+        n = step(n)
+        out.append(n)
+    return out
+
+
+class TestJumpTable:
+    def test_depth_is_largest_under_the_cap(self):
+        classical, two_power = build_jumps(T231, {1, 2}, 10**30), build_jumps(T10128, {4}, 10**30)
+        assert (classical.depth, classical.modulus) == (10, 1 << 10)
+        assert (two_power.depth, two_power.modulus) == (3, 10**3)
+        assert build_jumps(Triplet(1025, 1026, 1024, 1), {1}, 10**30) is None
+
+    @pytest.mark.parametrize("t", [T231, T10128, T3241, T34m1], ids=str)
+    def test_landing_is_iterate_k(self, t):
+        jumps = build_jumps(t, CYCLE_MEMBERS[t], 10**30)
+        for q in (0, 1, 7, 10**9 + 7):
+            for r in range(1 if q == 0 else 0, jumps.modulus):
+                landing = iterates(t, jumps.modulus * q + r, jumps.depth)[-1]
+                assert landing == jumps.coeff[r] * q + jumps.const[r]
+
+    @pytest.mark.parametrize("t", [T231, T10128, T3241, T34m1], ids=str)
+    def test_hit_is_the_largest_q_meeting_a_member_before_step_k(self, t):
+        members = CYCLE_MEMBERS[t]
+        jumps = build_jumps(t, members, 10**30)
+        expected = [-1] * jumps.modulus
+        # iterates are at least q, so no seed with q > max(members) can meet one
+        for n in range(1, jumps.modulus * (max(members) + 1)):
+            if members.intersection(iterates(t, n, jumps.depth - 1)):
+                q, r = divmod(n, jumps.modulus)
+                expected[r] = max(expected[r], q)
+        assert jumps.hit == expected
+
+    @pytest.mark.parametrize("t", [T231, T10128], ids=str)
+    def test_qmax_is_the_value_cap_bound(self, t):
+        # sound at qmax for every class, and attained: some class crosses at qmax + 1
+        max_value = 10**6
+        jumps = build_jumps(t, CYCLE_MEMBERS[t], max_value)
+        peaks = [[max(iterates(t, jumps.modulus * q + r, jumps.depth))
+                  for r in range(jumps.modulus)] for q in (jumps.qmax, jumps.qmax + 1)]
+        assert max(peaks[0]) <= max_value < max(peaks[1])
+
+    @pytest.mark.parametrize("t", [T231, T10128, T3241, T34m1, T23m1], ids=str)
+    def test_qmax_comes_from_the_largest_coefficient_and_constant(self, t):
+        # iterate j of d^k*q + r is c*q + T^j(r); on 2:3:-1:+ the largest
+        # constant is met before step k
+        jumps = build_jumps(t, {1}, 10**30)
+        coeff = const = 0
+        for r in range(jumps.modulus):
+            for low, high in zip(iterates(t, r, jumps.depth) if r else [0] * jumps.depth,
+                                 iterates(t, jumps.modulus + r, jumps.depth)):
+                coeff, const = max(coeff, high - low), max(const, low)
+        for max_value in (coeff * 17 + const - 1, coeff * 17 + const, 10**6):
+            assert build_jumps(t, {1}, max_value).qmax == (max_value - const) // coeff
+
+    @pytest.mark.parametrize("hit_at_q, qmax_below_q, cap_below_k, jumped", [
+        (False, False, False, True),
+        (True, False, False, False),
+        (False, True, False, False),
+        (False, False, True, False),
+    ], ids=["all-hold", "member-guard", "value-guard", "step-guard"])
+    def test_jump_taken_exactly_when_the_guards_hold(self, hit_at_q, qmax_below_q,
+                                                     cap_below_k, jumped):
+        # a doctored table whose every jump lands on the member 1, so a jump
+        # shows as a converged seed; each guard is put one past its bound
+        n = 10**12 + 1  # meets no member within 10 steps
+        jumps = build_jumps(T231, {1, 2}, 10**30)
+        q = n // jumps.modulus
+        doctored = replace(jumps, coeff=[0] * jumps.modulus, const=[1] * jumps.modulus,
+                           hit=[q if hit_at_q else q - 1] * jumps.modulus,
+                           qmax=q - 1 if qmax_below_q else q)
+        args = scan_args(T231, n, n, {1, 2},
+                         max_steps=jumps.depth - 1 if cap_below_k else jumps.depth)
+        assert _scan_chunk(args, None, doctored) == ([] if jumped else [(n, "step_cap")])
+
+    def test_member_strictly_inside_a_jump(self):
+        # _scan_chunk stops at any member, so a set that is not closed under
+        # the map shows a skipped member: 2560 = 1024*2 + 512 meets 5 at step 9
+        jumps = build_jumps(T231, {5}, 10**30)
+        assert iterates(T231, 2560, 10)[8] == 5 and jumps.hit[512] >= 2
+        assert assert_jumps_keep_scan(T231, 2560, 2560, {5}, max_steps=50) == []
+        assert assert_jumps_keep_scan(T231, 2500, 2700, {5}, max_steps=50)
+
+    @pytest.mark.parametrize("max_steps", [9, 10, 11, 25, 39])
+    def test_step_cap_inside_a_jump(self, max_steps):
+        n = 10**12 + 1
+        assert assert_jumps_keep_scan(T231, n, n, {1, 2}, max_steps=max_steps) == [
+            (n, "step_cap")]
+
+    @pytest.mark.parametrize("t", [T231, T10128], ids=str)
+    def test_value_cap_inside_a_jump(self, t):
+        # the block of seeds just past qmax, where some class crosses the cap
+        # inside its first k steps
+        max_value = 10**9
+        jumps = build_jumps(t, CYCLE_MEMBERS[t], max_value)
+        lo = jumps.modulus * (jumps.qmax + 1)
+        found = assert_jumps_keep_scan(t, lo, lo + jumps.modulus - 1, CYCLE_MEMBERS[t],
+                                       max_steps=jumps.depth, max_value=max_value)
+        assert (lo + jumps.modulus - 1, "value_cap") in found
+
+    @pytest.mark.parametrize("t", [T231, T10128], ids=str)
+    def test_report_unchanged_with_two_workers(self, t):
+        j = job(t, 10**12, 10**12 + 2000, TARGETS[t], chunk_size=300,
+                below_frontier_shortcut=False)
+        jumped = verify_range(j, workers=2)
+        with mock.patch.object(verify, "build_jumps", lambda *args: None):
+            plain = verify_range(j, workers=2)
+        assert report_bytes(jumped) == report_bytes(plain)
+        assert jumped.exceptions == () and jumped.seeds_scanned == 2001
+
+    def test_shortcut_job_builds_no_table(self):
+        with mock.patch.object(verify, "build_jumps", side_effect=AssertionError):
+            cp = verify_range(job(T231, 1, 5000, (OMEGA1,)), workers=1)
+        assert cp.exceptions == ()
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=st.sampled_from(sorted(CYCLE_MEMBERS, key=str)),
+           extra=st.sets(st.integers(1, 3000), min_size=1, max_size=3),
+           with_cycles=st.booleans(),
+           lo=st.one_of(st.integers(1, 10**5), st.integers(10**12, 10**13)),
+           size=st.integers(0, 200),
+           max_steps=st.one_of(st.integers(1, 25), st.integers(26, 1000)),
+           max_value=st.integers(3, 60).map(lambda e: 2**e))
+    def test_scan_unchanged_property(self, t, extra, with_cycles, lo, size, max_steps,
+                                     max_value):
+        # extra members need not be closed under the map; without the
+        # target cycles, an orbit that skipped one would run to a cap
+        members = CYCLE_MEMBERS[t] | extra if with_cycles else extra
+        assert_jumps_keep_scan(t, lo, lo + size, members,
+                               max_steps=max_steps, max_value=max_value)
+
+
 class TestCheckpoints:
     def test_roundtrip_and_resume_equals_oneshot(self, tmp_path):
         cp = verify_range(job(T10128, 1, 50000, (OMEGA4,)), workers=1)
@@ -303,6 +461,19 @@ class TestCheckpoints:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["cp.json"]
 
+    def test_directory_fsynced_after_the_rename(self, tmp_path, monkeypatch):
+        modes = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            modes.append(os.fstat(fd).st_mode)
+            real_fsync(fd)
+
+        monkeypatch.setattr(verify.os, "fsync", recording_fsync)
+        save_checkpoint(verify_range(job(T231, 1, 1000, (OMEGA1,)), workers=1),
+                        str(tmp_path / "cp.json"))
+        assert [stat.S_ISDIR(mode) for mode in modes] == [False, True]
+
     def test_checkpoint_from_earlier_release_resumes(self, tmp_path):
         # written by the code before the residue sieve existed
         path = tmp_path / "cp.json"
@@ -351,6 +522,34 @@ def test_thread_env_variable(monkeypatch):
     assert _worker_count(2) == 2
     monkeypatch.setenv("COLLATZKIT_THREADS", "junk")
     assert _worker_count(None) >= 1
+
+
+def test_pool_never_larger_than_the_chunk_count(monkeypatch):
+    started = []
+
+    class InlineExecutor:
+        """Records the pool size and maps in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(verify, "_worker_sieve", None)
+    monkeypatch.setattr(verify, "_worker_jumps", None)
+    cp = verify_range(job(T231, 1, 3000, (OMEGA1,), chunk_size=1000), workers=64)
+    assert started == [3] and cp.exceptions == ()
+    verify_range(job(T231, 1, 1000, (OMEGA1,), chunk_size=1000), workers=64)
+    assert started == [3]  # one chunk runs inline
 
 
 def test_two_power_family_spot_checks():
