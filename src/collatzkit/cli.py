@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -47,6 +48,18 @@ def _positive(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return n
+
+
+def _threads(args) -> Optional[int]:
+    """--threads, else $COLLATZKIT_THREADS, else None (one worker per core);
+    a bad variable is a usage error like a bad flag."""
+    env = os.environ.get("COLLATZKIT_THREADS")
+    if args.threads is not None or not env:
+        return args.threads
+    try:
+        return _positive(env)
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentError(None, f"$COLLATZKIT_THREADS: {exc}") from None
 
 
 def _naturals(text: str) -> list[int]:
@@ -276,13 +289,14 @@ def _targets_for(t: Triplet, minima: Sequence[int], limits: Limits):
 
 
 def _cmd_verify(args) -> int:
+    workers = _threads(args)
     t = parse_triplet(args.triplet)
     limits = Limits(max_steps=args.max_steps, max_value=args.max_value)
     targets = _targets_for(t, args.targets, limits)
     job = VerificationJob(
         triplet=t, lo=args.lo, hi=args.hi, targets=targets, limits=limits,
         chunk_size=args.chunk, below_frontier_shortcut=not args.no_shortcut)
-    cp = verify_range(job, workers=args.threads)
+    cp = verify_range(job, workers=workers)
     print(emit_table(cp, "text"))
     if args.checkpoint:
         save_checkpoint(cp, args.checkpoint)
@@ -292,8 +306,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_resume(args) -> int:
+    workers = _threads(args)
     cp = load_checkpoint(args.checkpoint)
-    cp2 = resume(cp, args.hi, workers=args.threads)
+    cp2 = resume(cp, args.hi, workers=workers)
     print(emit_table(cp2, "text"))
     save_checkpoint(cp2, args.checkpoint)
     print(f"checkpoint updated at {args.checkpoint}")
@@ -389,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resume", help="extend a checkpointed verification")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--hi", type=parse_natural, required=True)
-    p.add_argument("--threads", type=_positive, default=None)
+    p.add_argument("--threads", type=_positive, default=None,
+                   help="worker processes (default: $COLLATZKIT_THREADS or cores)")
     _add_outputs(p)
     p.set_defaults(func=_cmd_resume)
     return ap

@@ -14,8 +14,7 @@ from typing import Iterable, Optional, Union
 from .core import Triplet
 from .errors import (BoundPreconditionError, InvalidTripletError,
                      IterateFormulaDomainError, NotACycleError)
-from .intervals import (DEFAULT_POLICY, CertifiedReal, PrecisionPolicy,
-                        certified_sign, endpoints, make_context)
+from .intervals import DEFAULT_POLICY, CertifiedReal, endpoints, make_context
 
 DEFAULT_MAX_STEPS = 10**5
 DEFAULT_MAX_VALUE = 10**30
@@ -323,7 +322,7 @@ def closed_form_iterate(d: int, nu1: int, mu0exp: int, k: int, ell: int) -> int:
 
 @dataclass(frozen=True)
 class CycleBoundReport:
-    """Certified evaluation of the two inequality chains every cycle obeys.
+    """Exact verdict on the two inequality chains every cycle obeys.
 
     max_side:  0 < kbar*log_d(1 + beta/(alpha*max)) < L - kbar*xi
                  <= sum over non-divisible elements of log_d(1 + beta(d-1)/(alpha n))
@@ -334,24 +333,60 @@ class CycleBoundReport:
 
     max_side_holds: bool
     min_side_holds: bool
-    quantities: dict[str, CertifiedReal]
-    bits_used: int
+    triplet: Triplet
+    cycle: Cycle
 
     @property
     def both_hold(self) -> bool:
         return self.max_side_holds and self.min_side_holds
 
+    @property
+    def quantities(self) -> dict[str, CertifiedReal]:
+        """Enclosures of the chains' terms for display; no verdict uses them."""
+        t, c = self.triplet, self.cycle
+        bits = DEFAULT_POLICY.start_bits
+        ctx = make_context(bits)
+        ln_d = ctx.log(ctx.mpf(t.d))
 
-def check_cycle_necessary_conditions(t: Triplet, cycle: Cycle,
-                                     policy: PrecisionPolicy = DEFAULT_POLICY) -> CycleBoundReport:
-    """Certify both chains.
+        def log_d(q: Fraction):
+            return (ctx.log(ctx.mpf(q.numerator)) - ctx.log(ctx.mpf(q.denominator))) / ln_d
 
-    Comparisons between pure logarithms of rationals are decided exactly by
-    big-integer power comparison (they can hold with equality: for d=2 every
-    non-divisible residue equals d-1, so the middle inequality of the max
-    chain is an identity).  Comparisons of a logarithm against a rational
-    are strict in truth and decided by interval escalation.
+        def over_ln_d(q: Fraction):
+            return ctx.mpf(q.numerator) / ctx.mpf(q.denominator) / ln_d
+
+        ys = [Fraction(t.beta * (t.d - 1), t.alpha * x) for x in c.elements if x % t.d != 0]
+        y_min = Fraction(t.beta * (t.d - 1), t.alpha * c.omega)
+        shown = {
+            "max_lhs": c.kbar * log_d(1 + Fraction(t.beta, t.alpha * c.max_elem)),
+            "gap": c.length - c.kbar * log_d(Fraction(t.alpha)),
+            "sum_logs": log_d(math.prod(1 + y for y in ys)),
+            "sum_bound": over_ln_d(sum(ys)),
+            "min_mid": c.kbar * log_d(1 + y_min),
+            "min_bound": over_ln_d(c.kbar * y_min),
+        }
+        return {name: CertifiedReal(*endpoints(val), bits) for name, val in shown.items()}
+
+
+def check_cycle_necessary_conditions(t: Triplet, cycle: Cycle) -> CycleBoundReport:
+    """Decide both chains by exact integer comparison.
+
+    Each comparison between logarithms of rationals is a comparison of
+    integer powers.  The two comparisons of a logarithm against a rational
+    (the last link of each chain) are true for every cycle: with
+    y_n = beta(d-1)/(alpha n) > 0,
+
+        sum_bound - sum_logs = sum over non-divisible n of (y_n - log(1+y_n)) / ln d
+        min_bound - min_mid  = kbar * (y_min - log(1+y_min)) / ln d
+
+    and log(1+y) < y for y > 0, while kbar >= 1 because a cycle made only
+    of multiples of d would strictly decrease.  Likewise max_lhs > 0 is
+    beta > 0.  So the verdict rests on the four integer comparisons below;
+    the middle link of the max chain can hold with equality (for d=2 every
+    non-divisible residue equals d-1).
     """
+    if canonicalize(t, cycle.elements) != cycle or cycle.omega < 1:
+        raise NotACycleError(
+            f"claimed cycle at {cycle.omega} is not a canonical cycle of positive integers of {t}")
     if math.gcd(t.d, t.alpha) != 1:
         raise BoundPreconditionError(f"gcd(d, alpha) != 1 for {t}")
     if t.beta <= 0:
@@ -360,19 +395,9 @@ def check_cycle_necessary_conditions(t: Triplet, cycle: Cycle,
     L, kbar = cycle.length, cycle.kbar
     lo_elem, hi_elem = cycle.omega, cycle.max_elem
     nondiv = [x for x in cycle.elements if x % d != 0]
+    prod_num = math.prod(alpha * x + beta * (d - 1) for x in nondiv)
+    prod_den = math.prod(alpha * x for x in nondiv)
 
-    prod_num = 1  # product of (alpha*n + beta*(d-1)) over non-divisible n
-    prod_den = 1  # product of (alpha*n)
-    for x in nondiv:
-        prod_num *= alpha * x + beta * (d - 1)
-        prod_den *= alpha * x
-    harmonic = sum(Fraction(1, x) for x in nondiv)
-    sum_coeff = Fraction(beta * (d - 1), alpha) * harmonic
-    min_coeff = Fraction(kbar * beta * (d - 1), alpha * lo_elem)
-
-    # exact decisions: sign of log-linear combinations == integer comparisons
-    # max_lhs > 0        <=>  (alpha*max + beta) > alpha*max
-    max_lhs_pos = alpha * hi_elem + beta > alpha * hi_elem
     # max_lhs < gap      <=>  alpha^kbar * (alpha*max+beta)^kbar < d^L * (alpha*max)^kbar
     lhs_lt_gap = alpha**kbar * (alpha * hi_elem + beta)**kbar < d**L * (alpha * hi_elem)**kbar
     # gap > 0            <=>  d^L > alpha^kbar
@@ -382,42 +407,4 @@ def check_cycle_necessary_conditions(t: Triplet, cycle: Cycle,
     # gap <= min_mid     <=>  d^L * min^kbar <= (alpha*min + beta*(d-1))^kbar
     gap_le_min = d**L * lo_elem**kbar <= (alpha * lo_elem + beta * (d - 1))**kbar
 
-    # strict-in-truth comparisons (log vs rational): interval escalation
-    def sum_slack(ctx):
-        ln_d = ctx.log(ctx.mpf(d))
-        logs = ctx.log(ctx.mpf(prod_num)) - ctx.log(ctx.mpf(prod_den))
-        bound = ctx.mpf(sum_coeff.numerator) / ctx.mpf(sum_coeff.denominator)
-        return (bound - logs) / ln_d
-
-    def min_slack(ctx):
-        ln_d = ctx.log(ctx.mpf(d))
-        mid = kbar * (ctx.log(ctx.mpf(alpha * lo_elem + beta * (d - 1))) -
-                      ctx.log(ctx.mpf(alpha * lo_elem)))
-        bound = ctx.mpf(min_coeff.numerator) / ctx.mpf(min_coeff.denominator)
-        return (bound - mid) / ln_d
-
-    sign_sum, enc_sum = certified_sign(sum_slack, policy, what="sum bound slack")
-    sign_min, enc_min = certified_sign(min_slack, policy, what="min bound slack")
-    bits = max(enc_sum.bits_used, enc_min.bits_used)
-
-    max_side = max_lhs_pos and lhs_lt_gap and gap_le_sum and sign_sum > 0
-    min_side = gap_pos and gap_le_min and sign_min > 0
-
-    # display enclosures for the report (not used for any decision)
-    ctx = make_context(bits)
-    ln_d = ctx.log(ctx.mpf(d))
-    shown = {
-        "max_lhs": kbar * (ctx.log(ctx.mpf(alpha * hi_elem + beta)) -
-                           ctx.log(ctx.mpf(alpha * hi_elem))) / ln_d,
-        "gap": L - kbar * ctx.log(ctx.mpf(alpha)) / ln_d,
-        "sum_logs": (ctx.log(ctx.mpf(prod_num)) - ctx.log(ctx.mpf(prod_den))) / ln_d,
-        "sum_bound": ctx.mpf(sum_coeff.numerator) / ctx.mpf(sum_coeff.denominator) / ln_d,
-        "min_mid": kbar * (ctx.log(ctx.mpf(alpha * lo_elem + beta * (d - 1))) -
-                           ctx.log(ctx.mpf(alpha * lo_elem))) / ln_d,
-        "min_bound": ctx.mpf(min_coeff.numerator) / ctx.mpf(min_coeff.denominator) / ln_d,
-    }
-    reals = {}
-    for name, val in shown.items():
-        lo, hi = endpoints(val)
-        reals[name] = CertifiedReal(lo, hi, bits)
-    return CycleBoundReport(max_side, min_side, reals, bits)
+    return CycleBoundReport(lhs_lt_gap and gap_le_sum, gap_pos and gap_le_min, t, cycle)

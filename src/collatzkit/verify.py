@@ -40,7 +40,6 @@ SIEVE_MODULUS_CAP = 1 << 16
 # the jump table works mod d^k for the largest k with d^k <= this cap; at
 # 2^12 and above its build time and memory outweigh the longer jumps
 JUMP_MODULUS_CAP = 1 << 10
-THREADS_ENV = "COLLATZKIT_THREADS"
 
 STEP_CAP = "step_cap"
 VALUE_CAP = "value_cap"
@@ -436,15 +435,7 @@ def _scan_chunk_in_worker(args) -> list[tuple[int, str]]:
 
 
 def _worker_count(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
+    return max(1, workers if workers is not None else os.cpu_count() or 1)
 
 
 def verify_range(job: VerificationJob, workers: Optional[int] = None) -> Checkpoint:

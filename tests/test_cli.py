@@ -164,6 +164,31 @@ def test_threads_must_be_positive(command, value, capsys, tmp_path):
     assert "error: argument --threads:" in err and "Traceback" not in err
 
 
+def test_thread_env_variable(monkeypatch, capsys, tmp_path):
+    import collatzkit.cli as cli
+    seen = []
+
+    def recording_verify_range(job, workers=None):
+        seen.append(workers)
+        return verify_range(job, workers=1)
+
+    monkeypatch.setattr(cli, "verify_range", recording_verify_range)
+    argv = ["verify", "--triplet", "2:3:1:+", "--hi", "10", "--targets", "1"]
+    monkeypatch.setenv("COLLATZKIT_THREADS", "3")
+    assert run(argv) == 0
+    assert run([*argv, "--threads", "2"]) == 0  # the flag wins
+    assert seen == [3, 2]
+    capsys.readouterr()
+    for value in ("0", "-3", "junk"):
+        monkeypatch.setenv("COLLATZKIT_THREADS", value)
+        for args in (argv, ["resume", "--checkpoint", str(tmp_path / "cp.json"), "--hi", "20"]):
+            assert run(args) == 2
+            err = capsys.readouterr().err
+            assert "error: $COLLATZKIT_THREADS: " in err and repr(value) in err
+            assert "Traceback" not in err
+    assert seen == [3, 2]
+
+
 def test_bound_alg1_table(capsys, tmp_path):
     csv_path = tmp_path / "t.csv"
     rc = run(["bound", "alg1", "--triplet", "5:6:4:+", "--min-omega", "5^15",

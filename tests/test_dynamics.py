@@ -1,17 +1,31 @@
+import dataclasses
+import math
+from fractions import Fraction
+
 import pytest
 
-from collatzkit import (BoundPreconditionError, Converged, CycleDetected,
+from collatzkit import (BoundPreconditionError, Converged, Cycle, CycleDetected,
                         EnteredKnownCycle, IterateFormulaDomainError, Limits,
                         NotACycleError, StepCapExceeded, Triplet, Undecided,
                         ValueCapExceeded, apply_map, apply_map_iter, canonicalize,
                         check_cycle_necessary_conditions, classify_seed,
                         closed_form_iterate, detect_cycle_from,
                         enumerate_cycles, parse_triplet, trace)
+from collatzkit.families import (SquareGapParams, build_square_gap_family,
+                                 build_two_power_family, scale_cycles)
+from collatzkit.intervals import certified_sign
 
 T231 = parse_triplet("2:3:1:+")
 T3819 = parse_triplet("3:8:19:+")
 T10128 = parse_triplet("10:12:8:+")
 T341M = parse_triplet("3:4:1:-")
+T564 = parse_triplet("5:6:4:+")
+
+
+def _scaled_373769_cycle():
+    base = build_square_gap_family(SquareGapParams(5, 1, 2))
+    scaled = scale_cycles(base.triplet, base.cycles, 121)
+    return scaled.triplet, scaled.cycles[0]
 
 
 class TestCanonicalize:
@@ -404,6 +418,50 @@ class TestNecessaryConditions:
         tneg = parse_triplet("3:28:-19:+")
         with pytest.raises(BoundPreconditionError):
             check_cycle_necessary_conditions(tneg, detect_cycle_from(tneg, 1))
+
+    def test_rejects_what_is_not_the_canonical_cycle(self):
+        # T(2) = 1: not an orbit, and with kbar = 0 both slacks would be 0
+        with pytest.raises(NotACycleError):
+            check_cycle_necessary_conditions(T231, Cycle((2, 4), 2, 2, 0, 4))
+        wrong_kbar = dataclasses.replace(detect_cycle_from(T231, 1), kbar=2)
+        with pytest.raises(NotACycleError):
+            check_cycle_necessary_conditions(T231, wrong_kbar)
+        # T(-1) = -1 is a fixed point of the formula, off the positive integers
+        with pytest.raises(NotACycleError):
+            check_cycle_necessary_conditions(T231, Cycle((-1,), -1, 1, 1, -1))
+
+    @pytest.mark.parametrize("make", [
+        lambda: (T231, detect_cycle_from(T231, 1)),  # gap == sum_logs exactly (d = 2)
+        lambda: (T564, detect_cycle_from(T564, 4)),
+        lambda: (Triplet(5, 6, 3089, 1), detect_cycle_from(Triplet(5, 6, 3089, 1), 3089)),
+        lambda: (build_two_power_family(3, 0).triplet, build_two_power_family(3, 0).cycles[0]),
+        _scaled_373769_cycle,
+    ], ids=["2:3:1:+", "5:6:4:+", "5:6:3089:+", "power2", "scaled"])
+    def test_log_vs_rational_links_are_certified_true(self, make):
+        t, cycle = make()
+        # the verdict treats sum_bound - sum_logs > 0 and min_bound - min_mid > 0
+        # as proven; interval arithmetic confirms both signs
+        d, alpha, beta = t.d, t.alpha, t.beta
+        nondiv = [x for x in cycle.elements if x % d != 0]
+        prod_num = math.prod(alpha * x + beta * (d - 1) for x in nondiv)
+        prod_den = math.prod(alpha * x for x in nondiv)
+        sum_coeff = Fraction(beta * (d - 1), alpha) * sum(Fraction(1, x) for x in nondiv)
+        min_coeff = Fraction(cycle.kbar * beta * (d - 1), alpha * cycle.omega)
+
+        def sum_slack(ctx):
+            logs = ctx.log(ctx.mpf(prod_num)) - ctx.log(ctx.mpf(prod_den))
+            bound = ctx.mpf(sum_coeff.numerator) / ctx.mpf(sum_coeff.denominator)
+            return (bound - logs) / ctx.log(ctx.mpf(d))
+
+        def min_slack(ctx):
+            mid = cycle.kbar * (ctx.log(ctx.mpf(alpha * cycle.omega + beta * (d - 1))) -
+                                ctx.log(ctx.mpf(alpha * cycle.omega)))
+            bound = ctx.mpf(min_coeff.numerator) / ctx.mpf(min_coeff.denominator)
+            return (bound - mid) / ctx.log(ctx.mpf(d))
+
+        assert certified_sign(sum_slack)[0] == 1
+        assert certified_sign(min_slack)[0] == 1
+        assert check_cycle_necessary_conditions(t, cycle).both_hold
 
     def test_report_quantities_bracket_truth(self):
         import math

@@ -515,15 +515,6 @@ class TestCheckpoints:
         assert job_digest(a) != job_digest(c)
 
 
-def test_thread_env_variable(monkeypatch):
-    from collatzkit.verify import _worker_count
-    monkeypatch.setenv("COLLATZKIT_THREADS", "3")
-    assert _worker_count(None) == 3
-    assert _worker_count(2) == 2
-    monkeypatch.setenv("COLLATZKIT_THREADS", "junk")
-    assert _worker_count(None) >= 1
-
-
 def test_pool_never_larger_than_the_chunk_count(monkeypatch):
     started = []
 
