@@ -66,6 +66,10 @@ def _naturals(text: str) -> list[int]:
     return [parse_natural(part) for part in text.split(",")]
 
 
+def _positives(text: str) -> list[int]:
+    return [_positive(part) for part in text.split(",")]
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -280,7 +284,7 @@ def _cmd_bound(args) -> int:
 def _targets_for(t: Triplet, minima: Sequence[int], limits: Limits):
     targets = []
     for omega in minima:
-        cycle = detect_cycle_from(t, omega, limits)
+        cycle = detect_cycle_from(t, omega, limits) if omega >= 1 else None
         if cycle is None or cycle.omega != omega:
             raise InvalidTargetsError(
                 f"{omega} is not the minimum of a cycle reachable from itself")
@@ -341,14 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("map", help="apply the map once or k times")
     p.add_argument("--triplet", required=True)
-    p.add_argument("--n", type=parse_natural, required=True)
+    p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--iters", type=parse_natural, default=None)
     p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("trace", help="trajectory until cycle, known minimum, or cap")
     p.add_argument("--triplet", required=True)
-    p.add_argument("--n", type=parse_natural, required=True)
-    p.add_argument("--known", type=_naturals, help="comma-separated known cycle minima")
+    p.add_argument("--n", type=_positive, required=True)
+    p.add_argument("--known", type=_positives, help="comma-separated known cycle minima")
     _add_caps(p)
     p.set_defaults(func=_cmd_trace)
 

@@ -61,10 +61,14 @@ class Cycle:
 
 
 def canonicalize(t: Triplet, elements: Iterable[int]) -> Cycle:
-    """Validate an orbit list as a genuine cycle and rotate min-first."""
+    """Validate an orbit list as a genuine cycle of positive integers and
+    rotate min-first."""
     elems = [int(x) for x in elements]
     if not elems:
         raise NotACycleError("empty element list")
+    if min(elems) < 1:
+        raise NotACycleError(f"{min(elems)} is not a positive integer; the map of {t} "
+                             f"is defined on n >= 1")
     if len(set(elems)) != len(elems):
         raise NotACycleError("repeated values in claimed cycle")
     step = t.step_function()
@@ -128,8 +132,11 @@ def _walk(step, v: int, max_steps: int, max_value, stop=(),
 
     Before each step the walk ends on a value in stop or in the half-open
     range floor (_STOP), then at the step cap (_STEP_CAP); after it, on a
-    value above max_value (_VALUE_CAP), then on a revisit (_REVISIT).
+    value above max_value (_VALUE_CAP), then on a revisit (_REVISIT).  The
+    start must be a positive integer, the domain of the map.
     """
+    if v < 1:
+        raise InvalidTripletError(f"map domain is n >= 1, got {v}")
     path = {v: 0}
     steps = 0
     while v not in stop and v not in floor:
@@ -151,7 +158,7 @@ def trace(t: Triplet, n: int, limits: Limits = Limits()) -> Trajectory:
     Stops at the first of: current value is one of the known cycle minima,
     revisit of a value seen in this trajectory (the cycle is extracted),
     step cap, value cap.  On the value cap the path ends with the value
-    that went over it.
+    that went over it.  InvalidTripletError when n < 1.
     """
     v, steps, end, path = _walk(t.step_function(), n, limits.max_steps, limits.max_value,
                                 limits.known_cycle_minima)
@@ -176,7 +183,7 @@ def detect_cycle_from(t: Triplet, n: int, limits: Limits = Limits(),
     step <= max_steps with no iterate above max_value before it.  Uses value
     hashing while the visited set fits the memory budget, then switches to
     Brent's constant-memory detection from the current point; the answer does
-    not depend on the budget.
+    not depend on the budget.  InvalidTripletError when n < 1.
     """
     step = t.step_function()
     v, steps, end, path = _walk(step, n, min(limits.max_steps, memory_budget), limits.max_value)
@@ -279,7 +286,8 @@ def classify_seed(t: Triplet, n: int, cycles: Iterable[Cycle],
     """Converged(omega) when the orbit hits any element of a given cycle.
 
     Caps, and a cycle that holds no target element, produce Undecided;
-    membership in a divergent class is never asserted.
+    membership in a divergent class is never asserted.  InvalidTripletError
+    when n < 1.
     """
     owner = {x: c.omega for c in cycles for x in c.elements}
     v, _, end, _ = _walk(t.step_function(), n, limits.max_steps, limits.max_value, owner)
@@ -384,9 +392,8 @@ def check_cycle_necessary_conditions(t: Triplet, cycle: Cycle) -> CycleBoundRepo
     the middle link of the max chain can hold with equality (for d=2 every
     non-divisible residue equals d-1).
     """
-    if canonicalize(t, cycle.elements) != cycle or cycle.omega < 1:
-        raise NotACycleError(
-            f"claimed cycle at {cycle.omega} is not a canonical cycle of positive integers of {t}")
+    if canonicalize(t, cycle.elements) != cycle:
+        raise NotACycleError(f"claimed cycle at {cycle.omega} is not a canonical cycle of {t}")
     if math.gcd(t.d, t.alpha) != 1:
         raise BoundPreconditionError(f"gcd(d, alpha) != 1 for {t}")
     if t.beta <= 0:

@@ -9,10 +9,11 @@ claimed verified, since the induction is grounded only below the first
 undecided seed.
 
 Under the shortcut, a residue-class sieve (`build_sieve`) skips every seed
-whose class mod d^k alone proves that it descends; without it, a table of
-exact k-step jumps (`build_jumps`) lets the membership loop take k steps at
-once wherever no member, cap or exit can lie inside them.  Either way the
-report is the same as without the table.
+whose class mod d^k alone proves that it descends.  A table of exact k-step
+jumps (`build_jumps`) lets the shortcut's descent loop, and the membership
+loop of a scan without the shortcut, take k steps at once wherever no cap
+or exit can lie inside them.  The report is the same as without either
+table.
 """
 
 from __future__ import annotations
@@ -217,10 +218,12 @@ def build_sieve(t: Triplet) -> Optional[ResidueSieve]:
 
 @dataclass(frozen=True)
 class JumpTable:
-    """Exact k-step jumps for the membership scan, per residue mod d^k.
+    """Exact k-step jumps for both scan loops, per residue mod d^k.
 
-    For n = d^k*q + r, iterate k of n is coeff[r]*q + const[r]; a jump from
-    n is taken only when hit[r] < q <= qmax (see `build_jumps`).
+    For n = d^k*q + r, iterate k of n is coeff[r]*q + const[r].  The
+    membership loop jumps from n only when hit[r] < q <= qmax, the descent
+    loop of a seed s only when q <= qmax and low_c[r]*q + low_p[r] >= s
+    (see `build_jumps`).
     """
 
     depth: int  # k
@@ -228,13 +231,16 @@ class JumpTable:
     coeff: list
     const: list
     hit: list  # largest q whose iterates 1..k-1 meet a member, or -1
+    low_c: list  # iterates 1..k-1 of d^k*q + r are at least
+    low_p: list  # low_c[r]*q + low_p[r]
     qmax: int  # iterates 1..k stay at or below max_value for q <= qmax
 
 
 def build_jumps(t: Triplet, members: Iterable[int],
                 max_value: int) -> Optional[JumpTable]:
     """The k-step jump table mod d^k, k the largest with d^k <= JUMP_MODULUS_CAP,
-    for a scan toward `members` under `max_value`; None when k = 0.
+    for a scan toward `members` under `max_value`; None when k < 2, since a
+    one-step jump only adds a divmod and three lookups to a step.
 
     Form.  Write n = d^k*q + r with 0 <= r < d^k.  As in `build_sieve`, for
     j <= k iterate j of n is alpha^(o_j) * d^(k-j) * q + T^j(r) for every
@@ -242,54 +248,67 @@ def build_jumps(t: Triplet, members: Iterable[int],
     alpha^(o_k) and const[r] = T^k(r).
 
     Guards.  hit[r] is the largest q for which some iterate 1..k-1 of
-    d^k*q + r is a member, or -1 when there is none; C*q + P bounds
-    iterates 1..k of every class, and qmax = (max_value - P) // C.  The
-    membership scan, at a value v = d^k*q + r that is not a member, with
-    steps < max_steps taken, jumps to iterate k with steps + k only when
-    hit[r] < q <= qmax and steps + k <= max_steps.
+    d^k*q + r is a member, or -1 when there is none; every iterate 1..k-1
+    of d^k*q + r is at least low_c[r]*q + low_p[r]; C*q + P bounds
+    iterates 1..k of every class, and qmax = (max_value - P) // C.  A scan
+    at a value v = d^k*q + r with steps < max_steps taken jumps to iterate
+    k with steps + k only when steps + k <= max_steps and q <= qmax, and
+    besides, in the membership loop (v not a member), when hit[r] < q; in
+    the descent loop of a seed n (v >= n), when low_c[r]*q + low_p[r] >= n.
 
     Exactness.  Stepping one at a time from v, the scan would stop inside
-    the jump only at a member among iterates 1..k-1, at the step cap before
-    one of steps + 1 .. steps + k - 1, or at an iterate 1..k above
-    max_value.  q > hit[r] rules out the first (and makes q >= 0, so the
-    forms hold); steps + k <= max_steps the second; q <= qmax puts every
-    iterate 1..k at or below C*q + P <= max_value, which rules out the
-    third.  So the scan reaches iterate k after exactly k steps either
-    way, and the landing value meets the member test at the top of the
-    loop as before: every exception, its status, the frontier,
-    seeds_scanned and the digest are unchanged.  The jump never crosses a
-    below-frontier exit, because the table is used only without the
-    shortcut.
+    the jump only at the step cap before one of steps + 1 .. steps + k - 1,
+    at an iterate 1..k above max_value, or at its loop's exit among
+    iterates 1..k-1: a member in the membership loop, a value below n in
+    the descent loop.  steps + k <= max_steps rules out the first.  q >= 0
+    as v >= 0, so the forms hold, and q <= qmax puts every iterate 1..k at
+    or below C*q + P <= max_value, which rules out the second.  q > hit[r]
+    rules out a member, and low_c[r]*q + low_p[r] >= n keeps iterates
+    1..k-1 at or above n.  So the scan reaches iterate k after exactly k
+    steps either way, and the landing value meets the loop's own test (the
+    member test, or v >= n) as before: every exception, its status, the
+    frontier, seeds_scanned and the digest are unchanged.  Under the
+    shortcut the membership loop never jumps, because hit[r] does not rule
+    out its other exit, a value below the seed.
 
     Build.  Residues are refined one base-d digit at a time, as in
     `build_sieve` but without pruning.  A class mod d^j carries its j-step
-    form a*m + b (here n = d^j*m + r) and a bound C*m + P on iterates 1..j;
-    the table's C and P are the largest of these over the classes mod d^k.
-    For j < k, each member e = a*m + b with m >= 0 names the one seed
-    n = d^j*m + r whose iterate j is e, and raises hit[n mod d^k] to at
-    least n // d^k; every seed with a member among iterates 1..k-1 is named
-    so, hence hit is exact.
+    form a*m + b (here n = d^j*m + r), a bound C*m + P above iterates 1..j
+    and a bound L*m + Q below them.  A refined class has m_(j-1) = d*m +
+    digit in the parent's form, so it keeps C*d*m + C*digit + P and takes
+    the larger coefficient and the larger constant against its iterate j,
+    which stays a bound above as m >= 0; L and Q likewise with minima, from
+    iterate 1 itself at j = 1.  The
+    table's C and P are the largest over the classes mod d^k; its low_c and
+    low_p are the parent's L and Q in the form mod d^k, which covers
+    iterates 1..k-1 only.  For j < k, each member e = a*m + b with m >= 0
+    names the one seed n = d^j*m + r whose iterate j is e, and raises
+    hit[n mod d^k] to at least n // d^k; every seed with a member among
+    iterates 1..k-1 is named so, hence hit is exact.
     """
     d, alpha, beta = t.d, t.alpha, t.beta
     plus = t.kappa == PLUS
     depth, modulus = _depth_under(d, JUMP_MODULUS_CAP)
-    if depth == 0:
+    if depth < 2:
         return None
     members = sorted(members)
     max_elem = members[-1]
     # members grouped by residue mod a, for each coefficient a <= max_elem
     by_residue: dict[int, dict[int, list[int]]] = {}
     hit = [-1] * modulus
-    # (r, a, b, C, P) per class mod d^j: iterate j of n = d^j*m + r is a*m + b
-    # and iterates 1..j are at most C*m + P
-    live = [(0, 1, 0, 0, 0)]
+    low_c, low_p = [0] * modulus, [0] * modulus
+    # (r, a, b, C, P, L, Q) per class mod d^j: iterate j of n = d^j*m + r is
+    # a*m + b, and iterates 1..j are at most C*m + P and at least L*m + Q
+    live = [(0, 1, 0, 0, 0, 0, 0)]
     scale = 1  # d^(j-1)
     for j in range(1, depth + 1):
         level = scale * d  # d^j
         refined = []
-        for r, a, b, c_max, p_max in live:
+        for r, a, b, c_max, p_max, c_min, p_min in live:
             for digit in range(d):
                 rr = r + digit * scale
+                if j == depth:  # the parent's bound on iterates 1..k-1
+                    low_c[rr], low_p[rr] = c_min * d, c_min * digit + p_min
                 v = a * digit + b  # constant of iterate j-1
                 res = v % d
                 if res == 0:
@@ -307,16 +326,20 @@ def build_jumps(t: Triplet, members: Iterable[int],
                     for e in group[bisect_left(group, v):]:
                         q, rk = divmod(level * ((e - v) // coeff) + rr, modulus)
                         hit[rk] = max(hit[rk], q)
+                if j == 1:  # iterate 1 starts the lower bound
+                    c_low, p_low = coeff, v
+                else:
+                    c_low, p_low = min(c_min * d, coeff), min(c_min * digit + p_min, v)
                 refined.append((rr, coeff, v, max(c_max * d, coeff),
-                                max(c_max * digit + p_max, v)))
+                                max(c_max * digit + p_max, v), c_low, p_low))
         live = refined
         scale = level
     coeff, const = [0] * modulus, [0] * modulus
-    for r, a, b, _c, _p in live:
+    for r, a, b, *_bounds in live:
         coeff[r], const[r] = a, b
     peak_coeff = max(entry[3] for entry in live)
     peak_const = max(entry[4] for entry in live)
-    return JumpTable(depth, modulus, coeff, const, hit,
+    return JumpTable(depth, modulus, coeff, const, hit, low_c, low_p,
                      (max_value - peak_const) // peak_coeff)
 
 
@@ -346,15 +369,15 @@ def _scan_chunk(args, sieve: Optional[ResidueSieve] = None,
 
     With a sieve, seeds above max_elem are scanned only in surviving
     classes, where `_sieve_applies` allows it for this chunk.  With a jump
-    table (built without the shortcut only), the membership loop takes its
-    guarded k-step jumps.
+    table, the descent loop of the shortcut and the membership loop of a
+    scan without it take their guarded k-step jumps.
     """
     (_d, _alpha, _beta, _kappa, lo, hi, _members, max_elem,
      max_steps, max_value, shortcut) = args
     if shortcut and _sieve_applies(sieve, hi, max_steps, max_value):
         split = min(hi, max_elem)
         return (_scan_seeds(args, range(lo, split + 1))
-                + _scan_seeds(args, _survivor_seeds(sieve, max(lo, split + 1), hi)))
+                + _scan_seeds(args, _survivor_seeds(sieve, max(lo, split + 1), hi), jumps))
     return _scan_seeds(args, range(lo, hi + 1), jumps)
 
 
@@ -364,17 +387,32 @@ def _scan_seeds(args, seeds: Iterable[int],
      max_steps, max_value, shortcut) = args
     exceptions: list[tuple[int, str]] = []
     plus = kappa == PLUS
-    # a jump may start only while steps <= jump_last, i.e. steps + k <= max_steps
-    jump_last = -1
+    # a jump may start only while steps <= jump_last, i.e. steps + k <= max_steps;
+    # under the shortcut the membership loop never jumps, as its guard does
+    # not cover the below-seed exit
+    jump_last = member_jump_last = -1
     if jumps is not None:
         depth, modulus, qmax = jumps.depth, jumps.modulus, jumps.qmax
         coeff, const, hit = jumps.coeff, jumps.const, jumps.hit
+        low_c, low_p = jumps.low_c, jumps.low_p
         jump_last = max_steps - depth
+        if not shortcut:
+            member_jump_last = jump_last
     for n in seeds:
         v = n
         steps = 0
         status = None
         if shortcut and n > max_elem:
+            # jumps while the guards hold, then single steps to the end: on
+            # 2:3:1:+, 10:12:8:+, 3:4:1:-, 8:12:4:+ and 5:6:4:+ no seed took a
+            # jump after its first refused one, so testing again after each
+            # single step would only cost a divmod per step
+            while steps <= jump_last and v >= n:
+                q, r = divmod(v, modulus)
+                if q > qmax or low_c[r] * q + low_p[r] < n:
+                    break
+                v = coeff[r] * q + const[r]
+                steps += depth
             # membership impossible while v >= n; pure descent test
             # (kept: merged into the loop below, 1-worker scans ran 1.22-1.39x slower)
             while v >= n:
@@ -398,7 +436,7 @@ def _scan_seeds(args, seeds: Iterable[int],
                 if steps >= max_steps:
                     status = STEP_CAP
                     break
-                if steps <= jump_last:
+                if steps <= member_jump_last:
                     q, r = divmod(v, modulus)
                     if hit[r] < q <= qmax:
                         v = coeff[r] * q + const[r]
@@ -460,10 +498,8 @@ def verify_range(job: VerificationJob, workers: Optional[int] = None) -> Checkpo
     # extra workers would only cost spawn time
     nworkers = min(_worker_count(workers), len(chunks))
     start = time.perf_counter()
-    if job.below_frontier_shortcut:
-        sieve, jumps = build_sieve(t), None
-    else:
-        sieve, jumps = None, build_jumps(t, members, job.limits.max_value)
+    sieve = build_sieve(t) if job.below_frontier_shortcut else None
+    jumps = build_jumps(t, members, job.limits.max_value)
     if nworkers == 1:
         results = [_scan_chunk(c, sieve, jumps) for c in chunks]
     else:

@@ -278,6 +278,28 @@ def test_verify_rejects_bad_target(capsys):
     assert "not the minimum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("targets", ["0", "1,0"])
+def test_verify_rejects_non_positive_target(targets, capsys):
+    rc = run(["verify", "--triplet", "2:3:1:+", "--hi", "10", "--targets", targets,
+              "--threads", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: 0 is not the minimum of a cycle" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["trace", "--triplet", "2:3:1:+", "--n", "0"], "--n"),
+    (["map", "--triplet", "2:3:1:+", "--n", "0"], "--n"),
+    (["trace", "--triplet", "2:3:1:+", "--n", "6", "--known", "0"], "--known"),
+    (["trace", "--triplet", "2:3:1:+", "--n", "6", "--known", "1,0"], "--known"),
+], ids=["trace-0", "map-0", "known-0", "known-1,0"])
+def test_non_positive_value_is_usage_error(argv, flag, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: argument {flag}: expected a positive integer" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
 def test_verify_rejects_ill_formed_triplet(capsys):
     rc = run(["verify", "--triplet", "3:4:1:+", "--hi", "10", "--targets", "1",
               "--threads", "1"])

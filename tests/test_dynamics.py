@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from collatzkit import (BoundPreconditionError, Converged, Cycle, CycleDetected,
-                        EnteredKnownCycle, IterateFormulaDomainError, Limits,
+                        EnteredKnownCycle, InvalidTripletError,
+                        IterateFormulaDomainError, Limits,
                         NotACycleError, StepCapExceeded, Triplet, Undecided,
                         ValueCapExceeded, apply_map, apply_map_iter, canonicalize,
                         check_cycle_necessary_conditions, classify_seed,
@@ -54,6 +55,27 @@ class TestCanonicalize:
     def test_rejects_broken_chain(self):
         with pytest.raises(NotACycleError):
             canonicalize(T231, [1, 3])
+
+    @pytest.mark.parametrize("elements", [[0], [-1], [-5, -7, -10]], ids=str)
+    def test_rejects_non_positive_values(self, elements):
+        # each is an orbit of the formula, off the positive integers
+        step = T231.step_function()
+        assert all(step(x) == elements[(i + 1) % len(elements)]
+                   for i, x in enumerate(elements))
+        with pytest.raises(NotACycleError, match="not a positive integer"):
+            canonicalize(T231, elements)
+
+
+@pytest.mark.parametrize("n", [0, -5])
+@pytest.mark.parametrize("walk", [
+    lambda n: trace(T231, n),
+    lambda n: detect_cycle_from(T231, n),
+    lambda n: detect_cycle_from(T231, n, memory_budget=1),
+    lambda n: classify_seed(T231, n, (detect_cycle_from(T231, 1),)),
+], ids=["trace", "detect_cycle_from", "detect_cycle_from-brent", "classify_seed"])
+def test_orbit_of_a_non_positive_value_is_a_domain_error(walk, n):
+    with pytest.raises(InvalidTripletError, match=f"map domain is n >= 1, got {n}"):
+        walk(n)
 
 
 class TestTrace:

@@ -13,7 +13,7 @@ from collatzkit import (DigestMismatchError, InvalidTargetsError, Limits,
                         load_checkpoint, parse_triplet, resume,
                         save_checkpoint, verify, verify_range)
 from collatzkit.core import PLUS, Triplet
-from collatzkit.dynamics import Cycle
+from collatzkit.dynamics import Cycle, enumerate_cycles
 from collatzkit.verify import (_scan_chunk, _sieve_applies, build_jumps, build_sieve,
                                checkpoint_to_json_dict, job_digest)
 
@@ -49,13 +49,16 @@ def report_bytes(cp) -> str:
     return json.dumps(doc)
 
 
-def assert_sieve_keeps_report(j, workers=1):
-    """verify_range with its sieve against the same scan with no table."""
-    sieved = verify_range(j, workers=workers)
-    with mock.patch.object(verify, "build_sieve", lambda t: None):
-        plain = verify_range(j, workers=1)
-    assert report_bytes(sieved) == report_bytes(plain)
-    return sieved
+def assert_tables_keep_report(j, workers=1):
+    """verify_range with its sieve and jump table against the same scan with
+    the sieve alone and with neither table."""
+    full = verify_range(j, workers=workers)
+    with mock.patch.object(verify, "build_jumps", lambda *args: None):
+        sieve_only = verify_range(j, workers=1)
+        with mock.patch.object(verify, "build_sieve", lambda t: None):
+            plain = verify_range(j, workers=1)
+    assert report_bytes(full) == report_bytes(sieve_only) == report_bytes(plain)
+    return full
 
 
 def sieved_by_rule(t: Triplet, r: int, k: int) -> bool:
@@ -147,6 +150,12 @@ class TestVerifyRange:
         with pytest.raises(InvalidTargetsError):
             verify_range(job(T10128, 1, 100, (fake,)))
 
+    def test_non_positive_target_rejected(self):
+        # T(0) = 0 in the formula, but 0 is off the map's domain
+        zero = Cycle(elements=(0,), omega=0, length=1, kbar=0, max_elem=0)
+        with pytest.raises(InvalidTargetsError, match="not a positive integer"):
+            verify_range(job(T231, 1, 100, (OMEGA1, zero)))
+
     def test_wrong_minimum_rejected(self):
         rotated = Cycle(elements=(8, 16, 24, 32, 40, 4), omega=8, length=6,
                         kbar=5, max_elem=40)
@@ -200,13 +209,13 @@ class TestResidueSieve:
     def test_report_unchanged(self, t, lo, hi, chunk, workers):
         j = job(t, lo, hi, TARGETS[t], chunk_size=chunk, prefix_verified_to=lo - 1)
         assert _sieve_applies(build_sieve(t), hi, j.limits.max_steps, j.limits.max_value)
-        cp = assert_sieve_keeps_report(j, workers)
+        cp = assert_tables_keep_report(j, workers)
         assert cp.exceptions == () and cp.seeds_scanned == hi - lo + 1
 
     @pytest.mark.parametrize("lo, chunk", [(1, 1 << 16), (1, 33), (67, 1 << 16)])
     def test_non_target_cycle_kept(self, lo, chunk):
         # chunk 33 and lo 67 start a chunk on the exception seed itself
-        cp = assert_sieve_keeps_report(
+        cp = assert_tables_keep_report(
             job(T8124, lo, 100, TARGETS[T8124][:1], limits=Limits(max_steps=10**4),
                 chunk_size=chunk, prefix_verified_to=lo - 1))
         assert (67, "step_cap") in cp.exceptions
@@ -232,7 +241,7 @@ class TestResidueSieve:
         sieve = build_sieve(T231)
         limits = Limits(max_steps=sieve.depth - 1)
         assert not _sieve_applies(sieve, 5000, limits.max_steps, limits.max_value)
-        cp = assert_sieve_keeps_report(job(T231, 1, 5000, (OMEGA1,), limits=limits,
+        cp = assert_tables_keep_report(job(T231, 1, 5000, (OMEGA1,), limits=limits,
                                            chunk_size=999))
         assert {s for _n, s in cp.exceptions} == {"step_cap"}
 
@@ -242,7 +251,7 @@ class TestResidueSieve:
         limits = Limits(max_value=sieve.peak_const)
         assert _sieve_applies(sieve, sieve.modulus - 1, limits.max_steps, limits.max_value)
         assert not _sieve_applies(sieve, sieve.modulus, limits.max_steps, limits.max_value)
-        cp = assert_sieve_keeps_report(job(T231, 1, 3 * sieve.modulus, (OMEGA1,),
+        cp = assert_tables_keep_report(job(T231, 1, 3 * sieve.modulus, (OMEGA1,),
                                            limits=limits, chunk_size=20_000))
         assert {s for _n, s in cp.exceptions} == {"value_cap"}
 
@@ -252,16 +261,16 @@ class TestResidueSieve:
            chunk=st.integers(1, 2000), max_steps=st.integers(1, 200),
            max_value=st.integers(3, 40).map(lambda e: 2**e))
     def test_report_unchanged_property(self, t, lo, size, chunk, max_steps, max_value):
-        assert_sieve_keeps_report(job(
+        assert_tables_keep_report(job(
             t, lo, lo + size, TARGETS[t], chunk_size=chunk, prefix_verified_to=lo - 1,
             limits=Limits(max_steps=max_steps, max_value=max_value)))
 
 
-def scan_args(t, lo, hi, members, max_steps=10**5, max_value=10**30):
-    """A `_scan_chunk` argument tuple for a scan without the shortcut."""
+def scan_args(t, lo, hi, members, max_steps=10**5, max_value=10**30, shortcut=False):
+    """A `_scan_chunk` argument tuple, by default for a scan without the shortcut."""
     members = frozenset(members)
     return (t.d, t.alpha, t.beta, t.kappa, lo, hi, members, max(members),
-            max_steps, max_value, False)
+            max_steps, max_value, shortcut)
 
 
 def assert_jumps_keep_scan(t, lo, hi, members, **caps):
@@ -288,6 +297,8 @@ class TestJumpTable:
         assert (classical.depth, classical.modulus) == (10, 1 << 10)
         assert (two_power.depth, two_power.modulus) == (3, 10**3)
         assert build_jumps(Triplet(1025, 1026, 1024, 1), {1}, 10**30) is None
+        # 65^2 > 2^10: no table below depth 2
+        assert build_jumps(Triplet(65, 66, 64, 1), {64}, 10**30) is None
 
     @pytest.mark.parametrize("t", [T231, T10128, T3241, T34m1], ids=str)
     def test_landing_is_iterate_k(self, t):
@@ -308,6 +319,14 @@ class TestJumpTable:
                 q, r = divmod(n, jumps.modulus)
                 expected[r] = max(expected[r], q)
         assert jumps.hit == expected
+
+    @pytest.mark.parametrize("t", [T231, T10128, T3241, T34m1], ids=str)
+    def test_low_bounds_iterates_before_step_k(self, t):
+        jumps = build_jumps(t, CYCLE_MEMBERS[t], 10**30)
+        for q in (0, 1, 7, 10**9 + 7):
+            for r in range(1 if q == 0 else 0, jumps.modulus):
+                inside = iterates(t, jumps.modulus * q + r, jumps.depth - 1)
+                assert min(inside) >= jumps.low_c[r] * q + jumps.low_p[r]
 
     @pytest.mark.parametrize("t", [T231, T10128], ids=str)
     def test_qmax_is_the_value_cap_bound(self, t):
@@ -351,6 +370,27 @@ class TestJumpTable:
                          max_steps=jumps.depth - 1 if cap_below_k else jumps.depth)
         assert _scan_chunk(args, None, doctored) == ([] if jumped else [(n, "step_cap")])
 
+    @pytest.mark.parametrize("low_below_n, qmax_below_q, cap_below_k, jumped", [
+        (False, False, False, True),
+        (True, False, False, False),
+        (False, True, False, False),
+        (False, False, True, False),
+    ], ids=["all-hold", "lower-guard", "value-guard", "step-guard"])
+    def test_descent_jump_taken_exactly_when_the_guards_hold(self, low_below_n, qmax_below_q,
+                                                             cap_below_k, jumped):
+        # a doctored table whose every jump lands on 1, below the seed, so a
+        # jump shows as a descended seed; 2^40 - 1 rises for 40 steps
+        n = 2**40 - 1
+        jumps = build_jumps(T231, {1, 2}, 10**30)
+        q = n // jumps.modulus
+        doctored = replace(jumps, coeff=[0] * jumps.modulus, const=[1] * jumps.modulus,
+                           low_c=[0] * jumps.modulus,
+                           low_p=[n - 1 if low_below_n else n] * jumps.modulus,
+                           qmax=q - 1 if qmax_below_q else q)
+        args = scan_args(T231, n, n, {1, 2}, shortcut=True,
+                         max_steps=jumps.depth - 1 if cap_below_k else jumps.depth)
+        assert _scan_chunk(args, None, doctored) == ([] if jumped else [(n, "step_cap")])
+
     def test_member_strictly_inside_a_jump(self):
         # _scan_chunk stops at any member, so a set that is not closed under
         # the map shows a skipped member: 2560 = 1024*2 + 512 meets 5 at step 9
@@ -386,10 +426,31 @@ class TestJumpTable:
         assert report_bytes(jumped) == report_bytes(plain)
         assert jumped.exceptions == () and jumped.seeds_scanned == 2001
 
-    def test_shortcut_job_builds_no_table(self):
-        with mock.patch.object(verify, "build_jumps", side_effect=AssertionError):
-            cp = verify_range(job(T231, 1, 5000, (OMEGA1,)), workers=1)
-        assert cp.exceptions == ()
+    def test_membership_loop_never_jumps_under_the_shortcut(self):
+        # seeds up to the largest member (536) scan in the membership loop,
+        # where a jump could cross the below-seed exit; the caps also make
+        # every chunk fall back from the sieve
+        targets = enumerate_cycles(T8124, 1, 200)
+        j = job(T8124, 1, 1213, targets, limits=Limits(max_steps=10, max_value=10**4),
+                chunk_size=400)
+        assert not _sieve_applies(build_sieve(T8124), 400, 10, 10**4)
+        cp = assert_tables_keep_report(j)
+        assert len(cp.exceptions) == 39
+
+    @pytest.mark.parametrize("t, limits", [
+        (T231, Limits(max_steps=15)),  # below the sieve depth 16, above k = 10
+        (T231, Limits(max_value=10**5)),
+        (T10128, Limits(max_steps=3)),  # below the sieve depth 4, k = 3
+        (T10128, Limits(max_steps=40, max_value=5 * 10**4)),
+    ], ids=["2:3:1:+ steps", "2:3:1:+ value", "10:12:8:+ steps", "10:12:8:+ both"])
+    def test_shortcut_report_unchanged_on_the_sieve_fallback(self, t, limits):
+        sieve = build_sieve(t)
+        assert not _sieve_applies(sieve, 30_000, limits.max_steps, limits.max_value)
+        cp = assert_tables_keep_report(
+            job(t, 1, 30_000, TARGETS[t], limits=limits, chunk_size=4_096), workers=2)
+        assert cp.exceptions
+        assert_tables_keep_report(job(t, 12_345, 30_000, TARGETS[t], limits=limits,
+                                      chunk_size=5_000, prefix_verified_to=12_344))
 
     @settings(max_examples=100, deadline=None)
     @given(t=st.sampled_from(sorted(CYCLE_MEMBERS, key=str)),
