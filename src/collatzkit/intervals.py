@@ -10,7 +10,7 @@ single computation, so concurrent callers never share rounding state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -195,8 +195,12 @@ class ConvergentStream:
     """Lazily extended certified convergents p_n/q_n of log_d(alpha).
 
     Extension recomputes the expansion from scratch at whatever precision the
-    policy ladder needs; prefixes are stable across extensions because every
-    emitted term is certified.
+    policy ladder needs.  It climbs the ladder from bits_used rather than
+    from its start: each rung certifies a fixed number of terms, and every
+    rung below bits_used certified fewer than the stream already holds, so
+    it cannot certify more, and skipping it leaves the terms and bits_used
+    unchanged.  Prefixes are stable across extensions because every emitted
+    term is certified.
     """
 
     def __init__(self, d: int, alpha: int, policy: PrecisionPolicy = DEFAULT_POLICY):
@@ -210,14 +214,15 @@ class ConvergentStream:
         if n_terms <= len(self._terms):
             return
         target = max(n_terms, 2 * len(self._terms), 8)
+        policy = replace(self.policy, start_bits=max(self.policy.start_bits, self.bits_used))
         try:
-            quotients, bits = certified_partial_quotients(self.d, self.alpha, target, self.policy)
+            quotients, bits = certified_partial_quotients(self.d, self.alpha, target, policy)
         except PrecisionExhaustedError:
             if target == n_terms:
                 raise
             # the amortized over-request exceeded the policy cap; the exact
             # demand may still be certifiable
-            quotients, bits = certified_partial_quotients(self.d, self.alpha, n_terms, self.policy)
+            quotients, bits = certified_partial_quotients(self.d, self.alpha, n_terms, policy)
         self.bits_used = max(self.bits_used, bits)
         terms: list[tuple[int, int, int]] = []
         p1, p2, q1, q2 = 1, 0, 0, 1

@@ -9,11 +9,12 @@ claimed verified, since the induction is grounded only below the first
 undecided seed.
 
 Under the shortcut, a residue-class sieve (`build_sieve`) skips every seed
-whose class mod d^k alone proves that it descends.  A table of exact k-step
-jumps (`build_jumps`) lets the shortcut's descent loop, and the membership
-loop of a scan without the shortcut, take k steps at once wherever no cap
-or exit can lie inside them.  The report is the same as without either
-table.
+whose class mod d^k alone proves that it descends, and carries the exact
+k-step form of each surviving class, so that the descent loop can enter a
+survivor at its iterate k.  A table of exact k-step jumps (`build_jumps`)
+lets the shortcut's descent loop, and the membership loop of a scan
+without the shortcut, take k steps at once wherever no cap or exit can lie
+inside them.  The report is the same as without either table.
 """
 
 from __future__ import annotations
@@ -108,10 +109,16 @@ def _validate_targets(job: VerificationJob) -> None:
 
 @dataclass(frozen=True)
 class ResidueSieve:
-    """Residues mod d^k whose classes a shortcut scan still has to visit.
+    """Residues mod d^k whose classes a shortcut scan still has to visit,
+    each with its exact k-step form.
 
     Every iterate up to the descent of a seed n in a sieved class is at
-    most peak_coeff * (n // modulus) + peak_const.
+    most peak_coeff * (n // modulus) + peak_const.  For a seed n = d^k*m + r
+    in a surviving class, forms holds (r, a, b, low_c, low_p): iterate k of
+    n is a*m + b, and iterates 1..k-1 are at least low_c*m + low_p.  Its
+    iterates 1..k are at most form_coeff*m + form_const.  The descent loop
+    enters such a seed at step k, at a*m + b, when low_c*m + low_p >= n and
+    the value cap admits form_coeff*m + form_const (see `build_sieve`).
     """
 
     depth: int  # k
@@ -119,6 +126,9 @@ class ResidueSieve:
     survivors: array  # sorted residues in [0, d^k) that are not sieved
     peak_coeff: int
     peak_const: int
+    forms: list  # (r, a, b, low_c, low_p) per survivor r, in the same order
+    form_coeff: int
+    form_const: int
 
 
 def _depth_under(d: int, cap: int) -> tuple[int, int]:
@@ -132,7 +142,8 @@ def _depth_under(d: int, cap: int) -> tuple[int, int]:
 
 def build_sieve(t: Triplet) -> Optional[ResidueSieve]:
     """Residue classes mod d^k, k the largest with d^k <= SIEVE_MODULUS_CAP,
-    that are not proven to descend within k steps; None when k = 0.
+    that are not proven to descend within k steps, each with its k-step
+    form; None when k = 0.
 
     Rule.  Write n = d^k*m + r with 0 <= r < d^k.  For j < k, d divides the
     m-coefficient of iterate j, so its residue mod d is that of T^j(r) and
@@ -150,10 +161,26 @@ def build_sieve(t: Triplet) -> Optional[ResidueSieve]:
     when k <= max_steps and its iterates up to step k stay at or below
     max_value.  `_sieve_applies` checks both for a whole chunk, bounding
     those iterates for every n <= hi by peak_coeff * (hi // d^k) +
-    peak_const.  Seeds up to max_elem and seeds in surviving classes are
-    scanned from n itself as before, so every exception, its status, and
-    the frontier are unchanged; the below-frontier induction that makes a
-    descent count as convergence is the shortcut's, not the sieve's.
+    peak_const.  Seeds up to max_elem are scanned from n itself as before
+    and seeds in surviving classes as below, so every exception, its
+    status, and the frontier are unchanged; the below-frontier induction
+    that makes a descent count as convergence is the shortcut's, not the
+    sieve's.
+
+    Entry at step k.  For a seed n = d^k*m + r in a surviving class, the
+    same forms give iterate k as a*m + b exactly, and bounds on iterates
+    1..k-1 from below by low_c*m + low_p and on iterates 1..k from above by
+    form_coeff*m + form_const, for every m >= 0.  The descent loop of such
+    a seed enters at v = a*m + b with k steps taken when low_c*m + low_p >=
+    n and, for the whole chunk, form_coeff * (hi // d^k) + form_const <=
+    max_value; `_sieve_applies` has already checked k <= max_steps.
+    Stepping one at a time from n, the loop would stop before step k only
+    at the step cap, which k <= max_steps rules out; at an iterate above
+    max_value, which the value bound rules out; or at an iterate below n,
+    which the lower bound rules out.  So it reaches a*m + b after exactly k
+    steps either way and goes on from the same value and step count: the
+    exceptions, their statuses and the frontier are unchanged.  When a
+    guard fails the seed is scanned from n.
 
     Build.  Residues are refined one base-d digit at a time, and only
     classes that survive are extended.  A class mod d^j carries its j-step
@@ -164,23 +191,28 @@ def build_sieve(t: Triplet) -> Optional[ResidueSieve]:
     m*(d^i - alpha^(o_i)) > T^i(r) - r.  A refined residue at or above F
     is sieved together with all its own refinements, which are no
     smaller; what is left at level k is exactly the classes the rule does
-    not sieve.
+    not sieve.  Each class also carries bounds C*m + P above and L*m + Q
+    below its iterates 1..j, refined as in `build_jumps`; a survivor keeps
+    its parent's L and Q, which cover iterates 1..k-1, and form_coeff and
+    form_const are the largest C and P over the survivors.
     """
     d, alpha, beta = t.d, t.alpha, t.beta
     plus = t.kappa == PLUS
     depth, modulus = _depth_under(d, SIEVE_MODULUS_CAP)
     if depth == 0:
         return None
-    peak_coeff = peak_const = 0
-    # (r, a, b, floor, C, P) per class mod d^j: iterate j of n = d^j*m + r
+    peak_coeff = peak_const = form_coeff = form_const = 0
+    forms = []
+    # (r, a, b, floor, C, P, L, Q) per class mod d^j: iterate j of n = d^j*m + r
     # is a*m + b, floor is F above (None until a step has a < d^i), and
-    # iterates 1..j are at most C*m + P
-    live = [(0, 1, 0, None, 0, 0)]
+    # iterates 1..j are at most C*m + P and at least L*m + Q; at j = 0 there
+    # are none, and L*m + Q = n + 1 lets every survivor enter at step k = 1
+    live = [(0, 1, 0, None, 0, 0, 1, 1)]
     scale = 1  # d^(j-1)
-    for _ in range(depth):
+    for j in range(1, depth + 1):
         level = scale * d  # d^j
         refined = []
-        for r, a, b, floor, c_max, p_max in live:
+        for r, a, b, floor, c_max, p_max, c_min, p_min in live:
             for digit in range(d):
                 rr = r + digit * scale
                 # n = d^j*m + rr has m_(j-1) = d*m + digit in the parent's form
@@ -195,14 +227,31 @@ def build_sieve(t: Triplet) -> Optional[ResidueSieve]:
                     else:
                         v = (alpha * v + beta * (res if plus else d - res)) // d
                         coeff = a * alpha
-                    c_new = max(c_new, coeff)
-                    p_new = max(p_new, v)
+                    # comparisons, not max() and min(): they halve the
+                    # cost of this loop, which runs once per class
+                    if coeff > c_new:
+                        c_new = coeff
+                    if v > p_new:
+                        p_new = v
                     if coeff > level or v >= rr:
+                        c_low, p_low = c_min * d, c_min * digit + p_min  # iterates 1..j-1
+                        if j == depth:
+                            forms.append((rr, coeff, v, c_low, p_low))
+                            if c_new > form_coeff:
+                                form_coeff = c_new
+                            if p_new > form_const:
+                                form_const = p_new
+                            continue
                         fl = floor
                         if coeff < level:
                             start = rr + level * ((v - rr) // (level - coeff) + 1)
                             fl = start if fl is None else min(fl, start)
-                        refined.append((rr, coeff, v, fl, c_new, p_new))
+                        # iterate 1 starts the lower bound
+                        if j == 1 or coeff < c_low:
+                            c_low = coeff
+                        if j == 1 or v < p_low:
+                            p_low = v
+                        refined.append((rr, coeff, v, fl, c_new, p_new, c_low, p_low))
                         continue
                 # sieved: n falls below itself by step j, and with
                 # m = d^(k-j)*(n // d^k) + u, u < d^(k-j), iterates 1..j are
@@ -212,8 +261,10 @@ def build_sieve(t: Triplet) -> Optional[ResidueSieve]:
                 peak_const = max(peak_const, c_new * (widen - 1) + p_new)
         live = refined
         scale = level
-    survivors = array("l", sorted(entry[0] for entry in live))
-    return ResidueSieve(depth, modulus, survivors, peak_coeff, peak_const)
+    forms.sort()
+    survivors = array("l", (entry[0] for entry in forms))
+    return ResidueSieve(depth, modulus, survivors, peak_coeff, peak_const,
+                        forms, form_coeff, form_const)
 
 
 @dataclass(frozen=True)
@@ -350,71 +401,128 @@ def _sieve_applies(sieve: Optional[ResidueSieve], hi: int, max_steps: int,
             and sieve.peak_coeff * (hi // sieve.modulus) + sieve.peak_const <= max_value)
 
 
-def _survivor_seeds(sieve: ResidueSieve, lo: int, hi: int) -> Iterable[int]:
-    """Seeds in [lo, hi] whose residue mod d^k is a survivor, ascending."""
-    survivors, modulus = sieve.survivors, sieve.modulus
-    base = lo - lo % modulus
-    start = bisect_left(survivors, lo - base)
-    while base <= hi:
-        stop = bisect_right(survivors, hi - base)
-        for r in survivors[start:stop]:
-            yield base + r
-        base += modulus
-        start = 0
+# the fallback sieve: every class mod M survives, and each seed n = M*m + r
+# enters at step 0, at n itself; M = 1 would cost a block per seed
+_EVERY_SEED = ResidueSieve(0, 1 << 10, array("l", range(1 << 10)), 0, 0,
+                           [(r, 1 << 10, r, 1 << 10, r) for r in range(1 << 10)], 0, 0)
 
 
 def _scan_chunk(args, sieve: Optional[ResidueSieve] = None,
                 jumps: Optional[JumpTable] = None) -> list[tuple[int, str]]:
     """Scan seeds [lo, hi]; returns (seed, status) for every undecided seed.
 
-    With a sieve, seeds above max_elem are scanned only in surviving
-    classes, where `_sieve_applies` allows it for this chunk.  With a jump
-    table, the descent loop of the shortcut and the membership loop of a
-    scan without it take their guarded k-step jumps.
+    Without the shortcut every seed runs the membership loop, which takes
+    the jump table's guarded k-step jumps.  Under the shortcut, seeds up to
+    max_elem run the membership loop without jumps, and the seeds above it
+    the descent loop of `_scan_survivors`, which jumps: where
+    `_sieve_applies` allows it for this chunk, only the seeds in surviving
+    classes, each entered at step k where its guards hold; otherwise every
+    seed, from n itself.
     """
     (_d, _alpha, _beta, _kappa, lo, hi, _members, max_elem,
      max_steps, max_value, shortcut) = args
-    if shortcut and _sieve_applies(sieve, hi, max_steps, max_value):
-        split = min(hi, max_elem)
-        return (_scan_seeds(args, range(lo, split + 1))
-                + _scan_seeds(args, _survivor_seeds(sieve, max(lo, split + 1), hi), jumps))
-    return _scan_seeds(args, range(lo, hi + 1), jumps)
+    if not shortcut:
+        return _scan_members(args, range(lo, hi + 1), jumps)
+    if not _sieve_applies(sieve, hi, max_steps, max_value):
+        sieve = _EVERY_SEED
+    split = min(hi, max_elem)
+    return (_scan_members(args, range(lo, split + 1))
+            + _scan_survivors(args, sieve, max(lo, split + 1), hi, jumps))
 
 
-def _scan_seeds(args, seeds: Iterable[int],
-                jumps: Optional[JumpTable] = None) -> list[tuple[int, str]]:
+def _scan_members(args, seeds: Iterable[int],
+                  jumps: Optional[JumpTable] = None) -> list[tuple[int, str]]:
+    """The membership loop: each seed runs until it meets a member or, under
+    the shortcut, falls below itself.  Takes jumps only from a table passed
+    without the shortcut, as their guard does not cover the below-seed exit."""
     (d, alpha, beta, kappa, _lo, _hi, members, max_elem,
      max_steps, max_value, shortcut) = args
     exceptions: list[tuple[int, str]] = []
     plus = kappa == PLUS
-    # a jump may start only while steps <= jump_last, i.e. steps + k <= max_steps;
-    # under the shortcut the membership loop never jumps, as its guard does
-    # not cover the below-seed exit
-    jump_last = member_jump_last = -1
+    # a jump may start only while steps <= jump_last, i.e. steps + k <= max_steps
+    jump_last = -1
     if jumps is not None:
         depth, modulus, qmax = jumps.depth, jumps.modulus, jumps.qmax
         coeff, const, hit = jumps.coeff, jumps.const, jumps.hit
-        low_c, low_p = jumps.low_c, jumps.low_p
         jump_last = max_steps - depth
-        if not shortcut:
-            member_jump_last = jump_last
     for n in seeds:
         v = n
         steps = 0
         status = None
-        if shortcut and n > max_elem:
+        while True:
+            if (v <= max_elem and v in members) or (shortcut and v < n):
+                break
+            if steps >= max_steps:
+                status = STEP_CAP
+                break
+            if steps <= jump_last:
+                q, r = divmod(v, modulus)
+                if hit[r] < q <= qmax:
+                    v = coeff[r] * q + const[r]
+                    steps += depth
+                    continue
+            r = v % d
+            if r == 0:
+                v //= d
+            else:
+                v = (alpha * v + beta * r) // d if plus else \
+                    (alpha * v + beta * (d - r)) // d
+            steps += 1
+            if v > max_value:
+                status = VALUE_CAP
+                break
+        if status is not None:
+            exceptions.append((n, status))
+    return exceptions
+
+
+def _scan_survivors(args, sieve: ResidueSieve, lo: int, hi: int,
+                    jumps: Optional[JumpTable] = None) -> list[tuple[int, str]]:
+    """The descent loop of the shortcut over the seeds in [lo, hi], all
+    above max_elem, whose classes mod d^k survive the sieve.  A seed n =
+    d^k*m + r enters at iterate k, a*m + b, when its guards hold (see
+    `build_sieve`), and otherwise at n; it then jumps while the jump
+    table's guards hold, and steps one at a time to the end."""
+    (d, alpha, beta, kappa, _lo, _hi, _members, _max_elem,
+     max_steps, max_value, _shortcut) = args
+    exceptions: list[tuple[int, str]] = []
+    plus = kappa == PLUS
+    # a jump may start only while steps <= jump_last, i.e. steps + k <= max_steps
+    jump_last = -1
+    if jumps is not None:
+        jump_k, jump_mod, qmax = jumps.depth, jumps.modulus, jumps.qmax
+        coeff, const = jumps.coeff, jumps.const
+        low_c, low_p = jumps.low_c, jumps.low_p
+        jump_last = max_steps - jump_k
+    depth, modulus, survivors, forms = sieve.depth, sieve.modulus, sieve.survivors, sieve.forms
+    # iterates 1..k of every survivor up to hi stay at or below max_value
+    enter = sieve.form_coeff * (hi // modulus) + sieve.form_const <= max_value
+    m, r = divmod(lo, modulus)
+    base = lo - r
+    start = bisect_left(survivors, r)
+    while base <= hi:
+        stop = bisect_right(survivors, hi - base)
+        for r, a, b, form_low_c, form_low_p in forms[start:stop]:
+            n = base + r
+            if enter and form_low_c * m + form_low_p >= n:
+                v = a * m + b
+                steps = depth
+            else:
+                v = n
+                steps = 0
+            status = None
             # jumps while the guards hold, then single steps to the end: on
             # 2:3:1:+, 10:12:8:+, 3:4:1:-, 8:12:4:+ and 5:6:4:+ no seed took a
             # jump after its first refused one, so testing again after each
             # single step would only cost a divmod per step
             while steps <= jump_last and v >= n:
-                q, r = divmod(v, modulus)
+                q, r = divmod(v, jump_mod)
                 if q > qmax or low_c[r] * q + low_p[r] < n:
                     break
                 v = coeff[r] * q + const[r]
-                steps += depth
+                steps += jump_k
             # membership impossible while v >= n; pure descent test
-            # (kept: merged into the loop below, 1-worker scans ran 1.22-1.39x slower)
+            # (kept: merged into the membership loop, 1-worker scans ran 1.22-1.39x slower)
             while v >= n:
                 if steps >= max_steps:
                     status = STEP_CAP
@@ -429,31 +537,11 @@ def _scan_seeds(args, seeds: Iterable[int],
                 if v > max_value:
                     status = VALUE_CAP
                     break
-        else:
-            while True:
-                if (v <= max_elem and v in members) or (shortcut and v < n):
-                    break
-                if steps >= max_steps:
-                    status = STEP_CAP
-                    break
-                if steps <= member_jump_last:
-                    q, r = divmod(v, modulus)
-                    if hit[r] < q <= qmax:
-                        v = coeff[r] * q + const[r]
-                        steps += depth
-                        continue
-                r = v % d
-                if r == 0:
-                    v //= d
-                else:
-                    v = (alpha * v + beta * r) // d if plus else \
-                        (alpha * v + beta * (d - r)) // d
-                steps += 1
-                if v > max_value:
-                    status = VALUE_CAP
-                    break
-        if status is not None:
-            exceptions.append((n, status))
+            if status is not None:
+                exceptions.append((n, status))
+        m += 1
+        base += modulus
+        start = 0
     return exceptions
 
 
@@ -581,7 +669,13 @@ def checkpoint_to_json_dict(cp: Checkpoint) -> dict:
 
 def checkpoint_from_json_dict(doc: dict) -> Checkpoint:
     """Inverse of checkpoint_to_json_dict; CheckpointError when a field is
-    missing or has the wrong type."""
+    missing or has the wrong type, or when the result contradicts the job.
+
+    The digest covers the job alone, so the result fields are checked
+    against it: every status is step_cap or value_cap, the exception seeds
+    increase strictly within [lo, hi], the frontier is the seed before the
+    first exception (hi when there is none), and seeds_scanned is the size
+    of the range."""
     if not isinstance(doc, dict):
         raise CheckpointError("checkpoint is not a JSON object")
     if doc.get("version") != 1:
@@ -610,7 +704,7 @@ def checkpoint_from_json_dict(doc: dict) -> Checkpoint:
             below_frontier_shortcut=bool(jd["below_frontier_shortcut"]),
             prefix_verified_to=int(jd["prefix_verified_to"]),
         )
-        return Checkpoint(
+        cp = Checkpoint(
             job=job,
             digest=doc["digest"],
             verified_frontier=int(doc["verified_frontier"]),
@@ -623,6 +717,24 @@ def checkpoint_from_json_dict(doc: dict) -> Checkpoint:
         raise CheckpointError(f"checkpoint lacks field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from None
+    for n, status in cp.exceptions:
+        if status not in (STEP_CAP, VALUE_CAP):
+            raise CheckpointError(f"checkpoint exception {n} has unknown status {status!r}")
+    seeds = [n for n, _status in cp.exceptions]
+    chain = [job.lo - 1, *seeds, job.hi + 1]
+    if any(a >= b for a, b in zip(chain, chain[1:])):
+        raise CheckpointError(
+            f"checkpoint exceptions do not increase strictly within [{job.lo}, {job.hi}]")
+    frontier = seeds[0] - 1 if seeds else job.hi
+    if cp.verified_frontier != frontier:
+        raise CheckpointError(
+            f"checkpoint frontier {cp.verified_frontier} contradicts its exceptions "
+            f"and range: expected {frontier}")
+    if cp.seeds_scanned != job.hi - job.lo + 1:
+        raise CheckpointError(
+            f"checkpoint seeds_scanned {cp.seeds_scanned} is not the size of "
+            f"[{job.lo}, {job.hi}]")
+    return cp
 
 
 def save_checkpoint(cp: Checkpoint, path: str) -> None:

@@ -323,6 +323,26 @@ def test_resume_checkpoint_without_job(capsys, tmp_path):
     assert "error: checkpoint lacks field 'job'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"verified_frontier": "5000", "exceptions": [["7", "bogus"]]},
+     "error: checkpoint exception 7 has unknown status 'bogus'"),
+    ({"verified_frontier": "5000"},
+     "error: checkpoint frontier 5000 contradicts its exceptions and range: expected 1000"),
+])
+def test_resume_rejects_result_contradicting_its_job(capsys, tmp_path, edit, message):
+    cp_path = tmp_path / "cp.json"
+    assert run(["verify", "--triplet", "2:3:1:+", "--hi", "1000", "--targets", "1",
+                "--threads", "1", "--checkpoint", str(cp_path)]) == 0
+    doc = json.loads(cp_path.read_text())
+    doc.update(edit)
+    cp_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["resume", "--checkpoint", str(cp_path), "--hi", "6000", "--threads", "1"]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert json.loads(cp_path.read_text()) == doc  # nothing resumed
+
+
 def test_resume_missing_checkpoint(capsys, tmp_path):
     rc = run(["resume", "--checkpoint", str(tmp_path / "nosuch.json"), "--hi", "100"])
     assert rc == 1

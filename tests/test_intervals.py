@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from collatzkit import PrecisionExhaustedError, PrecisionPolicy
+from collatzkit import PrecisionExhaustedError, PrecisionPolicy, intervals
 from collatzkit.intervals import (CertifiedReal, ConvergentStream,
                                   certified_enclosure, certified_floor,
                                   certified_partial_quotients, certified_sign,
@@ -86,3 +86,24 @@ def test_stream_prefix_stable_across_extensions():
     assert list(s.prefix(5)) == first
     a, p, q = s.term(11)
     assert (p, q) == (167863, 150782)
+
+
+def test_extension_climbs_the_ladder_from_bits_used(monkeypatch):
+    rungs = []
+    real_enclose = intervals.enclose
+
+    def recording_enclose(expr, bits):
+        rungs.append(bits)
+        return real_enclose(expr, bits)
+
+    monkeypatch.setattr(intervals, "enclose", recording_enclose)
+    s = ConvergentStream(2, 3)
+    s.ensure(50)  # 128 bits certify fewer than 50 terms
+    assert rungs == [128, 256] and s.bits_used == 256
+    rungs.clear()
+    s.ensure(60)  # asks for 100 terms, which need 512 bits
+    assert rungs == [256, 512]
+    monkeypatch.undo()
+    quotients, bits = certified_partial_quotients(2, 3, 100)
+    assert [a for a, _p, _q in s.prefix(100)] == quotients
+    assert s.bits_used == bits == 512

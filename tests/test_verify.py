@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collatzkit import (DigestMismatchError, InvalidTargetsError, Limits,
+from collatzkit import (CheckpointError, DigestMismatchError, InvalidTargetsError, Limits,
                         ShortcutUnsoundError, VerificationJob,
                         build_two_power_family, detect_cycle_from,
                         load_checkpoint, parse_triplet, resume,
@@ -15,7 +15,8 @@ from collatzkit import (DigestMismatchError, InvalidTargetsError, Limits,
 from collatzkit.core import PLUS, Triplet
 from collatzkit.dynamics import Cycle, enumerate_cycles
 from collatzkit.verify import (_scan_chunk, _sieve_applies, build_jumps, build_sieve,
-                               checkpoint_to_json_dict, job_digest)
+                               checkpoint_from_json_dict, checkpoint_to_json_dict,
+                               job_digest)
 
 T10128 = parse_triplet("10:12:8:+")
 T231 = parse_triplet("2:3:1:+")
@@ -27,6 +28,7 @@ T3241 = parse_triplet("3:4:1:-")
 T8124 = parse_triplet("8:12:4:+")
 T34m1 = parse_triplet("3:4:-1:+")
 T23m1 = parse_triplet("2:3:-1:+")
+T257 = parse_triplet("257:258:256:+")  # sieve depth 1
 TARGETS = {
     T231: (OMEGA1,),
     T10128: (OMEGA4,),
@@ -236,6 +238,59 @@ class TestResidueSieve:
                     assert v <= bound
                     v, steps = step(v), steps + 1
                 assert v <= bound and steps <= sieve.depth
+
+    @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124, T257], ids=str)
+    def test_survivor_forms_are_iterate_k_within_their_bounds(self, t):
+        sieve = build_sieve(t)
+        assert [entry[0] for entry in sieve.forms] == list(sieve.survivors)
+        for m in (0, 1, 7, 10**6, 10**12):
+            for r, a, b, low_c, low_p in sieve.forms[::7]:
+                n = sieve.modulus * m + r
+                if n == 0:
+                    continue
+                inside = iterates(t, n, sieve.depth)
+                assert inside[-1] == a * m + b
+                assert max(inside) <= sieve.form_coeff * m + sieve.form_const
+                if sieve.depth > 1:
+                    assert min(inside[:-1]) >= low_c * m + low_p
+                else:  # no iterate before step k: the bound admits every seed
+                    assert low_c * m + low_p > n
+
+    @pytest.mark.parametrize("low_below_n, cap_below_peak, entered", [
+        (False, False, True),
+        (True, False, False),
+        (False, True, False),
+    ], ids=["all-hold", "lower-guard", "value-guard"])
+    def test_survivor_entered_at_step_k_exactly_when_the_guards_hold(
+            self, low_below_n, cap_below_peak, entered):
+        # a doctored sieve whose every survivor lands on 1 at step k, below
+        # the seed, so an entry shows as a descended seed; 2^40 - 1 rises for
+        # 40 steps; each guard is put one past its bound
+        n, max_value = 2**40 - 1, 10**30
+        sieve = build_sieve(T231)
+        assert n % sieve.modulus in sieve.survivors
+        doctored = replace(sieve, forms=[(r, 0, 1, 0, n - 1 if low_below_n else n)
+                                         for r, *_form in sieve.forms],
+                           form_coeff=0, form_const=max_value + 1 if cap_below_peak else max_value)
+        args = scan_args(T231, n, n, {1, 2}, shortcut=True, max_steps=sieve.depth,
+                         max_value=max_value)
+        assert _sieve_applies(doctored, n, sieve.depth, max_value)
+        assert _scan_chunk(args, doctored, None) == ([] if entered else [(n, "step_cap")])
+
+    @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124], ids=str)
+    def test_report_unchanged_at_the_survivors_value_cap(self, t):
+        # chunks of one block of d^k each: survivors enter at step k up to
+        # block 2 and not past it, while the sieve itself still applies at
+        # block 2; the report equals the one from a sieve whose survivors
+        # never enter, and from no tables at all
+        sieve = build_sieve(t)
+        limits = Limits(max_value=sieve.form_coeff * 2 + sieve.form_const)
+        assert _sieve_applies(sieve, 2 * sieve.modulus, limits.max_steps, limits.max_value)
+        j = job(t, 1, 4 * sieve.modulus, TARGETS[t], limits=limits, chunk_size=sieve.modulus)
+        full = assert_tables_keep_report(j)
+        never = replace(sieve, form_const=limits.max_value + 1)
+        with mock.patch.object(verify, "build_sieve", lambda t: never):
+            assert report_bytes(verify_range(j, workers=1)) == report_bytes(full)
 
     def test_fallback_below_depth_steps(self):
         sieve = build_sieve(T231)
@@ -555,6 +610,30 @@ class TestCheckpoints:
         assert extended.verified_frontier == oneshot.verified_frontier == 66
         assert extended.exceptions == oneshot.exceptions
         assert extended.seeds_scanned == oneshot.seeds_scanned == 5000
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"verified_frontier": "5000", "exceptions": [["7", "bogus"]]},
+         "exception 7 has unknown status 'bogus'"),
+        ({"exceptions": [["67", "converged"]]}, "unknown status 'converged'"),
+        ({"exceptions": [["67", "step_cap"], ["67", "value_cap"]]}, "increase strictly"),
+        ({"exceptions": [["80", "step_cap"], ["67", "step_cap"]]}, "increase strictly"),
+        ({"verified_frontier": "-1", "exceptions": [["0", "step_cap"]]}, "increase strictly"),
+        ({"verified_frontier": "100", "exceptions": [["101", "step_cap"]]},
+         "increase strictly"),
+        ({"verified_frontier": "5000"}, "frontier 5000 .* expected 66"),
+        ({"verified_frontier": "65"}, "frontier 65 .* expected 66"),
+        ({"exceptions": []}, "frontier 66 .* expected 100"),
+        ({"seeds_scanned": "6000"}, "seeds_scanned 6000"),
+        ({"seeds_scanned": "99"}, "seeds_scanned 99"),
+    ])
+    def test_result_contradicting_the_job_is_rejected(self, edit, message):
+        # the digest covers only the job, so the result is checked against it
+        cp = verify_range(job(T8124, 1, 100, TARGETS[T8124][:1]), workers=1)
+        doc = checkpoint_to_json_dict(cp)
+        assert checkpoint_from_json_dict(doc) == cp
+        doc.update(edit)
+        with pytest.raises(CheckpointError, match=message):
+            checkpoint_from_json_dict(doc)
 
     def test_resume_past_exceptions_counts_each_seed_once(self):
         targets = TARGETS[T8124][:1]  # leaves 67 and its class undecided
