@@ -9,12 +9,13 @@ claimed verified, since the induction is grounded only below the first
 undecided seed.
 
 Under the shortcut, a residue-class sieve (`build_sieve`) skips every seed
-whose class mod d^k alone proves that it descends, and carries the exact
-k-step form of each surviving class, so that the descent loop can enter a
-survivor at its iterate k.  A table of exact k-step jumps (`build_jumps`)
-lets the shortcut's descent loop, and the membership loop of a scan
-without the shortcut, take k steps at once wherever no cap or exit can lie
-inside them.  The report is the same as without either table.
+whose class mod d * s^(depth-1), s = d // gcd(alpha, d), alone proves that
+it descends, and carries the exact form of each surviving class at the last
+step that its class fixes, so that the descent loop can enter a survivor
+there.  A table of exact k-step jumps (`build_jumps`) lets the shortcut's
+descent loop, and the membership loop of a scan without the shortcut, take
+k steps at once wherever no cap or exit can lie inside them.  The report
+is the same as without either table.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from math import gcd
 from typing import Iterable, Optional
 
 from .core import PLUS, Triplet, parse_triplet
@@ -36,8 +38,9 @@ from .errors import (CheckpointError, DigestMismatchError,
                      InvalidTargetsError, NotACycleError, ShortcutUnsoundError)
 
 DEFAULT_CHUNK = 1 << 16
-# the sieve works mod d^k for the largest k with d^k <= this cap; a larger
-# cap costs more to build and ship to workers than its extra exits save
+# the sieve works mod d * s^(k-1), s = d // gcd(alpha, d), for the largest
+# k with that modulus <= this cap; a larger cap costs more to build and ship
+# to workers than its extra exits save
 SIEVE_MODULUS_CAP = 1 << 16
 # the jump table works mod d^k for the largest k with d^k <= this cap; at
 # 2^12 and above its build time and memory outweigh the longer jumps
@@ -109,24 +112,24 @@ def _validate_targets(job: VerificationJob) -> None:
 
 @dataclass(frozen=True)
 class ResidueSieve:
-    """Residues mod d^k whose classes a shortcut scan still has to visit,
-    each with its exact k-step form.
+    """Residues mod M whose classes a shortcut scan still has to visit,
+    each with its exact form at its own entry step.
 
     Every iterate up to the descent of a seed n in a sieved class is at
-    most peak_coeff * (n // modulus) + peak_const.  For a seed n = d^k*m + r
-    in a surviving class, forms holds (r, a, b, low_c, low_p): iterate k of
-    n is a*m + b, and iterates 1..k-1 are at least low_c*m + low_p.  Its
+    most peak_coeff * (n // M) + peak_const.  For a seed n = M*m + r in a
+    surviving class, forms holds (r, a, b, low_c, low_p, k): iterate k of n
+    is a*m + b, and iterates 1..k-1 are at least low_c*m + low_p.  Its
     iterates 1..k are at most form_coeff*m + form_const.  The descent loop
     enters such a seed at step k, at a*m + b, when low_c*m + low_p >= n and
     the value cap admits form_coeff*m + form_const (see `build_sieve`).
     """
 
-    depth: int  # k
-    modulus: int  # d^k
-    survivors: array  # sorted residues in [0, d^k) that are not sieved
+    depth: int  # levels of refinement, no fewer than the steps any class fixes
+    modulus: int  # M = d * s^(depth-1), s = d // gcd(alpha, d)
+    survivors: array  # sorted residues in [0, M) that are not sieved
     peak_coeff: int
     peak_const: int
-    forms: list  # (r, a, b, low_c, low_p) per survivor r, in the same order
+    forms: list  # (r, a, b, low_c, low_p, k) per survivor r, in the same order
     form_coeff: int
     form_const: int
 
@@ -141,127 +144,167 @@ def _depth_under(d: int, cap: int) -> tuple[int, int]:
 
 
 def build_sieve(t: Triplet) -> Optional[ResidueSieve]:
-    """Residue classes mod d^k, k the largest with d^k <= SIEVE_MODULUS_CAP,
-    that are not proven to descend within k steps, each with its k-step
-    form; None when k = 0.
+    """Residue classes mod M = d * s^(depth-1), with s = d // gcd(alpha, d)
+    and depth the largest with M <= SIEVE_MODULUS_CAP, that are not proven
+    to descend within the steps their class fixes, each with its form at
+    its own entry step; None when d > SIEVE_MODULUS_CAP.
 
-    Rule.  Write n = d^k*m + r with 0 <= r < d^k.  For j < k, d divides the
-    m-coefficient of iterate j, so its residue mod d is that of T^j(r) and
-    the next step is the same for the whole class.  Hence for j <= k,
-    iterate j is the affine form alpha^(o_j) * d^(k-j) * m + T^j(r), where
-    o_j counts the steps with a non-zero residue and T^j(0) = 0.  The class
-    of r is sieved when some j <= k has alpha^(o_j) <= d^j and T^j(r) < r.
+    Fixed steps.  Write n = M*m + r with 0 <= r < M.  Iterate 0 of n is the
+    affine form M*m + r, and while d divides the m-coefficient of iterate
+    j, the residue mod d of iterate j is that of T^j(r) and step j + 1 is
+    the same for the whole class.  Hence for every j up to the first whose
+    coefficient d does not divide, iterate j is M * alpha^(o_j) / d^j * m
+    + T^j(r), where o_j counts the steps with a non-zero residue.  These
+    are the steps the class fixes, and the last of them is its entry step.
+    Refining a class mod d by s at each of the depth - 1 later levels fixes
+    at most one more step per level, so no class fixes more than depth
+    steps: at level 1 the coefficient d becomes 1 or alpha, and at a later
+    level a coefficient a that d does not divide becomes a*s, and, when d
+    divides a*s, a/g or a*alpha/g after the step (g = gcd(alpha, d)); d
+    divides neither, since d | a/g gives d | a, and d | a*(alpha/g) with
+    d | a*s gives d | a, as gcd(alpha/g, s) = 1.  When g = 1, s = d,
+    M = d^depth and every class fixes exactly its first depth steps.
+    Otherwise a step that multiplies by alpha leaves a coefficient that the
+    next split fixes again (alpha * s = lcm(alpha, d)), while one that
+    divides by d can leave a coefficient that a split does not make
+    divisible by d: such a class fixes fewer steps.
+
+    Rule.  The class of r is sieved when r = 0, or when some step j that it
+    fixes has alpha^(o_j) <= d^j and T^j(r) < r.
 
     Soundness.  For such a j and every m >= 0, iterate j of n is at most
-    d^j * d^(k-j) * m + T^j(r) < d^k*m + r = n, so n falls below itself
-    within j <= k steps.  The shortcut scan of a seed n > max_elem is a
-    pure descent loop: it reports nothing for n exactly when n falls below
-    itself within max_steps steps and no iterate before that exceeds
+    M*m + T^j(r) < M*m + r = n, so n falls below itself within j steps.
+    The seeds M*m with m >= 1, the only ones of the class r = 0, fall to
+    iterate 1, (M // d)*m < M*m.  The shortcut scan of a seed n > max_elem
+    is a pure descent loop: it reports nothing for n exactly when n falls
+    below itself within max_steps steps and no iterate before that exceeds
     max_value.  A sieved seed therefore reports nothing, and needs no scan,
-    when k <= max_steps and its iterates up to step k stay at or below
-    max_value.  `_sieve_applies` checks both for a whole chunk, bounding
-    those iterates for every n <= hi by peak_coeff * (hi // d^k) +
-    peak_const.  Seeds up to max_elem are scanned from n itself as before
-    and seeds in surviving classes as below, so every exception, its
-    status, and the frontier are unchanged; the below-frontier induction
-    that makes a descent count as convergence is the shortcut's, not the
-    sieve's.
+    when depth, the most steps any class fixes, is at most max_steps and
+    its iterates up to its descent stay at or below max_value.
+    `_sieve_applies` checks both for a whole chunk, bounding those iterates
+    for every n <= hi by peak_coeff * (hi // M) + peak_const.  Seeds up to
+    max_elem are scanned from n itself as before and seeds in surviving
+    classes as below, so every exception, its status, and the frontier are
+    unchanged; the below-frontier induction that makes a descent count as
+    convergence is the shortcut's, not the sieve's.
 
-    Entry at step k.  For a seed n = d^k*m + r in a surviving class, the
-    same forms give iterate k as a*m + b exactly, and bounds on iterates
-    1..k-1 from below by low_c*m + low_p and on iterates 1..k from above by
-    form_coeff*m + form_const, for every m >= 0.  The descent loop of such
-    a seed enters at v = a*m + b with k steps taken when low_c*m + low_p >=
-    n and, for the whole chunk, form_coeff * (hi // d^k) + form_const <=
-    max_value; `_sieve_applies` has already checked k <= max_steps.
-    Stepping one at a time from n, the loop would stop before step k only
-    at the step cap, which k <= max_steps rules out; at an iterate above
-    max_value, which the value bound rules out; or at an iterate below n,
-    which the lower bound rules out.  So it reaches a*m + b after exactly k
-    steps either way and goes on from the same value and step count: the
-    exceptions, their statuses and the frontier are unchanged.  When a
-    guard fails the seed is scanned from n.
+    Entry at each form's own step.  For a seed n = M*m + r in a surviving
+    class with entry step k, the same forms give iterate k as a*m + b
+    exactly, and bound iterates 1..k-1 from below by low_c*m + low_p and
+    iterates 1..k from above by form_coeff*m + form_const, for every m >=
+    0.  The descent loop of such a seed enters at v = a*m + b with k steps
+    taken when low_c*m + low_p >= n and, for the whole chunk, form_coeff *
+    (hi // M) + form_const <= max_value; `_sieve_applies` has already
+    checked k <= depth <= max_steps.  Stepping one at a time from n, the
+    loop would stop before step k only at the step cap, which k <=
+    max_steps rules out; at an iterate above max_value, which the value
+    bound rules out; or at an iterate below n, which the lower bound rules
+    out.  So it reaches a*m + b after exactly k steps either way and goes
+    on from the same value and step count: the exceptions, their statuses
+    and the frontier are unchanged.  When a guard fails the seed is scanned
+    from n.
 
-    Build.  Residues are refined one base-d digit at a time, and only
-    classes that survive are extended.  A class mod d^j carries its j-step
-    form alpha^(o_j) * m + T^j(r) (here n = d^j*m + r) and a floor F such
-    that every member of the class that is at least F meets the rule at
-    some step i <= j.  A step with alpha^(o_i) < d^i and T^i(r) >= r
-    contributes the least member r + d^i*m with
-    m*(d^i - alpha^(o_i)) > T^i(r) - r.  A refined residue at or above F
-    is sieved together with all its own refinements, which are no
-    smaller; what is left at level k is exactly the classes the rule does
-    not sieve.  Each class also carries bounds C*m + P above and L*m + Q
-    below its iterates 1..j, refined as in `build_jumps`; a survivor keeps
-    its parent's L and Q, which cover iterates 1..k-1, and form_coeff and
-    form_const are the largest C and P over the survivors.
+    Build.  Residues are refined level by level on the moduli M_1 = d and
+    M_l = M_(l-1) * s, and only classes that survive are extended.  A class
+    mod M_l (here n = M_l*m + r) carries its current iterate a*m + b with
+    its step count j, and a floor F such that every member of the class
+    that is at least F meets the rule at some step i <= j.  Refining
+    m = s*m' + digit (m = d*m' + digit at level 1) keeps the iterate's
+    form, a*s*m' + a*digit + b; when d divides a*s, for every digit or for
+    none, the refined class takes step j + 1 and tests the rule after it,
+    and otherwise it keeps iterate j.  A step with alpha^(o_i) < d^i and
+    T^i(r) >= r contributes the least member r + M_l*u with u*(M_l - a) >
+    T^i(r) - r, a being the m-coefficient of iterate i.  A refined residue
+    at or above F is sieved together with all its own refinements, which
+    are no smaller; what is left at the last level is exactly the classes
+    the rule does not sieve.  Each class also carries bounds C*m + P above
+    its iterates 1..j and L*m + Q below its iterates 1..j-1 (n + 1 while
+    there are none), refined as in `build_jumps`: an iterate enters the
+    lower bound when the class steps past it.  A survivor keeps its L and
+    Q, and form_coeff and form_const are the largest C and P over the
+    survivors.
     """
     d, alpha, beta = t.d, t.alpha, t.beta
     plus = t.kappa == PLUS
-    depth, modulus = _depth_under(d, SIEVE_MODULUS_CAP)
-    if depth == 0:
+    if d > SIEVE_MODULUS_CAP:
         return None
+    split = d // gcd(alpha, d)  # s
+    depth, modulus = _depth_under(split, SIEVE_MODULUS_CAP // d)
+    depth, modulus = depth + 1, modulus * d  # M = d * s^(depth-1)
     peak_coeff = peak_const = form_coeff = form_const = 0
-    forms = []
-    # (r, a, b, floor, C, P, L, Q) per class mod d^j: iterate j of n = d^j*m + r
-    # is a*m + b, floor is F above (None until a step has a < d^i), and
-    # iterates 1..j are at most C*m + P and at least L*m + Q; at j = 0 there
-    # are none, and L*m + Q = n + 1 lets every survivor enter at step k = 1
-    live = [(0, 1, 0, None, 0, 0, 1, 1)]
-    scale = 1  # d^(j-1)
-    for j in range(1, depth + 1):
-        level = scale * d  # d^j
-        refined = []
-        for r, a, b, floor, c_max, p_max, c_min, p_min in live:
-            for digit in range(d):
+    # (r, a, b, j, floor, C, P, L, Q) per class mod M_l: iterate j of
+    # n = M_l*m + r is a*m + b, floor is F above (None until a step has
+    # a < M_l), iterates 1..j are at most C*m + P and iterates 1..j-1 at
+    # least L*m + Q; at level 0 (M_0 = 1, n = m) that is m + 1
+    live = [(0, 1, 0, 0, None, 0, 0, 1, 1)]
+    scale, width = 1, d  # M_(l-1), and the split at level l
+    for last in [False] * (depth - 1) + [True]:
+        level = scale * width  # M_l
+        widen = modulus // level
+        # children by digit: with the parents in order of r, each list, and
+        # their concatenation, is in order of rr = r + digit * M_(l-1)
+        refined = [[] for _ in range(width)]
+        for r, a, b, j, floor, c_max, p_max, c_min, p_min in live:
+            # n = M_l*m + rr has m_(l-1) = width*m + digit in the parent's forms
+            a_wide, c_wide, l_wide = a * width, c_max * width, c_min * width
+            fixed = a_wide % d == 0  # step j + 1, for every digit or for none
+            # once the class steps past iterate j >= 1, it joins the lower
+            # bound; iterate 1 replaces the n + 1 that stood for no iterate
+            fold = fixed and j > 0
+            if fold and (j == 1 or a_wide < l_wide):
+                l_wide = a_wide
+            for digit in range(width):
                 rr = r + digit * scale
-                # n = d^j*m + rr has m_(j-1) = d*m + digit in the parent's form
-                c_new = c_max * d
+                c_new = c_wide
                 p_new = c_max * digit + p_max
                 if floor is None or rr < floor:
-                    v = a * digit + b  # constant of iterate j-1
-                    res = v % d
-                    if res == 0:
-                        v //= d
-                        coeff = a
-                    else:
-                        v = (alpha * v + beta * (res if plus else d - res)) // d
-                        coeff = a * alpha
-                    # comparisons, not max() and min(): they halve the
-                    # cost of this loop, which runs once per class
-                    if coeff > c_new:
-                        c_new = coeff
-                    if v > p_new:
-                        p_new = v
-                    if coeff > level or v >= rr:
-                        c_low, p_low = c_min * d, c_min * digit + p_min  # iterates 1..j-1
-                        if j == depth:
-                            forms.append((rr, coeff, v, c_low, p_low))
+                    coeff = a_wide
+                    v = u = a * digit + b  # u: the constant of iterate j
+                    steps = j
+                    if fixed:
+                        res = v % d
+                        if res == 0:
+                            v //= d
+                            coeff //= d
+                        else:
+                            v = (alpha * v + beta * (res if plus else d - res)) // d
+                            coeff = coeff // d * alpha
+                        steps += 1
+                        # comparisons, not max() and min(): they halve the
+                        # cost of this loop, which runs once per class
+                        if coeff > c_new:
+                            c_new = coeff
+                        if v > p_new:
+                            p_new = v
+                    if not fixed or coeff > level or v >= rr > 0:
+                        p_low = c_min * digit + p_min
+                        if fold and (j == 1 or u < p_low):
+                            p_low = u
+                        if last:
+                            refined[digit].append((rr, coeff, v, l_wide, p_low, steps))
                             if c_new > form_coeff:
                                 form_coeff = c_new
                             if p_new > form_const:
                                 form_const = p_new
                             continue
                         fl = floor
-                        if coeff < level:
+                        if fixed and coeff < level:
                             start = rr + level * ((v - rr) // (level - coeff) + 1)
-                            fl = start if fl is None else min(fl, start)
-                        # iterate 1 starts the lower bound
-                        if j == 1 or coeff < c_low:
-                            c_low = coeff
-                        if j == 1 or v < p_low:
-                            p_low = v
-                        refined.append((rr, coeff, v, fl, c_new, p_new, c_low, p_low))
+                            if fl is None or start < fl:
+                                fl = start
+                        refined[digit].append((rr, coeff, v, steps, fl, c_new, p_new,
+                                               l_wide, p_low))
                         continue
-                # sieved: n falls below itself by step j, and with
-                # m = d^(k-j)*(n // d^k) + u, u < d^(k-j), iterates 1..j are
-                # at most C*d^(k-j)*(n // d^k) + C*(d^(k-j) - 1) + P
-                widen = modulus // level
-                peak_coeff = max(peak_coeff, c_new * widen)
-                peak_const = max(peak_const, c_new * (widen - 1) + p_new)
-        live = refined
-        scale = level
-    forms.sort()
+                # sieved: n falls below itself within the class's steps, and
+                # with m = (M // M_l)*(n // M) + u, u < M // M_l, its iterates
+                # up to there are at most C*(M // M_l)*(n // M) + C*(M // M_l - 1) + P
+                if c_new * widen > peak_coeff:
+                    peak_coeff = c_new * widen
+                if c_new * (widen - 1) + p_new > peak_const:
+                    peak_const = c_new * (widen - 1) + p_new
+        live = [entry for children in refined for entry in children]
+        scale, width = level, split
+    forms = live
     survivors = array("l", (entry[0] for entry in forms))
     return ResidueSieve(depth, modulus, survivors, peak_coeff, peak_const,
                         forms, form_coeff, form_const)
@@ -404,7 +447,7 @@ def _sieve_applies(sieve: Optional[ResidueSieve], hi: int, max_steps: int,
 # the fallback sieve: every class mod M survives, and each seed n = M*m + r
 # enters at step 0, at n itself; M = 1 would cost a block per seed
 _EVERY_SEED = ResidueSieve(0, 1 << 10, array("l", range(1 << 10)), 0, 0,
-                           [(r, 1 << 10, r, 1 << 10, r) for r in range(1 << 10)], 0, 0)
+                           [(r, 1 << 10, r, 1 << 10, r, 0) for r in range(1 << 10)], 0, 0)
 
 
 def _scan_chunk(args, sieve: Optional[ResidueSieve] = None,
@@ -416,8 +459,8 @@ def _scan_chunk(args, sieve: Optional[ResidueSieve] = None,
     max_elem run the membership loop without jumps, and the seeds above it
     the descent loop of `_scan_survivors`, which jumps: where
     `_sieve_applies` allows it for this chunk, only the seeds in surviving
-    classes, each entered at step k where its guards hold; otherwise every
-    seed, from n itself.
+    classes, each entered at its class's step where its guards hold;
+    otherwise every seed, from n itself.
     """
     (_d, _alpha, _beta, _kappa, lo, hi, _members, max_elem,
      max_steps, max_value, shortcut) = args
@@ -479,9 +522,9 @@ def _scan_members(args, seeds: Iterable[int],
 def _scan_survivors(args, sieve: ResidueSieve, lo: int, hi: int,
                     jumps: Optional[JumpTable] = None) -> list[tuple[int, str]]:
     """The descent loop of the shortcut over the seeds in [lo, hi], all
-    above max_elem, whose classes mod d^k survive the sieve.  A seed n =
-    d^k*m + r enters at iterate k, a*m + b, when its guards hold (see
-    `build_sieve`), and otherwise at n; it then jumps while the jump
+    above max_elem, whose classes mod M survive the sieve.  A seed n =
+    M*m + r enters at its class's iterate k, a*m + b, when its guards hold
+    (see `build_sieve`), and otherwise at n; it then jumps while the jump
     table's guards hold, and steps one at a time to the end."""
     (d, alpha, beta, kappa, _lo, _hi, _members, _max_elem,
      max_steps, max_value, _shortcut) = args
@@ -494,7 +537,7 @@ def _scan_survivors(args, sieve: ResidueSieve, lo: int, hi: int,
         coeff, const = jumps.coeff, jumps.const
         low_c, low_p = jumps.low_c, jumps.low_p
         jump_last = max_steps - jump_k
-    depth, modulus, survivors, forms = sieve.depth, sieve.modulus, sieve.survivors, sieve.forms
+    modulus, survivors, forms = sieve.modulus, sieve.survivors, sieve.forms
     # iterates 1..k of every survivor up to hi stay at or below max_value
     enter = sieve.form_coeff * (hi // modulus) + sieve.form_const <= max_value
     m, r = divmod(lo, modulus)
@@ -502,11 +545,11 @@ def _scan_survivors(args, sieve: ResidueSieve, lo: int, hi: int,
     start = bisect_left(survivors, r)
     while base <= hi:
         stop = bisect_right(survivors, hi - base)
-        for r, a, b, form_low_c, form_low_p in forms[start:stop]:
+        for r, a, b, form_low_c, form_low_p, form_steps in forms[start:stop]:
             n = base + r
             if enter and form_low_c * m + form_low_p >= n:
                 v = a * m + b
-                steps = depth
+                steps = form_steps
             else:
                 v = n
                 steps = 0
@@ -694,6 +737,10 @@ def checkpoint_from_json_dict(doc: dict) -> Checkpoint:
                 kbar=int(c["kbar"]),
                 max_elem=int(c["max_elem"]),
             ))
+        shortcut = jd["below_frontier_shortcut"]
+        if not isinstance(shortcut, bool):  # bool("false") is True
+            raise CheckpointError(
+                f"malformed checkpoint: below_frontier_shortcut {shortcut!r} is not true or false")
         job = VerificationJob(
             triplet=t,
             lo=int(jd["lo"]),
@@ -701,7 +748,7 @@ def checkpoint_from_json_dict(doc: dict) -> Checkpoint:
             targets=tuple(targets),
             limits=Limits(max_steps=int(jd["max_steps"]), max_value=int(jd["max_value"])),
             chunk_size=int(jd["chunk_size"]),
-            below_frontier_shortcut=bool(jd["below_frontier_shortcut"]),
+            below_frontier_shortcut=shortcut,
             prefix_verified_to=int(jd["prefix_verified_to"]),
         )
         cp = Checkpoint(

@@ -29,11 +29,16 @@ T8124 = parse_triplet("8:12:4:+")
 T34m1 = parse_triplet("3:4:-1:+")
 T23m1 = parse_triplet("2:3:-1:+")
 T257 = parse_triplet("257:258:256:+")  # sieve depth 1
+T41054 = parse_triplet("4:10:54:+")  # gcd(alpha, d) = 2
+T364032 = parse_triplet("36:40:32:+")  # gcd(alpha, d) = 4
 TARGETS = {
     T231: (OMEGA1,),
     T10128: (OMEGA4,),
     T3241: (detect_cycle_from(T3241, 1), detect_cycle_from(T3241, 7)),
     T8124: (detect_cycle_from(T8124, 1), detect_cycle_from(T8124, 67)),
+    # the cycles with no element above 300; many orbits end in larger ones
+    T41054: tuple(detect_cycle_from(T41054, m) for m in (1, 2, 3, 6, 7, 9, 18, 27)),
+    T364032: (detect_cycle_from(T364032, 8),),
 }
 CYCLE_MEMBERS = {t: frozenset(x for c in cycles for x in c.elements)
                  for t, cycles in TARGETS.items()}
@@ -63,19 +68,27 @@ def assert_tables_keep_report(j, workers=1):
     return full
 
 
-def sieved_by_rule(t: Triplet, r: int, k: int) -> bool:
-    """The sieve rule evaluated directly on one residue r mod d^k."""
-    v, o = r, 0
-    for j in range(1, k + 1):
+def fixed_steps(t: Triplet, r: int, modulus: int) -> list[tuple[int, int, int]]:
+    """(alpha^(o_j), d^j, T^j(r)) for each step j that the class of r mod M
+    fixes: iterate j of M*m + r is M*alpha^(o_j)/d^j * m + T^j(r), and step
+    j + 1 is the same for the whole class while d divides that coefficient."""
+    out, v, o, j = [], r, 0, 0
+    while modulus * t.alpha**o % t.d**(j + 1) == 0:
         res = v % t.d
         if res:
             o += 1
             v = (t.alpha * v + t.beta * (res if t.kappa == PLUS else t.d - res)) // t.d
         else:
             v //= t.d
-        if t.alpha ** o <= t.d ** j and v < r:
-            return True
-    return False
+        j += 1
+        out.append((t.alpha**o, t.d**j, v))
+    return out
+
+
+def sieved_by_rule(t: Triplet, r: int, modulus: int) -> bool:
+    """The sieve rule evaluated directly on one residue r mod M."""
+    return r == 0 or any(power <= d_j and v < r
+                         for power, d_j, v in fixed_steps(t, r, modulus))
 
 
 class TestVerifyRange:
@@ -184,20 +197,29 @@ class TestVerifyRange:
 
 class TestResidueSieve:
     def test_depth_is_largest_under_the_cap(self):
+        # M = d * s^(L-1) with s = d // gcd(alpha, d); depth L
         classical, two_power = build_sieve(T231), build_sieve(T10128)
         assert (classical.depth, classical.modulus) == (16, 1 << 16)
-        assert (two_power.depth, two_power.modulus) == (4, 10**4)
+        assert (two_power.depth, two_power.modulus) == (6, 31250)  # 10 * 5^5
+        sieve = build_sieve(T364032)
+        assert (sieve.depth, sieve.modulus) == (4, 26244)  # 36 * 9^3
         assert build_sieve(Triplet(65537, 65538, 65536, 1)) is None
 
     def test_survivor_count_classical(self):
-        # 3.2% of the classes mod 2^16 still need a scan
-        assert len(build_sieve(T231).survivors) == 2116
+        # 3.2% of the classes mod 2^16 still need a scan; 2115, not 2116,
+        # since class 0 is sieved: iterate 1 of 2^16*m is 2^15*m < 2^16*m
+        assert len(build_sieve(T231).survivors) == 2115
 
-    @pytest.mark.parametrize("t", [T10128, T8124, T3241], ids=str)
+    @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124, T41054, T364032, T257],
+                             ids=str)
+    def test_no_sieve_keeps_class_zero(self, t):
+        assert build_sieve(t).survivors[0] > 0
+
+    @pytest.mark.parametrize("t", [T10128, T8124, T3241, T41054, T364032], ids=str)
     def test_survivors_follow_the_rule(self, t):
         sieve = build_sieve(t)
         expected = [r for r in range(sieve.modulus)
-                    if not sieved_by_rule(t, r, sieve.depth)]
+                    if not sieved_by_rule(t, r, sieve.modulus)]
         assert list(sieve.survivors) == expected
 
     @pytest.mark.parametrize("t, lo, hi, chunk, workers", [
@@ -207,12 +229,18 @@ class TestResidueSieve:
         (T3241, 1, 100_000, 10_000, 1),
         (T231, 123_457, 300_000, 50_000, 1),  # resumed, lo not aligned
         (T10128, 54_322, 90_000, 7_777, 1),
+        (T8124, 1, 200_000, 1 << 16, 1),  # survivors enter at steps 10-14
+        (T41054, 1, 100_000, 20_000, 2),
+        (T364032, 1, 46_000, 5_000, 1),
+        (T364032, 30_001, 46_000, 4_001, 1),
     ], ids=str)
     def test_report_unchanged(self, t, lo, hi, chunk, workers):
         j = job(t, lo, hi, TARGETS[t], chunk_size=chunk, prefix_verified_to=lo - 1)
         assert _sieve_applies(build_sieve(t), hi, j.limits.max_steps, j.limits.max_value)
         cp = assert_tables_keep_report(j, workers)
-        assert cp.exceptions == () and cp.seeds_scanned == hi - lo + 1
+        assert cp.seeds_scanned == hi - lo + 1
+        # seed 10 of 4:10:54:+ ends in the cycle of 342 and never falls below 10
+        assert (cp.exceptions != ()) == (t == T41054)
 
     @pytest.mark.parametrize("lo, chunk", [(1, 1 << 16), (1, 33), (67, 1 << 16)])
     def test_non_target_cycle_kept(self, lo, chunk):
@@ -222,7 +250,7 @@ class TestResidueSieve:
                 chunk_size=chunk, prefix_verified_to=lo - 1))
         assert (67, "step_cap") in cp.exceptions
 
-    @pytest.mark.parametrize("t", [T231, T10128, T3241], ids=str)
+    @pytest.mark.parametrize("t", [T231, T10128, T3241, T41054, T364032], ids=str)
     def test_sieved_seeds_descend_under_the_peak_bound(self, t):
         sieve = build_sieve(t)
         step = t.step_function()
@@ -239,19 +267,20 @@ class TestResidueSieve:
                     v, steps = step(v), steps + 1
                 assert v <= bound and steps <= sieve.depth
 
-    @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124, T257], ids=str)
+    @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124, T257, T41054, T364032],
+                             ids=str)
     def test_survivor_forms_are_iterate_k_within_their_bounds(self, t):
         sieve = build_sieve(t)
         assert [entry[0] for entry in sieve.forms] == list(sieve.survivors)
+        for r, *_form, k in sieve.forms:
+            assert 1 <= k == len(fixed_steps(t, r, sieve.modulus)) <= sieve.depth
         for m in (0, 1, 7, 10**6, 10**12):
-            for r, a, b, low_c, low_p in sieve.forms[::7]:
+            for r, a, b, low_c, low_p, k in sieve.forms[::7]:
                 n = sieve.modulus * m + r
-                if n == 0:
-                    continue
-                inside = iterates(t, n, sieve.depth)
+                inside = iterates(t, n, k)
                 assert inside[-1] == a * m + b
                 assert max(inside) <= sieve.form_coeff * m + sieve.form_const
-                if sieve.depth > 1:
+                if k > 1:
                     assert min(inside[:-1]) >= low_c * m + low_p
                 else:  # no iterate before step k: the bound admits every seed
                     assert low_c * m + low_p > n
@@ -269,7 +298,7 @@ class TestResidueSieve:
         n, max_value = 2**40 - 1, 10**30
         sieve = build_sieve(T231)
         assert n % sieve.modulus in sieve.survivors
-        doctored = replace(sieve, forms=[(r, 0, 1, 0, n - 1 if low_below_n else n)
+        doctored = replace(sieve, forms=[(r, 0, 1, 0, n - 1 if low_below_n else n, sieve.depth)
                                          for r, *_form in sieve.forms],
                            form_coeff=0, form_const=max_value + 1 if cap_below_peak else max_value)
         args = scan_args(T231, n, n, {1, 2}, shortcut=True, max_steps=sieve.depth,
@@ -277,9 +306,21 @@ class TestResidueSieve:
         assert _sieve_applies(doctored, n, sieve.depth, max_value)
         assert _scan_chunk(args, doctored, None) == ([] if entered else [(n, "step_cap")])
 
+    @pytest.mark.parametrize("k, entered", [(15, True), (16, False)])
+    def test_survivor_entered_at_its_own_step(self, k, entered):
+        # a doctored sieve whose every survivor lands on 2n - 2 at step k,
+        # one step above n - 1: from step 15 the seed descends at step 16,
+        # from step 16 it meets the step cap 16 first
+        n = 2**40 - 1
+        sieve = build_sieve(T231)
+        doctored = replace(sieve, forms=[(r, 0, 2 * n - 2, 0, n, k) for r, *_form in sieve.forms],
+                           form_coeff=0, form_const=0)
+        args = scan_args(T231, n, n, {1, 2}, shortcut=True, max_steps=sieve.depth)
+        assert _scan_chunk(args, doctored, None) == ([] if entered else [(n, "step_cap")])
+
     @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124], ids=str)
     def test_report_unchanged_at_the_survivors_value_cap(self, t):
-        # chunks of one block of d^k each: survivors enter at step k up to
+        # chunks of one block of M each: survivors enter at step k up to
         # block 2 and not past it, while the sieve itself still applies at
         # block 2; the report equals the one from a sieve whose survivors
         # never enter, and from no tables at all
@@ -301,7 +342,7 @@ class TestResidueSieve:
         assert {s for _n, s in cp.exceptions} == {"step_cap"}
 
     def test_fallback_per_chunk_under_small_value_cap(self):
-        # the cap admits the sieve for chunks below d^k only
+        # the cap admits the sieve for chunks below M = 2^16 only
         sieve = build_sieve(T231)
         limits = Limits(max_value=sieve.peak_const)
         assert _sieve_applies(sieve, sieve.modulus - 1, limits.max_steps, limits.max_value)
@@ -495,7 +536,7 @@ class TestJumpTable:
     @pytest.mark.parametrize("t, limits", [
         (T231, Limits(max_steps=15)),  # below the sieve depth 16, above k = 10
         (T231, Limits(max_value=10**5)),
-        (T10128, Limits(max_steps=3)),  # below the sieve depth 4, k = 3
+        (T10128, Limits(max_steps=3)),  # below the sieve depth 6, k = 3
         (T10128, Limits(max_steps=40, max_value=5 * 10**4)),
     ], ids=["2:3:1:+ steps", "2:3:1:+ value", "10:12:8:+ steps", "10:12:8:+ both"])
     def test_shortcut_report_unchanged_on_the_sieve_fallback(self, t, limits):
@@ -633,6 +674,15 @@ class TestCheckpoints:
         assert checkpoint_from_json_dict(doc) == cp
         doc.update(edit)
         with pytest.raises(CheckpointError, match=message):
+            checkpoint_from_json_dict(doc)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_shortcut_flag_must_be_a_boolean(self, value):
+        # bool("false") is True: such a file would have resumed with the shortcut
+        doc = checkpoint_to_json_dict(verify_range(job(T8124, 1, 100, TARGETS[T8124]),
+                                                   workers=1))
+        doc["job"]["below_frontier_shortcut"] = value
+        with pytest.raises(CheckpointError, match="is not true or false"):
             checkpoint_from_json_dict(doc)
 
     def test_resume_past_exceptions_counts_each_seed_once(self):
