@@ -19,7 +19,7 @@ from .errors import (BoundPreconditionError, CoprimalityError, MTooSmallError,
                      PrecisionExhaustedError)
 from .intervals import (DEFAULT_POLICY, CertifiedReal, ConvergentStream,
                         Expr, PrecisionPolicy, certified_enclosure,
-                        certified_floor, certified_sign, endpoints,
+                        certified_floor, certified_sign, enclose, endpoints,
                         log_ratio_expr, make_context)
 
 EXACT_SIGN_Q_LIMIT = 10**4
@@ -51,7 +51,7 @@ class Alg2Row:
     p: int
     q: int
     sign: int
-    approx: str  # certified-sign enclosure midpoint, scientific notation
+    approx: str  # D_n to 3 significant digits, certified
 
 
 @dataclass(frozen=True)
@@ -236,6 +236,23 @@ def r_infinity_bound(t: Triplet, M: int,
         constants=_constants_echo(t, policy), bits_used=max(bits_used, stream.bits_used))
 
 
+def _certified_sci(expr: Expr, enc: CertifiedReal, policy: PrecisionPolicy,
+                   what: str) -> str:
+    """Three significant digits of the value that enc encloses, all of them
+    certified: an enclosure tight enough for a sign can be too loose for
+    its digits, and is then tightened up the ladder past enc's rung."""
+    digits = enc.sci_certified(3)
+    if digits is not None:
+        return digits
+    for bits in policy.ladder():
+        if bits > enc.bits_used:
+            digits = CertifiedReal(*enclose(expr, bits), bits).sci_certified(3)
+            if digits is not None:
+                return digits
+    raise PrecisionExhaustedError(
+        f"3 digits of {what} still uncertain at {policy.max_bits} bits")
+
+
 def exact_farey_sign(t: Triplet, M: int, p: int, q: int) -> int:
     """Sign of xi + log_d(1 + beta*(d-1)/(alpha*M)) - p/q by exact integer
     power comparison; feasible only for small q."""
@@ -255,8 +272,9 @@ def farey_bound(t: Triplet, M: int,
 
     Requires D_1(M) < 0 (otherwise M is too small for this method).  Even
     rows are positive throughout; odd rows are negative until the flip.
-    Every sign is interval-certified, and rows with q_n within the exact
-    budget are cross-checked by integer power comparison.
+    Every sign is interval-certified, and so are the three digits of D_n
+    each row prints; rows with q_n within the exact budget are
+    cross-checked by integer power comparison.
     """
     _require_section_preconditions(t)
     if M < 1:
@@ -284,7 +302,8 @@ def farey_bound(t: Triplet, M: int,
             if exact != sign:
                 raise AssertionError(
                     f"interval sign {sign} disagrees with exact comparison {exact} at n={n}")
-        rows.append(Alg2Row(n, p, q, sign, enc.sci(3)))
+        approx = _certified_sci(d_expr, enc, policy, f"D_{n}(M)")
+        rows.append(Alg2Row(n, p, q, sign, approx))
         if n == 1 and sign > 0:
             raise MTooSmallError(
                 f"D_1(M) >= 0 for M={M}; threshold too small for the sign-flip bound")

@@ -8,13 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .core import Triplet
 from .errors import (BoundPreconditionError, InvalidTripletError,
                      IterateFormulaDomainError, NotACycleError)
-from .intervals import DEFAULT_POLICY, CertifiedReal, endpoints, make_context
 
 DEFAULT_MAX_STEPS = 10**5
 DEFAULT_MAX_VALUE = 10**30
@@ -347,32 +345,6 @@ class CycleBoundReport:
     @property
     def both_hold(self) -> bool:
         return self.max_side_holds and self.min_side_holds
-
-    @property
-    def quantities(self) -> dict[str, CertifiedReal]:
-        """Enclosures of the chains' terms for display; no verdict uses them."""
-        t, c = self.triplet, self.cycle
-        bits = DEFAULT_POLICY.start_bits
-        ctx = make_context(bits)
-        ln_d = ctx.log(ctx.mpf(t.d))
-
-        def log_d(q: Fraction):
-            return (ctx.log(ctx.mpf(q.numerator)) - ctx.log(ctx.mpf(q.denominator))) / ln_d
-
-        def over_ln_d(q: Fraction):
-            return ctx.mpf(q.numerator) / ctx.mpf(q.denominator) / ln_d
-
-        ys = [Fraction(t.beta * (t.d - 1), t.alpha * x) for x in c.elements if x % t.d != 0]
-        y_min = Fraction(t.beta * (t.d - 1), t.alpha * c.omega)
-        shown = {
-            "max_lhs": c.kbar * log_d(1 + Fraction(t.beta, t.alpha * c.max_elem)),
-            "gap": c.length - c.kbar * log_d(Fraction(t.alpha)),
-            "sum_logs": log_d(math.prod(1 + y for y in ys)),
-            "sum_bound": over_ln_d(sum(ys)),
-            "min_mid": c.kbar * log_d(1 + y_min),
-            "min_bound": over_ln_d(c.kbar * y_min),
-        }
-        return {name: CertifiedReal(*endpoints(val), bits) for name, val in shown.items()}
 
 
 def check_cycle_necessary_conditions(t: Triplet, cycle: Cycle) -> CycleBoundReport:

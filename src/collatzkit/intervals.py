@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from mpmath.ctx_iv import MPIntervalContext
 
@@ -103,6 +103,23 @@ class CertifiedReal:
             mid = self.midpoint
             v = Decimal(mid.numerator) / Decimal(mid.denominator)
         return format(v, f".{sig - 1}e")
+
+    def sci_certified(self, sig: int = 3) -> Optional[str]:
+        """The scientific notation with sig significant digits that every
+        point of [lo, hi] rounds to, or None when two points round apart.
+
+        lo is rounded down and hi up to sig + 10 digits; rounding to sig
+        digits is monotone, so when both give the same digits, so does every
+        point between them."""
+        from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
+        with localcontext() as lctx:
+            lctx.prec = sig + 10
+            lctx.rounding = ROUND_FLOOR
+            lo = Decimal(self.lo.numerator) / self.lo.denominator
+            lctx.rounding = ROUND_CEILING
+            hi = Decimal(self.hi.numerator) / self.hi.denominator
+        shown = format(lo, f".{sig - 1}e")
+        return shown if shown == format(hi, f".{sig - 1}e") else None
 
 
 Expr = Callable[[MPIntervalContext], object]

@@ -14,8 +14,11 @@ it descends, and carries the exact form of each surviving class at the last
 step that its class fixes, so that the descent loop can enter a survivor
 there.  A table of exact k-step jumps (`build_jumps`) lets the shortcut's
 descent loop, and the membership loop of a scan without the shortcut, take
-k steps at once wherever no cap or exit can lie inside them.  The report
-is the same as without either table.
+k steps at once wherever no cap or exit can lie inside them.  Without the
+shortcut, a finish table (`build_finish`) ends a seed as soon as it reaches
+a small value from which a member is known to follow within the caps.  The
+report is the same as without any of the tables, and each table is built
+once per process for its triplet, targets and value cap (`_memo_table`).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Optional
 
@@ -45,6 +49,12 @@ SIEVE_MODULUS_CAP = 1 << 16
 # the jump table works mod d^k for the largest k with d^k <= this cap; at
 # 2^12 and above its build time and memory outweigh the longer jumps
 JUMP_MODULUS_CAP = 1 << 10
+# the finish table covers the values below this cap; at 2^16 it costs four
+# times the build for no further scan gain
+FINISH_CAP = 1 << 14
+# a finish-table entry counts at most this many steps to the first member,
+# which keeps each entry in a 2-byte array item
+FINISH_STEPS = 1 << 9
 
 STEP_CAP = "step_cap"
 VALUE_CAP = "value_cap"
@@ -437,6 +447,74 @@ def build_jumps(t: Triplet, members: Iterable[int],
                      (max_value - peak_const) // peak_coeff)
 
 
+def build_finish(t: Triplet, members: Iterable[int], max_value: int) -> array:
+    """The finish table for a scan toward `members` under `max_value`: for
+    0 <= v < FINISH_CAP, fin[v] is the number of steps s from v to its first
+    member when s <= FINISH_STEPS and iterates 1..s of v are at most
+    max_value, and -1 ("none") otherwise.
+
+    Exit.  The membership loop without the shortcut, at a value v that is
+    not a member with `steps` taken, stops with no exception when v <
+    FINISH_CAP and 0 <= fin[v] <= max_steps - steps.  Stepping on one at a
+    time, it would stop only at a member, at the step cap, or at an iterate
+    above max_value.  Iterates 1..s of v, s = fin[v], are at most
+    max_value, and the ones before iterate s are not members, with steps +
+    i < max_steps taken at iterate i < s; so the loop reaches the member at
+    iterate s with no exception, and the jumps, being exact (see
+    `build_jumps`), lead it there too.  Every exception, its status, the
+    frontier, seeds_scanned and the digest are therefore unchanged.  The
+    none entry -1 fails the test for every max_steps, however large.  Under
+    the shortcut the table is never used: it does not cover the below-seed
+    exit.
+
+    Build.  The values v = 1 .. FINISH_CAP - 1 are walked in ascending
+    order, testing every iterate for membership, members at or above
+    FINISH_CAP included.  A walk ends at a member, with its step count; at
+    an iterate above max_value, or back at v (a cycle with no member), or
+    after FINISH_STEPS steps, with none; or at an iterate u < v, whose
+    entry is already final: the iterates of v before u are at most
+    max_value and not members, so v's first member is u's, fin[u] steps
+    later, and fin[v] is the sum when fin[u] is not none and the sum is at
+    most FINISH_STEPS, and none otherwise.  fin[0] is none; no positive
+    value of a well-formed triplet maps to 0.
+    """
+    d, alpha, beta = t.d, t.alpha, t.beta
+    plus = t.kappa == PLUS
+    members = frozenset(members)
+    fin = array("h", [-1]) * FINISH_CAP
+    for v in range(1, FINISH_CAP):
+        x, steps = v, 0
+        while x not in members:
+            if steps == FINISH_STEPS:
+                steps = -1
+                break
+            r = x % d
+            if r == 0:
+                x //= d
+            else:
+                x = (alpha * x + beta * (r if plus else d - r)) // d
+            steps += 1
+            if x > max_value or x == v:
+                steps = -1
+                break
+            if x < v:
+                tail = fin[x]
+                steps = steps + tail if 0 <= tail <= FINISH_STEPS - steps else -1
+                break
+        fin[v] = steps
+    return fin
+
+
+@lru_cache(maxsize=8)
+def _memo_table(builder, *args):
+    """builder(*args), kept for later calls with the same builder and
+    arguments, so that a process scanning many ranges of one triplet builds
+    each of its tables once.  Callers pass the builder as looked up at call
+    time, so a replaced builder is called rather than bypassed.  The tables
+    are shared between calls, and no scan changes them."""
+    return builder(*args)
+
+
 def _sieve_applies(sieve: Optional[ResidueSieve], hi: int, max_steps: int,
                    max_value: int) -> bool:
     """Whether skipping sieved seeds n <= hi is sound under these caps."""
@@ -451,21 +529,22 @@ _EVERY_SEED = ResidueSieve(0, 1 << 10, array("l", range(1 << 10)), 0, 0,
 
 
 def _scan_chunk(args, sieve: Optional[ResidueSieve] = None,
-                jumps: Optional[JumpTable] = None) -> list[tuple[int, str]]:
+                jumps: Optional[JumpTable] = None,
+                finish: Optional[array] = None) -> list[tuple[int, str]]:
     """Scan seeds [lo, hi]; returns (seed, status) for every undecided seed.
 
     Without the shortcut every seed runs the membership loop, which takes
-    the jump table's guarded k-step jumps.  Under the shortcut, seeds up to
-    max_elem run the membership loop without jumps, and the seeds above it
-    the descent loop of `_scan_survivors`, which jumps: where
-    `_sieve_applies` allows it for this chunk, only the seeds in surviving
-    classes, each entered at its class's step where its guards hold;
-    otherwise every seed, from n itself.
+    the jump table's guarded k-step jumps and stops at the finish table's
+    exit.  Under the shortcut, seeds up to max_elem run the membership loop
+    without either table, and the seeds above it the descent loop of
+    `_scan_survivors`, which jumps: where `_sieve_applies` allows it for
+    this chunk, only the seeds in surviving classes, each entered at its
+    class's step where its guards hold; otherwise every seed, from n itself.
     """
     (_d, _alpha, _beta, _kappa, lo, hi, _members, max_elem,
      max_steps, max_value, shortcut) = args
     if not shortcut:
-        return _scan_members(args, range(lo, hi + 1), jumps)
+        return _scan_members(args, range(lo, hi + 1), jumps, finish)
     if not _sieve_applies(sieve, hi, max_steps, max_value):
         sieve = _EVERY_SEED
     split = min(hi, max_elem)
@@ -473,11 +552,12 @@ def _scan_chunk(args, sieve: Optional[ResidueSieve] = None,
             + _scan_survivors(args, sieve, max(lo, split + 1), hi, jumps))
 
 
-def _scan_members(args, seeds: Iterable[int],
-                  jumps: Optional[JumpTable] = None) -> list[tuple[int, str]]:
+def _scan_members(args, seeds: Iterable[int], jumps: Optional[JumpTable] = None,
+                  finish: Optional[array] = None) -> list[tuple[int, str]]:
     """The membership loop: each seed runs until it meets a member or, under
-    the shortcut, falls below itself.  Takes jumps only from a table passed
-    without the shortcut, as their guard does not cover the below-seed exit."""
+    the shortcut, falls below itself.  Takes jumps and the finish exit only
+    from tables passed without the shortcut, as their guards do not cover
+    the below-seed exit."""
     (d, alpha, beta, kappa, _lo, _hi, members, max_elem,
      max_steps, max_value, shortcut) = args
     exceptions: list[tuple[int, str]] = []
@@ -488,12 +568,21 @@ def _scan_members(args, seeds: Iterable[int],
         depth, modulus, qmax = jumps.depth, jumps.modulus, jumps.qmax
         coeff, const, hit = jumps.coeff, jumps.const, jumps.hit
         jump_last = max_steps - depth
+    # values below fin_cap look up their steps to the first member; above
+    # small, a value is neither a member nor in the table
+    fin_cap = 0 if finish is None else len(finish)
+    small = max(max_elem, fin_cap - 1)
     for n in seeds:
         v = n
         steps = 0
         status = None
         while True:
-            if (v <= max_elem and v in members) or (shortcut and v < n):
+            if v <= small:
+                if v <= max_elem and v in members:
+                    break
+                if v < fin_cap and 0 <= finish[v] <= max_steps - steps:
+                    break
+            if shortcut and v < n:
                 break
             if steps >= max_steps:
                 status = STEP_CAP
@@ -588,19 +677,18 @@ def _scan_survivors(args, sieve: ResidueSieve, lo: int, hi: int,
     return exceptions
 
 
-# set in each pool worker by its initializer, so the tables cross the
-# process boundary once per worker instead of once per chunk
-_worker_sieve: Optional[ResidueSieve] = None
-_worker_jumps: Optional[JumpTable] = None
+# (sieve, jumps, finish), set in each pool worker by its initializer, so the
+# tables cross the process boundary once per worker instead of once per chunk
+_worker_tables: tuple = (None, None, None)
 
 
-def _init_worker(sieve: Optional[ResidueSieve], jumps: Optional[JumpTable]) -> None:
-    global _worker_sieve, _worker_jumps
-    _worker_sieve, _worker_jumps = sieve, jumps
+def _init_worker(*tables) -> None:
+    global _worker_tables
+    _worker_tables = tables
 
 
 def _scan_chunk_in_worker(args) -> list[tuple[int, str]]:
-    return _scan_chunk(args, _worker_sieve, _worker_jumps)
+    return _scan_chunk(args, *_worker_tables)
 
 
 def _worker_count(workers: Optional[int]) -> int:
@@ -629,13 +717,19 @@ def verify_range(job: VerificationJob, workers: Optional[int] = None) -> Checkpo
     # extra workers would only cost spawn time
     nworkers = min(_worker_count(workers), len(chunks))
     start = time.perf_counter()
-    sieve = build_sieve(t) if job.below_frontier_shortcut else None
-    jumps = build_jumps(t, members, job.limits.max_value)
+    # the builders are looked up here, at call time, so a replaced one is used
+    max_value = job.limits.max_value
+    if job.below_frontier_shortcut:
+        tables = (_memo_table(build_sieve, t),
+                  _memo_table(build_jumps, t, members, max_value), None)
+    else:
+        tables = (None, _memo_table(build_jumps, t, members, max_value),
+                  _memo_table(build_finish, t, members, max_value))
     if nworkers == 1:
-        results = [_scan_chunk(c, sieve, jumps) for c in chunks]
+        results = [_scan_chunk(c, *tables) for c in chunks]
     else:
         with ProcessPoolExecutor(max_workers=nworkers, initializer=_init_worker,
-                                 initargs=(sieve, jumps)) as pool:
+                                 initargs=tables) as pool:
             results = list(pool.map(_scan_chunk_in_worker, chunks))
     wall = time.perf_counter() - start
     exceptions: list[tuple[int, str]] = []

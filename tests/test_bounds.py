@@ -7,7 +7,7 @@ their precision-exhausted tails.
 """
 
 import math
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 
 import pytest
@@ -92,10 +92,14 @@ class TestConvergents:
                     assert q > seq[n - 1][2]
 
     def test_bracketing_exact(self):
-        # p/q < log_d(alpha) iff d^p < alpha^q: exact, float-free
+        # p/q < log_d(alpha) iff d^p < alpha^q: exact, float-free.  The
+        # powers are taken in decimal with every rounding trapped, so a
+        # result is exact or raises; decimal multiplies the 7.6-million-digit
+        # operands far faster than int does
         seq = convergents(T564, 18).terms
+        exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
         for n, (_a, p, q) in enumerate(seq):
-            below = 5**p < 6**q
+            below = exact.power(Decimal(5), p) < exact.power(Decimal(6), q)
             assert below == (n % 2 == 0)
 
     def test_coprimality_required(self):
@@ -243,8 +247,10 @@ class TestFarey:
 
     def test_rows_match_decimal_oracle(self):
         # exact_farey_sign reaches q <= 10^4 only (row 9); every row up to
-        # the flip at 5^25 and 5^30 is checked against a decimal D_n instead
-        for e in (25, 30):
+        # the flip at 5^25, 5^30 and 5^60 is checked against a decimal D_n
+        # instead.  At 5^60 the enclosures that certify the signs of rows 44
+        # and 45 are too wide for three digits
+        for e in (25, 30, 60):
             M = 5**e
             rep = farey_bound(T564, M)
             pq = oracle_cf_convergents(5, 6, len(rep.rows), digits=300)

@@ -484,11 +484,3 @@ class TestNecessaryConditions:
         assert certified_sign(sum_slack)[0] == 1
         assert certified_sign(min_slack)[0] == 1
         assert check_cycle_necessary_conditions(t, cycle).both_hold
-
-    def test_report_quantities_bracket_truth(self):
-        import math
-        t = parse_triplet("5:6:4:+")
-        rep = check_cycle_necessary_conditions(t, detect_cycle_from(t, 4))
-        gap = rep.quantities["gap"]
-        true_gap = 5 - 4 * math.log(6) / math.log(5)
-        assert gap.lo <= true_gap <= gap.hi or abs(float(gap) - true_gap) < 1e-12

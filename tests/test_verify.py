@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+from array import array
 from dataclasses import replace
 from unittest import mock
 
@@ -14,7 +15,8 @@ from collatzkit import (CheckpointError, DigestMismatchError, InvalidTargetsErro
                         save_checkpoint, verify, verify_range)
 from collatzkit.core import PLUS, Triplet
 from collatzkit.dynamics import Cycle, enumerate_cycles
-from collatzkit.verify import (_scan_chunk, _sieve_applies, build_jumps, build_sieve,
+from collatzkit.verify import (FINISH_CAP, FINISH_STEPS, _scan_chunk, _sieve_applies,
+                               build_finish, build_jumps, build_sieve,
                                checkpoint_from_json_dict, checkpoint_to_json_dict,
                                job_digest)
 
@@ -57,10 +59,11 @@ def report_bytes(cp) -> str:
 
 
 def assert_tables_keep_report(j, workers=1):
-    """verify_range with its sieve and jump table against the same scan with
-    the sieve alone and with neither table."""
+    """verify_range with its tables against the same scan with the sieve
+    alone and with no table."""
     full = verify_range(j, workers=workers)
-    with mock.patch.object(verify, "build_jumps", lambda *args: None):
+    with mock.patch.object(verify, "build_jumps", lambda *args: None), \
+            mock.patch.object(verify, "build_finish", lambda *args: None):
         sieve_only = verify_range(j, workers=1)
         with mock.patch.object(verify, "build_sieve", lambda t: None):
             plain = verify_range(j, workers=1)
@@ -369,13 +372,16 @@ def scan_args(t, lo, hi, members, max_steps=10**5, max_value=10**30, shortcut=Fa
             max_steps, max_value, shortcut)
 
 
-def assert_jumps_keep_scan(t, lo, hi, members, **caps):
-    """_scan_chunk with its jump table against the same scan with no table."""
+def assert_tables_keep_scan(t, lo, hi, members, **caps):
+    """_scan_chunk with its jump table and its finish table, each alone and
+    both together, against the same scan with no table."""
     args = scan_args(t, lo, hi, members, **caps)
     jumps = build_jumps(t, args[6], args[9])
-    jumped = _scan_chunk(args, None, jumps)
-    assert jumped == _scan_chunk(args)
-    return jumped
+    finish = build_finish(t, args[6], args[9])
+    plain = _scan_chunk(args)
+    for tables in ((jumps, None), (None, finish), (jumps, finish)):
+        assert _scan_chunk(args, None, *tables) == plain
+    return plain
 
 
 def iterates(t: Triplet, n: int, k: int) -> list[int]:
@@ -492,13 +498,13 @@ class TestJumpTable:
         # the map shows a skipped member: 2560 = 1024*2 + 512 meets 5 at step 9
         jumps = build_jumps(T231, {5}, 10**30)
         assert iterates(T231, 2560, 10)[8] == 5 and jumps.hit[512] >= 2
-        assert assert_jumps_keep_scan(T231, 2560, 2560, {5}, max_steps=50) == []
-        assert assert_jumps_keep_scan(T231, 2500, 2700, {5}, max_steps=50)
+        assert assert_tables_keep_scan(T231, 2560, 2560, {5}, max_steps=50) == []
+        assert assert_tables_keep_scan(T231, 2500, 2700, {5}, max_steps=50)
 
     @pytest.mark.parametrize("max_steps", [9, 10, 11, 25, 39])
     def test_step_cap_inside_a_jump(self, max_steps):
         n = 10**12 + 1
-        assert assert_jumps_keep_scan(T231, n, n, {1, 2}, max_steps=max_steps) == [
+        assert assert_tables_keep_scan(T231, n, n, {1, 2}, max_steps=max_steps) == [
             (n, "step_cap")]
 
     @pytest.mark.parametrize("t", [T231, T10128], ids=str)
@@ -508,7 +514,7 @@ class TestJumpTable:
         max_value = 10**9
         jumps = build_jumps(t, CYCLE_MEMBERS[t], max_value)
         lo = jumps.modulus * (jumps.qmax + 1)
-        found = assert_jumps_keep_scan(t, lo, lo + jumps.modulus - 1, CYCLE_MEMBERS[t],
+        found = assert_tables_keep_scan(t, lo, lo + jumps.modulus - 1, CYCLE_MEMBERS[t],
                                        max_steps=jumps.depth, max_value=max_value)
         assert (lo + jumps.modulus - 1, "value_cap") in found
 
@@ -561,8 +567,141 @@ class TestJumpTable:
         # extra members need not be closed under the map; without the
         # target cycles, an orbit that skipped one would run to a cap
         members = CYCLE_MEMBERS[t] | extra if with_cycles else extra
-        assert_jumps_keep_scan(t, lo, lo + size, members,
+        assert_tables_keep_scan(t, lo, lo + size, members,
                                max_steps=max_steps, max_value=max_value)
+
+
+def finish_steps(t: Triplet, v: int, members, max_value: int) -> int:
+    """Steps from v to its first member, one at a time, when there are at
+    most FINISH_STEPS of them and no iterate up to it exceeds max_value;
+    otherwise -1."""
+    step = t.step_function()
+    for steps in range(FINISH_STEPS + 1):
+        if v in members:
+            return steps
+        v = step(v)
+        if v > max_value:
+            return -1
+    return -1
+
+
+T1291 = parse_triplet("129:130:128:+")  # two-power family, members up to 390,558,336
+TWO_POWER_MEMBERS = frozenset(x for c in build_two_power_family(7, 0).cycles for x in c.elements)
+FINISH_MEMBERS = {**CYCLE_MEMBERS, T1291: TWO_POWER_MEMBERS}
+
+
+class TestFinishTable:
+    @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124, T41054, T1291], ids=str)
+    @pytest.mark.parametrize("max_value", [10**30, 10**6])
+    def test_entries_are_direct_walks(self, t, max_value):
+        members = FINISH_MEMBERS[t]
+        fin = build_finish(t, members, max_value)
+        assert len(fin) == FINISH_CAP and fin[0] == -1
+        assert list(fin) == [-1] + [finish_steps(t, v, members, max_value)
+                                    for v in range(1, FINISH_CAP)]
+
+    def test_members_at_or_above_the_cap_end_walks(self):
+        # so the direct walks above cover such members
+        assert min(TWO_POWER_MEMBERS) < FINISH_CAP <= max(TWO_POWER_MEMBERS)
+        fin = build_finish(T1291, TWO_POWER_MEMBERS, 10**30)
+        assert any(fin[v] > 0 and iterates(T1291, v, fin[v])[-1] >= FINISH_CAP
+                   for v in range(1, FINISH_CAP))
+
+    def test_other_cycle_and_value_cap_give_none(self):
+        # 4:10:54:+ toward the cycle of 1 only: 2 lies on the cycle of 2
+        one = frozenset(detect_cycle_from(T41054, 1).elements)
+        assert 2 not in one and build_finish(T41054, one, 10**30)[2] == -1
+        # 27 reaches 2 after 69 steps of 2:3:1:+, peaking at 4616 on the way,
+        # and 54 reaches 27 after one step
+        assert build_finish(T231, {1, 2}, 4616)[27] == 69
+        assert build_finish(T231, {1, 2}, 4616)[54] == 70
+        assert build_finish(T231, {1, 2}, 4615)[27] == -1
+        assert build_finish(T231, {1, 2}, 4615)[54] == -1
+
+    def test_walks_that_never_meet_a_member_give_none(self):
+        # each walk returns to its start (the cycle 1, 2) or adds the none
+        # of a smaller value
+        fin = build_finish(T231, {10**40}, 10**30)
+        assert set(fin) == {-1}
+
+    @pytest.mark.parametrize("entry, max_steps, exits", [
+        (5, 5, True), (5, 4, False), (-1, 2**64, False), (0, 1, True)])
+    def test_exit_taken_exactly_when_the_entry_fits(self, entry, max_steps, exits):
+        # a doctored table with one entry, at the seed 27, which passes 1000
+        # at step 36 and meets a member at step 69: the exit shows as a
+        # converged seed
+        fin = array("h", [-1]) * FINISH_CAP
+        fin[27] = entry
+        args = scan_args(T231, 27, 27, {1, 2}, max_steps=max_steps, max_value=10**3)
+        found = _scan_chunk(args, None, None, fin)
+        assert found == ([] if exits else [(27, "step_cap" if max_steps < 36 else "value_cap")])
+
+    @pytest.mark.parametrize("t", [T231, T10128], ids=str)
+    def test_step_cap_at_the_finish(self, t):
+        # the seeds below 2^14 with the largest entry, under a step cap at
+        # that entry and one below it
+        members = CYCLE_MEMBERS[t]
+        fin = build_finish(t, members, 10**30)
+        cap = max(fin)
+        at = [v for v in range(FINISH_CAP) if fin[v] == cap]
+        for max_steps in (cap, cap - 1):
+            found = assert_tables_keep_scan(t, 1, FINISH_CAP - 1, members, max_steps=max_steps)
+            assert all(((v, "step_cap") in found) == (max_steps < cap) for v in at)
+
+    @pytest.mark.parametrize("t", [T231, T10128], ids=str)
+    def test_value_cap_at_the_finish(self, t):
+        # the seeds whose walk to a member peaks exactly at the value cap
+        members = CYCLE_MEMBERS[t]
+        max_value = 10**5
+        fin = build_finish(t, members, max_value)
+        peaks = {v: max(iterates(t, v, fin[v])) for v in range(2, FINISH_CAP) if fin[v] > 0}
+        top = max(peaks.values())
+        for cap in (top, top - 1):
+            found = assert_tables_keep_scan(t, 1, FINISH_CAP - 1, members, max_value=cap)
+            assert all(((v, "value_cap") in found) == (cap < top)
+                       for v, peak in peaks.items() if peak == top)
+
+    def test_report_unchanged_at_the_largest_step_caps(self):
+        # the none entry must fail the exit test even where max_steps - steps
+        # exceeds any fixed sentinel; the value cap ends every seed that has one
+        cp = assert_tables_keep_report(job(T231, 1, 3000, TARGETS[T231], chunk_size=700,
+                                           below_frontier_shortcut=False,
+                                           limits=Limits(max_steps=2**64, max_value=10**3)))
+        assert (27, "value_cap") in cp.exceptions
+
+    def test_report_unchanged_with_two_workers(self):
+        j = job(T10128, 1, 30_000, TARGETS[T10128], chunk_size=4_096,
+                below_frontier_shortcut=False, limits=Limits(max_steps=40, max_value=10**6))
+        cp = assert_tables_keep_report(j, workers=2)
+        assert cp.exceptions
+
+    def test_patched_builders_are_called(self):
+        # a table kept from an earlier call must not stand in for the one a
+        # patched builder returns, or the no-table reference would use it;
+        # the same builder with the same arguments is called once
+        j = job(T231, 1, 500, TARGETS[T231], below_frontier_shortcut=False,
+                limits=Limits(max_steps=20))
+        assert verify_range(j, workers=1).exceptions
+        everything_finishes = array("h", [0]) * FINISH_CAP
+        with mock.patch.object(verify, "build_finish", lambda *args: everything_finishes):
+            assert verify_range(j, workers=1).exceptions == ()
+        calls = []
+        with mock.patch.object(verify, "build_sieve", lambda t: calls.append("sieve")), \
+                mock.patch.object(verify, "build_jumps", lambda *args: calls.append("jumps")), \
+                mock.patch.object(verify, "build_finish", lambda *args: calls.append("finish")):
+            verify_range(j, workers=1)
+            verify_range(replace(j, below_frontier_shortcut=True), workers=1)
+        assert calls == ["jumps", "finish", "sieve"]
+
+    def test_tables_built_once_per_process(self):
+        j = job(T10128, 10**12, 10**12 + 50, TARGETS[T10128], below_frontier_shortcut=False)
+        with mock.patch.object(verify, "build_finish", wraps=verify.build_finish) as builds:
+            first = verify_range(j, workers=1)
+            again = verify_range(replace(j, lo=10**12 + 51, hi=10**12 + 80), workers=1)
+            assert builds.call_count == 1
+            verify_range(replace(j, limits=Limits(max_value=10**20)), workers=1)
+            assert builds.call_count == 2
+        assert first.exceptions == again.exceptions == ()
 
 
 class TestCheckpoints:
@@ -725,8 +864,7 @@ def test_pool_never_larger_than_the_chunk_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", InlineExecutor)
-    monkeypatch.setattr(verify, "_worker_sieve", None)
-    monkeypatch.setattr(verify, "_worker_jumps", None)
+    monkeypatch.setattr(verify, "_worker_tables", (None, None, None))
     cp = verify_range(job(T231, 1, 3000, (OMEGA1,), chunk_size=1000), workers=64)
     assert started == [3] and cp.exceptions == ()
     verify_range(job(T231, 1, 1000, (OMEGA1,), chunk_size=1000), workers=64)
