@@ -1,10 +1,15 @@
 """Certified lower bounds on hypothetical cycle lengths.
 
-All real-number comparisons (partial-quotient floors, R_n floors, D_n signs,
-square-root floors) are certified by interval arithmetic with precision
-escalation; rerunning any bound at doubled precision returns the identical
-integers.  The irrationality-measure bound is the one advisory exception and
-is labeled as such (its validity threshold is not effectively computable).
+Each report encloses its one real quantity (gamma0 for alg1 and mu, the
+shifted ratio X = xi + log_d(1 + beta*(d-1)/(alpha*M)) for alg2, the
+radicand for hurwitz) in one interval context per precision rung, and
+decides every row (R_n floors, stop tests, D_n signs and digits,
+square-root floors) by exact rational comparison against the enclosure's
+endpoints.  A row the enclosure leaves ambiguous is decided again on the
+next rung, and the report stays there; rerunning any bound at doubled
+precision returns the identical integers.  The irrationality-measure bound
+is the one advisory exception and is labeled as such (its validity
+threshold is not effectively computable).
 """
 
 from __future__ import annotations
@@ -12,14 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .core import Triplet
 from .errors import (BoundPreconditionError, CoprimalityError, MTooSmallError,
                      PrecisionExhaustedError)
 from .intervals import (DEFAULT_POLICY, CertifiedReal, ConvergentStream,
-                        Expr, PrecisionPolicy, certified_enclosure,
-                        certified_floor, certified_sign, enclose, endpoints,
+                        Expr, PrecisionPolicy, certified_enclosure, endpoints,
                         log_ratio_expr, make_context)
 
 EXACT_SIGN_Q_LIMIT = 10**4
@@ -110,12 +114,14 @@ class BoundReport:
         }
 
 
-def _require_section_preconditions(t: Triplet) -> None:
+def _require_section_preconditions(t: Triplet, M: int, name: str = "M") -> None:
     if math.gcd(t.d, t.alpha) != 1:
         raise BoundPreconditionError(
             f"bounds need gcd(d, alpha) = 1; gcd({t.d}, {t.alpha}) = {math.gcd(t.d, t.alpha)}")
     if t.beta <= 0:
         raise BoundPreconditionError(f"bounds need beta > 0, got {t.beta}")
+    if M < 1:
+        raise BoundPreconditionError(f"{name} must be >= 1, got {M}")
 
 
 def xi_value(t: Triplet, bits: int,
@@ -142,21 +148,132 @@ def convergents(t: Triplet, min_terms: int,
     return ConvergentSequence(t, tuple(terms), stream.bits_used)
 
 
-def _gamma0_M_expr(t: Triplet, M: int) -> Expr:
-    def expr(ctx):
-        return (ctx.mpf(t.alpha) * ctx.log(ctx.mpf(t.d)) * ctx.mpf(M)) / \
-            ctx.mpf(t.beta * (t.d - 1))
-    return expr
+def _gamma0(t: Triplet, ctx) -> Any:
+    """gamma0 = alpha*log(d)/(beta*(d-1))."""
+    return ctx.mpf(t.alpha) * ctx.log(ctx.mpf(t.d)) / ctx.mpf(t.beta * (t.d - 1))
 
 
-def _constants_echo(t: Triplet, policy: PrecisionPolicy) -> dict[str, str]:
-    bits = policy.start_bits
-    ctx = make_context(bits)
-    lo, hi = endpoints(ctx.mpf(t.alpha) * ctx.log(ctx.mpf(t.d)) / ctx.mpf(t.beta * (t.d - 1)))
-    gamma0 = CertifiedReal(lo, hi, bits)
-    lo, hi = endpoints(ctx.log(ctx.mpf(t.alpha)) / ctx.log(ctx.mpf(t.d)))
-    xi = CertifiedReal(lo, hi, bits)
-    return {"gamma0": gamma0.sci(20), "xi": xi.sci(20)}
+def _shifted_xi(t: Triplet, ctx, M: int) -> Any:
+    """X = xi + log_d(1 + beta*(d-1)/(alpha*M)), so that D_n = X - p_n/q_n."""
+    return log_ratio_expr(t.d, t.alpha)(ctx) + ctx.log(
+        1 + ctx.mpf(t.beta * (t.d - 1)) / (ctx.mpf(t.alpha) * ctx.mpf(M))) / ctx.log(ctx.mpf(t.d))
+
+
+def _hurwitz_radicand(t: Triplet, ctx, m0: int) -> Any:
+    """alpha*log(d)*m0/(beta*(d-1)*sqrt(5))."""
+    return (ctx.mpf(t.alpha) * ctx.log(ctx.mpf(t.d)) * ctx.mpf(m0)) / \
+        (ctx.mpf(t.beta * (t.d - 1)) * ctx.sqrt(ctx.mpf(5)))
+
+
+class _Ambiguous(Exception):
+    """A decision that the enclosure on the current rung leaves open."""
+
+
+def _floor(lo: Fraction, hi: Fraction, what: str) -> int:
+    """Floor of a value enclosed in [lo, hi]."""
+    if math.floor(lo) != math.floor(hi):
+        raise _Ambiguous(f"floor of {what} still ambiguous")
+    return math.floor(lo)
+
+
+def _sign(lo: Fraction, hi: Fraction, what: str) -> int:
+    """Strict sign (-1 or +1) of a nonzero value enclosed in [lo, hi]."""
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
+    raise _Ambiguous(f"sign of {what} still ambiguous")
+
+
+@dataclass(frozen=True)
+class _Rung:
+    """One rung of a report's ladder: its precision, context and enclosures."""
+
+    index: int
+    bits: int
+    ctx: Any
+    lo: Fraction  # the report's quantity lies in [lo, hi]
+    hi: Fraction
+    xi: tuple[Fraction, Fraction]  # log_d(alpha), for the convergent stream
+
+
+class _Ladder:
+    """A report's one real quantity, and log_d(alpha), enclosed on the rungs
+    of its precision policy.  Rung i is one interval context at the policy's
+    i-th precision, built when first asked for and kept, so every decision
+    made on a rung, and every convergent expansion done there, shares its
+    context and its enclosures."""
+
+    def __init__(self, t: Triplet, policy: PrecisionPolicy, quantity: Expr):
+        self.policy = policy
+        self._bits = list(policy.ladder())
+        self._log_ratio = log_ratio_expr(t.d, t.alpha)
+        self._quantity = quantity
+        self._rungs: list[_Rung] = []
+
+    def __getitem__(self, i: int) -> _Rung:
+        while len(self._rungs) <= i:
+            bits = self._bits[len(self._rungs)]
+            ctx = make_context(bits)
+            self._rungs.append(_Rung(len(self._rungs), bits, ctx, *endpoints(self._quantity(ctx)),
+                                     endpoints(self._log_ratio(ctx))))
+        return self._rungs[i]
+
+    def xi(self, bits: int) -> tuple[Fraction, Fraction]:
+        """log_d(alpha) on the rung of the given precision."""
+        return self[self._bits.index(bits)].xi
+
+    def settle(self, decide: Callable[[_Rung], Any], start: int,
+               n: Optional[int] = None) -> tuple[Any, int]:
+        """decide(rung) on rung start, else on the first rung above it that
+        settles it: (decision, rung index).  Past the last rung, raises
+        PrecisionExhaustedError naming the last ambiguity and row n."""
+        for i in range(start, len(self._bits)):
+            try:
+                return decide(self[i]), i
+            except _Ambiguous as exc:
+                last = exc
+        raise PrecisionExhaustedError(f"{last} at {self.policy.max_bits} bits",
+                                      ambiguous_index=n)
+
+
+def _sci20(value, bits: int) -> str:
+    return CertifiedReal(*endpoints(value), bits).sci(20)
+
+
+def _constants_echo(t: Triplet, rung: _Rung) -> dict[str, str]:
+    return {"gamma0": _sci20(_gamma0(t, rung.ctx), rung.bits),
+            "xi": CertifiedReal(*rung.xi, rung.bits).sci(20)}
+
+
+def _walk(t: Triplet, ladder: _Ladder,
+          row: Callable[[_Rung, int, int, int, int], tuple[BoundRow, bool]]
+          ) -> tuple[list, int]:
+    """The convergent walk of alg1, alg2 and mu.
+
+    Row n of the certified convergents p_n/q_n of log_d(alpha) is
+    row(rung, n, p_n, q_n, q_(n-1)) -> (row, stop), decided on the walk's
+    current rung or, where that rung leaves it ambiguous, on the first rung
+    above that settles it, where the walk then stays.  Returns the rows
+    through the first that stops the walk, and the bits used: the highest
+    rung a row needed, or the convergent stream's precision if higher.
+    """
+    stream = ConvergentStream(t.d, t.alpha, ladder.policy, ladder.xi)
+    rows: list = []
+    i = qprev = 0
+    while True:
+        n = len(rows)
+        _a, p, q = stream.term(n)
+        (r, stop), i = ladder.settle(lambda rung: row(rung, n, p, q, qprev), i, n)
+        rows.append(r)
+        if stop:
+            return rows, max(ladder[i].bits, stream.bits_used)
+        qprev = q
+
+
+def _past_gamma0_M(rung: _Rung, M: int, n: int, q: int) -> bool:
+    """The stop rule of alg1 and mu: q_n > gamma0*M."""
+    return _sign(rung.lo * M - q, rung.hi * M - q, f"gamma0*M - q_{n}") < 0
 
 
 def hurwitz_bound(t: Triplet, m0: int,
@@ -167,27 +284,21 @@ def hurwitz_bound(t: Triplet, m0: int,
     radicand contains log d and sqrt 5).  The report's bound is the floor;
     the conventional quote rounds up by one.
     """
-    _require_section_preconditions(t)
-    if m0 < 1:
-        raise BoundPreconditionError(f"M0 must be >= 1, got {m0}")
-
-    def expr(ctx):
-        rad = (ctx.mpf(t.alpha) * ctx.log(ctx.mpf(t.d)) * ctx.mpf(m0)) / \
-            (ctx.mpf(t.beta * (t.d - 1)) * ctx.sqrt(ctx.mpf(5)))
-        return ctx.sqrt(rad)
-
-    floor_val, bits = certified_floor(expr, policy, what="hurwitz length bound")
-    constants = _constants_echo(t, policy)
-    ctx = make_context(policy.start_bits)
-    lo, hi = endpoints(ctx.sqrt(ctx.mpf(t.alpha) * ctx.log(ctx.mpf(t.d)) /
-                                (ctx.mpf(t.beta * (t.d - 1)) * ctx.sqrt(ctx.mpf(5)))))
-    constants["mu0"] = CertifiedReal(lo, hi, policy.start_bits).sci(20)
+    _require_section_preconditions(t, m0, "M0")
+    ladder = _Ladder(t, policy, lambda ctx: _hurwitz_radicand(t, ctx, m0))
+    # floor(sqrt(x)) = isqrt(floor(x)) for x >= 0
+    floor_val, i = ladder.settle(
+        lambda rung: _floor(math.isqrt(math.floor(rung.lo)), math.isqrt(math.floor(rung.hi)),
+                            "hurwitz length bound"), 0)
+    first = ladder[0]
+    constants = _constants_echo(t, first)
+    constants["mu0"] = _sci20(first.ctx.sqrt(_hurwitz_radicand(t, first.ctx, 1)), first.bits)
     # the bounded quantity is irrational, so the conventional rounded-up
     # quote is always floor + 1
     constants["bound_ceiling"] = str(floor_val + 1)
     return BoundReport(
         method="hurwitz", triplet=t, M=m0, bound=floor_val, n0=0, rows=(),
-        constants=constants, bits_used=bits)
+        constants=constants, bits_used=ladder[i].bits)
 
 
 def r_infinity_bound(t: Triplet, M: int,
@@ -199,58 +310,20 @@ def r_infinity_bound(t: Triplet, M: int,
     divisible by d (hence length >= bound).  The table runs until q_n
     certifiably exceeds gamma0*M, past which every R_n is 1.
     """
-    _require_section_preconditions(t)
-    if M < 1:
-        raise BoundPreconditionError(f"M must be >= 1, got {M}")
-    stream = ConvergentStream(t.d, t.alpha, policy)
-    rows: list[Alg1Row] = []
-    best, best_n = -1, -1
-    bits_used = stream.bits_used
-    qprev = 0
-    n = 0
-    while True:
-        _a, p, q = stream.term(n)
+    _require_section_preconditions(t, M)
+    ladder = _Ladder(t, policy, lambda ctx: _gamma0(t, ctx))
+
+    def row(rung, n, p, q, qprev):
         denom = qprev + q
+        r_n = _floor(rung.lo * M / denom, rung.hi * M / denom,
+                     f"gamma0*M/(q_{n - 1}+q_{n})") + 1
+        return Alg1Row(n, p, q, min(q, r_n)), _past_gamma0_M(rung, M, n, q)
 
-        def ratio(ctx, denom=denom):
-            return _gamma0_M_expr(t, M)(ctx) / ctx.mpf(denom)
-
-        fl, bits = certified_floor(ratio, policy, what=f"gamma0*M/(q_{n - 1}+q_{n})")
-        bits_used = max(bits_used, bits)
-        r_n = min(q, fl + 1)
-        rows.append(Alg1Row(n, p, q, r_n))
-        if r_n > best:
-            best, best_n = r_n, n
-
-        def slack(ctx, q=q):
-            return _gamma0_M_expr(t, M)(ctx) - ctx.mpf(q)
-
-        sign, enc = certified_sign(slack, policy, what=f"gamma0*M - q_{n}")
-        bits_used = max(bits_used, enc.bits_used)
-        if sign < 0:
-            break
-        qprev = q
-        n += 1
+    rows, bits_used = _walk(t, ladder, row)
+    peak = max(rows, key=lambda r: r.value)
     return BoundReport(
-        method="alg1", triplet=t, M=M, bound=best, n0=best_n, rows=tuple(rows),
-        constants=_constants_echo(t, policy), bits_used=max(bits_used, stream.bits_used))
-
-
-def _certified_sci(expr: Expr, enc: CertifiedReal, policy: PrecisionPolicy,
-                   what: str) -> str:
-    """Three significant digits of the value that enc encloses, all of them
-    certified: an enclosure tight enough for a sign can be too loose for
-    its digits, and is then tightened up the ladder past enc's rung."""
-    digits = enc.sci_certified(3)
-    if digits is not None:
-        return digits
-    for bits in policy.ladder():
-        if bits > enc.bits_used:
-            digits = CertifiedReal(*enclose(expr, bits), bits).sci_certified(3)
-            if digits is not None:
-                return digits
-    raise PrecisionExhaustedError(
-        f"3 digits of {what} still uncertain at {policy.max_bits} bits")
+        method="alg1", triplet=t, M=M, bound=peak.value, n0=peak.n, rows=tuple(rows),
+        constants=_constants_echo(t, ladder[0]), bits_used=bits_used)
 
 
 def exact_farey_sign(t: Triplet, M: int, p: int, q: int) -> int:
@@ -276,46 +349,40 @@ def farey_bound(t: Triplet, M: int,
     each row prints; rows with q_n within the exact budget are
     cross-checked by integer power comparison.
     """
-    _require_section_preconditions(t)
-    if M < 1:
-        raise BoundPreconditionError(f"M must be >= 1, got {M}")
-    stream = ConvergentStream(t.d, t.alpha, policy)
-    rows: list[Alg2Row] = []
-    bits_used = stream.bits_used
-    n = 0
-    while True:
-        _a, p, q = stream.term(n)
+    _require_section_preconditions(t, M)
+    ladder = _Ladder(t, policy, lambda ctx: _shifted_xi(t, ctx, M))
 
-        def d_expr(ctx, p=p, q=q):
-            base = ctx.log(ctx.mpf(t.alpha)) / ctx.log(ctx.mpf(t.d))
-            corr = ctx.log(1 + ctx.mpf(t.beta * (t.d - 1)) /
-                           (ctx.mpf(t.alpha) * ctx.mpf(M))) / ctx.log(ctx.mpf(t.d))
-            return base + corr - ctx.mpf(p) / ctx.mpf(q)
+    def digits(rung, x, n):
+        shown = CertifiedReal(rung.lo - x, rung.hi - x, rung.bits).sci_certified(3)
+        if shown is None:
+            raise _Ambiguous(f"3 digits of D_{n}(M) still uncertain")
+        return shown
 
-        try:
-            sign, enc = certified_sign(d_expr, policy, what=f"D_{n}(M)")
-        except PrecisionExhaustedError as exc:
-            raise PrecisionExhaustedError(str(exc), ambiguous_index=n) from None
-        bits_used = max(bits_used, enc.bits_used)
+    def row(rung, n, p, q, _qprev):
+        x = Fraction(p, q)
+        sign = _sign(rung.lo - x, rung.hi - x, f"D_{n}(M)")
         if q <= EXACT_SIGN_Q_LIMIT:
             exact = exact_farey_sign(t, M, p, q)
             if exact != sign:
                 raise AssertionError(
                     f"interval sign {sign} disagrees with exact comparison {exact} at n={n}")
-        approx = _certified_sci(d_expr, enc, policy, f"D_{n}(M)")
-        rows.append(Alg2Row(n, p, q, sign, approx))
+        # an enclosure tight enough for the sign can be too loose for its
+        # digits; they are then read on the rungs above, which the walk
+        # does not climb for them
+        approx, _ = ladder.settle(lambda finer: digits(finer, x, n), rung.index, n)
         if n == 1 and sign > 0:
             raise MTooSmallError(
                 f"D_1(M) >= 0 for M={M}; threshold too small for the sign-flip bound")
         if n % 2 == 0 and sign < 0:
             raise AssertionError(f"even-index D_{n} certified negative; defect")
-        if n % 2 == 1 and sign > 0:
-            n0 = (n - 1) // 2
-            return BoundReport(
-                method="alg2", triplet=t, M=M, bound=p, n0=n0, rows=tuple(rows),
-                constants=_constants_echo(t, policy),
-                bits_used=max(bits_used, stream.bits_used), boxed_index=n)
-        n += 1
+        return Alg2Row(n, p, q, sign, approx), n % 2 == 1 and sign > 0
+
+    rows, bits_used = _walk(t, ladder, row)
+    flip = rows[-1].n
+    return BoundReport(
+        method="alg2", triplet=t, M=M, bound=rows[-1].p, n0=(flip - 1) // 2,
+        rows=tuple(rows), constants=_constants_echo(t, ladder[0]),
+        bits_used=bits_used, boxed_index=flip)
 
 
 def mu_bound(t: Triplet, M: int, mu: Union[int, Fraction],
@@ -328,49 +395,28 @@ def mu_bound(t: Triplet, M: int, mu: Union[int, Fraction],
     default range covers every convergent with q_n <= gamma0*M (beyond it
     the minimum has certainly peaked for mu >= 1).
     """
-    _require_section_preconditions(t)
-    if M < 1:
-        raise BoundPreconditionError(f"M must be >= 1, got {M}")
+    _require_section_preconditions(t, M)
     mu = Fraction(mu)
     if mu < 2:
         raise BoundPreconditionError(f"mu must be >= 2, got {mu}")
-    stream = ConvergentStream(t.d, t.alpha, policy)
-    rows: list[MuRow] = []
-    best, best_n = -1, -1
-    bits_used = stream.bits_used
-    n = 0
-    while True:
-        _a, p, q = stream.term(n)
+    ladder = _Ladder(t, policy, lambda ctx: _gamma0(t, ctx))
 
-        def power_ratio(ctx, q=q):
-            qpow = ctx.exp(ctx.log(ctx.mpf(q)) * ctx.mpf(mu.numerator) / ctx.mpf(mu.denominator))
-            return _gamma0_M_expr(t, M)(ctx) / qpow
-
+    def row(rung, n, p, q, _qprev):
+        ctx = rung.ctx
+        qlo, qhi = endpoints(
+            ctx.exp(ctx.log(ctx.mpf(q)) * ctx.mpf(mu.numerator) / ctx.mpf(mu.denominator)))
+        lo, hi = rung.lo * M / qhi, rung.hi * M / qlo  # gamma0*M/q_n^mu
         # branch decision first, so the floored quantity is single-valued
-        sign, enc = certified_sign(lambda ctx, q=q: power_ratio(ctx) - ctx.mpf(q),
-                                   policy, what=f"gamma0*M/q_{n}^mu - q_{n}")
-        bits_used = max(bits_used, enc.bits_used)
-        if sign > 0:
+        if _sign(lo - q, hi - q, f"gamma0*M/q_{n}^mu - q_{n}") > 0:
             value = q
         else:
-            fl, bits = certified_floor(power_ratio, policy, what=f"gamma0*M/q_{n}^mu")
-            bits_used = max(bits_used, bits)
-            value = fl
-        rows.append(MuRow(n, p, q, value))
-        if value > best:
-            best, best_n = value, n
+            value = _floor(lo, hi, f"gamma0*M/q_{n}^mu")
+        return MuRow(n, p, q, value), _past_gamma0_M(rung, M, n, q)
 
-        def slack(ctx, q=q):
-            return _gamma0_M_expr(t, M)(ctx) - ctx.mpf(q)
-
-        qsign, enc = certified_sign(slack, policy, what=f"gamma0*M - q_{n}")
-        bits_used = max(bits_used, enc.bits_used)
-        if qsign < 0:
-            break
-        n += 1
-    constants = _constants_echo(t, policy)
+    rows, bits_used = _walk(t, ladder, row)
+    peak = max(rows, key=lambda r: r.value)
+    constants = _constants_echo(t, ladder[0])
     constants["mu"] = str(mu)
     return BoundReport(
-        method="mu", triplet=t, M=M, bound=best, n0=best_n, rows=tuple(rows),
-        constants=constants, bits_used=max(bits_used, stream.bits_used),
-        certified=False)
+        method="mu", triplet=t, M=M, bound=peak.value, n0=peak.n, rows=tuple(rows),
+        constants=constants, bits_used=bits_used, certified=False)

@@ -3,9 +3,10 @@
 Every comparison made here is backed by an mpmath interval enclosure whose
 endpoints are extracted as exact dyadic rationals.  A comparison is
 *certified* when the whole enclosure lies on one side; otherwise precision
-is doubled (fresh context each time) up to the policy cap, and the caller
-gets PrecisionExhaustedError rather than a guess.  Contexts are local to a
-single computation, so concurrent callers never share rounding state.
+is doubled up the policy ladder to its cap, and the caller gets
+PrecisionExhaustedError rather than a guess.  Contexts are local to a
+single computation (one enclosure, or one bound report's rung), so
+concurrent callers never share rounding state.
 """
 
 from __future__ import annotations
@@ -130,32 +131,6 @@ def enclose(expr: Expr, bits: int) -> tuple[Fraction, Fraction]:
     return endpoints(expr(make_context(bits)))
 
 
-def certified_floor(expr: Expr, policy: PrecisionPolicy = DEFAULT_POLICY,
-                    what: str = "value") -> tuple[int, int]:
-    """Floor of an irrational-valued expression, certified; (floor, bits)."""
-    for bits in policy.ladder():
-        lo, hi = enclose(expr, bits)
-        flo = lo.numerator // lo.denominator
-        fhi = hi.numerator // hi.denominator
-        if flo == fhi:
-            return int(flo), bits
-    raise PrecisionExhaustedError(
-        f"floor of {what} still ambiguous at {policy.max_bits} bits")
-
-
-def certified_sign(expr: Expr, policy: PrecisionPolicy = DEFAULT_POLICY,
-                   what: str = "value") -> tuple[int, CertifiedReal]:
-    """Strict sign (-1 or +1) of a nonzero expression, with its enclosure."""
-    for bits in policy.ladder():
-        lo, hi = enclose(expr, bits)
-        if lo > 0:
-            return 1, CertifiedReal(lo, hi, bits)
-        if hi < 0:
-            return -1, CertifiedReal(lo, hi, bits)
-    raise PrecisionExhaustedError(
-        f"sign of {what} still ambiguous at {policy.max_bits} bits")
-
-
 def certified_enclosure(expr: Expr, max_radius: Fraction,
                         policy: PrecisionPolicy = DEFAULT_POLICY,
                         what: str = "value") -> CertifiedReal:
@@ -175,19 +150,24 @@ def log_ratio_expr(d: int, alpha: int) -> Expr:
     return expr
 
 
-def certified_partial_quotients(d: int, alpha: int, n_terms: int,
-                                policy: PrecisionPolicy = DEFAULT_POLICY) -> tuple[list[int], int]:
+def certified_partial_quotients(
+        d: int, alpha: int, n_terms: int, policy: PrecisionPolicy = DEFAULT_POLICY,
+        enclosure: Optional[Callable[[int], tuple[Fraction, Fraction]]] = None
+) -> tuple[list[int], int]:
     """First n_terms partial quotients of log_d(alpha), each one certified.
 
     Runs the continued-fraction recursion on the exact rational endpoints of
     an interval enclosure; a term is emitted only when both endpoints share
     the same floor, so each emitted a_n is proven correct.  Ambiguity (or an
     endpoint landing exactly on an integer) escalates the whole expansion to
-    doubled precision.
+    doubled precision.  enclosure(bits) gives the endpoints of log_d(alpha)
+    on a rung; by default each rung encloses it in a fresh context.
     """
-    expr = log_ratio_expr(d, alpha)
+    if enclosure is None:
+        def enclosure(bits):
+            return enclose(log_ratio_expr(d, alpha), bits)
     for bits in policy.ladder():
-        lo, hi = enclose(expr, bits)
+        lo, hi = enclosure(bits)
         terms: list[int] = []
         while len(terms) < n_terms:
             flo = lo.numerator // lo.denominator
@@ -217,13 +197,17 @@ class ConvergentStream:
     rung below bits_used certified fewer than the stream already holds, so
     it cannot certify more, and skipping it leaves the terms and bits_used
     unchanged.  Prefixes are stable across extensions because every emitted
-    term is certified.
+    term is certified.  enclosure is passed on to certified_partial_quotients:
+    a bound report passes its own rungs' enclosures, so that extending the
+    stream builds no context of its own.
     """
 
-    def __init__(self, d: int, alpha: int, policy: PrecisionPolicy = DEFAULT_POLICY):
+    def __init__(self, d: int, alpha: int, policy: PrecisionPolicy = DEFAULT_POLICY,
+                 enclosure: Optional[Callable[[int], tuple[Fraction, Fraction]]] = None):
         self.d = d
         self.alpha = alpha
         self.policy = policy
+        self.enclosure = enclosure
         self.bits_used = 0
         self._terms: list[tuple[int, int, int]] = []  # (a_n, p_n, q_n)
 
@@ -233,13 +217,15 @@ class ConvergentStream:
         target = max(n_terms, 2 * len(self._terms), 8)
         policy = replace(self.policy, start_bits=max(self.policy.start_bits, self.bits_used))
         try:
-            quotients, bits = certified_partial_quotients(self.d, self.alpha, target, policy)
+            quotients, bits = certified_partial_quotients(self.d, self.alpha, target, policy,
+                                                          self.enclosure)
         except PrecisionExhaustedError:
             if target == n_terms:
                 raise
             # the amortized over-request exceeded the policy cap; the exact
             # demand may still be certifiable
-            quotients, bits = certified_partial_quotients(self.d, self.alpha, n_terms, policy)
+            quotients, bits = certified_partial_quotients(self.d, self.alpha, n_terms, policy,
+                                                          self.enclosure)
         self.bits_used = max(self.bits_used, bits)
         terms: list[tuple[int, int, int]] = []
         p1, p2, q1, q2 = 1, 0, 0, 1

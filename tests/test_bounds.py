@@ -6,6 +6,7 @@ they agree with the float-safe parts of the reference tables and correct
 their precision-exhausted tails.
 """
 
+import dataclasses
 import math
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
@@ -13,9 +14,9 @@ from fractions import Fraction
 import pytest
 
 from collatzkit import (BoundPreconditionError, CoprimalityError,
-                        MTooSmallError, PrecisionPolicy, convergents,
-                        farey_bound, hurwitz_bound, mu_bound, parse_triplet,
-                        r_infinity_bound, xi_value)
+                        MTooSmallError, PrecisionExhaustedError, PrecisionPolicy,
+                        bounds, convergents, farey_bound, hurwitz_bound, intervals,
+                        mu_bound, parse_triplet, r_infinity_bound, xi_value)
 from collatzkit.bounds import exact_farey_sign
 
 T564 = parse_triplet("5:6:4:+")
@@ -273,7 +274,6 @@ class TestFarey:
         assert (a.bound, a.boxed_index) == (b.bound, b.boxed_index)
 
     def test_precision_exhaustion_is_first_class(self):
-        from collatzkit import PrecisionExhaustedError
         with pytest.raises(PrecisionExhaustedError):
             farey_bound(T564, 5**15, PrecisionPolicy(start_bits=8, max_bits=16))
 
@@ -285,16 +285,26 @@ class TestFarey:
         assert (rep.bound, rep.boxed_index) == (10850489, 17)
 
     def test_ambiguous_sign_carries_index(self, monkeypatch):
-        import collatzkit.bounds as bounds_mod
-        from collatzkit import PrecisionExhaustedError
+        # widen X = xi + log_d(1 + beta*(d-1)/(alpha*M)) by 1 on every rung:
+        # every |D_n| < 1, so no rung settles the sign of D_0
+        enclose_rung = bounds._Ladder.__getitem__
 
-        def always_ambiguous(expr, policy=None, what=""):
-            raise PrecisionExhaustedError(f"synthetic ambiguity for {what}")
+        def widened(ladder, i):
+            rung = enclose_rung(ladder, i)
+            return dataclasses.replace(rung, lo=rung.lo - 1, hi=rung.hi + 1)
 
-        monkeypatch.setattr(bounds_mod, "certified_sign", always_ambiguous)
+        monkeypatch.setattr(bounds._Ladder, "__getitem__", widened)
         with pytest.raises(PrecisionExhaustedError) as exc:
-            bounds_mod.farey_bound(T564, 5**15)
+            farey_bound(T564, 5**15)
         assert exc.value.ambiguous_index == 0
+        assert str(exc.value) == "sign of D_0(M) still ambiguous at 16384 bits"
+
+    def test_digit_rungs_leave_bits_used(self):
+        # from 8 bits at 5^10 every sign settles by 16 bits, and the three
+        # digits of D_7 need 32: they are read there, and the walk stays at 16
+        rep = farey_bound(T564, 5**10, PrecisionPolicy(start_bits=8))
+        assert rep.bits_used == 16
+        assert rep.rows[7].approx == "1.14e-7"
 
     def test_d3_at_5pow5_positive_exactly(self):
         # the decisive entry: D_3(5^5) > 0 by pure integer arithmetic
@@ -340,3 +350,47 @@ class TestMuBound:
     def test_mu_below_two_rejected(self):
         with pytest.raises(BoundPreconditionError):
             mu_bound(T564, 5**15, Fraction(3, 2))
+
+
+@pytest.mark.parametrize("report, message, index", [
+    (lambda policy: r_infinity_bound(T564, 5**15, policy),
+     "floor of gamma0*M/(q_-1+q_0) still ambiguous at 16 bits", 0),
+    # mu's rows settle at 16 bits; its walk needs more convergents than 16 bits certify
+    (lambda policy: mu_bound(T564, 5**15, 2, policy),
+     "only certified 10 partial quotients of log_5(6) at 16 bits, wanted 11", None),
+    (lambda policy: hurwitz_bound(T564, 5**30, policy),
+     "floor of hurwitz length bound still ambiguous at 16 bits", None),
+], ids=["alg1", "mu", "hurwitz"])
+def test_precision_exhaustion_past_the_cap(report, message, index):
+    with pytest.raises(PrecisionExhaustedError) as exc:
+        report(PrecisionPolicy(start_bits=8, max_bits=16))
+    assert str(exc.value) == message
+    assert exc.value.ambiguous_index == index
+
+
+@pytest.mark.parametrize("policy", [PrecisionPolicy(), PrecisionPolicy(start_bits=8)],
+                         ids=["start128", "start8"])
+@pytest.mark.parametrize("e", [10, 30, 60])
+@pytest.mark.parametrize("method", ["alg1", "mu", "hurwitz", "alg2"])
+def test_one_context_per_rung(monkeypatch, method, e, policy):
+    # a report encloses its quantity, log_d(alpha) and its constants in one
+    # interval context per rung it climbs, rows and convergents included
+    built = []
+    make_context = intervals.make_context
+
+    def recording(bits):
+        built.append(bits)
+        return make_context(bits)
+
+    monkeypatch.setattr(intervals, "make_context", recording)
+    monkeypatch.setattr(bounds, "make_context", recording)
+    report = {"alg1": lambda: r_infinity_bound(T564, 5**e, policy),
+              "mu": lambda: mu_bound(T564, 5**e, 2, policy),
+              "hurwitz": lambda: hurwitz_bound(T564, 5**e, policy),
+              "alg2": lambda: farey_bound(T564, 5**e, policy)}[method]()
+    assert built == list(policy.ladder())[:len(built)]
+    if method == "alg2":
+        # the three digits of a row may need rungs above its sign's
+        assert built[-1] >= report.bits_used
+    else:
+        assert built[-1] == report.bits_used

@@ -189,6 +189,28 @@ def test_thread_env_variable(monkeypatch, capsys, tmp_path):
     assert seen == [3, 2]
 
 
+def test_parser_built_once_and_reused(monkeypatch, capsys):
+    import collatzkit.cli as cli
+    built = []
+
+    def recording_build_parser():
+        built.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", recording_build_parser)
+    cli._parser.cache_clear()
+    try:
+        argv = ["bound", "mu", "--triplet", "5:6:4:+", "--min-omega", "5^10"]
+        assert run([*argv, "--mu", "5/2"]) == 0
+        assert "mu=5/2" in capsys.readouterr().out
+        assert run(argv) == 0  # a flag given once leaves no trace on the next parse
+        assert "mu=2" in capsys.readouterr().out
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_bound_alg1_table(capsys, tmp_path):
     csv_path = tmp_path / "t.csv"
     rc = run(["bound", "alg1", "--triplet", "5:6:4:+", "--min-omega", "5^15",

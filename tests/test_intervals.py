@@ -5,8 +5,7 @@ import pytest
 
 from collatzkit import PrecisionExhaustedError, PrecisionPolicy, intervals
 from collatzkit.intervals import (CertifiedReal, ConvergentStream,
-                                  certified_enclosure, certified_floor,
-                                  certified_partial_quotients, certified_sign,
+                                  certified_enclosure, certified_partial_quotients,
                                   log_ratio_expr)
 
 
@@ -29,31 +28,6 @@ def test_sci_formatting_is_high_precision():
     # a value float64 cannot represent at 20 digits
     r = CertifiedReal(Fraction(10**30 + 7, 3 * 10**30), Fraction(10**30 + 7, 3 * 10**30), 8)
     assert r.sci(20).startswith("3.333333333333333333")
-
-
-def test_certified_floor_of_log_ratio():
-    val, bits = certified_floor(log_ratio_expr(2, 3))
-    assert val == 1 and bits >= 128
-
-    def scaled(ctx):
-        return log_ratio_expr(2, 3)(ctx) * ctx.mpf(10**15)
-
-    val, _bits = certified_floor(scaled)
-    assert val == 1584962500721156
-
-
-def test_certified_sign_both_directions():
-    sign, enc = certified_sign(lambda ctx: ctx.log(ctx.mpf(3)) - ctx.mpf(1))
-    assert sign == 1 and enc.lo > 0
-    sign, enc = certified_sign(lambda ctx: ctx.log(ctx.mpf(2)) - ctx.mpf(1))
-    assert sign == -1 and enc.hi < 0
-
-
-def test_certified_sign_exhaustion_on_true_zero():
-    policy = PrecisionPolicy(start_bits=16, max_bits=64)
-    with pytest.raises(PrecisionExhaustedError):
-        certified_sign(lambda ctx: ctx.log(ctx.mpf(4)) - 2 * ctx.log(ctx.mpf(2)),
-                       policy, what="an exact zero")
 
 
 def test_certified_enclosure_radius():
