@@ -301,6 +301,11 @@ def _cmd_verify(args) -> int:
     job = VerificationJob(
         triplet=t, lo=args.lo, hi=args.hi, targets=targets, limits=limits,
         chunk_size=args.chunk, below_frontier_shortcut=not args.no_shortcut)
+    if args.checkpoint:  # fail before the scan, not after it
+        directory = os.path.dirname(os.path.abspath(args.checkpoint))
+        if not os.path.isdir(directory):
+            raise NotADirectoryError(
+                f"cannot write checkpoint {args.checkpoint}: {directory} is not a directory")
     cp = verify_range(job, workers=workers)
     print(emit_table(cp, "text"))
     if args.checkpoint:

@@ -8,17 +8,20 @@ frontier).  When exceptions exist, only seeds up to min(exception) - 1 are
 claimed verified, since the induction is grounded only below the first
 undecided seed.
 
-Under the shortcut, a residue-class sieve (`build_sieve`) skips every seed
-whose class mod d * s^(depth-1), s = d // gcd(alpha, d), alone proves that
-it descends, and carries the exact form of each surviving class at the last
-step that its class fixes, so that the descent loop can enter a survivor
-there.  A table of exact k-step jumps (`build_jumps`) lets the shortcut's
-descent loop, and the membership loop of a scan without the shortcut, take
-k steps at once wherever no cap or exit can lie inside them.  Without the
-shortcut, a finish table (`build_finish`) ends a seed as soon as it reaches
-a small value from which a member is known to follow within the caps.  The
-report is the same as without any of the tables, and each table is built
-once per process for its triplet, targets and value cap (`_memo_table`).
+Under the shortcut, a residue-class sieve (`build_sieve`) proves, for most
+classes mod d * s^(depth-1), s = d // gcd(alpha, d), that their seeds
+descend within a step count and under a bound of the class's own, and
+carries the exact form of each surviving class at the last step that it
+fixes; a run skips the classes that fit its caps, and enters the survivors
+that fit at that step (`_scan_classes`).  A table of exact k-step jumps
+(`build_jumps`) lets the shortcut's descent loop, and the membership loop
+of a scan without the shortcut, take k steps at once wherever no cap or
+exit can lie inside them; it comes from the sieve's digit-by-digit
+refinement (`_refine`), unpruned.  Without the shortcut, a finish table
+(`build_finish`) ends a seed as soon as it reaches a small value from which
+a member is known to follow within the caps.  The report is the same as
+without any of the tables, and each table is built once per process for
+its triplet, targets and value cap (`_memo_table`).
 """
 
 from __future__ import annotations
@@ -120,157 +123,75 @@ def _validate_targets(job: VerificationJob) -> None:
                 f"target claims minimum {c.omega} but cycle minimum is {again.omega}")
 
 
-@dataclass(frozen=True)
-class ResidueSieve:
-    """Residues mod M whose classes a shortcut scan still has to visit,
-    each with its exact form at its own entry step.
+def _refine(t: Triplet, split: int, cap: int, sieved: Optional[list] = None):
+    """Refine the residue classes of the seeds one digit at a time on the
+    moduli M_1 = d and M_l = M_(l-1) * split, while M_l <= cap, and yield
+    (M_l, classes) for each level l, the classes in order of r.
 
-    Every iterate up to the descent of a seed n in a sieved class is at
-    most peak_coeff * (n // M) + peak_const.  For a seed n = M*m + r in a
-    surviving class, forms holds (r, a, b, low_c, low_p, k): iterate k of n
-    is a*m + b, and iterates 1..k-1 are at least low_c*m + low_p.  Its
-    iterates 1..k are at most form_coeff*m + form_const.  The descent loop
-    enters such a seed at step k, at a*m + b, when low_c*m + low_p >= n and
-    the value cap admits form_coeff*m + form_const (see `build_sieve`).
-    """
+    A class (r, a, b, j, F, C, P, L, Q) mod M_l stands for the seeds
+    n = M_l*m + r, m >= 0: iterate j of n is a*m + b, iterates 1..j are at
+    most C*m + P, and iterates 1..j-1 are at least L*m + Q (n + 1 while
+    there are none).  Given a list `sieved`, the classes that the sieve's
+    rule proves to descend are pruned and appended to it as (r, M_l, j, C,
+    P), and F is a floor for the rest (see `build_sieve`); without one,
+    every class is kept and F is None.
 
-    depth: int  # levels of refinement, no fewer than the steps any class fixes
-    modulus: int  # M = d * s^(depth-1), s = d // gcd(alpha, d)
-    survivors: array  # sorted residues in [0, M) that are not sieved
-    peak_coeff: int
-    peak_const: int
-    forms: list  # (r, a, b, low_c, low_p, k) per survivor r, in the same order
-    form_coeff: int
-    form_const: int
-
-
-def _depth_under(d: int, cap: int) -> tuple[int, int]:
-    """The largest k with d^k <= cap, and d^k."""
-    depth, modulus = 0, 1
-    while modulus * d <= cap:
-        depth += 1
-        modulus *= d
-    return depth, modulus
-
-
-def build_sieve(t: Triplet) -> Optional[ResidueSieve]:
-    """Residue classes mod M = d * s^(depth-1), with s = d // gcd(alpha, d)
-    and depth the largest with M <= SIEVE_MODULUS_CAP, that are not proven
-    to descend within the steps their class fixes, each with its form at
-    its own entry step; None when d > SIEVE_MODULUS_CAP.
-
-    Fixed steps.  Write n = M*m + r with 0 <= r < M.  Iterate 0 of n is the
-    affine form M*m + r, and while d divides the m-coefficient of iterate
-    j, the residue mod d of iterate j is that of T^j(r) and step j + 1 is
-    the same for the whole class.  Hence for every j up to the first whose
-    coefficient d does not divide, iterate j is M * alpha^(o_j) / d^j * m
-    + T^j(r), where o_j counts the steps with a non-zero residue.  These
-    are the steps the class fixes, and the last of them is its entry step.
-    Refining a class mod d by s at each of the depth - 1 later levels fixes
-    at most one more step per level, so no class fixes more than depth
-    steps: at level 1 the coefficient d becomes 1 or alpha, and at a later
-    level a coefficient a that d does not divide becomes a*s, and, when d
-    divides a*s, a/g or a*alpha/g after the step (g = gcd(alpha, d)); d
-    divides neither, since d | a/g gives d | a, and d | a*(alpha/g) with
-    d | a*s gives d | a, as gcd(alpha/g, s) = 1.  When g = 1, s = d,
-    M = d^depth and every class fixes exactly its first depth steps.
+    Fixed steps.  Iterate 0 of n is the affine form M_l*m + r, and while d
+    divides the m-coefficient of iterate j, the residue mod d of iterate j
+    is that of T^j(r) and step j + 1 is the same for the whole class.
+    Hence for every j up to the first whose coefficient d does not divide,
+    iterate j is M_l * alpha^(o_j) / d^j * m + T^j(r), where o_j counts the
+    steps with a non-zero residue: these are the steps the class fixes.
+    Refining m = split*m' + digit (m = d*m' + digit at level 1) keeps the
+    iterate's form, a*split*m' + a*digit + b; when d divides a*split, for
+    every digit or for none, the refined class takes step j + 1, and
+    otherwise it keeps iterate j.  With split = d every level fixes one
+    step more, so at level j iterate j of d^j*m + r is alpha^(o_j)*m +
+    T^j(r).  With split s = d // gcd(alpha, d), a level fixes at most one
+    step more: at level 1 the coefficient d becomes 1 or alpha, and at a
+    later level a coefficient a that d does not divide becomes a*s, and,
+    when d divides a*s, a/g or a*alpha/g after the step (g = gcd(alpha,
+    d)); d divides neither, since d | a/g gives d | a, and d | a*(alpha/g)
+    with d | a*s gives d | a, as gcd(alpha/g, s) = 1.  When g = 1, s = d.
     Otherwise a step that multiplies by alpha leaves a coefficient that the
     next split fixes again (alpha * s = lcm(alpha, d)), while one that
     divides by d can leave a coefficient that a split does not make
-    divisible by d: such a class fixes fewer steps.
+    divisible by d: such a class fixes fewer steps than it has levels.
 
-    Rule.  The class of r is sieved when r = 0, or when some step j that it
-    fixes has alpha^(o_j) <= d^j and T^j(r) < r.
-
-    Soundness.  For such a j and every m >= 0, iterate j of n is at most
-    M*m + T^j(r) < M*m + r = n, so n falls below itself within j steps.
-    The seeds M*m with m >= 1, the only ones of the class r = 0, fall to
-    iterate 1, (M // d)*m < M*m.  The shortcut scan of a seed n > max_elem
-    is a pure descent loop: it reports nothing for n exactly when n falls
-    below itself within max_steps steps and no iterate before that exceeds
-    max_value.  A sieved seed therefore reports nothing, and needs no scan,
-    when depth, the most steps any class fixes, is at most max_steps and
-    its iterates up to its descent stay at or below max_value.
-    `_sieve_applies` checks both for a whole chunk, bounding those iterates
-    for every n <= hi by peak_coeff * (hi // M) + peak_const.  Seeds up to
-    max_elem are scanned from n itself as before and seeds in surviving
-    classes as below, so every exception, its status, and the frontier are
-    unchanged; the below-frontier induction that makes a descent count as
-    convergence is the shortcut's, not the sieve's.
-
-    Entry at each form's own step.  For a seed n = M*m + r in a surviving
-    class with entry step k, the same forms give iterate k as a*m + b
-    exactly, and bound iterates 1..k-1 from below by low_c*m + low_p and
-    iterates 1..k from above by form_coeff*m + form_const, for every m >=
-    0.  The descent loop of such a seed enters at v = a*m + b with k steps
-    taken when low_c*m + low_p >= n and, for the whole chunk, form_coeff *
-    (hi // M) + form_const <= max_value; `_sieve_applies` has already
-    checked k <= depth <= max_steps.  Stepping one at a time from n, the
-    loop would stop before step k only at the step cap, which k <=
-    max_steps rules out; at an iterate above max_value, which the value
-    bound rules out; or at an iterate below n, which the lower bound rules
-    out.  So it reaches a*m + b after exactly k steps either way and goes
-    on from the same value and step count: the exceptions, their statuses
-    and the frontier are unchanged.  When a guard fails the seed is scanned
-    from n.
-
-    Build.  Residues are refined level by level on the moduli M_1 = d and
-    M_l = M_(l-1) * s, and only classes that survive are extended.  A class
-    mod M_l (here n = M_l*m + r) carries its current iterate a*m + b with
-    its step count j, and a floor F such that every member of the class
-    that is at least F meets the rule at some step i <= j.  Refining
-    m = s*m' + digit (m = d*m' + digit at level 1) keeps the iterate's
-    form, a*s*m' + a*digit + b; when d divides a*s, for every digit or for
-    none, the refined class takes step j + 1 and tests the rule after it,
-    and otherwise it keeps iterate j.  A step with alpha^(o_i) < d^i and
-    T^i(r) >= r contributes the least member r + M_l*u with u*(M_l - a) >
-    T^i(r) - r, a being the m-coefficient of iterate i.  A refined residue
-    at or above F is sieved together with all its own refinements, which
-    are no smaller; what is left at the last level is exactly the classes
-    the rule does not sieve.  Each class also carries bounds C*m + P above
-    its iterates 1..j and L*m + Q below its iterates 1..j-1 (n + 1 while
-    there are none), refined as in `build_jumps`: an iterate enters the
-    lower bound when the class steps past it.  A survivor keeps its L and
-    Q, and form_coeff and form_const are the largest C and P over the
-    survivors.
+    Bounds.  A refined class has m = split*m' + digit in its parent's
+    forms, so it keeps C*split*m' + C*digit + P above iterates 1..j and
+    takes the larger coefficient and the larger constant against the new
+    iterate j + 1, which stays a bound above as m' >= 0.  When it steps
+    past iterate j >= 1, it takes the smaller ones against iterate j,
+    a*split*m' + a*digit + b, below (iterate 1 replaces the n + 1 that
+    stood for no iterate), so L*m + Q covers iterates 1..j-1 whatever the
+    number of steps a level fixes.
     """
     d, alpha, beta = t.d, t.alpha, t.beta
     plus = t.kappa == PLUS
-    if d > SIEVE_MODULUS_CAP:
-        return None
-    split = d // gcd(alpha, d)  # s
-    depth, modulus = _depth_under(split, SIEVE_MODULUS_CAP // d)
-    depth, modulus = depth + 1, modulus * d  # M = d * s^(depth-1)
-    peak_coeff = peak_const = form_coeff = form_const = 0
-    # (r, a, b, j, floor, C, P, L, Q) per class mod M_l: iterate j of
-    # n = M_l*m + r is a*m + b, floor is F above (None until a step has
-    # a < M_l), iterates 1..j are at most C*m + P and iterates 1..j-1 at
-    # least L*m + Q; at level 0 (M_0 = 1, n = m) that is m + 1
+    prune = sieved is not None
+    # level 0 (M_0 = 1, n = m): iterate 0 is m, and n + 1 stands below
     live = [(0, 1, 0, 0, None, 0, 0, 1, 1)]
     scale, width = 1, d  # M_(l-1), and the split at level l
-    for last in [False] * (depth - 1) + [True]:
+    while scale * width <= cap:
         level = scale * width  # M_l
-        widen = modulus // level
         # children by digit: with the parents in order of r, each list, and
         # their concatenation, is in order of rr = r + digit * M_(l-1)
         refined = [[] for _ in range(width)]
         for r, a, b, j, floor, c_max, p_max, c_min, p_min in live:
-            # n = M_l*m + rr has m_(l-1) = width*m + digit in the parent's forms
             a_wide, c_wide, l_wide = a * width, c_max * width, c_min * width
             fixed = a_wide % d == 0  # step j + 1, for every digit or for none
-            # once the class steps past iterate j >= 1, it joins the lower
-            # bound; iterate 1 replaces the n + 1 that stood for no iterate
-            fold = fixed and j > 0
+            fold = fixed and j > 0  # iterate j joins the lower bound
             if fold and (j == 1 or a_wide < l_wide):
                 l_wide = a_wide
             for digit in range(width):
                 rr = r + digit * scale
                 c_new = c_wide
                 p_new = c_max * digit + p_max
+                coeff = a_wide
+                v = u = a * digit + b  # u: the constant of iterate j
+                steps = j
                 if floor is None or rr < floor:
-                    coeff = a_wide
-                    v = u = a * digit + b  # u: the constant of iterate j
-                    steps = j
                     if fixed:
                         res = v % d
                         if res == 0:
@@ -286,38 +207,162 @@ def build_sieve(t: Triplet) -> Optional[ResidueSieve]:
                             c_new = coeff
                         if v > p_new:
                             p_new = v
-                    if not fixed or coeff > level or v >= rr > 0:
+                    if not prune or not fixed or coeff > level or v >= rr > 0:
                         p_low = c_min * digit + p_min
                         if fold and (j == 1 or u < p_low):
                             p_low = u
-                        if last:
-                            refined[digit].append((rr, coeff, v, l_wide, p_low, steps))
-                            if c_new > form_coeff:
-                                form_coeff = c_new
-                            if p_new > form_const:
-                                form_const = p_new
-                            continue
                         fl = floor
-                        if fixed and coeff < level:
+                        if prune and fixed and coeff < level:
                             start = rr + level * ((v - rr) // (level - coeff) + 1)
                             if fl is None or start < fl:
                                 fl = start
                         refined[digit].append((rr, coeff, v, steps, fl, c_new, p_new,
                                                l_wide, p_low))
                         continue
-                # sieved: n falls below itself within the class's steps, and
-                # with m = (M // M_l)*(n // M) + u, u < M // M_l, its iterates
-                # up to there are at most C*(M // M_l)*(n // M) + C*(M // M_l - 1) + P
-                if c_new * widen > peak_coeff:
-                    peak_coeff = c_new * widen
-                if c_new * (widen - 1) + p_new > peak_const:
-                    peak_const = c_new * (widen - 1) + p_new
+                sieved.append((rr, level, steps, c_new, p_new))
         live = [entry for children in refined for entry in children]
+        yield level, live
         scale, width = level, split
-    forms = live
-    survivors = array("l", (entry[0] for entry in forms))
-    return ResidueSieve(depth, modulus, survivors, peak_coeff, peak_const,
-                        forms, form_coeff, form_const)
+
+
+@dataclass(frozen=True)
+class ResidueSieve:
+    """Every residue class mod M, either sieved or surviving (see
+    `build_sieve`).
+
+    A sieved record (r, level, k, C, P) covers the seeds n = level*m + r >=
+    1: each falls below itself within k steps, its iterates up to there at
+    most C*m + P.  For a seed n = M*m + r in the i-th surviving class,
+    forms[i] is (r, a, b, low_c, low_p, k): iterate k of n is a*m + b,
+    iterates 1..k-1 are at least low_c*m + low_p, and iterates 1..k are at
+    most peak_c[i]*m + peak_p[i].
+    """
+
+    depth: int  # levels of refinement, no fewer than the steps any class fixes
+    modulus: int  # M = d * s^(depth-1), s = d // gcd(alpha, d)
+    survivors: array  # sorted residues in [0, M) that are not sieved
+    forms: list  # (r, a, b, low_c, low_p, k) per survivor r, in the same order
+    peak_c: list  # iterates 1..k of survivor i are at most
+    peak_p: list  # peak_c[i]*m + peak_p[i]
+    sieved: list  # (r, level, k, C, P) per sieved class mod its level
+
+
+def build_sieve(t: Triplet) -> Optional[ResidueSieve]:
+    """The classes mod M = d * s^(depth-1), s = d // gcd(alpha, d) and depth
+    the largest with M <= SIEVE_MODULUS_CAP, refined by `_refine` with
+    split s; None when d > SIEVE_MODULUS_CAP.  Each class mod M fixes at
+    most depth steps, and the last step it fixes is its entry step k.
+
+    Rule.  The class of r mod M_l is sieved when r = 0, or when some step j
+    that it fixes has alpha^(o_j) <= d^j and T^j(r) < r.
+
+    Soundness.  For such a j and every m >= 0, iterate j of n = M_l*m + r
+    is at most M_l*m + T^j(r) < n, so n falls below itself within j steps;
+    the seeds M_l*m with m >= 1, the only ones of the class r = 0, fall to
+    iterate 1, (M_l // d)*m < M_l*m.  The shortcut scan of a seed n >
+    max_elem is a pure descent loop: it reports nothing for n exactly when
+    n falls below itself within max_steps steps and no iterate before that
+    exceeds max_value.  A sieved record (r, M_l, k, C, P) has k no smaller
+    than that j and C*m + P above iterates 1..k, so its seeds report
+    nothing, and need no scan, when k <= max_steps and C*(n // M_l) + P <=
+    max_value; `_scan_classes` checks both against the job's hi, for every
+    seed n <= hi.  Seeds up to max_elem are scanned from n itself, and the
+    other classes as below, so every exception, its status, and the
+    frontier are unchanged; the below-frontier induction that makes a
+    descent count as convergence is the shortcut's, not the sieve's.
+
+    Entry at each form's own step.  For a seed n = M*m + r in a surviving
+    class with entry step k, iterate k is a*m + b exactly, iterates 1..k-1
+    are at least low_c*m + low_p and iterates 1..k at most C*m + P, for
+    every m >= 0.  The descent loop of such a seed enters at v = a*m + b
+    with k steps taken when low_c*m + low_p >= n, provided that the class
+    fits: k <= max_steps and C*(hi // M) + P <= max_value.  Stepping one at
+    a time from n, the loop would stop before step k only at the step cap,
+    which k <= max_steps rules out; at an iterate above max_value, which the
+    value bound rules out; or at an iterate below n, which the lower bound
+    rules out.  So it reaches a*m + b after exactly k steps either way and
+    goes on from the same value and step count: the exceptions, their
+    statuses and the frontier are unchanged.  Otherwise the seed is scanned
+    from n.
+
+    Pruning.  A class carries a floor F such that every member of the class
+    that is at least F meets the rule at some step i <= j: a step with
+    alpha^(o_i) < d^i and T^i(r) >= r contributes the least member
+    r + M_l*u with u*(M_l - a) > T^i(r) - r, a being the m-coefficient of
+    iterate i.  A refined residue at or above F is sieved together with all
+    its own refinements, which are no smaller, with its parent's j, C and
+    P; what is left at the last level is exactly the classes the rule does
+    not sieve.
+    """
+    d = t.d
+    if d > SIEVE_MODULUS_CAP:
+        return None
+    sieved: list = []
+    depth = 0
+    for modulus, live in _refine(t, d // gcd(t.alpha, d), SIEVE_MODULUS_CAP, sieved):
+        depth += 1
+    # each class's form replaces its entry in place, which keeps the build's
+    # peak memory, and so that of the pool workers forked after it, down
+    peak_c, peak_p = [], []
+    for i, (r, a, b, k, _floor, c, p, low_c, low_p) in enumerate(live):
+        live[i] = (r, a, b, low_c, low_p, k)
+        peak_c.append(c)
+        peak_p.append(p)
+    return ResidueSieve(depth, modulus, array("l", (entry[0] for entry in live)),
+                        live, peak_c, peak_p, sieved)
+
+
+@dataclass(frozen=True)
+class ClassList:
+    """The classes mod `modulus` that a shortcut scan visits above max_elem:
+    a seed n = modulus*m + r whose class has the form (r, a, b, low_c,
+    low_p, k) enters at step k, at a*m + b, when low_c*m + low_p >= n, and
+    otherwise at n; a class scanned from n has k = 0 and a*m + b = n."""
+
+    modulus: int
+    residues: array  # sorted
+    forms: list  # (r, a, b, low_c, low_p, k) per residue, in the same order
+
+
+# no sieve, or no class fits: every seed from n, in blocks of 2^10 classes,
+# as blocks of one class made such scans 1.4-1.6x slower
+_FROM_N = ClassList(1 << 10, array("l", range(1 << 10)),
+                    [(r, 1 << 10, r, 1 << 10, r, 0) for r in range(1 << 10)])
+
+
+def _scan_classes(sieve: Optional[ResidueSieve], hi: int,
+                  limits: Limits) -> Optional[ClassList]:
+    """The class list of a shortcut scan of seeds n <= hi under `limits`,
+    or None when it skips and enters no class.
+
+    A class (sieved, or surviving with level M) fits when k <= max_steps and
+    C*(hi // level) + P <= max_value, which bounds its iterates up to step
+    k for every seed n <= hi, as C >= 0.  A sieved class that fits is
+    skipped, a surviving one that fits enters at step k, and every other
+    class mod M is scanned from n (see `build_sieve`).  Under the default
+    caps every class fits, and the list is the sieve's own survivors and
+    forms."""
+    if sieve is None:
+        return None
+    max_steps, max_value, modulus = limits.max_steps, limits.max_value, sieve.modulus
+    block = hi // modulus
+    entered = [form[5] <= max_steps and c * block + p <= max_value
+               for form, c, p in zip(sieve.forms, sieve.peak_c, sieve.peak_p)]
+    unfit = [(r, level) for r, level, k, c, p in sieve.sieved
+             if k > max_steps or c * (hi // level) + p > max_value]
+    if not unfit and all(entered):
+        return ClassList(modulus, sieve.survivors, sieve.forms)
+    if len(unfit) == len(sieve.sieved) and not any(entered):
+        return None
+    forms: list = [None] * modulus
+    for r, level in unfit:
+        for rr in range(r, modulus, level):
+            forms[rr] = (rr, modulus, rr, modulus, rr, 0)
+    for form, enter in zip(sieve.forms, entered):
+        r = form[0]
+        forms[r] = form if enter else (r, modulus, r, modulus, r, 0)
+    forms = [form for form in forms if form is not None]
+    return ClassList(modulus, array("l", (form[0] for form in forms)), forms)
 
 
 @dataclass(frozen=True)
@@ -346,19 +391,19 @@ def build_jumps(t: Triplet, members: Iterable[int],
     for a scan toward `members` under `max_value`; None when k < 2, since a
     one-step jump only adds a divmod and three lookups to a step.
 
-    Form.  Write n = d^k*q + r with 0 <= r < d^k.  As in `build_sieve`, for
-    j <= k iterate j of n is alpha^(o_j) * d^(k-j) * q + T^j(r) for every
-    q >= 0, so iterate k is coeff[r]*q + const[r] with coeff[r] =
-    alpha^(o_k) and const[r] = T^k(r).
+    Form.  `_refine` with split d and no pruning fixes one step per level,
+    so for n = d^k*q + r iterate k is coeff[r]*q + const[r] with coeff[r]
+    = alpha^(o_k) and const[r] = T^k(r), every iterate 1..k-1 is at least
+    low_c[r]*q + low_p[r] (the class's L and Q), and C*q + P, with C and P
+    the largest over the classes mod d^k, bounds iterates 1..k of every
+    class; qmax = (max_value - P) // C.
 
     Guards.  hit[r] is the largest q for which some iterate 1..k-1 of
-    d^k*q + r is a member, or -1 when there is none; every iterate 1..k-1
-    of d^k*q + r is at least low_c[r]*q + low_p[r]; C*q + P bounds
-    iterates 1..k of every class, and qmax = (max_value - P) // C.  A scan
-    at a value v = d^k*q + r with steps < max_steps taken jumps to iterate
-    k with steps + k only when steps + k <= max_steps and q <= qmax, and
-    besides, in the membership loop (v not a member), when hit[r] < q; in
-    the descent loop of a seed n (v >= n), when low_c[r]*q + low_p[r] >= n.
+    d^k*q + r is a member, or -1 when there is none.  A scan at a value
+    v = d^k*q + r with steps < max_steps taken jumps to iterate k with
+    steps + k only when steps + k <= max_steps and q <= qmax, and besides,
+    in the membership loop (v not a member), when hit[r] < q; in the
+    descent loop of a seed n (v >= n), when low_c[r]*q + low_p[r] >= n.
 
     Exactness.  Stepping one at a time from v, the scan would stop inside
     the jump only at the step cap before one of steps + 1 .. steps + k - 1,
@@ -375,75 +420,39 @@ def build_jumps(t: Triplet, members: Iterable[int],
     shortcut the membership loop never jumps, because hit[r] does not rule
     out its other exit, a value below the seed.
 
-    Build.  Residues are refined one base-d digit at a time, as in
-    `build_sieve` but without pruning.  A class mod d^j carries its j-step
-    form a*m + b (here n = d^j*m + r), a bound C*m + P above iterates 1..j
-    and a bound L*m + Q below them.  A refined class has m_(j-1) = d*m +
-    digit in the parent's form, so it keeps C*d*m + C*digit + P and takes
-    the larger coefficient and the larger constant against its iterate j,
-    which stays a bound above as m >= 0; L and Q likewise with minima, from
-    iterate 1 itself at j = 1.  The
-    table's C and P are the largest over the classes mod d^k; its low_c and
-    low_p are the parent's L and Q in the form mod d^k, which covers
-    iterates 1..k-1 only.  For j < k, each member e = a*m + b with m >= 0
-    names the one seed n = d^j*m + r whose iterate j is e, and raises
-    hit[n mod d^k] to at least n // d^k; every seed with a member among
-    iterates 1..k-1 is named so, hence hit is exact.
+    Hits.  At each level j < k, each member e = a*m + b with m >= 0 of a
+    class's iterate j names the one seed n = d^j*m + r whose iterate j is
+    e, and raises hit[n mod d^k] to at least n // d^k; every seed with a
+    member among iterates 1..k-1 is named so, hence hit is exact.
     """
-    d, alpha, beta = t.d, t.alpha, t.beta
-    plus = t.kappa == PLUS
-    depth, modulus = _depth_under(d, JUMP_MODULUS_CAP)
-    if depth < 2:
+    d = t.d
+    if d * d > JUMP_MODULUS_CAP:
         return None
     members = sorted(members)
     max_elem = members[-1]
     # members grouped by residue mod a, for each coefficient a <= max_elem
     by_residue: dict[int, dict[int, list[int]]] = {}
+    levels = list(_refine(t, d, JUMP_MODULUS_CAP))
+    modulus, live = levels[-1]
     hit = [-1] * modulus
-    low_c, low_p = [0] * modulus, [0] * modulus
-    # (r, a, b, C, P, L, Q) per class mod d^j: iterate j of n = d^j*m + r is
-    # a*m + b, and iterates 1..j are at most C*m + P and at least L*m + Q
-    live = [(0, 1, 0, 0, 0, 0, 0)]
-    scale = 1  # d^(j-1)
-    for j in range(1, depth + 1):
-        level = scale * d  # d^j
-        refined = []
-        for r, a, b, c_max, p_max, c_min, p_min in live:
-            for digit in range(d):
-                rr = r + digit * scale
-                if j == depth:  # the parent's bound on iterates 1..k-1
-                    low_c[rr], low_p[rr] = c_min * d, c_min * digit + p_min
-                v = a * digit + b  # constant of iterate j-1
-                res = v % d
-                if res == 0:
-                    v //= d
-                    coeff = a
-                else:
-                    v = (alpha * v + beta * (res if plus else d - res)) // d
-                    coeff = a * alpha
-                if j < depth and v <= max_elem:
-                    if coeff not in by_residue:
-                        groups = by_residue[coeff] = {}
-                        for e in members:
-                            groups.setdefault(e % coeff, []).append(e)
-                    group = by_residue[coeff].get(v % coeff, ())
-                    for e in group[bisect_left(group, v):]:
-                        q, rk = divmod(level * ((e - v) // coeff) + rr, modulus)
-                        hit[rk] = max(hit[rk], q)
-                if j == 1:  # iterate 1 starts the lower bound
-                    c_low, p_low = coeff, v
-                else:
-                    c_low, p_low = min(c_min * d, coeff), min(c_min * digit + p_min, v)
-                refined.append((rr, coeff, v, max(c_max * d, coeff),
-                                max(c_max * digit + p_max, v), c_low, p_low))
-        live = refined
-        scale = level
-    coeff, const = [0] * modulus, [0] * modulus
-    for r, a, b, *_bounds in live:
-        coeff[r], const[r] = a, b
-    peak_coeff = max(entry[3] for entry in live)
-    peak_const = max(entry[4] for entry in live)
-    return JumpTable(depth, modulus, coeff, const, hit, low_c, low_p,
+    for level, classes in levels[:-1]:
+        for r, a, b, *_bounds in classes:
+            if b > max_elem:
+                continue
+            if a not in by_residue:
+                groups = by_residue[a] = {}
+                for e in members:
+                    groups.setdefault(e % a, []).append(e)
+            group = by_residue[a].get(b % a, ())
+            for e in group[bisect_left(group, b):]:
+                q, rk = divmod(level * ((e - b) // a) + r, modulus)
+                hit[rk] = max(hit[rk], q)
+    coeff, const, low_c, low_p = ([0] * modulus for _ in range(4))
+    for r, a, b, _j, _floor, _c, _p, l_c, l_p in live:
+        coeff[r], const[r], low_c[r], low_p[r] = a, b, l_c, l_p
+    peak_coeff = max(entry[5] for entry in live)
+    peak_const = max(entry[6] for entry in live)
+    return JumpTable(len(levels), modulus, coeff, const, hit, low_c, low_p,
                      (max_value - peak_const) // peak_coeff)
 
 
@@ -478,8 +487,7 @@ def build_finish(t: Triplet, members: Iterable[int], max_value: int) -> array:
     most FINISH_STEPS, and none otherwise.  fin[0] is none; no positive
     value of a well-formed triplet maps to 0.
     """
-    d, alpha, beta = t.d, t.alpha, t.beta
-    plus = t.kappa == PLUS
+    step = t.step_function()
     members = frozenset(members)
     fin = array("h", [-1]) * FINISH_CAP
     for v in range(1, FINISH_CAP):
@@ -488,11 +496,7 @@ def build_finish(t: Triplet, members: Iterable[int], max_value: int) -> array:
             if steps == FINISH_STEPS:
                 steps = -1
                 break
-            r = x % d
-            if r == 0:
-                x //= d
-            else:
-                x = (alpha * x + beta * (r if plus else d - r)) // d
+            x = step(x)
             steps += 1
             if x > max_value or x == v:
                 steps = -1
@@ -515,20 +519,7 @@ def _memo_table(builder, *args):
     return builder(*args)
 
 
-def _sieve_applies(sieve: Optional[ResidueSieve], hi: int, max_steps: int,
-                   max_value: int) -> bool:
-    """Whether skipping sieved seeds n <= hi is sound under these caps."""
-    return (sieve is not None and sieve.depth <= max_steps
-            and sieve.peak_coeff * (hi // sieve.modulus) + sieve.peak_const <= max_value)
-
-
-# the fallback sieve: every class mod M survives, and each seed n = M*m + r
-# enters at step 0, at n itself; M = 1 would cost a block per seed
-_EVERY_SEED = ResidueSieve(0, 1 << 10, array("l", range(1 << 10)), 0, 0,
-                           [(r, 1 << 10, r, 1 << 10, r, 0) for r in range(1 << 10)], 0, 0)
-
-
-def _scan_chunk(args, sieve: Optional[ResidueSieve] = None,
+def _scan_chunk(args, classes: Optional[ClassList] = None,
                 jumps: Optional[JumpTable] = None,
                 finish: Optional[array] = None) -> list[tuple[int, str]]:
     """Scan seeds [lo, hi]; returns (seed, status) for every undecided seed.
@@ -537,19 +528,17 @@ def _scan_chunk(args, sieve: Optional[ResidueSieve] = None,
     the jump table's guarded k-step jumps and stops at the finish table's
     exit.  Under the shortcut, seeds up to max_elem run the membership loop
     without either table, and the seeds above it the descent loop of
-    `_scan_survivors`, which jumps: where `_sieve_applies` allows it for
-    this chunk, only the seeds in surviving classes, each entered at its
-    class's step where its guards hold; otherwise every seed, from n itself.
+    `_scan_survivors`, which jumps: the seeds of the classes in `classes`,
+    each entered at its class's step where its guards hold, or every seed,
+    from n itself, when there is no class list.
     """
     (_d, _alpha, _beta, _kappa, lo, hi, _members, max_elem,
-     max_steps, max_value, shortcut) = args
+     _max_steps, _max_value, shortcut) = args
     if not shortcut:
         return _scan_members(args, range(lo, hi + 1), jumps, finish)
-    if not _sieve_applies(sieve, hi, max_steps, max_value):
-        sieve = _EVERY_SEED
     split = min(hi, max_elem)
     return (_scan_members(args, range(lo, split + 1))
-            + _scan_survivors(args, sieve, max(lo, split + 1), hi, jumps))
+            + _scan_survivors(args, classes or _FROM_N, max(lo, split + 1), hi, jumps))
 
 
 def _scan_members(args, seeds: Iterable[int], jumps: Optional[JumpTable] = None,
@@ -608,13 +597,13 @@ def _scan_members(args, seeds: Iterable[int], jumps: Optional[JumpTable] = None,
     return exceptions
 
 
-def _scan_survivors(args, sieve: ResidueSieve, lo: int, hi: int,
+def _scan_survivors(args, classes: ClassList, lo: int, hi: int,
                     jumps: Optional[JumpTable] = None) -> list[tuple[int, str]]:
     """The descent loop of the shortcut over the seeds in [lo, hi], all
-    above max_elem, whose classes mod M survive the sieve.  A seed n =
-    M*m + r enters at its class's iterate k, a*m + b, when its guards hold
-    (see `build_sieve`), and otherwise at n; it then jumps while the jump
-    table's guards hold, and steps one at a time to the end."""
+    above max_elem, whose classes mod M are in the class list.  A seed n =
+    M*m + r enters at its class's iterate k, a*m + b, when its lower guard
+    holds (see `build_sieve`), and otherwise at n; it then jumps while the
+    jump table's guards hold, and steps one at a time to the end."""
     (d, alpha, beta, kappa, _lo, _hi, _members, _max_elem,
      max_steps, max_value, _shortcut) = args
     exceptions: list[tuple[int, str]] = []
@@ -626,17 +615,15 @@ def _scan_survivors(args, sieve: ResidueSieve, lo: int, hi: int,
         coeff, const = jumps.coeff, jumps.const
         low_c, low_p = jumps.low_c, jumps.low_p
         jump_last = max_steps - jump_k
-    modulus, survivors, forms = sieve.modulus, sieve.survivors, sieve.forms
-    # iterates 1..k of every survivor up to hi stay at or below max_value
-    enter = sieve.form_coeff * (hi // modulus) + sieve.form_const <= max_value
+    modulus, residues, forms = classes.modulus, classes.residues, classes.forms
     m, r = divmod(lo, modulus)
     base = lo - r
-    start = bisect_left(survivors, r)
+    start = bisect_left(residues, r)
     while base <= hi:
-        stop = bisect_right(survivors, hi - base)
+        stop = bisect_right(residues, hi - base)
         for r, a, b, form_low_c, form_low_p, form_steps in forms[start:stop]:
             n = base + r
-            if enter and form_low_c * m + form_low_p >= n:
+            if form_low_c * m + form_low_p >= n:
                 v = a * m + b
                 steps = form_steps
             else:
@@ -677,7 +664,7 @@ def _scan_survivors(args, sieve: ResidueSieve, lo: int, hi: int,
     return exceptions
 
 
-# (sieve, jumps, finish), set in each pool worker by its initializer, so the
+# (classes, jumps, finish), set in each pool worker by its initializer, so the
 # tables cross the process boundary once per worker instead of once per chunk
 _worker_tables: tuple = (None, None, None)
 
@@ -720,7 +707,7 @@ def verify_range(job: VerificationJob, workers: Optional[int] = None) -> Checkpo
     # the builders are looked up here, at call time, so a replaced one is used
     max_value = job.limits.max_value
     if job.below_frontier_shortcut:
-        tables = (_memo_table(build_sieve, t),
+        tables = (_scan_classes(_memo_table(build_sieve, t), job.hi, job.limits),
                   _memo_table(build_jumps, t, members, max_value), None)
     else:
         tables = (None, _memo_table(build_jumps, t, members, max_value),

@@ -378,6 +378,22 @@ def test_unwritable_report_path(capsys, tmp_path):
     assert "error: [Errno 2] No such file or directory" in capsys.readouterr().err
 
 
+def test_checkpoint_directory_checked_before_the_scan(capsys, tmp_path, monkeypatch):
+    import collatzkit.cli as cli
+
+    def no_scan(job, workers=None):
+        raise AssertionError("verify_range called")
+
+    monkeypatch.setattr(cli, "verify_range", no_scan)
+    path = str(tmp_path / "no" / "such" / "cp.json")
+    rc = run(["verify", "--triplet", "2:3:1:+", "--hi", "100", "--targets", "1",
+              "--threads", "1", "--checkpoint", path])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err
+    assert "Traceback" not in err and ".tmp." not in err
+
+
 def test_bound_precision_out_of_range_is_usage_error(capsys):
     rc = run(["bound", "alg1", "--triplet", "5:6:4:+", "--min-omega", "5^15",
               "--precision-bits", "4"])

@@ -15,7 +15,7 @@ from collatzkit import (CheckpointError, DigestMismatchError, InvalidTargetsErro
                         save_checkpoint, verify, verify_range)
 from collatzkit.core import PLUS, Triplet
 from collatzkit.dynamics import Cycle, enumerate_cycles
-from collatzkit.verify import (FINISH_CAP, FINISH_STEPS, _scan_chunk, _sieve_applies,
+from collatzkit.verify import (FINISH_CAP, FINISH_STEPS, _scan_chunk, _scan_classes,
                                build_finish, build_jumps, build_sieve,
                                checkpoint_from_json_dict, checkpoint_to_json_dict,
                                job_digest)
@@ -239,7 +239,9 @@ class TestResidueSieve:
     ], ids=str)
     def test_report_unchanged(self, t, lo, hi, chunk, workers):
         j = job(t, lo, hi, TARGETS[t], chunk_size=chunk, prefix_verified_to=lo - 1)
-        assert _sieve_applies(build_sieve(t), hi, j.limits.max_steps, j.limits.max_value)
+        # under the default caps every class fits: the list is the survivors
+        sieve = build_sieve(t)
+        assert _scan_classes(sieve, hi, j.limits).forms == sieve.forms
         cp = assert_tables_keep_report(j, workers)
         assert cp.seeds_scanned == hi - lo + 1
         # seed 10 of 4:10:54:+ ends in the cycle of 342 and never falls below 10
@@ -253,61 +255,77 @@ class TestResidueSieve:
                 chunk_size=chunk, prefix_verified_to=lo - 1))
         assert (67, "step_cap") in cp.exceptions
 
-    @pytest.mark.parametrize("t", [T231, T10128, T3241, T41054, T364032], ids=str)
+    @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124, T41054, T364032], ids=str)
     def test_sieved_seeds_descend_under_the_peak_bound(self, t):
+        # each record's seeds fall below themselves within its k steps, under
+        # its own C*m + P; records and survivors cover the classes mod M once
         sieve = build_sieve(t)
         step = t.step_function()
-        survivors = set(sieve.survivors)
-        for block in (0, 1, 10**6):
-            bound = sieve.peak_coeff * block + sieve.peak_const
-            for r in range(1, sieve.modulus, 7):
-                if r in survivors:
+        covered = [0] * sieve.modulus
+        for r in sieve.survivors:
+            covered[r] += 1
+        for r, level, k, c, p in sieve.sieved:
+            assert sieve.modulus % level == 0 and 1 <= k <= sieve.depth
+            for rr in range(r, sieve.modulus, level):
+                covered[rr] += 1
+            for m in (0, 1, 7, 10**6):
+                n = level * m + r
+                if n == 0:
                     continue
-                n = block * sieve.modulus + r
                 v, steps = step(n), 1
                 while v >= n:
-                    assert v <= bound
+                    assert v <= c * m + p
                     v, steps = step(v), steps + 1
-                assert v <= bound and steps <= sieve.depth
+                assert v <= c * m + p and steps <= k
+        assert set(covered) == {1}
 
     @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124, T257, T41054, T364032],
                              ids=str)
     def test_survivor_forms_are_iterate_k_within_their_bounds(self, t):
         sieve = build_sieve(t)
         assert [entry[0] for entry in sieve.forms] == list(sieve.survivors)
+        assert len(sieve.peak_c) == len(sieve.peak_p) == len(sieve.forms)
+        peaks = list(zip(sieve.peak_c, sieve.peak_p))
         for r, *_form, k in sieve.forms:
             assert 1 <= k == len(fixed_steps(t, r, sieve.modulus)) <= sieve.depth
         for m in (0, 1, 7, 10**6, 10**12):
-            for r, a, b, low_c, low_p, k in sieve.forms[::7]:
+            for (r, a, b, low_c, low_p, k), (c, p) in list(zip(sieve.forms, peaks))[::7]:
                 n = sieve.modulus * m + r
                 inside = iterates(t, n, k)
                 assert inside[-1] == a * m + b
-                assert max(inside) <= sieve.form_coeff * m + sieve.form_const
+                assert max(inside) <= c * m + p
                 if k > 1:
                     assert min(inside[:-1]) >= low_c * m + low_p
                 else:  # no iterate before step k: the bound admits every seed
                     assert low_c * m + low_p > n
 
-    @pytest.mark.parametrize("low_below_n, cap_below_peak, entered", [
-        (False, False, True),
-        (True, False, False),
-        (False, True, False),
-    ], ids=["all-hold", "lower-guard", "value-guard"])
+    @pytest.mark.parametrize("low_below_n, cap_below_peak, k_above_cap, entered", [
+        (False, False, False, True),
+        (True, False, False, False),
+        (False, True, False, False),
+        (False, False, True, False),
+    ], ids=["all-hold", "lower-guard", "value-guard", "step-guard"])
     def test_survivor_entered_at_step_k_exactly_when_the_guards_hold(
-            self, low_below_n, cap_below_peak, entered):
+            self, low_below_n, cap_below_peak, k_above_cap, entered):
         # a doctored sieve whose every survivor lands on 1 at step k, below
         # the seed, so an entry shows as a descended seed; 2^40 - 1 rises for
         # 40 steps; each guard is put one past its bound
         n, max_value = 2**40 - 1, 10**30
         sieve = build_sieve(T231)
         assert n % sieve.modulus in sieve.survivors
-        doctored = replace(sieve, forms=[(r, 0, 1, 0, n - 1 if low_below_n else n, sieve.depth)
+        k = sieve.depth + 1 if k_above_cap else sieve.depth
+        doctored = replace(sieve, forms=[(r, 0, 1, 0, n - 1 if low_below_n else n, k)
                                          for r, *_form in sieve.forms],
-                           form_coeff=0, form_const=max_value + 1 if cap_below_peak else max_value)
-        args = scan_args(T231, n, n, {1, 2}, shortcut=True, max_steps=sieve.depth,
+                           peak_c=[0] * len(sieve.forms),
+                           peak_p=[max_value + 1 if cap_below_peak else max_value]
+                           * len(sieve.forms))
+        limits = Limits(max_steps=sieve.depth, max_value=max_value)
+        # the class list decides the value and step guards, the scan the lower one
+        classes = _scan_classes(doctored, n, limits)
+        assert (classes.forms == doctored.forms) == (not cap_below_peak and not k_above_cap)
+        args = scan_args(T231, n, n, {1, 2}, shortcut=True, max_steps=limits.max_steps,
                          max_value=max_value)
-        assert _sieve_applies(doctored, n, sieve.depth, max_value)
-        assert _scan_chunk(args, doctored, None) == ([] if entered else [(n, "step_cap")])
+        assert _scan_chunk(args, classes, None) == ([] if entered else [(n, "step_cap")])
 
     @pytest.mark.parametrize("k, entered", [(15, True), (16, False)])
     def test_survivor_entered_at_its_own_step(self, k, entered):
@@ -317,42 +335,84 @@ class TestResidueSieve:
         n = 2**40 - 1
         sieve = build_sieve(T231)
         doctored = replace(sieve, forms=[(r, 0, 2 * n - 2, 0, n, k) for r, *_form in sieve.forms],
-                           form_coeff=0, form_const=0)
+                           peak_c=[0] * len(sieve.forms), peak_p=[0] * len(sieve.forms))
+        classes = _scan_classes(doctored, n, Limits(max_steps=sieve.depth))
+        assert classes.forms == doctored.forms
         args = scan_args(T231, n, n, {1, 2}, shortcut=True, max_steps=sieve.depth)
-        assert _scan_chunk(args, doctored, None) == ([] if entered else [(n, "step_cap")])
+        assert _scan_chunk(args, classes, None) == ([] if entered else [(n, "step_cap")])
 
     @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124], ids=str)
     def test_report_unchanged_at_the_survivors_value_cap(self, t):
-        # chunks of one block of M each: survivors enter at step k up to
-        # block 2 and not past it, while the sieve itself still applies at
-        # block 2; the report equals the one from a sieve whose survivors
-        # never enter, and from no tables at all
+        # a value cap at the median survivor's own bound for seeds up to 4M:
+        # that survivor and the ones below it enter at step k, the rest are
+        # scanned from n; the report equals the one from a sieve whose
+        # survivors never enter, and from no tables at all
         sieve = build_sieve(t)
-        limits = Limits(max_value=sieve.form_coeff * 2 + sieve.form_const)
-        assert _sieve_applies(sieve, 2 * sieve.modulus, limits.max_steps, limits.max_value)
-        j = job(t, 1, 4 * sieve.modulus, TARGETS[t], limits=limits, chunk_size=sieve.modulus)
+        hi = 4 * sieve.modulus
+        bounds = sorted(c * 4 + p for c, p in zip(sieve.peak_c, sieve.peak_p))
+        limits = Limits(max_value=bounds[len(bounds) // 2])
+        entered = [form for form in _scan_classes(sieve, hi, limits).forms if form[5] > 0]
+        assert 0 < len(entered) < len(sieve.forms)
+        j = job(t, 1, hi, TARGETS[t], limits=limits, chunk_size=sieve.modulus)
         full = assert_tables_keep_report(j)
-        never = replace(sieve, form_const=limits.max_value + 1)
+        never = replace(sieve, peak_c=[0] * len(sieve.forms),
+                        peak_p=[limits.max_value + 1] * len(sieve.forms))
         with mock.patch.object(verify, "build_sieve", lambda t: never):
             assert report_bytes(verify_range(j, workers=1)) == report_bytes(full)
 
     def test_fallback_below_depth_steps(self):
+        # every survivor of 2:3:1:+ fixes 16 steps, so under 15 each falls
+        # back to a scan from n; the sieved classes of 15 steps or fewer
+        # are still skipped
         sieve = build_sieve(T231)
         limits = Limits(max_steps=sieve.depth - 1)
-        assert not _sieve_applies(sieve, 5000, limits.max_steps, limits.max_value)
+        classes = _scan_classes(sieve, 5000, limits)
+        assert all(form[5] == 0 for form in classes.forms)
+        assert set(sieve.survivors) < set(classes.residues)
+        assert len(classes.forms) < sieve.modulus
         cp = assert_tables_keep_report(job(T231, 1, 5000, (OMEGA1,), limits=limits,
                                            chunk_size=999))
         assert {s for _n, s in cp.exceptions} == {"step_cap"}
 
-    def test_fallback_per_chunk_under_small_value_cap(self):
-        # the cap admits the sieve for chunks below M = 2^16 only
+    def test_fallback_per_class_under_small_value_cap(self):
+        # the cap is the largest bound of a sieved class for seeds below
+        # M = 2^16: a job that ends there skips every sieved class, one that
+        # ends at 3M scans some of them from n
         sieve = build_sieve(T231)
-        limits = Limits(max_value=sieve.peak_const)
-        assert _sieve_applies(sieve, sieve.modulus - 1, limits.max_steps, limits.max_value)
-        assert not _sieve_applies(sieve, sieve.modulus, limits.max_steps, limits.max_value)
+        below = sieve.modulus - 1
+        limits = Limits(max_value=max(c * (below // level) + p
+                                      for _r, level, _k, c, p in sieve.sieved))
+        assert len(_scan_classes(sieve, below, limits).forms) == len(sieve.survivors)
+        classes = _scan_classes(sieve, 3 * sieve.modulus, limits)
+        assert len(sieve.survivors) < len(classes.forms) < sieve.modulus
         cp = assert_tables_keep_report(job(T231, 1, 3 * sieve.modulus, (OMEGA1,),
                                            limits=limits, chunk_size=20_000))
         assert {s for _n, s in cp.exceptions} == {"value_cap"}
+
+    @pytest.mark.parametrize("t, limits", [
+        (T231, Limits(max_steps=15)),  # one below the sieve depth 16
+        (T231, Limits(max_value=10**5)),
+        (T10128, Limits(max_steps=3)),
+        (T8124, Limits(max_steps=10, max_value=10**4)),
+    ], ids=["2:3:1:+ steps", "2:3:1:+ value", "10:12:8:+ steps", "8:12:4:+ both"])
+    def test_per_class_caps_keep_the_sieve(self, t, limits):
+        # under caps below the sieve's deepest class, the classes that fit
+        # are still skipped, and a direct walk shows each skipped seed up to
+        # hi descending within the caps
+        sieve = build_sieve(t)
+        hi = sieve.modulus + 5_000
+        kept = set(_scan_classes(sieve, hi, limits).residues)
+        skipped = [r for r in range(sieve.modulus) if r not in kept]
+        assert skipped
+        step = t.step_function()
+        for r in skipped:
+            for n in range(r or sieve.modulus, hi + 1, sieve.modulus):
+                v, steps = step(n), 1
+                while v >= n:
+                    assert v <= limits.max_value and steps < limits.max_steps
+                    v, steps = step(v), steps + 1
+                assert v <= limits.max_value
+        assert_tables_keep_report(job(t, 1, hi, TARGETS[t], limits=limits, chunk_size=7_000))
 
     @settings(max_examples=100, deadline=None)
     @given(t=st.sampled_from(sorted(TARGETS, key=str)),
@@ -402,7 +462,7 @@ class TestJumpTable:
         # 65^2 > 2^10: no table below depth 2
         assert build_jumps(Triplet(65, 66, 64, 1), {64}, 10**30) is None
 
-    @pytest.mark.parametrize("t", [T231, T10128, T3241, T34m1], ids=str)
+    @pytest.mark.parametrize("t", [T231, T10128, T3241, T34m1, T8124, T41054], ids=str)
     def test_landing_is_iterate_k(self, t):
         jumps = build_jumps(t, CYCLE_MEMBERS[t], 10**30)
         for q in (0, 1, 7, 10**9 + 7):
@@ -422,7 +482,7 @@ class TestJumpTable:
                 expected[r] = max(expected[r], q)
         assert jumps.hit == expected
 
-    @pytest.mark.parametrize("t", [T231, T10128, T3241, T34m1], ids=str)
+    @pytest.mark.parametrize("t", [T231, T10128, T3241, T34m1, T8124, T41054], ids=str)
     def test_low_bounds_iterates_before_step_k(self, t):
         jumps = build_jumps(t, CYCLE_MEMBERS[t], 10**30)
         for q in (0, 1, 7, 10**9 + 7):
@@ -530,12 +590,13 @@ class TestJumpTable:
 
     def test_membership_loop_never_jumps_under_the_shortcut(self):
         # seeds up to the largest member (536) scan in the membership loop,
-        # where a jump could cross the below-seed exit; the caps also make
-        # every chunk fall back from the sieve
+        # where a jump could cross the below-seed exit; under the caps most
+        # classes above it are skipped and the rest scanned from n
         targets = enumerate_cycles(T8124, 1, 200)
         j = job(T8124, 1, 1213, targets, limits=Limits(max_steps=10, max_value=10**4),
                 chunk_size=400)
-        assert not _sieve_applies(build_sieve(T8124), 400, 10, 10**4)
+        sieve = build_sieve(T8124)
+        assert len(_scan_classes(sieve, 1213, j.limits).forms) < sieve.modulus
         cp = assert_tables_keep_report(j)
         assert len(cp.exceptions) == 39
 
@@ -546,8 +607,9 @@ class TestJumpTable:
         (T10128, Limits(max_steps=40, max_value=5 * 10**4)),
     ], ids=["2:3:1:+ steps", "2:3:1:+ value", "10:12:8:+ steps", "10:12:8:+ both"])
     def test_shortcut_report_unchanged_on_the_sieve_fallback(self, t, limits):
-        sieve = build_sieve(t)
-        assert not _sieve_applies(sieve, 30_000, limits.max_steps, limits.max_value)
+        # the classes that do not fit these caps are scanned from n
+        classes = _scan_classes(build_sieve(t), 30_000, limits)
+        assert any(form[5] == 0 for form in classes.forms)
         cp = assert_tables_keep_report(
             job(t, 1, 30_000, TARGETS[t], limits=limits, chunk_size=4_096), workers=2)
         assert cp.exceptions
