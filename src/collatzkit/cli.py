@@ -306,24 +306,27 @@ def _cmd_verify(args) -> int:
         if not os.path.isdir(directory):
             raise NotADirectoryError(
                 f"cannot write checkpoint {args.checkpoint}: {directory} is not a directory")
-    cp = verify_range(job, workers=workers)
+        if os.path.isdir(args.checkpoint):
+            raise IsADirectoryError(
+                f"cannot write checkpoint {args.checkpoint}: it is a directory")
+    return _verify_outputs(verify_range(job, workers=workers), args)
+
+
+def _cmd_resume(args) -> int:
+    workers = _threads(args)
+    cp = load_checkpoint(args.checkpoint)
+    return _verify_outputs(resume(cp, args.hi, workers=workers), args)
+
+
+def _verify_outputs(cp: Checkpoint, args) -> int:
+    """The tail of verify and resume: print the report, save the checkpoint,
+    write --json/--csv; exit status 1 when some seed is undecided."""
     print(emit_table(cp, "text"))
     if args.checkpoint:
         save_checkpoint(cp, args.checkpoint)
         print(f"checkpoint written to {args.checkpoint}")
     _write_outputs(cp, args)
     return 0 if not cp.exceptions else 1
-
-
-def _cmd_resume(args) -> int:
-    workers = _threads(args)
-    cp = load_checkpoint(args.checkpoint)
-    cp2 = resume(cp, args.hi, workers=workers)
-    print(emit_table(cp2, "text"))
-    save_checkpoint(cp2, args.checkpoint)
-    print(f"checkpoint updated at {args.checkpoint}")
-    _write_outputs(cp2, args)
-    return 0 if not cp2.exceptions else 1
 
 
 # --- parser -------------------------------------------------------------------

@@ -20,8 +20,10 @@ exit can lie inside them; it comes from the sieve's digit-by-digit
 refinement (`_refine`), unpruned.  Without the shortcut, a finish table
 (`build_finish`) ends a seed as soon as it reaches a small value from which
 a member is known to follow within the caps.  The report is the same as
-without any of the tables, and each table is built once per process for
-its triplet, targets and value cap (`_memo_table`).
+without any of the tables.  Each table is built once per process for its
+triplet, value cap and targets, the jump table for the largest target
+element alone (`_memo_table`), and a job's tables travel with its map,
+members and caps in one scan plan (`ScanPlan`), sent to each worker once.
 """
 
 from __future__ import annotations
@@ -330,10 +332,9 @@ _FROM_N = ClassList(1 << 10, array("l", range(1 << 10)),
                     [(r, 1 << 10, r, 1 << 10, r, 0) for r in range(1 << 10)])
 
 
-def _scan_classes(sieve: Optional[ResidueSieve], hi: int,
-                  limits: Limits) -> Optional[ClassList]:
-    """The class list of a shortcut scan of seeds n <= hi under `limits`,
-    or None when it skips and enters no class.
+def _scan_classes(sieve: Optional[ResidueSieve], hi: int, limits: Limits) -> ClassList:
+    """The class list of a shortcut scan of seeds n <= hi under `limits`;
+    `_FROM_N` when there is no sieve, or it skips and enters no class.
 
     A class (sieved, or surviving with level M) fits when k <= max_steps and
     C*(hi // level) + P <= max_value, which bounds its iterates up to step
@@ -343,7 +344,7 @@ def _scan_classes(sieve: Optional[ResidueSieve], hi: int,
     caps every class fits, and the list is the sieve's own survivors and
     forms."""
     if sieve is None:
-        return None
+        return _FROM_N
     max_steps, max_value, modulus = limits.max_steps, limits.max_value, sieve.modulus
     block = hi // modulus
     entered = [form[5] <= max_steps and c * block + p <= max_value
@@ -353,7 +354,7 @@ def _scan_classes(sieve: Optional[ResidueSieve], hi: int,
     if not unfit and all(entered):
         return ClassList(modulus, sieve.survivors, sieve.forms)
     if len(unfit) == len(sieve.sieved) and not any(entered):
-        return None
+        return _FROM_N
     forms: list = [None] * modulus
     for r, level in unfit:
         for rr in range(r, modulus, level):
@@ -379,27 +380,26 @@ class JumpTable:
     modulus: int  # d^k
     coeff: list
     const: list
-    hit: list  # largest q whose iterates 1..k-1 meet a member, or -1
+    hit: list  # iterates 1..k-1 of d^k*q + r exceed max_elem for q > hit[r]
     low_c: list  # iterates 1..k-1 of d^k*q + r are at least
     low_p: list  # low_c[r]*q + low_p[r]
     qmax: int  # iterates 1..k stay at or below max_value for q <= qmax
 
 
-def build_jumps(t: Triplet, members: Iterable[int],
-                max_value: int) -> Optional[JumpTable]:
+def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable]:
     """The k-step jump table mod d^k, k the largest with d^k <= JUMP_MODULUS_CAP,
-    for a scan toward `members` under `max_value`; None when k < 2, since a
-    one-step jump only adds a divmod and three lookups to a step.
+    for a scan toward members no larger than `max_elem` under `max_value`;
+    None when k < 2, since a one-step jump only adds a divmod and three
+    lookups to a step.
 
     Form.  `_refine` with split d and no pruning fixes one step per level,
     so for n = d^k*q + r iterate k is coeff[r]*q + const[r] with coeff[r]
     = alpha^(o_k) and const[r] = T^k(r), every iterate 1..k-1 is at least
-    low_c[r]*q + low_p[r] (the class's L and Q), and C*q + P, with C and P
-    the largest over the classes mod d^k, bounds iterates 1..k of every
-    class; qmax = (max_value - P) // C.
+    low_c[r]*q + low_p[r] (the class's L and Q, L >= 1), and C*q + P, with
+    C and P the largest over the classes mod d^k, bounds iterates 1..k of
+    every class; qmax = (max_value - P) // C.
 
-    Guards.  hit[r] is the largest q for which some iterate 1..k-1 of
-    d^k*q + r is a member, or -1 when there is none.  A scan at a value
+    Guards.  hit[r] = (max_elem - low_p[r]) // low_c[r].  A scan at a value
     v = d^k*q + r with steps < max_steps taken jumps to iterate k with
     steps + k only when steps + k <= max_steps and q <= qmax, and besides,
     in the membership loop (v not a member), when hit[r] < q; in the
@@ -417,42 +417,25 @@ def build_jumps(t: Triplet, members: Iterable[int],
     steps either way, and the landing value meets the loop's own test (the
     member test, or v >= n) as before: every exception, its status, the
     frontier, seeds_scanned and the digest are unchanged.  Under the
-    shortcut the membership loop never jumps, because hit[r] does not rule
-    out its other exit, a value below the seed.
+    shortcut the membership loop, which runs only the seeds up to
+    max_elem, takes no jumps.
 
-    Hits.  At each level j < k, each member e = a*m + b with m >= 0 of a
-    class's iterate j names the one seed n = d^j*m + r whose iterate j is
-    e, and raises hit[n mod d^k] to at least n // d^k; every seed with a
-    member among iterates 1..k-1 is named so, hence hit is exact.
+    Member guard.  For q > hit[r], low_c[r]*q + low_p[r] > max_elem, so
+    every iterate 1..k-1 exceeds the largest member, and none is a member.
     """
     d = t.d
     if d * d > JUMP_MODULUS_CAP:
         return None
-    members = sorted(members)
-    max_elem = members[-1]
-    # members grouped by residue mod a, for each coefficient a <= max_elem
-    by_residue: dict[int, dict[int, list[int]]] = {}
-    levels = list(_refine(t, d, JUMP_MODULUS_CAP))
-    modulus, live = levels[-1]
-    hit = [-1] * modulus
-    for level, classes in levels[:-1]:
-        for r, a, b, *_bounds in classes:
-            if b > max_elem:
-                continue
-            if a not in by_residue:
-                groups = by_residue[a] = {}
-                for e in members:
-                    groups.setdefault(e % a, []).append(e)
-            group = by_residue[a].get(b % a, ())
-            for e in group[bisect_left(group, b):]:
-                q, rk = divmod(level * ((e - b) // a) + r, modulus)
-                hit[rk] = max(hit[rk], q)
-    coeff, const, low_c, low_p = ([0] * modulus for _ in range(4))
+    depth = 0
+    for modulus, live in _refine(t, d, JUMP_MODULUS_CAP):
+        depth += 1
+    coeff, const, hit, low_c, low_p = ([0] * modulus for _ in range(5))
     for r, a, b, _j, _floor, _c, _p, l_c, l_p in live:
         coeff[r], const[r], low_c[r], low_p[r] = a, b, l_c, l_p
+        hit[r] = (max_elem - l_p) // l_c
     peak_coeff = max(entry[5] for entry in live)
     peak_const = max(entry[6] for entry in live)
-    return JumpTable(len(levels), modulus, coeff, const, hit, low_c, low_p,
+    return JumpTable(depth, modulus, coeff, const, hit, low_c, low_p,
                      (max_value - peak_const) // peak_coeff)
 
 
@@ -519,38 +502,51 @@ def _memo_table(builder, *args):
     return builder(*args)
 
 
-def _scan_chunk(args, classes: Optional[ClassList] = None,
-                jumps: Optional[JumpTable] = None,
-                finish: Optional[array] = None) -> list[tuple[int, str]]:
+@dataclass(frozen=True)
+class ScanPlan:
+    """What a chunk scan needs of its job, built once by `verify_range` and
+    sent to each pool worker once: the map, the members and the largest of
+    them, the caps, the shortcut flag, and the tables.  `classes` serves
+    only the shortcut, `finish` only a scan without it (None under it)."""
+
+    triplet: Triplet
+    members: frozenset
+    max_elem: int
+    limits: Limits
+    shortcut: bool
+    classes: ClassList
+    jumps: Optional[JumpTable]
+    finish: Optional[array]
+
+
+def _scan_chunk(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
     """Scan seeds [lo, hi]; returns (seed, status) for every undecided seed.
 
     Without the shortcut every seed runs the membership loop, which takes
     the jump table's guarded k-step jumps and stops at the finish table's
     exit.  Under the shortcut, seeds up to max_elem run the membership loop
     without either table, and the seeds above it the descent loop of
-    `_scan_survivors`, which jumps: the seeds of the classes in `classes`,
-    each entered at its class's step where its guards hold, or every seed,
-    from n itself, when there is no class list.
+    `_scan_survivors`, which jumps: the seeds of the classes in the plan's
+    class list, each entered at its class's step where its guards hold.
     """
-    (_d, _alpha, _beta, _kappa, lo, hi, _members, max_elem,
-     _max_steps, _max_value, shortcut) = args
-    if not shortcut:
-        return _scan_members(args, range(lo, hi + 1), jumps, finish)
-    split = min(hi, max_elem)
-    return (_scan_members(args, range(lo, split + 1))
-            + _scan_survivors(args, classes or _FROM_N, max(lo, split + 1), hi, jumps))
+    if not plan.shortcut:
+        return _scan_members(plan, range(lo, hi + 1))
+    split = min(hi, plan.max_elem)
+    return (_scan_members(plan, range(lo, split + 1))
+            + _scan_survivors(plan, max(lo, split + 1), hi))
 
 
-def _scan_members(args, seeds: Iterable[int], jumps: Optional[JumpTable] = None,
-                  finish: Optional[array] = None) -> list[tuple[int, str]]:
+def _scan_members(plan: ScanPlan, seeds: Iterable[int]) -> list[tuple[int, str]]:
     """The membership loop: each seed runs until it meets a member or, under
-    the shortcut, falls below itself.  Takes jumps and the finish exit only
-    from tables passed without the shortcut, as their guards do not cover
-    the below-seed exit."""
-    (d, alpha, beta, kappa, _lo, _hi, members, max_elem,
-     max_steps, max_value, shortcut) = args
+    the shortcut, falls below itself.  Takes the plan's jumps and finish
+    exit only without the shortcut; under it, the loop runs only the seeds
+    up to max_elem."""
+    t, members, max_elem, shortcut = plan.triplet, plan.members, plan.max_elem, plan.shortcut
+    d, alpha, beta = t.d, t.alpha, t.beta
+    max_steps, max_value = plan.limits.max_steps, plan.limits.max_value
+    jumps, finish = (None, None) if shortcut else (plan.jumps, plan.finish)
     exceptions: list[tuple[int, str]] = []
-    plus = kappa == PLUS
+    plus = t.kappa == PLUS
     # a jump may start only while steps <= jump_last, i.e. steps + k <= max_steps
     jump_last = -1
     if jumps is not None:
@@ -597,17 +593,18 @@ def _scan_members(args, seeds: Iterable[int], jumps: Optional[JumpTable] = None,
     return exceptions
 
 
-def _scan_survivors(args, classes: ClassList, lo: int, hi: int,
-                    jumps: Optional[JumpTable] = None) -> list[tuple[int, str]]:
+def _scan_survivors(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
     """The descent loop of the shortcut over the seeds in [lo, hi], all
-    above max_elem, whose classes mod M are in the class list.  A seed n =
-    M*m + r enters at its class's iterate k, a*m + b, when its lower guard
-    holds (see `build_sieve`), and otherwise at n; it then jumps while the
-    jump table's guards hold, and steps one at a time to the end."""
-    (d, alpha, beta, kappa, _lo, _hi, _members, _max_elem,
-     max_steps, max_value, _shortcut) = args
+    above max_elem, whose classes mod M are in the plan's class list.  A
+    seed n = M*m + r enters at its class's iterate k, a*m + b, when its
+    lower guard holds (see `build_sieve`), and otherwise at n; it then
+    jumps while the jump table's guards hold, and steps one at a time to
+    the end."""
+    t, jumps = plan.triplet, plan.jumps
+    d, alpha, beta = t.d, t.alpha, t.beta
+    max_steps, max_value = plan.limits.max_steps, plan.limits.max_value
     exceptions: list[tuple[int, str]] = []
-    plus = kappa == PLUS
+    plus = t.kappa == PLUS
     # a jump may start only while steps <= jump_last, i.e. steps + k <= max_steps
     jump_last = -1
     if jumps is not None:
@@ -615,7 +612,7 @@ def _scan_survivors(args, classes: ClassList, lo: int, hi: int,
         coeff, const = jumps.coeff, jumps.const
         low_c, low_p = jumps.low_c, jumps.low_p
         jump_last = max_steps - jump_k
-    modulus, residues, forms = classes.modulus, classes.residues, classes.forms
+    modulus, residues, forms = plan.classes.modulus, plan.classes.residues, plan.classes.forms
     m, r = divmod(lo, modulus)
     base = lo - r
     start = bisect_left(residues, r)
@@ -664,22 +661,40 @@ def _scan_survivors(args, classes: ClassList, lo: int, hi: int,
     return exceptions
 
 
-# (classes, jumps, finish), set in each pool worker by its initializer, so the
-# tables cross the process boundary once per worker instead of once per chunk
-_worker_tables: tuple = (None, None, None)
+# the plan of the job, set in each pool worker by its initializer, so that
+# it crosses the process boundary once per worker instead of once per chunk
+_worker_plan: Optional[ScanPlan] = None
 
 
-def _init_worker(*tables) -> None:
-    global _worker_tables
-    _worker_tables = tables
+def _init_worker(plan: ScanPlan) -> None:
+    global _worker_plan
+    _worker_plan = plan
 
 
-def _scan_chunk_in_worker(args) -> list[tuple[int, str]]:
-    return _scan_chunk(args, *_worker_tables)
+def _scan_span(span: tuple[int, int]) -> list[tuple[int, str]]:
+    return _scan_chunk(_worker_plan, *span)
 
 
 def _worker_count(workers: Optional[int]) -> int:
     return max(1, workers if workers is not None else os.cpu_count() or 1)
+
+
+def _checkpoint(job: VerificationJob, exceptions: Iterable[tuple[int, str]],
+                wall: float) -> Checkpoint:
+    """The checkpoint of `job` with these exceptions, in seed order: its
+    frontier is the seed before the first of them, and every seed of the
+    range counts as scanned."""
+    exceptions = tuple(exceptions)
+    seeds = job.hi - job.lo + 1
+    return Checkpoint(
+        job=job,
+        digest=job_digest(job),
+        verified_frontier=job.hi if not exceptions else exceptions[0][0] - 1,
+        exceptions=exceptions,
+        seeds_scanned=seeds,
+        wall_time=wall,
+        throughput=seeds / wall if wall > 0 else float("inf"),
+    )
 
 
 def verify_range(job: VerificationJob, workers: Optional[int] = None) -> Checkpoint:
@@ -690,80 +705,44 @@ def verify_range(job: VerificationJob, workers: Optional[int] = None) -> Checkpo
         raise ShortcutUnsoundError(
             f"shortcut requires the prefix [1, {job.lo}) to be covered; "
             f"verified only up to {job.prefix_verified_to}")
+    spans = [(a, min(a + job.chunk_size - 1, job.hi))
+             for a in range(job.lo, job.hi + 1, job.chunk_size)]
+    # extra workers would only cost spawn time
+    nworkers = min(_worker_count(workers), len(spans))
+    start = time.perf_counter()
+    t, limits, shortcut = job.triplet, job.limits, job.below_frontier_shortcut
     members = frozenset(x for c in job.targets for x in c.elements)
     max_elem = max(members)
-    t = job.triplet
-    chunks = []
-    a = job.lo
-    while a <= job.hi:
-        b = min(a + job.chunk_size - 1, job.hi)
-        chunks.append((t.d, t.alpha, t.beta, t.kappa, a, b, members, max_elem,
-                       job.limits.max_steps, job.limits.max_value,
-                       job.below_frontier_shortcut))
-        a = b + 1
-    # extra workers would only cost spawn time
-    nworkers = min(_worker_count(workers), len(chunks))
-    start = time.perf_counter()
     # the builders are looked up here, at call time, so a replaced one is used
-    max_value = job.limits.max_value
-    if job.below_frontier_shortcut:
-        tables = (_scan_classes(_memo_table(build_sieve, t), job.hi, job.limits),
-                  _memo_table(build_jumps, t, members, max_value), None)
-    else:
-        tables = (None, _memo_table(build_jumps, t, members, max_value),
-                  _memo_table(build_finish, t, members, max_value))
+    plan = ScanPlan(
+        t, members, max_elem, limits, shortcut,
+        _scan_classes(_memo_table(build_sieve, t), job.hi, limits) if shortcut else _FROM_N,
+        _memo_table(build_jumps, t, max_elem, limits.max_value),
+        None if shortcut else _memo_table(build_finish, t, members, limits.max_value))
     if nworkers == 1:
-        results = [_scan_chunk(c, *tables) for c in chunks]
+        results = [_scan_chunk(plan, lo, hi) for lo, hi in spans]
     else:
         with ProcessPoolExecutor(max_workers=nworkers, initializer=_init_worker,
-                                 initargs=tables) as pool:
-            results = list(pool.map(_scan_chunk_in_worker, chunks))
-    wall = time.perf_counter() - start
-    exceptions: list[tuple[int, str]] = []
-    for r in results:
-        exceptions.extend(r)
-    seeds = job.hi - job.lo + 1
-    frontier = job.hi if not exceptions else exceptions[0][0] - 1
-    return Checkpoint(
-        job=job,
-        digest=job_digest(job),
-        verified_frontier=frontier,
-        exceptions=tuple(exceptions),
-        seeds_scanned=seeds,
-        wall_time=wall,
-        throughput=seeds / wall if wall > 0 else float("inf"),
-    )
+                                 initargs=(plan,)) as pool:
+            results = list(pool.map(_scan_span, spans))
+    return _checkpoint(job, (e for r in results for e in r), time.perf_counter() - start)
 
 
 def resume(cp: Checkpoint, hi_new: int, workers: Optional[int] = None) -> Checkpoint:
-    """Continue a checkpointed job up to hi_new; digest integrity enforced."""
+    """Continue a checkpointed job up to hi_new; digest integrity enforced.
+
+    Every exception of the checkpoint lies past its frontier, and the scan
+    of (frontier, hi_new] finds again each one up to hi_new, so that scan's
+    exceptions are the whole result, and none lies past hi_new."""
     if job_digest(cp.job) != cp.digest:
         raise DigestMismatchError("checkpoint digest does not match its job")
     if hi_new <= cp.verified_frontier:
         raise InvalidTargetsError(
             f"nothing to do: hi_new={hi_new} <= frontier={cp.verified_frontier}")
-    cont = replace(cp.job,
-                   lo=cp.verified_frontier + 1,
-                   hi=hi_new,
-                   prefix_verified_to=cp.verified_frontier)
-    part = verify_range(cont, workers=workers)
-    merged: dict[int, str] = dict(cp.exceptions)
-    merged.update(dict(part.exceptions))
-    exceptions = tuple(sorted(merged.items()))
-    frontier = hi_new if not exceptions else exceptions[0][0] - 1
-    full_job = replace(cp.job, hi=hi_new)
-    wall = cp.wall_time + part.wall_time
-    # the checkpoint's seeds past its frontier were scanned again by part
-    seeds = cp.verified_frontier - cp.job.lo + 1 + part.seeds_scanned
-    return Checkpoint(
-        job=full_job,
-        digest=job_digest(full_job),
-        verified_frontier=frontier,
-        exceptions=exceptions,
-        seeds_scanned=seeds,
-        wall_time=wall,
-        throughput=seeds / wall if wall > 0 else float("inf"),
-    )
+    part = verify_range(replace(cp.job, lo=cp.verified_frontier + 1, hi=hi_new,
+                                prefix_verified_to=cp.verified_frontier), workers=workers)
+    return _checkpoint(replace(cp.job, hi=hi_new), part.exceptions,
+                       cp.wall_time + part.wall_time)
 
 
 # --- checkpoint files ---------------------------------------------------------

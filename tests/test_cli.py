@@ -385,13 +385,14 @@ def test_checkpoint_directory_checked_before_the_scan(capsys, tmp_path, monkeypa
         raise AssertionError("verify_range called")
 
     monkeypatch.setattr(cli, "verify_range", no_scan)
-    path = str(tmp_path / "no" / "such" / "cp.json")
-    rc = run(["verify", "--triplet", "2:3:1:+", "--hi", "100", "--targets", "1",
-              "--threads", "1", "--checkpoint", path])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and path in err
-    assert "Traceback" not in err and ".tmp." not in err
+    # a path in a missing directory, and a path that is a directory
+    for path in (str(tmp_path / "no" / "such" / "cp.json"), str(tmp_path)):
+        rc = run(["verify", "--triplet", "2:3:1:+", "--hi", "100", "--targets", "1",
+                  "--threads", "1", "--checkpoint", path])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err
+        assert "Traceback" not in err and ".tmp." not in err
 
 
 def test_bound_precision_out_of_range_is_usage_error(capsys):

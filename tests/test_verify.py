@@ -15,8 +15,8 @@ from collatzkit import (CheckpointError, DigestMismatchError, InvalidTargetsErro
                         save_checkpoint, verify, verify_range)
 from collatzkit.core import PLUS, Triplet
 from collatzkit.dynamics import Cycle, enumerate_cycles
-from collatzkit.verify import (FINISH_CAP, FINISH_STEPS, _scan_chunk, _scan_classes,
-                               build_finish, build_jumps, build_sieve,
+from collatzkit.verify import (_FROM_N, FINISH_CAP, FINISH_STEPS, ScanPlan, _scan_chunk,
+                               _scan_classes, build_finish, build_jumps, build_sieve,
                                checkpoint_from_json_dict, checkpoint_to_json_dict,
                                job_digest)
 
@@ -323,9 +323,9 @@ class TestResidueSieve:
         # the class list decides the value and step guards, the scan the lower one
         classes = _scan_classes(doctored, n, limits)
         assert (classes.forms == doctored.forms) == (not cap_below_peak and not k_above_cap)
-        args = scan_args(T231, n, n, {1, 2}, shortcut=True, max_steps=limits.max_steps,
-                         max_value=max_value)
-        assert _scan_chunk(args, classes, None) == ([] if entered else [(n, "step_cap")])
+        plan = scan_plan(T231, {1, 2}, shortcut=True, max_steps=limits.max_steps,
+                         max_value=max_value, classes=classes)
+        assert _scan_chunk(plan, n, n) == ([] if entered else [(n, "step_cap")])
 
     @pytest.mark.parametrize("k, entered", [(15, True), (16, False)])
     def test_survivor_entered_at_its_own_step(self, k, entered):
@@ -338,8 +338,8 @@ class TestResidueSieve:
                            peak_c=[0] * len(sieve.forms), peak_p=[0] * len(sieve.forms))
         classes = _scan_classes(doctored, n, Limits(max_steps=sieve.depth))
         assert classes.forms == doctored.forms
-        args = scan_args(T231, n, n, {1, 2}, shortcut=True, max_steps=sieve.depth)
-        assert _scan_chunk(args, classes, None) == ([] if entered else [(n, "step_cap")])
+        plan = scan_plan(T231, {1, 2}, shortcut=True, max_steps=sieve.depth, classes=classes)
+        assert _scan_chunk(plan, n, n) == ([] if entered else [(n, "step_cap")])
 
     @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124], ids=str)
     def test_report_unchanged_at_the_survivors_value_cap(self, t):
@@ -425,22 +425,24 @@ class TestResidueSieve:
             limits=Limits(max_steps=max_steps, max_value=max_value)))
 
 
-def scan_args(t, lo, hi, members, max_steps=10**5, max_value=10**30, shortcut=False):
-    """A `_scan_chunk` argument tuple, by default for a scan without the shortcut."""
+def scan_plan(t, members, max_steps=10**5, max_value=10**30, shortcut=False,
+              classes=_FROM_N, jumps=None, finish=None):
+    """A `_scan_chunk` plan, by default for a scan without the shortcut and
+    without tables."""
     members = frozenset(members)
-    return (t.d, t.alpha, t.beta, t.kappa, lo, hi, members, max(members),
-            max_steps, max_value, shortcut)
+    return ScanPlan(t, members, max(members), Limits(max_steps=max_steps, max_value=max_value),
+                    shortcut, classes, jumps, finish)
 
 
 def assert_tables_keep_scan(t, lo, hi, members, **caps):
     """_scan_chunk with its jump table and its finish table, each alone and
     both together, against the same scan with no table."""
-    args = scan_args(t, lo, hi, members, **caps)
-    jumps = build_jumps(t, args[6], args[9])
-    finish = build_finish(t, args[6], args[9])
-    plain = _scan_chunk(args)
+    plan = scan_plan(t, members, **caps)
+    jumps = build_jumps(t, plan.max_elem, plan.limits.max_value)
+    finish = build_finish(t, plan.members, plan.limits.max_value)
+    plain = _scan_chunk(plan, lo, hi)
     for tables in ((jumps, None), (None, finish), (jumps, finish)):
-        assert _scan_chunk(args, None, *tables) == plain
+        assert _scan_chunk(replace(plan, jumps=tables[0], finish=tables[1]), lo, hi) == plain
     return plain
 
 
@@ -455,36 +457,40 @@ def iterates(t: Triplet, n: int, k: int) -> list[int]:
 
 class TestJumpTable:
     def test_depth_is_largest_under_the_cap(self):
-        classical, two_power = build_jumps(T231, {1, 2}, 10**30), build_jumps(T10128, {4}, 10**30)
+        classical, two_power = build_jumps(T231, 2, 10**30), build_jumps(T10128, 4, 10**30)
         assert (classical.depth, classical.modulus) == (10, 1 << 10)
         assert (two_power.depth, two_power.modulus) == (3, 10**3)
-        assert build_jumps(Triplet(1025, 1026, 1024, 1), {1}, 10**30) is None
+        assert build_jumps(Triplet(1025, 1026, 1024, 1), 1, 10**30) is None
         # 65^2 > 2^10: no table below depth 2
-        assert build_jumps(Triplet(65, 66, 64, 1), {64}, 10**30) is None
+        assert build_jumps(Triplet(65, 66, 64, 1), 64, 10**30) is None
 
     @pytest.mark.parametrize("t", [T231, T10128, T3241, T34m1, T8124, T41054], ids=str)
     def test_landing_is_iterate_k(self, t):
-        jumps = build_jumps(t, CYCLE_MEMBERS[t], 10**30)
+        jumps = build_jumps(t, max(CYCLE_MEMBERS[t]), 10**30)
         for q in (0, 1, 7, 10**9 + 7):
             for r in range(1 if q == 0 else 0, jumps.modulus):
                 landing = iterates(t, jumps.modulus * q + r, jumps.depth)[-1]
                 assert landing == jumps.coeff[r] * q + jumps.const[r]
 
     @pytest.mark.parametrize("t", [T231, T10128, T3241, T34m1], ids=str)
-    def test_hit_is_the_largest_q_meeting_a_member_before_step_k(self, t):
+    def test_hit_bounds_the_q_meeting_a_member_before_step_k(self, t):
+        # hit comes from the lower bound on iterates 1..k-1, so it is at
+        # least the largest q of each class whose iterates meet a member
         members = CYCLE_MEMBERS[t]
-        jumps = build_jumps(t, members, 10**30)
-        expected = [-1] * jumps.modulus
+        jumps = build_jumps(t, max(members), 10**30)
+        assert jumps.hit == [(max(members) - low_p) // low_c
+                             for low_c, low_p in zip(jumps.low_c, jumps.low_p)]
+        met = [-1] * jumps.modulus
         # iterates are at least q, so no seed with q > max(members) can meet one
         for n in range(1, jumps.modulus * (max(members) + 1)):
             if members.intersection(iterates(t, n, jumps.depth - 1)):
                 q, r = divmod(n, jumps.modulus)
-                expected[r] = max(expected[r], q)
-        assert jumps.hit == expected
+                met[r] = max(met[r], q)
+        assert all(hit >= q for hit, q in zip(jumps.hit, met))
 
     @pytest.mark.parametrize("t", [T231, T10128, T3241, T34m1, T8124, T41054], ids=str)
     def test_low_bounds_iterates_before_step_k(self, t):
-        jumps = build_jumps(t, CYCLE_MEMBERS[t], 10**30)
+        jumps = build_jumps(t, max(CYCLE_MEMBERS[t]), 10**30)
         for q in (0, 1, 7, 10**9 + 7):
             for r in range(1 if q == 0 else 0, jumps.modulus):
                 inside = iterates(t, jumps.modulus * q + r, jumps.depth - 1)
@@ -494,7 +500,7 @@ class TestJumpTable:
     def test_qmax_is_the_value_cap_bound(self, t):
         # sound at qmax for every class, and attained: some class crosses at qmax + 1
         max_value = 10**6
-        jumps = build_jumps(t, CYCLE_MEMBERS[t], max_value)
+        jumps = build_jumps(t, max(CYCLE_MEMBERS[t]), max_value)
         peaks = [[max(iterates(t, jumps.modulus * q + r, jumps.depth))
                   for r in range(jumps.modulus)] for q in (jumps.qmax, jumps.qmax + 1)]
         assert max(peaks[0]) <= max_value < max(peaks[1])
@@ -503,14 +509,14 @@ class TestJumpTable:
     def test_qmax_comes_from_the_largest_coefficient_and_constant(self, t):
         # iterate j of d^k*q + r is c*q + T^j(r); on 2:3:-1:+ the largest
         # constant is met before step k
-        jumps = build_jumps(t, {1}, 10**30)
+        jumps = build_jumps(t, 1, 10**30)
         coeff = const = 0
         for r in range(jumps.modulus):
             for low, high in zip(iterates(t, r, jumps.depth) if r else [0] * jumps.depth,
                                  iterates(t, jumps.modulus + r, jumps.depth)):
                 coeff, const = max(coeff, high - low), max(const, low)
         for max_value in (coeff * 17 + const - 1, coeff * 17 + const, 10**6):
-            assert build_jumps(t, {1}, max_value).qmax == (max_value - const) // coeff
+            assert build_jumps(t, 1, max_value).qmax == (max_value - const) // coeff
 
     @pytest.mark.parametrize("hit_at_q, qmax_below_q, cap_below_k, jumped", [
         (False, False, False, True),
@@ -523,14 +529,14 @@ class TestJumpTable:
         # a doctored table whose every jump lands on the member 1, so a jump
         # shows as a converged seed; each guard is put one past its bound
         n = 10**12 + 1  # meets no member within 10 steps
-        jumps = build_jumps(T231, {1, 2}, 10**30)
+        jumps = build_jumps(T231, 2, 10**30)
         q = n // jumps.modulus
         doctored = replace(jumps, coeff=[0] * jumps.modulus, const=[1] * jumps.modulus,
                            hit=[q if hit_at_q else q - 1] * jumps.modulus,
                            qmax=q - 1 if qmax_below_q else q)
-        args = scan_args(T231, n, n, {1, 2},
+        plan = scan_plan(T231, {1, 2}, jumps=doctored,
                          max_steps=jumps.depth - 1 if cap_below_k else jumps.depth)
-        assert _scan_chunk(args, None, doctored) == ([] if jumped else [(n, "step_cap")])
+        assert _scan_chunk(plan, n, n) == ([] if jumped else [(n, "step_cap")])
 
     @pytest.mark.parametrize("low_below_n, qmax_below_q, cap_below_k, jumped", [
         (False, False, False, True),
@@ -543,20 +549,20 @@ class TestJumpTable:
         # a doctored table whose every jump lands on 1, below the seed, so a
         # jump shows as a descended seed; 2^40 - 1 rises for 40 steps
         n = 2**40 - 1
-        jumps = build_jumps(T231, {1, 2}, 10**30)
+        jumps = build_jumps(T231, 2, 10**30)
         q = n // jumps.modulus
         doctored = replace(jumps, coeff=[0] * jumps.modulus, const=[1] * jumps.modulus,
                            low_c=[0] * jumps.modulus,
                            low_p=[n - 1 if low_below_n else n] * jumps.modulus,
                            qmax=q - 1 if qmax_below_q else q)
-        args = scan_args(T231, n, n, {1, 2}, shortcut=True,
+        plan = scan_plan(T231, {1, 2}, shortcut=True, jumps=doctored,
                          max_steps=jumps.depth - 1 if cap_below_k else jumps.depth)
-        assert _scan_chunk(args, None, doctored) == ([] if jumped else [(n, "step_cap")])
+        assert _scan_chunk(plan, n, n) == ([] if jumped else [(n, "step_cap")])
 
     def test_member_strictly_inside_a_jump(self):
         # _scan_chunk stops at any member, so a set that is not closed under
         # the map shows a skipped member: 2560 = 1024*2 + 512 meets 5 at step 9
-        jumps = build_jumps(T231, {5}, 10**30)
+        jumps = build_jumps(T231, 5, 10**30)
         assert iterates(T231, 2560, 10)[8] == 5 and jumps.hit[512] >= 2
         assert assert_tables_keep_scan(T231, 2560, 2560, {5}, max_steps=50) == []
         assert assert_tables_keep_scan(T231, 2500, 2700, {5}, max_steps=50)
@@ -572,7 +578,7 @@ class TestJumpTable:
         # the block of seeds just past qmax, where some class crosses the cap
         # inside its first k steps
         max_value = 10**9
-        jumps = build_jumps(t, CYCLE_MEMBERS[t], max_value)
+        jumps = build_jumps(t, max(CYCLE_MEMBERS[t]), max_value)
         lo = jumps.modulus * (jumps.qmax + 1)
         found = assert_tables_keep_scan(t, lo, lo + jumps.modulus - 1, CYCLE_MEMBERS[t],
                                        max_steps=jumps.depth, max_value=max_value)
@@ -590,7 +596,7 @@ class TestJumpTable:
 
     def test_membership_loop_never_jumps_under_the_shortcut(self):
         # seeds up to the largest member (536) scan in the membership loop,
-        # where a jump could cross the below-seed exit; under the caps most
+        # which takes no table under the shortcut; under the caps most
         # classes above it are skipped and the rest scanned from n
         targets = enumerate_cycles(T8124, 1, 200)
         j = job(T8124, 1, 1213, targets, limits=Limits(max_steps=10, max_value=10**4),
@@ -599,6 +605,16 @@ class TestJumpTable:
         assert len(_scan_classes(sieve, 1213, j.limits).forms) < sieve.modulus
         cp = assert_tables_keep_report(j)
         assert len(cp.exceptions) == 39
+
+    def test_report_unchanged_toward_members_far_above_the_seeds(self):
+        # the 34 cycles of 4:10:54:+ met from seeds 1..3000 reach
+        # 7,637,766,943,833,832, so the member guard refuses every jump from
+        # a value below 1024 * min(hit), about 3 * 10^15
+        targets = enumerate_cycles(T41054, 1, 3000)
+        assert len(targets) == 34
+        assert max(x for c in targets for x in c.elements) == 7_637_766_943_833_832
+        assert_tables_keep_report(job(T41054, 1, 3000, targets, chunk_size=700,
+                                      below_frontier_shortcut=False))
 
     @pytest.mark.parametrize("t, limits", [
         (T231, Limits(max_steps=15)),  # below the sieve depth 16, above k = 10
@@ -694,8 +710,8 @@ class TestFinishTable:
         # converged seed
         fin = array("h", [-1]) * FINISH_CAP
         fin[27] = entry
-        args = scan_args(T231, 27, 27, {1, 2}, max_steps=max_steps, max_value=10**3)
-        found = _scan_chunk(args, None, None, fin)
+        plan = scan_plan(T231, {1, 2}, max_steps=max_steps, max_value=10**3, finish=fin)
+        found = _scan_chunk(plan, 27, 27)
         assert found == ([] if exits else [(27, "step_cap" if max_steps < 36 else "value_cap")])
 
     @pytest.mark.parametrize("t", [T231, T10128], ids=str)
@@ -898,6 +914,17 @@ class TestCheckpoints:
         late = verify_range(job(T8124, 50, 100, targets, prefix_verified_to=49), workers=1)
         assert resume(late, 1000, workers=1).seeds_scanned == 951
 
+    def test_resume_below_the_job_hi_keeps_its_own_range(self):
+        # under 60 steps 2:3:1:+ leaves seeds from 27 on undecided; a resume
+        # to 1055, inside [frontier, hi], drops the exceptions above 1055
+        limits = Limits(max_steps=60)
+        cp = verify_range(job(T231, 1, 2000, (OMEGA1,), limits=limits), workers=1)
+        assert cp.verified_frontier < 1055 < cp.exceptions[-1][0]
+        cut = resume(cp, 1055, workers=1)
+        oneshot = verify_range(job(T231, 1, 1055, (OMEGA1,), limits=limits), workers=1)
+        assert report_bytes(cut) == report_bytes(oneshot)
+        assert checkpoint_from_json_dict(json.loads(json.dumps(checkpoint_to_json_dict(cut)))) == cut
+
     def test_digest_ignores_scheduling_fields(self):
         a = job(T231, 1, 1000, (OMEGA1,), chunk_size=100)
         b = job(T231, 1, 1000, (OMEGA1,), chunk_size=7777)
@@ -926,7 +953,7 @@ def test_pool_never_larger_than_the_chunk_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", InlineExecutor)
-    monkeypatch.setattr(verify, "_worker_tables", (None, None, None))
+    monkeypatch.setattr(verify, "_worker_plan", None)
     cp = verify_range(job(T231, 1, 3000, (OMEGA1,), chunk_size=1000), workers=64)
     assert started == [3] and cp.exceptions == ()
     verify_range(job(T231, 1, 1000, (OMEGA1,), chunk_size=1000), workers=64)
