@@ -52,8 +52,8 @@ def _positive(text: str) -> int:
 
 
 def _threads(args) -> Optional[int]:
-    """--threads, else $COLLATZKIT_THREADS, else None (one worker per core);
-    a bad variable is a usage error like a bad flag."""
+    """--threads, else $COLLATZKIT_THREADS, else None (one worker per CPU
+    the process may run on); a bad variable is a usage error like a bad flag."""
     env = os.environ.get("COLLATZKIT_THREADS")
     if args.threads is not None or not env:
         return args.threads
@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated cycle minima")
     p.add_argument("--chunk", type=parse_natural, default=1 << 16)
     p.add_argument("--threads", type=_positive, default=None,
-                   help="worker processes (default: $COLLATZKIT_THREADS or cores)")
+                   help="worker processes (default: $COLLATZKIT_THREADS or usable CPUs)")
     p.add_argument("--no-shortcut", action="store_true",
                    help="disable the below-frontier shortcut")
     p.add_argument("--checkpoint", metavar="PATH")
@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--hi", type=parse_natural, required=True)
     p.add_argument("--threads", type=_positive, default=None,
-                   help="worker processes (default: $COLLATZKIT_THREADS or cores)")
+                   help="worker processes (default: $COLLATZKIT_THREADS or usable CPUs)")
     _add_outputs(p)
     p.set_defaults(func=_cmd_resume)
     return ap

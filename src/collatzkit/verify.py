@@ -23,7 +23,11 @@ a member is known to follow within the caps.  The report is the same as
 without any of the tables.  Each table is built once per process for its
 triplet, value cap and targets, the jump table for the largest target
 element alone (`_memo_table`), and a job's tables travel with its map,
-members and caps in one scan plan (`ScanPlan`), sent to each worker once.
+members and caps in one scan plan (`ScanPlan`), pickled once per job and
+sent with each chunk; a worker unpickles it only when it differs from the
+last plan it holds.  The worker pool is kept per process
+(`_map_on_kept_pool`): later jobs that need as many workers reuse it, and
+it stays alive until the process exits.
 """
 
 from __future__ import annotations
@@ -32,10 +36,13 @@ import contextlib
 import hashlib
 import json
 import os
+import pickle
+import threading
 import time
 from array import array
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd
@@ -505,9 +512,10 @@ def _memo_table(builder, *args):
 @dataclass(frozen=True)
 class ScanPlan:
     """What a chunk scan needs of its job, built once by `verify_range` and
-    sent to each pool worker once: the map, the members and the largest of
-    them, the caps, the shortcut flag, and the tables.  `classes` serves
-    only the shortcut, `finish` only a scan without it (None under it)."""
+    sent pickled with each chunk to the pool: the map, the members and the
+    largest of them, the caps, the shortcut flag, and the tables.  `classes`
+    serves only the shortcut, `finish` only a scan without it (None under
+    it)."""
 
     triplet: Triplet
     members: frozenset
@@ -661,22 +669,54 @@ def _scan_survivors(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
     return exceptions
 
 
-# the plan of the job, set in each pool worker by its initializer, so that
-# it crosses the process boundary once per worker instead of once per chunk
-_worker_plan: Optional[ScanPlan] = None
+# the last plan a pool worker unpickled, as (its bytes, the plan): every
+# chunk of a job carries the same bytes, so a worker unpickles each job's
+# plan once, and a plan left from an earlier job is never used for this one
+_last_plan: tuple[bytes, Optional[ScanPlan]] = (b"", None)
 
 
-def _init_worker(plan: ScanPlan) -> None:
-    global _worker_plan
-    _worker_plan = plan
+def _scan_task(task: tuple[bytes, int, int]) -> list[tuple[int, str]]:
+    global _last_plan
+    blob, lo, hi = task
+    if blob != _last_plan[0]:
+        _last_plan = (blob, pickle.loads(blob))
+    return _scan_chunk(_last_plan[1], lo, hi)
 
 
-def _scan_span(span: tuple[int, int]) -> list[tuple[int, str]]:
-    return _scan_chunk(_worker_plan, *span)
+# the process's kept pool and its size: created at the first job that needs
+# more than one worker, reused by every later job that needs as many, and
+# replaced when one needs another count; it lives until the process exits
+_pool: Optional[tuple[int, ProcessPoolExecutor]] = None
+_pool_lock = threading.Lock()
+
+
+def _map_on_kept_pool(nworkers: int, tasks: list) -> list:
+    """`_scan_task` over the tasks, in order, on the kept pool of nworkers
+    workers.  A dead worker fails the job: the pool is dropped, so the next
+    job starts a fresh one, and BrokenProcessPool propagates."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None and _pool[0] != nworkers:
+            _pool[1].shutdown()
+            _pool = None
+        if _pool is None:
+            _pool = (nworkers, ProcessPoolExecutor(max_workers=nworkers))
+        try:
+            return list(_pool[1].map(_scan_task, tasks))
+        except BrokenProcessPool:
+            _pool[1].shutdown()
+            _pool = None
+            raise
 
 
 def _worker_count(workers: Optional[int]) -> int:
-    return max(1, workers if workers is not None else os.cpu_count() or 1)
+    """`workers`, else the number of CPUs this process may run on."""
+    if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            workers = len(os.sched_getaffinity(0))
+        else:
+            workers = os.cpu_count() or 1
+    return max(1, workers)
 
 
 def _checkpoint(job: VerificationJob, exceptions: Iterable[tuple[int, str]],
@@ -707,7 +747,7 @@ def verify_range(job: VerificationJob, workers: Optional[int] = None) -> Checkpo
             f"verified only up to {job.prefix_verified_to}")
     spans = [(a, min(a + job.chunk_size - 1, job.hi))
              for a in range(job.lo, job.hi + 1, job.chunk_size)]
-    # extra workers would only cost spawn time
+    # extra workers would only cost spawn time, and then stay resident
     nworkers = min(_worker_count(workers), len(spans))
     start = time.perf_counter()
     t, limits, shortcut = job.triplet, job.limits, job.below_frontier_shortcut
@@ -722,9 +762,10 @@ def verify_range(job: VerificationJob, workers: Optional[int] = None) -> Checkpo
     if nworkers == 1:
         results = [_scan_chunk(plan, lo, hi) for lo, hi in spans]
     else:
-        with ProcessPoolExecutor(max_workers=nworkers, initializer=_init_worker,
-                                 initargs=(plan,)) as pool:
-            results = list(pool.map(_scan_span, spans))
+        # pickled once here, so the workers scan this job's plan as built
+        # in this process, with whatever builders it looked up
+        blob = pickle.dumps(plan, pickle.HIGHEST_PROTOCOL)
+        results = _map_on_kept_pool(nworkers, [(blob, lo, hi) for lo, hi in spans])
     return _checkpoint(job, (e for r in results for e in r), time.perf_counter() - start)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -410,3 +411,26 @@ def test_python_dash_m_entry_point():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0
     assert done.stdout.startswith("usage: collatzkit")
+
+
+def test_verify_on_two_workers_exits_and_leaves_no_process():
+    # the kept pool's workers share the CLI's process group, which must be
+    # empty once the CLI has exited and been reaped
+    src = str(Path(collatzkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen([sys.executable, "-m", "collatzkit", "verify", "--triplet", "2:3:1:+",
+                             "--hi", "200000", "--targets", "1", "--chunk", "20000",
+                             "--max-steps", "40", "--threads", "2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    assert proc.returncode == 1, err  # some seeds need more than 40 steps
+    assert "step_cap" in out
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)

@@ -1,7 +1,11 @@
 import json
+import multiprocessing
 import os
+import signal
 import stat
+import threading
 from array import array
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from unittest import mock
 
@@ -934,30 +938,141 @@ class TestCheckpoints:
 
 
 def test_pool_never_larger_than_the_chunk_count(monkeypatch):
-    started = []
+    started, stopped = [], []
 
     class InlineExecutor:
-        """Records the pool size and maps in this process."""
+        """Records the pool sizes and maps in this process."""
 
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
+            self.size = max_workers
             started.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
 
         def map(self, fn, items):
             return map(fn, items)
 
+        def shutdown(self):
+            stopped.append(self.size)
+
     monkeypatch.setattr(verify, "ProcessPoolExecutor", InlineExecutor)
-    monkeypatch.setattr(verify, "_worker_plan", None)
+    monkeypatch.setattr(verify, "_pool", None)
+    monkeypatch.setattr(verify, "_last_plan", (b"", None))
     cp = verify_range(job(T231, 1, 3000, (OMEGA1,), chunk_size=1000), workers=64)
     assert started == [3] and cp.exceptions == ()
     verify_range(job(T231, 1, 1000, (OMEGA1,), chunk_size=1000), workers=64)
     assert started == [3]  # one chunk runs inline
+    verify_range(job(T231, 1, 3000, (OMEGA1,), chunk_size=1000), workers=3)
+    assert started == [3] and stopped == []  # the kept pool serves the next job
+    verify_range(job(T231, 1, 2000, (OMEGA1,), chunk_size=1000), workers=64)
+    assert started == [3, 2] and stopped == [3]  # and is replaced for another count
+
+
+def test_worker_count_defaults_to_the_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert verify._worker_count(None) == 3
+    assert verify._worker_count(5) == 5
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert verify._worker_count(None) == 64
+
+
+def pool_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+WINDOW = 10**12  # no-shortcut windows here take a few ms per 1,000 seeds
+
+
+class TestKeptPool:
+    def test_jobs_back_to_back_match_one_worker(self):
+        # each plan differs from the one before in triplet, caps or shortcut;
+        # the last repeats the first, which a worker no longer holds
+        jobs = [
+            job(T231, 1, 30_000, (OMEGA1,), chunk_size=4096),
+            job(T231, 1, 30_000, (OMEGA1,), chunk_size=4096, limits=Limits(max_steps=60)),
+            job(T10128, 1, 30_000, (OMEGA4,), chunk_size=4096),
+            job(T231, WINDOW, WINDOW + 3000, (OMEGA1,), chunk_size=500,
+                below_frontier_shortcut=False),
+            job(T10128, WINDOW, WINDOW + 3000, (OMEGA4,), chunk_size=500,
+                below_frontier_shortcut=False),
+            job(T10128, WINDOW, WINDOW + 3000, (OMEGA4,), chunk_size=500,
+                below_frontier_shortcut=False, limits=Limits(max_steps=40)),
+            job(T231, 1, 30_000, (OMEGA1,), chunk_size=4096),
+        ]
+        pooled = [report_bytes(verify_range(j, workers=2)) for j in jobs]
+        inline = [report_bytes(verify_range(j, workers=1)) for j in jobs]
+        assert pooled == inline
+        assert len(set(pooled)) == len(jobs) - 1
+
+    def test_resume_chains_match_one_worker(self):
+        limits = Limits(max_steps=60)
+        j = job(T231, 1, 20_000, (OMEGA1,), chunk_size=2048, limits=limits)
+        reports = []
+        for workers in (2, 1):
+            cp = verify_range(replace(j, hi=5000), workers=workers)
+            cp = resume(cp, 12_000, workers=workers)
+            reports.append(report_bytes(resume(cp, 20_000, workers=workers)))
+        assert cp.exceptions and reports[0] == reports[1]
+        assert reports[0] == report_bytes(verify_range(j, workers=1))
+
+    def test_workers_scan_the_plan_of_a_patched_builder(self):
+        # the kept pool was forked before the patch, so only a plan built in
+        # this process and sent with the chunks carries the doctored table
+        j = job(T231, WINDOW, WINDOW + 3000, (OMEGA1,), chunk_size=500,
+                below_frontier_shortcut=False)
+        plain = verify_range(j, workers=2)
+        real = verify.build_jumps
+
+        def doctored(*args):
+            # every jump now counts as max_steps steps: seeds that jump hit the cap
+            return replace(real(*args), depth=j.limits.max_steps)
+
+        with mock.patch.object(verify, "build_jumps", doctored):
+            pooled = verify_range(j, workers=2)
+            inline = verify_range(j, workers=1)
+        assert report_bytes(pooled) == report_bytes(inline) != report_bytes(plain)
+        assert plain.exceptions == () and pooled.exceptions
+
+    def test_consecutive_jobs_share_the_workers(self):
+        j = job(T231, 1, 30_000, (OMEGA1,), chunk_size=4096)
+        verify_range(j, workers=2)
+        first = pool_pids()
+        verify_range(j, workers=2)
+        assert len(first) == 2 and pool_pids() == first
+
+    def test_threads_replacing_the_pool_under_one_another(self):
+        # threads asking for 2 and 3 workers (more than a 2-core host has)
+        # in turn, so each job may find the pool of the other count
+        jobs = [job(T231, WINDOW + 10_000 * i, WINDOW + 10_000 * i + 1499, (OMEGA1,),
+                    chunk_size=300, below_frontier_shortcut=False) for i in range(4)]
+        expected = {i: [report_bytes(verify_range(j, workers=1))] * 3 for i, j in enumerate(jobs)}
+        got = {}
+
+        def run(i):
+            got[i] = [report_bytes(verify_range(jobs[i], workers=2 + (i + k) % 2))
+                      for k in range(3)]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+        assert not any(th.is_alive() for th in threads)
+        assert got == expected
+
+    def test_a_dead_worker_fails_its_job_and_the_next_starts_afresh(self):
+        j = job(T231, WINDOW, WINDOW + 5999, (OMEGA1,), chunk_size=3000,
+                below_frontier_shortcut=False)
+        expected = report_bytes(verify_range(j, workers=1))
+        verify_range(j, workers=2)
+        first = pool_pids()
+        victim = next(p for p in multiprocessing.active_children())
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=30)
+        assert not victim.is_alive()
+        with pytest.raises(BrokenProcessPool):
+            verify_range(j, workers=2)
+        assert report_bytes(verify_range(j, workers=2)) == expected
+        assert len(pool_pids()) == 2 and not pool_pids() & first
 
 
 def test_two_power_family_spot_checks():
