@@ -346,7 +346,7 @@ def farey_bound(t: Triplet, M: int,
     Requires D_1(M) < 0 (otherwise M is too small for this method).  Even
     rows are positive throughout; odd rows are negative until the flip.
     Every sign is interval-certified, and so are the three digits of D_n
-    each row prints; rows with q_n within the exact budget are
+    each row prints; rows with q_n <= EXACT_SIGN_Q_LIMIT are
     cross-checked by integer power comparison.
     """
     _require_section_preconditions(t, M)

@@ -21,14 +21,14 @@ from typing import Optional, Sequence
 from .bounds import (Alg2Row, BoundReport, farey_bound, hurwitz_bound,
                      mu_bound, r_infinity_bound)
 from .core import Triplet, apply_map, apply_map_iter, parse_triplet
-from .dynamics import (CycleDetected, EnteredKnownCycle, Limits,
-                       StepCapExceeded, ValueCapExceeded, detect_cycle_from,
-                       enumerate_cycles, trace)
+from .dynamics import (DEFAULT_MAX_STEPS, DEFAULT_MAX_VALUE, CycleDetected,
+                       EnteredKnownCycle, Limits, StepCapExceeded, ValueCapExceeded,
+                       detect_cycle_from, enumerate_cycles, trace)
 from .errors import CollatzKitError, InvalidFamilyParamsError, InvalidTargetsError
 from .families import FAMILIES, PredictedCycleSet, parse_family_spec, parse_natural as _natural
 from .intervals import DEFAULT_POLICY, PrecisionPolicy
-from .verify import (Checkpoint, VerificationJob, load_checkpoint, resume,
-                     save_checkpoint, verify_range)
+from .verify import (DEFAULT_CHUNK, Checkpoint, VerificationJob, load_checkpoint,
+                     resume, save_checkpoint, verify_range)
 
 
 def _flag_type(parse):
@@ -288,7 +288,9 @@ def _targets_for(t: Triplet, minima: Sequence[int], limits: Limits):
         cycle = detect_cycle_from(t, omega, limits) if omega >= 1 else None
         if cycle is None or cycle.omega != omega:
             raise InvalidTargetsError(
-                f"{omega} is not the minimum of a cycle reachable from itself")
+                f"{omega} is not the minimum of a cycle reachable from itself within "
+                f"--max-steps {limits.max_steps} and --max-value {limits.max_value}"
+                + (f"; its orbit reaches the cycle at {cycle.omega}" if cycle else ""))
         targets.append(cycle)
     return tuple(targets)
 
@@ -332,8 +334,8 @@ def _verify_outputs(cp: Checkpoint, args) -> int:
 # --- parser -------------------------------------------------------------------
 
 def _add_caps(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-steps", type=parse_natural, default=10**5)
-    p.add_argument("--max-value", type=parse_natural, default=10**30)
+    p.add_argument("--max-steps", type=parse_natural, default=DEFAULT_MAX_STEPS)
+    p.add_argument("--max-value", type=parse_natural, default=DEFAULT_MAX_VALUE)
 
 
 def _add_outputs(p: argparse.ArgumentParser) -> None:
@@ -403,8 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=parse_natural, default=1)
     p.add_argument("--hi", type=parse_natural, required=True)
     p.add_argument("--targets", type=_naturals, required=True,
-                   help="comma-separated cycle minima")
-    p.add_argument("--chunk", type=parse_natural, default=1 << 16)
+                   help="comma-separated cycle minima (the walk from a value that is "
+                        "no cycle's minimum hashes up to --max-steps values)")
+    p.add_argument("--chunk", type=parse_natural, default=DEFAULT_CHUNK)
     p.add_argument("--threads", type=_positive, default=None,
                    help="worker processes (default: $COLLATZKIT_THREADS or usable CPUs)")
     p.add_argument("--no-shortcut", action="store_true",

@@ -173,71 +173,17 @@ def trace(t: Triplet, n: int, limits: Limits = Limits()) -> Trajectory:
     return Trajectory(n, steps, terminal, max(values), values)
 
 
-def detect_cycle_from(t: Triplet, n: int, limits: Limits = Limits(),
-                      memory_budget: int = 1_000_000) -> Optional[Cycle]:
+def detect_cycle_from(t: Triplet, n: int, limits: Limits = Limits()) -> Optional[Cycle]:
     """Cycle reached by the forward orbit of n, canonicalized, or None.
 
     The cycle is returned exactly when the orbit first revisits a value at a
-    step <= max_steps with no iterate above max_value before it.  Uses value
-    hashing while the visited set fits the memory budget, then switches to
-    Brent's constant-memory detection from the current point; the answer does
-    not depend on the budget.  InvalidTripletError when n < 1.
+    step <= max_steps with no iterate above max_value before it.  Every value
+    up to the revisit is hashed: from a cycle's minimum that is the cycle's
+    length, but an orbit that closes late, or never, holds up to max_steps
+    values.  InvalidTripletError when n < 1.
     """
-    step = t.step_function()
-    v, steps, end, path = _walk(step, n, min(limits.max_steps, memory_budget), limits.max_value)
-    if end == _REVISIT:
-        return canonicalize(t, tuple(path)[path[v]:])
-    if end == _VALUE_CAP or steps >= limits.max_steps:
-        return None
-    # Brent may step past the cap: with the first revisit at step r <= max_steps
-    # both its tail from v and its period are <= max_steps, so it ends within
-    # 3*max_steps hare steps.
-    found = _brent_from(step, v, 3 * limits.max_steps, limits.max_value)
-    if found is None:
-        return None
-    tail, elems = found
-    # the orbit enters the cycle at the first hashed value on it, else after v
-    entered = min((path[x] for x in elems if x in path), default=steps + tail)
-    return canonicalize(t, elems) if entered + len(elems) <= limits.max_steps else None
-
-
-def _brent_from(step, x0: int, max_steps: int,
-                max_value: int) -> Optional[tuple[int, list[int]]]:
-    """Brent's method from x0: (tail length, the cycle from where the orbit
-    enters it), or None when an iterate exceeds max_value or the hare would
-    take more than max_steps steps."""
-    power = lam = 1
-    tortoise = x0
-    hare = step(x0)
-    used = 1
-    if hare > max_value:
-        return None
-    while tortoise != hare:
-        if power == lam:
-            tortoise = hare
-            power *= 2
-            lam = 0
-        if used >= max_steps:
-            return None
-        hare = step(hare)
-        used += 1
-        lam += 1
-        if hare > max_value:
-            return None
-    # lam is the period; a hare lam steps ahead meets the tortoise at the entry
-    tortoise = hare = x0
-    for _ in range(lam):
-        hare = step(hare)
-    tail = 0
-    while tortoise != hare:
-        tortoise, hare = step(tortoise), step(hare)
-        tail += 1
-    elems = [tortoise]
-    x = step(tortoise)
-    while x != tortoise:
-        elems.append(x)
-        x = step(x)
-    return tail, elems
+    v, _, end, path = _walk(t.step_function(), n, limits.max_steps, limits.max_value)
+    return canonicalize(t, tuple(path)[path[v]:]) if end == _REVISIT else None
 
 
 def enumerate_cycles(t: Triplet, seed_lo: int, seed_hi: int,

@@ -822,8 +822,9 @@ def checkpoint_from_json_dict(doc: dict) -> Checkpoint:
     of the range."""
     if not isinstance(doc, dict):
         raise CheckpointError("checkpoint is not a JSON object")
-    if doc.get("version") != 1:
-        raise CheckpointError(f"unsupported checkpoint version {doc.get('version')}")
+    version = doc.get("version")
+    if type(version) is not int or version != 1:  # True == 1.0 == 1
+        raise CheckpointError(f"unsupported checkpoint version {version!r}")
     try:
         jd = doc["job"]
         td = jd["triplet"]
@@ -838,18 +839,18 @@ def checkpoint_from_json_dict(doc: dict) -> Checkpoint:
                 kbar=int(c["kbar"]),
                 max_elem=int(c["max_elem"]),
             ))
-        shortcut = jd["below_frontier_shortcut"]
-        if not isinstance(shortcut, bool):  # bool("false") is True
-            raise CheckpointError(
-                f"malformed checkpoint: below_frontier_shortcut {shortcut!r} is not true or false")
+        for key, kind, word in (("chunk_size", int, "an integer"),
+                                ("below_frontier_shortcut", bool, "true or false")):
+            if type(jd[key]) is not kind:  # bool("false") is True, and True is the integer 1
+                raise CheckpointError(f"malformed checkpoint: {key} {jd[key]!r} is not {word}")
         job = VerificationJob(
             triplet=t,
             lo=int(jd["lo"]),
             hi=int(jd["hi"]),
             targets=tuple(targets),
             limits=Limits(max_steps=int(jd["max_steps"]), max_value=int(jd["max_value"])),
-            chunk_size=int(jd["chunk_size"]),
-            below_frontier_shortcut=shortcut,
+            chunk_size=jd["chunk_size"],
+            below_frontier_shortcut=jd["below_frontier_shortcut"],
             prefix_verified_to=int(jd["prefix_verified_to"]),
         )
         cp = Checkpoint(

@@ -9,12 +9,13 @@ import pytest
 
 import collatzkit
 
-from collatzkit.cli import emit_table, parse_natural, run
-from collatzkit import detect_cycle_from, parse_triplet, verify_range, VerificationJob
+from collatzkit.cli import build_parser, emit_table, parse_natural, run
+from collatzkit import Limits, detect_cycle_from, parse_triplet, verify_range, VerificationJob
 from collatzkit import (LadderParams, SquareGapParams, build_dplus1_family,
                         build_ladder_family, build_mersenne_family,
                         build_square_gap_family, build_two_power_family,
                         parse_family_spec, scale_cycles)
+from collatzkit.verify import DEFAULT_CHUNK
 
 
 def test_power_shorthand():
@@ -299,6 +300,30 @@ def test_verify_rejects_bad_target(capsys):
               "--targets", "5", "--threads", "1"])
     assert rc == 1
     assert "not the minimum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("caps, named", [
+    (["--max-steps", "3"], f"--max-steps 3 and --max-value {10**30}"),
+    (["--max-value", "20"], "--max-steps 100000 and --max-value 20"),
+], ids=["max-steps", "max-value"])
+def test_target_cut_off_by_the_caps_names_them(caps, named, capsys):
+    # 4 is the minimum of the 6-cycle (4, 8, 16, 24, 32, 40); the caps stop
+    # the walk from 4 before it closes
+    rc = run(["verify", "--triplet", "10:12:8:+", "--hi", "100", "--targets", "4",
+              "--threads", "1", *caps])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: 4 is not the minimum" in err and named in err and "Traceback" not in err
+
+
+def test_parsed_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["verify", "--triplet", "2:3:1:+", "--hi", "10",
+                                      "--targets", "1"])
+    assert Limits(args.max_steps, args.max_value) == Limits()
+    assert args.chunk == DEFAULT_CHUNK
+    for command in (["trace", "--n", "6"], ["cycles", "--seed-hi", "9"]):
+        args = build_parser().parse_args([command[0], "--triplet", "2:3:1:+", *command[1:]])
+        assert Limits(args.max_steps, args.max_value) == Limits()
 
 
 @pytest.mark.parametrize("targets", ["0", "1,0"])

@@ -897,6 +897,25 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=message):
             checkpoint_from_json_dict(doc)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("version", True, "unsupported checkpoint version True"),
+        ("version", 1.0, "unsupported checkpoint version 1.0"),
+        ("version", "1", "unsupported checkpoint version '1'"),
+        ("chunk_size", True, "chunk_size True is not an integer"),
+        ("chunk_size", 30.0, "chunk_size 30.0 is not an integer"),
+        ("chunk_size", "30", "chunk_size '30' is not an integer"),
+    ])
+    def test_integer_fields_must_be_json_integers(self, tmp_path, key, value, message):
+        # True is the integer 1 and 1.0 == 1, so a plain comparison or int()
+        # would load either as 1
+        doc = checkpoint_to_json_dict(verify_range(job(T8124, 1, 100, TARGETS[T8124]),
+                                                   workers=1))
+        (doc if key == "version" else doc["job"])[key] = value
+        path = tmp_path / "cp.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(str(path))
+
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_shortcut_flag_must_be_a_boolean(self, value):
         # bool("false") is True: such a file would have resumed with the shortcut
@@ -975,8 +994,14 @@ def test_worker_count_defaults_to_the_cpus_the_process_may_use(monkeypatch):
     assert verify._worker_count(None) == 64
 
 
+def kept_workers() -> dict[int, multiprocessing.Process]:
+    """The kept pool's own worker processes by pid; empty when none is kept.
+    Other children of this process, such as a replaced pool's, are left out."""
+    return dict(verify._pool[1]._processes) if verify._pool else {}
+
+
 def pool_pids() -> set[int]:
-    return {p.pid for p in multiprocessing.active_children()}
+    return set(kept_workers())
 
 
 WINDOW = 10**12  # no-shortcut windows here take a few ms per 1,000 seeds
@@ -1037,7 +1062,7 @@ class TestKeptPool:
         verify_range(j, workers=2)
         first = pool_pids()
         verify_range(j, workers=2)
-        assert len(first) == 2 and pool_pids() == first
+        assert len(first) == 2 and pool_pids() == first, (first, pool_pids())
 
     def test_threads_replacing_the_pool_under_one_another(self):
         # threads asking for 2 and 3 workers (more than a 2-core host has)
@@ -1064,15 +1089,22 @@ class TestKeptPool:
                 below_frontier_shortcut=False)
         expected = report_bytes(verify_range(j, workers=1))
         verify_range(j, workers=2)
-        first = pool_pids()
-        victim = next(p for p in multiprocessing.active_children())
+        workers = kept_workers()
+        first = set(workers)
+        assert len(first) == 2, first
+        victim = workers[min(first)]
         os.kill(victim.pid, signal.SIGKILL)
         victim.join(timeout=30)
-        assert not victim.is_alive()
-        with pytest.raises(BrokenProcessPool):
+        assert not victim.is_alive(), (victim.pid, first)
+        try:
             verify_range(j, workers=2)
-        assert report_bytes(verify_range(j, workers=2)) == expected
-        assert len(pool_pids()) == 2 and not pool_pids() & first
+        except BrokenProcessPool:
+            pass
+        else:
+            pytest.fail(f"no BrokenProcessPool after killing {victim.pid} of {first}; "
+                        f"kept pool now {pool_pids()}")
+        assert report_bytes(verify_range(j, workers=2)) == expected, (first, pool_pids())
+        assert len(pool_pids()) == 2 and not pool_pids() & first, (first, pool_pids())
 
 
 def test_two_power_family_spot_checks():
