@@ -19,8 +19,11 @@ of a scan without the shortcut, take k steps at once wherever no cap or
 exit can lie inside them; it comes from the sieve's digit-by-digit
 refinement (`_refine`), unpruned.  Without the shortcut, a finish table
 (`build_finish`) ends a seed as soon as it reaches a small value from which
-a member is known to follow within the caps.  The report is the same as
-without any of the tables.  Each table is built once per process for its
+a member is known to follow within the caps, and an orbit memo, kept for
+one chunk, ends it as soon as it reaches a value that an earlier seed of
+the chunk passed on its way to a member, when that member follows within
+the steps left (`_scan_members`).  The report is the same as without any
+of the tables or the memo.  Each table is built once per process for its
 triplet, value cap and targets, the jump table for the largest target
 element alone (`_memo_table`), and a job's tables travel with its map,
 members and caps in one scan plan (`ScanPlan`), pickled once per job and
@@ -37,6 +40,7 @@ import hashlib
 import json
 import os
 import pickle
+import re
 import threading
 import time
 from array import array
@@ -58,8 +62,10 @@ DEFAULT_CHUNK = 1 << 16
 # k with that modulus <= this cap; a larger cap costs more to build and ship
 # to workers than its extra exits save
 SIEVE_MODULUS_CAP = 1 << 16
-# the jump table works mod d^k for the largest k with d^k <= this cap; at
-# 2^12 and above its build time and memory outweigh the longer jumps
+# the jump table works mod d^k for the largest k with d^k <= this cap; a
+# cap of 2^14 raised the benchmark's peak RSS from 36.0 to 42.6 MB on
+# `window` and from 41.0 to 45.5 MB on `verify`, past its 10% bound, and at
+# 2^16 the plan took 21 ms to pickle on every job
 JUMP_MODULUS_CAP = 1 << 10
 # the finish table covers the values below this cap; at 2^16 it costs four
 # times the build for no further scan gain
@@ -67,6 +73,12 @@ FINISH_CAP = 1 << 14
 # a finish-table entry counts at most this many steps to the first member,
 # which keeps each entry in a 2-byte array item
 FINISH_STEPS = 1 << 9
+# the orbit memo of a chunk without the shortcut (`_scan_members`) is emptied
+# rather than grow past this many entries: a chunk of 1,000 seeds in
+# [10^12, 10^13) holds at most about 2,500, and a 65,536-seed chunk, which
+# holds about 130,000 (11 MB traced) when unbounded, is as fast at this cap,
+# at 0.35 MB
+MEMO_CAP = 1 << 12
 
 STEP_CAP = "step_cap"
 VALUE_CAP = "value_cap"
@@ -514,15 +526,15 @@ class ScanPlan:
     """What a chunk scan needs of its job, built once by `verify_range` and
     sent pickled with each chunk to the pool: the map, the members and the
     largest of them, the caps, the shortcut flag, and the tables.  `classes`
-    serves only the shortcut, `finish` only a scan without it (None under
-    it)."""
+    serves only the shortcut and `finish` only a scan without it; each is
+    None where it does not serve."""
 
     triplet: Triplet
     members: frozenset
     max_elem: int
     limits: Limits
     shortcut: bool
-    classes: ClassList
+    classes: Optional[ClassList]
     jumps: Optional[JumpTable]
     finish: Optional[array]
 
@@ -532,7 +544,7 @@ def _scan_chunk(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
 
     Without the shortcut every seed runs the membership loop, which takes
     the jump table's guarded k-step jumps and stops at the finish table's
-    exit.  Under the shortcut, seeds up to max_elem run the membership loop
+    exit and at the orbit memo's.  Under the shortcut, seeds up to max_elem run the membership loop
     without either table, and the seeds above it the descent loop of
     `_scan_survivors`, which jumps: the seeds of the classes in the plan's
     class list, each entered at its class's step where its guards hold.
@@ -546,9 +558,27 @@ def _scan_chunk(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
 
 def _scan_members(plan: ScanPlan, seeds: Iterable[int]) -> list[tuple[int, str]]:
     """The membership loop: each seed runs until it meets a member or, under
-    the shortcut, falls below itself.  Takes the plan's jumps and finish
-    exit only without the shortcut; under it, the loop runs only the seeds
-    up to max_elem."""
+    the shortcut, falls below itself.  Takes the plan's jumps, its finish
+    exit and the orbit memo only without the shortcut; under it, the loop
+    runs only the seeds up to max_elem.
+
+    Orbit memo.  A seed records each loop value u above small, none of
+    them a member or in the finish table, with the step t it reached u at.
+    When it ends with no exception after S steps, at a member, a finish
+    exit or a memo exit, memo[u] = S - t; a seed that ends with an
+    exception records nothing.  A later seed at a loop value v above small
+    with `steps` taken stops with no exception when memo[v] <= max_steps -
+    steps, and otherwise walks on.  The walk from v is deterministic.  Its
+    iterates up to memo[v] steps on are at most max_value: single steps
+    check the cap, jumps are bounded by qmax, and a finish or memo tail was
+    bounded when it was recorded.  None of them is a member before step
+    memo[v]: the loop tests every loop value for membership, and `hit`
+    keeps a jump off a member.  So stepping on, the seed would meet its
+    first member at steps + memo[v] <= max_steps, with no cap before it:
+    the exit is exact, as the finish exit is, and every exception, its
+    status, the frontier, seeds_scanned and the digest are unchanged.  The
+    memo lives for one call, so for one chunk, and is emptied before it
+    would pass MEMO_CAP entries."""
     t, members, max_elem, shortcut = plan.triplet, plan.members, plan.max_elem, plan.shortcut
     d, alpha, beta = t.d, t.alpha, t.beta
     max_steps, max_value = plan.limits.max_steps, plan.limits.max_value
@@ -565,18 +595,31 @@ def _scan_members(plan: ScanPlan, seeds: Iterable[int]) -> list[tuple[int, str]]
     # small, a value is neither a member nor in the table
     fin_cap = 0 if finish is None else len(finish)
     small = max(max_elem, fin_cap - 1)
+    # the orbit memo: a value above small -> its steps to its first member;
+    # under the shortcut n <= max_elem, so a value below n is at most small
+    memo = None if shortcut else {}
     for n in seeds:
         v = n
         steps = 0
         status = None
+        path, marks = [], []  # this seed's loop values above small, and their steps
         while True:
             if v <= small:
                 if v <= max_elem and v in members:
+                    tail = 0
                     break
-                if v < fin_cap and 0 <= finish[v] <= max_steps - steps:
+                if v < fin_cap:
+                    tail = finish[v]
+                    if 0 <= tail <= max_steps - steps:
+                        break
+                if shortcut and v < n:
                     break
-            if shortcut and v < n:
-                break
+            elif memo is not None:
+                if v in memo and memo[v] <= max_steps - steps:
+                    tail = memo[v]
+                    break
+                path.append(v)
+                marks.append(steps)
             if steps >= max_steps:
                 status = STEP_CAP
                 break
@@ -598,6 +641,12 @@ def _scan_members(plan: ScanPlan, seeds: Iterable[int]) -> list[tuple[int, str]]
                 break
         if status is not None:
             exceptions.append((n, status))
+        elif path and len(path) <= MEMO_CAP:
+            if len(memo) + len(path) > MEMO_CAP:
+                memo.clear()
+            end = steps + tail
+            for u, at in zip(path, marks):
+                memo[u] = end - at
     return exceptions
 
 
@@ -756,7 +805,7 @@ def verify_range(job: VerificationJob, workers: Optional[int] = None) -> Checkpo
     # the builders are looked up here, at call time, so a replaced one is used
     plan = ScanPlan(
         t, members, max_elem, limits, shortcut,
-        _scan_classes(_memo_table(build_sieve, t), job.hi, limits) if shortcut else _FROM_N,
+        _scan_classes(_memo_table(build_sieve, t), job.hi, limits) if shortcut else None,
         _memo_table(build_jumps, t, max_elem, limits.max_value),
         None if shortcut else _memo_table(build_finish, t, members, limits.max_value))
     if nworkers == 1:
@@ -811,6 +860,18 @@ def checkpoint_to_json_dict(cp: Checkpoint) -> dict:
     }
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _json_int(value, key: str) -> int:
+    """A checkpoint integer: a JSON integer, or a string of decimal digits
+    with an optional minus sign, as `checkpoint_to_json_dict` writes them;
+    int() would also load true as 1, 100.7 as 100 and " 1_0" as 10."""
+    if type(value) is int or (type(value) is str and _DECIMAL.fullmatch(value)):
+        return int(value)
+    raise CheckpointError(f"malformed checkpoint: {key} {value!r} is not an integer")
+
+
 def checkpoint_from_json_dict(doc: dict) -> Checkpoint:
     """Inverse of checkpoint_to_json_dict; CheckpointError when a field is
     missing or has the wrong type, or when the result contradicts the job.
@@ -831,13 +892,12 @@ def checkpoint_from_json_dict(doc: dict) -> Checkpoint:
         t = parse_triplet(f"{td['d']}:{td['alpha']}:{td['beta']}:{td['kappa']}")
         targets = []
         for c in jd["targets"]:
-            elements = tuple(int(x) for x in c["elements"])
             targets.append(Cycle(
-                elements=elements,
-                omega=int(c["omega"]),
-                length=int(c["length"]),
-                kbar=int(c["kbar"]),
-                max_elem=int(c["max_elem"]),
+                elements=tuple(_json_int(x, "target element") for x in c["elements"]),
+                omega=_json_int(c["omega"], "target omega"),
+                length=_json_int(c["length"], "target length"),
+                kbar=_json_int(c["kbar"], "target kbar"),
+                max_elem=_json_int(c["max_elem"], "target max_elem"),
             ))
         for key, kind, word in (("chunk_size", int, "an integer"),
                                 ("below_frontier_shortcut", bool, "true or false")):
@@ -845,20 +905,22 @@ def checkpoint_from_json_dict(doc: dict) -> Checkpoint:
                 raise CheckpointError(f"malformed checkpoint: {key} {jd[key]!r} is not {word}")
         job = VerificationJob(
             triplet=t,
-            lo=int(jd["lo"]),
-            hi=int(jd["hi"]),
+            lo=_json_int(jd["lo"], "lo"),
+            hi=_json_int(jd["hi"], "hi"),
             targets=tuple(targets),
-            limits=Limits(max_steps=int(jd["max_steps"]), max_value=int(jd["max_value"])),
+            limits=Limits(max_steps=_json_int(jd["max_steps"], "max_steps"),
+                          max_value=_json_int(jd["max_value"], "max_value")),
             chunk_size=jd["chunk_size"],
             below_frontier_shortcut=jd["below_frontier_shortcut"],
-            prefix_verified_to=int(jd["prefix_verified_to"]),
+            prefix_verified_to=_json_int(jd["prefix_verified_to"], "prefix_verified_to"),
         )
         cp = Checkpoint(
             job=job,
             digest=doc["digest"],
-            verified_frontier=int(doc["verified_frontier"]),
-            exceptions=tuple((int(n), status) for n, status in doc["exceptions"]),
-            seeds_scanned=int(doc["seeds_scanned"]),
+            verified_frontier=_json_int(doc["verified_frontier"], "verified_frontier"),
+            exceptions=tuple((_json_int(n, "exception seed"), status)
+                             for n, status in doc["exceptions"]),
+            seeds_scanned=_json_int(doc["seeds_scanned"], "seeds_scanned"),
             wall_time=float(doc["wall_time"]),
             throughput=float(doc["throughput"]),
         )

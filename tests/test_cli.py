@@ -376,6 +376,10 @@ def test_resume_checkpoint_without_job(capsys, tmp_path):
      "error: checkpoint exception 7 has unknown status 'bogus'"),
     ({"verified_frontier": "5000"},
      "error: checkpoint frontier 5000 contradicts its exceptions and range: expected 1000"),
+    ({"seeds_scanned": 1000.5},
+     "error: malformed checkpoint: seeds_scanned 1000.5 is not an integer"),
+    ({"verified_frontier": True},
+     "error: malformed checkpoint: verified_frontier True is not an integer"),
 ])
 def test_resume_rejects_result_contradicting_its_job(capsys, tmp_path, edit, message):
     cp_path = tmp_path / "cp.json"

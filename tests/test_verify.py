@@ -20,9 +20,9 @@ from collatzkit import (CheckpointError, DigestMismatchError, InvalidTargetsErro
 from collatzkit.core import PLUS, Triplet
 from collatzkit.dynamics import Cycle, enumerate_cycles
 from collatzkit.verify import (_FROM_N, FINISH_CAP, FINISH_STEPS, ScanPlan, _scan_chunk,
-                               _scan_classes, build_finish, build_jumps, build_sieve,
-                               checkpoint_from_json_dict, checkpoint_to_json_dict,
-                               job_digest)
+                               _scan_classes, _scan_members, build_finish, build_jumps,
+                               build_sieve, checkpoint_from_json_dict,
+                               checkpoint_to_json_dict, job_digest)
 
 T10128 = parse_triplet("10:12:8:+")
 T231 = parse_triplet("2:3:1:+")
@@ -63,13 +63,14 @@ def report_bytes(cp) -> str:
 
 
 def assert_tables_keep_report(j, workers=1):
-    """verify_range with its tables against the same scan with the sieve
-    alone and with no table."""
+    """verify_range with its tables and orbit memo against the same scan
+    with the sieve alone and with neither a table nor the memo."""
     full = verify_range(j, workers=workers)
     with mock.patch.object(verify, "build_jumps", lambda *args: None), \
             mock.patch.object(verify, "build_finish", lambda *args: None):
         sieve_only = verify_range(j, workers=1)
-        with mock.patch.object(verify, "build_sieve", lambda t: None):
+        with mock.patch.object(verify, "build_sieve", lambda t: None), \
+                mock.patch.object(verify, "MEMO_CAP", 0):
             plain = verify_range(j, workers=1)
     assert report_bytes(full) == report_bytes(sieve_only) == report_bytes(plain)
     return full
@@ -430,7 +431,7 @@ class TestResidueSieve:
 
 
 def scan_plan(t, members, max_steps=10**5, max_value=10**30, shortcut=False,
-              classes=_FROM_N, jumps=None, finish=None):
+              classes=None, jumps=None, finish=None):
     """A `_scan_chunk` plan, by default for a scan without the shortcut and
     without tables."""
     members = frozenset(members)
@@ -440,11 +441,13 @@ def scan_plan(t, members, max_steps=10**5, max_value=10**30, shortcut=False,
 
 def assert_tables_keep_scan(t, lo, hi, members, **caps):
     """_scan_chunk with its jump table and its finish table, each alone and
-    both together, against the same scan with no table."""
+    both together, against the same scan with neither a table nor the
+    orbit memo."""
     plan = scan_plan(t, members, **caps)
     jumps = build_jumps(t, plan.max_elem, plan.limits.max_value)
     finish = build_finish(t, plan.members, plan.limits.max_value)
-    plain = _scan_chunk(plan, lo, hi)
+    with mock.patch.object(verify, "MEMO_CAP", 0):
+        plain = _scan_chunk(plan, lo, hi)
     for tables in ((jumps, None), (None, finish), (jumps, finish)):
         assert _scan_chunk(replace(plan, jumps=tables[0], finish=tables[1]), lo, hi) == plain
     return plain
@@ -559,7 +562,7 @@ class TestJumpTable:
                            low_c=[0] * jumps.modulus,
                            low_p=[n - 1 if low_below_n else n] * jumps.modulus,
                            qmax=q - 1 if qmax_below_q else q)
-        plan = scan_plan(T231, {1, 2}, shortcut=True, jumps=doctored,
+        plan = scan_plan(T231, {1, 2}, shortcut=True, classes=_FROM_N, jumps=doctored,
                          max_steps=jumps.depth - 1 if cap_below_k else jumps.depth)
         assert _scan_chunk(plan, n, n) == ([] if jumped else [(n, "step_cap")])
 
@@ -786,6 +789,60 @@ class TestFinishTable:
         assert first.exceptions == again.exceptions == ()
 
 
+def steps_to_member(t: Triplet, n: int, members) -> int:
+    step, steps = t.step_function(), 0
+    while n not in members:
+        n, steps = step(n), steps + 1
+    return steps
+
+
+class TestOrbitMemo:
+    @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124], ids=str)
+    @pytest.mark.parametrize("limits", [Limits(), Limits(max_steps=60, max_value=10**14)],
+                             ids=["default caps", "small caps"])
+    @pytest.mark.parametrize("lo", [1, 10**12 + 54_321])
+    def test_report_unchanged_without_the_memo(self, t, limits, lo):
+        # a memo of 40 entries is emptied many times over a chunk
+        for chunk, workers, cap in ((1, 1, verify.MEMO_CAP), (700, 1, verify.MEMO_CAP),
+                                    (700, 2, verify.MEMO_CAP), (4_000, 1, verify.MEMO_CAP),
+                                    (4_000, 1, 40)):
+            hi = lo + (199 if chunk == 1 else 3_999)
+            j = job(t, lo, hi, TARGETS[t], limits=limits, chunk_size=chunk,
+                    below_frontier_shortcut=False)
+            with mock.patch.object(verify, "MEMO_CAP", 0):
+                plain = verify_range(j, workers=1)
+            with mock.patch.object(verify, "MEMO_CAP", cap):
+                assert report_bytes(verify_range(j, workers=workers)) == report_bytes(plain)
+
+    @pytest.mark.parametrize("tables", [False, True], ids=["no tables", "tables"])
+    @pytest.mark.parametrize("spare", [0, 1])
+    def test_too_few_steps_left_at_a_recorded_value(self, tables, spare):
+        # the later seed reaches the first one's seed value `lead` steps in,
+        # by one single step (2n) or by one jump of 10 steps (1024n); the
+        # first seed meets a member exactly at the step cap, so the later one
+        # can finish from there only with a step to spare
+        n = 10**12 + 7
+        total = steps_to_member(T231, n, {1, 2})
+        lead = 10 if tables else 1
+        plan = scan_plan(T231, {1, 2}, max_steps=total + lead - 1 + spare)
+        if tables:
+            plan = replace(plan, jumps=build_jumps(T231, 2, plan.limits.max_value),
+                           finish=build_finish(T231, plan.members, plan.limits.max_value))
+        later = 2**lead * n
+        expected = [] if spare else [(later, "step_cap")]
+        assert _scan_members(plan, [later]) == expected
+        assert _scan_members(plan, [n, later]) == expected
+
+    def test_a_seed_ending_at_a_cap_leaves_no_entry(self):
+        # 10^12 + 7 rises past the value cap at step 3, and 2 (10^12 + 7)
+        # steps to it; 10^12 meets a member first, under the cap
+        n = 10**12 + 7
+        plan = scan_plan(T231, {1, 2}, max_value=3 * 10**12)
+        expected = [(n, "value_cap"), (2 * n, "value_cap")]
+        assert _scan_members(plan, [10**12, n, 2 * n]) == expected
+        assert _scan_members(plan, [10**12, 2 * n]) == expected[1:]
+
+
 class TestCheckpoints:
     def test_roundtrip_and_resume_equals_oneshot(self, tmp_path):
         cp = verify_range(job(T10128, 1, 50000, (OMEGA4,)), workers=1)
@@ -897,24 +954,54 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=message):
             checkpoint_from_json_dict(doc)
 
-    @pytest.mark.parametrize("key, value, message", [
+    @pytest.mark.parametrize("where, value, message", [
         ("version", True, "unsupported checkpoint version True"),
         ("version", 1.0, "unsupported checkpoint version 1.0"),
         ("version", "1", "unsupported checkpoint version '1'"),
         ("chunk_size", True, "chunk_size True is not an integer"),
         ("chunk_size", 30.0, "chunk_size 30.0 is not an integer"),
         ("chunk_size", "30", "chunk_size '30' is not an integer"),
+        ("lo", True, "lo True is not an integer"),
+        ("hi", 100.7, "hi 100.7 is not an integer"),
+        ("hi", "100.0", "hi '100.0' is not an integer"),
+        ("max_steps", "1e5", "max_steps '1e5' is not an integer"),
+        ("max_value", " 10", "max_value ' 10' is not an integer"),
+        ("prefix_verified_to", 0.0, "prefix_verified_to 0.0 is not an integer"),
+        ("verified_frontier", 66.2, "verified_frontier 66.2 is not an integer"),
+        ("seeds_scanned", 100.9, "seeds_scanned 100.9 is not an integer"),
+        ("exceptions.0.0", "6_7", "exception seed '6_7' is not an integer"),
+        ("targets.0.elements.0", True, "target element True is not an integer"),
+        ("targets.0.omega", "+1", "target omega '\\+1' is not an integer"),
+        ("targets.0.length", 4.0, "target length 4.0 is not an integer"),
+        ("targets.0.kbar", None, "target kbar None is not an integer"),
+        ("targets.0.max_elem", [8], "target max_elem \\[8\\] is not an integer"),
     ])
-    def test_integer_fields_must_be_json_integers(self, tmp_path, key, value, message):
+    def test_integer_fields_must_be_json_integers(self, tmp_path, where, value, message):
         # True is the integer 1 and 1.0 == 1, so a plain comparison or int()
-        # would load either as 1
-        doc = checkpoint_to_json_dict(verify_range(job(T8124, 1, 100, TARGETS[T8124]),
+        # would load either as 1, and int() truncates 100.7 to 100
+        doc = checkpoint_to_json_dict(verify_range(job(T8124, 1, 100, TARGETS[T8124][:1]),
                                                    workers=1))
-        (doc if key == "version" else doc["job"])[key] = value
+        # `where` is a path into the job's fields, else into the checkpoint's
+        keys = [int(key) if key.isdigit() else key for key in where.split(".")]
+        node = doc["job"] if keys[0] in doc["job"] else doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
         path = tmp_path / "cp.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(str(path))
+
+    def test_integer_fields_load_from_json_integers(self):
+        # as well as from the decimal strings that checkpoint_to_json_dict writes
+        cp = verify_range(job(T8124, 1, 100, TARGETS[T8124][:1]), workers=1)
+        doc = checkpoint_to_json_dict(cp)
+        for key in ("lo", "hi", "max_steps", "max_value", "prefix_verified_to"):
+            doc["job"][key] = int(doc["job"][key])
+        doc["job"]["targets"][0]["elements"] = [1, 2, 4, 8]
+        doc["verified_frontier"], doc["seeds_scanned"] = 66, 100
+        doc["exceptions"] = [[67, "step_cap"]]
+        assert checkpoint_from_json_dict(doc) == cp
 
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_shortcut_flag_must_be_a_boolean(self, value):
