@@ -21,14 +21,14 @@ refinement (`_refine`), unpruned.  Without the shortcut, a finish table
 (`build_finish`) ends a seed as soon as it reaches a small value from which
 a member is known to follow within the caps, and an orbit memo, kept for
 one chunk, ends it as soon as it reaches a value that an earlier seed of
-the chunk passed on its way to a member, when that member follows within
-the steps left (`_scan_members`).  The report is the same as without any
-of the tables or the memo.  Each table is built once per process for its
-triplet, value cap and targets, the jump table for the largest target
-element alone (`_memo_table`), and a job's tables travel with its map,
-members and caps in one scan plan (`ScanPlan`), pickled once per job and
-sent with each chunk; a worker unpickles it only when it differs from the
-last plan it holds.  The worker pool is kept per process
+the chunk passed early on its way to a member, when the steps recorded for
+that value fit in the steps left (`_scan_members`).  The report is the
+same as without any of the tables or the memo.  Each table is built once
+per process for its triplet, value cap and targets, the jump table for the
+largest target element alone (`_memo_table`), and a job's tables travel
+with its map, members and caps in one scan plan (`ScanPlan`), pickled once
+per job and sent with each chunk; a worker unpickles it only when it
+differs from the last plan it holds.  The worker pool is kept per process
 (`_map_on_kept_pool`): later jobs that need as many workers reuse it, and
 it stays alive until the process exits.
 """
@@ -50,7 +50,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .core import PLUS, Triplet, parse_triplet
 from .dynamics import Cycle, Limits, canonicalize
@@ -75,10 +75,13 @@ FINISH_CAP = 1 << 14
 FINISH_STEPS = 1 << 9
 # the orbit memo of a chunk without the shortcut (`_scan_members`) is emptied
 # rather than grow past this many entries: a chunk of 1,000 seeds in
-# [10^12, 10^13) holds at most about 2,500, and a 65,536-seed chunk, which
-# holds about 130,000 (11 MB traced) when unbounded, is as fast at this cap,
-# at 0.35 MB
+# [10^12, 10^13) holds at most about 2,300, and a 65,536-seed chunk, which
+# holds 12 MB traced when unbounded, is as fast at this cap, at 0.4 MB
 MEMO_CAP = 1 << 12
+# a seed probes and fills the memo only in its first this many steps: seeds
+# in [10^12, 10^13) meet an earlier orbit within them, and a seed that meets
+# none, or ends at a cap, pays for the memo only there
+MEMO_STEPS = 1 << 6
 
 STEP_CAP = "step_cap"
 VALUE_CAP = "value_cap"
@@ -544,10 +547,11 @@ def _scan_chunk(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
 
     Without the shortcut every seed runs the membership loop, which takes
     the jump table's guarded k-step jumps and stops at the finish table's
-    exit and at the orbit memo's.  Under the shortcut, seeds up to max_elem run the membership loop
-    without either table, and the seeds above it the descent loop of
-    `_scan_survivors`, which jumps: the seeds of the classes in the plan's
-    class list, each entered at its class's step where its guards hold.
+    exit and at the orbit memo's.  Under the shortcut, seeds up to max_elem
+    run the membership loop without either table or the memo, and the seeds
+    above it the descent loop of `_scan_survivors`, which jumps: the seeds
+    of the classes in the plan's class list, each entered at its class's
+    step where its guards hold.
     """
     if not plan.shortcut:
         return _scan_members(plan, range(lo, hi + 1))
@@ -556,29 +560,32 @@ def _scan_chunk(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
             + _scan_survivors(plan, max(lo, split + 1), hi))
 
 
-def _scan_members(plan: ScanPlan, seeds: Iterable[int]) -> list[tuple[int, str]]:
+def _scan_members(plan: ScanPlan, seeds: Sequence[int]) -> list[tuple[int, str]]:
     """The membership loop: each seed runs until it meets a member or, under
     the shortcut, falls below itself.  Takes the plan's jumps, its finish
     exit and the orbit memo only without the shortcut; under it, the loop
     runs only the seeds up to max_elem.
 
-    Orbit memo.  A seed records each loop value u above small, none of
-    them a member or in the finish table, with the step t it reached u at.
-    When it ends with no exception after S steps, at a member, a finish
-    exit or a memo exit, memo[u] = S - t; a seed that ends with an
-    exception records nothing.  A later seed at a loop value v above small
-    with `steps` taken stops with no exception when memo[v] <= max_steps -
-    steps, and otherwise walks on.  The walk from v is deterministic.  Its
-    iterates up to memo[v] steps on are at most max_value: single steps
-    check the cap, jumps are bounded by qmax, and a finish or memo tail was
-    bounded when it was recorded.  None of them is a member before step
-    memo[v]: the loop tests every loop value for membership, and `hit`
-    keeps a jump off a member.  So stepping on, the seed would meet its
-    first member at steps + memo[v] <= max_steps, with no cap before it:
-    the exit is exact, as the finish exit is, and every exception, its
-    status, the frontier, seeds_scanned and the digest are unchanged.  The
-    memo lives for one call, so for one chunk, and is emptied before it
-    would pass MEMO_CAP entries."""
+    Orbit memo.  In its first MEMO_STEPS steps, a seed records each loop
+    value above small, none of them a member or in the finish table; the
+    i-th was reached at step i or later.  When the seed ends with no
+    exception after S steps, at a member, a finish exit or a memo exit, the
+    i-th value u gets memo[u] = S - i, at least its steps to that member; a
+    seed that ends with an exception records nothing.  A later seed at a
+    recorded loop value v with `steps` taken stops with no exception when
+    memo[v] <= max_steps - steps, and otherwise walks on.  The walk from v
+    is deterministic.  Its iterates up to its first member are at most
+    max_value: single steps check the cap, jumps are bounded by qmax, and a
+    finish or memo tail was bounded when it was recorded.  None of them is
+    a member before the last: the loop tests every loop value for
+    membership, and `hit` keeps a jump off a member.  So stepping on, the
+    seed would meet its first member at most memo[v] steps on, by step
+    max_steps, with no cap before it: the exit is exact, as the finish exit
+    is, and every exception, its status, the frontier, seeds_scanned and
+    the digest are unchanged.  An entry above the true count only lets a
+    seed walk on, as it would without the memo.  The memo lives for one
+    call, so for one chunk, is off for a lone seed, which no later seed
+    follows, and is emptied before it would pass MEMO_CAP entries."""
     t, members, max_elem, shortcut = plan.triplet, plan.members, plan.max_elem, plan.shortcut
     d, alpha, beta = t.d, t.alpha, t.beta
     max_steps, max_value = plan.limits.max_steps, plan.limits.max_value
@@ -595,14 +602,18 @@ def _scan_members(plan: ScanPlan, seeds: Iterable[int]) -> list[tuple[int, str]]
     # small, a value is neither a member nor in the table
     fin_cap = 0 if finish is None else len(finish)
     small = max(max_elem, fin_cap - 1)
-    # the orbit memo: a value above small -> its steps to its first member;
-    # under the shortcut n <= max_elem, so a value below n is at most small
-    memo = None if shortcut else {}
+    # the orbit memo: a value above small -> a bound on its steps to its
+    # first member, probed and filled only at steps below memo_steps, so a
+    # path holds at most MEMO_CAP values; memo_steps is 0 for a lone seed
+    # and under the shortcut, where n <= max_elem keeps every value below n
+    # at most small
+    memo = {}
+    memo_steps = 0 if shortcut or len(seeds) < 2 else min(MEMO_STEPS, MEMO_CAP)
     for n in seeds:
         v = n
         steps = 0
         status = None
-        path, marks = [], []  # this seed's loop values above small, and their steps
+        path = []  # this seed's recorded loop values, in order
         while True:
             if v <= small:
                 if v <= max_elem and v in members:
@@ -614,12 +625,11 @@ def _scan_members(plan: ScanPlan, seeds: Iterable[int]) -> list[tuple[int, str]]
                         break
                 if shortcut and v < n:
                     break
-            elif memo is not None:
+            elif steps < memo_steps:
                 if v in memo and memo[v] <= max_steps - steps:
                     tail = memo[v]
                     break
                 path.append(v)
-                marks.append(steps)
             if steps >= max_steps:
                 status = STEP_CAP
                 break
@@ -641,12 +651,12 @@ def _scan_members(plan: ScanPlan, seeds: Iterable[int]) -> list[tuple[int, str]]
                 break
         if status is not None:
             exceptions.append((n, status))
-        elif path and len(path) <= MEMO_CAP:
+        elif path:
             if len(memo) + len(path) > MEMO_CAP:
                 memo.clear()
+            # path[i] was reached at step i or later
             end = steps + tail
-            for u, at in zip(path, marks):
-                memo[u] = end - at
+            memo.update(zip(path, range(end, end - len(path), -1)))
     return exceptions
 
 

@@ -4,6 +4,7 @@ import os
 import signal
 import stat
 import threading
+import tracemalloc
 from array import array
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -841,6 +842,26 @@ class TestOrbitMemo:
         expected = [(n, "value_cap"), (2 * n, "value_cap")]
         assert _scan_members(plan, [10**12, n, 2 * n]) == expected
         assert _scan_members(plan, [10**12, 2 * n]) == expected[1:]
+
+    @pytest.mark.parametrize("cap", [8, verify.MEMO_CAP])
+    def test_a_seed_walking_to_the_step_cap_keeps_a_short_path(self, cap):
+        # 13 enters the cycle 13, 33, 83, 208, 104, 52, 26 of 2:5:1:+, all
+        # above the members 1, 2, 3, 4, 8, and walks it to the step cap; 12
+        # meets a member, so the memo is in use
+        plan = scan_plan(parse_triplet("2:5:1:+"), {1, 2, 3, 4, 8})
+        seeds = [12, 13, 26]
+        with mock.patch.object(verify, "MEMO_CAP", 0):
+            plain = _scan_members(plan, seeds)
+        tracemalloc.start()
+        try:
+            with mock.patch.object(verify, "MEMO_CAP", cap):
+                got = _scan_members(plan, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == plain == [(13, "step_cap"), (26, "step_cap")]
+        # a path of every one of the 10^5 loop values would take 800 KB
+        assert peak < 50_000
 
 
 class TestCheckpoints:
