@@ -14,9 +14,8 @@ descend within a step count and under a bound of the class's own, and
 carries the exact form of each surviving class at the last step that it
 fixes; a run skips the classes that fit its caps, and enters the survivors
 that fit at that step (`_scan_classes`).  A table of exact k-step jumps
-(`build_jumps`) lets the shortcut's descent loop, and the membership loop
-of a scan without the shortcut, take k steps at once wherever no cap or
-exit can lie inside them; it comes from the sieve's digit-by-digit
+(`build_jumps`) lets both scan loops take k steps at once wherever no cap
+or exit can lie inside them; it comes from the sieve's digit-by-digit
 refinement (`_refine`), unpruned.  Without the shortcut, a finish table
 (`build_finish`) ends a seed as soon as it reaches a small value from which
 a member is known to follow within the caps, and an orbit memo, kept for
@@ -49,7 +48,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import gcd
+from math import gcd, inf
 from typing import Iterable, Optional, Sequence
 
 from .core import PLUS, Triplet, parse_triplet
@@ -107,13 +106,30 @@ class VerificationJob:
 
 @dataclass(frozen=True)
 class Checkpoint:
+    """What a scan of a job's whole range produces: the undecided seeds, in
+    seed order, and the wall time; the rest of a checkpoint follows from
+    these and the job."""
+
     job: VerificationJob
-    digest: str
-    verified_frontier: int
     exceptions: tuple[tuple[int, str], ...]
-    seeds_scanned: int
     wall_time: float
-    throughput: float
+
+    @property
+    def digest(self) -> str:
+        return job_digest(self.job)
+
+    @property
+    def verified_frontier(self) -> int:
+        """The seed before the first exception, else hi."""
+        return self.exceptions[0][0] - 1 if self.exceptions else self.job.hi
+
+    @property
+    def seeds_scanned(self) -> int:
+        return self.job.hi - self.job.lo + 1
+
+    @property
+    def throughput(self) -> float:
+        return self.seeds_scanned / self.wall_time if self.wall_time > 0 else inf
 
 
 def job_digest(job: VerificationJob) -> str:
@@ -142,9 +158,11 @@ def _validate_targets(job: VerificationJob) -> None:
             again = canonicalize(job.triplet, c.elements)
         except NotACycleError as exc:
             raise InvalidTargetsError(f"target {c.omega} fails cycle closure: {exc}") from None
-        if again.omega != c.omega:
-            raise InvalidTargetsError(
-                f"target claims minimum {c.omega} but cycle minimum is {again.omega}")
+        for name in ("omega", "length", "kbar", "max_elem", "elements"):
+            claimed, actual = getattr(c, name), getattr(again, name)
+            if claimed != actual:
+                raise InvalidTargetsError(
+                    f"target {c.omega} claims {name} {claimed} but its cycle has {actual}")
 
 
 def _refine(t: Triplet, split: int, cap: int, sieved: Optional[list] = None):
@@ -438,12 +456,12 @@ def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable
     1..k-1 at or above n.  So the scan reaches iterate k after exactly k
     steps either way, and the landing value meets the loop's own test (the
     member test, or v >= n) as before: every exception, its status, the
-    frontier, seeds_scanned and the digest are unchanged.  Under the
-    shortcut the membership loop, which runs only the seeds up to
-    max_elem, takes no jumps.
+    frontier, seeds_scanned and the digest are unchanged.
 
     Member guard.  For q > hit[r], low_c[r]*q + low_p[r] > max_elem, so
     every iterate 1..k-1 exceeds the largest member, and none is a member.
+    Under the shortcut the membership loop runs only seeds n <= max_elem,
+    so those iterates exceed n too, and no below-seed exit lies inside.
     """
     d = t.d
     if d * d > JUMP_MODULUS_CAP:
@@ -548,10 +566,10 @@ def _scan_chunk(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
     Without the shortcut every seed runs the membership loop, which takes
     the jump table's guarded k-step jumps and stops at the finish table's
     exit and at the orbit memo's.  Under the shortcut, seeds up to max_elem
-    run the membership loop without either table or the memo, and the seeds
-    above it the descent loop of `_scan_survivors`, which jumps: the seeds
-    of the classes in the plan's class list, each entered at its class's
-    step where its guards hold.
+    run the membership loop with the jumps but neither the finish exit nor
+    the memo, and the seeds above it the descent loop of `_scan_survivors`,
+    which jumps: the seeds of the classes in the plan's class list, each
+    entered at its class's step where its guards hold.
     """
     if not plan.shortcut:
         return _scan_members(plan, range(lo, hi + 1))
@@ -562,9 +580,9 @@ def _scan_chunk(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
 
 def _scan_members(plan: ScanPlan, seeds: Sequence[int]) -> list[tuple[int, str]]:
     """The membership loop: each seed runs until it meets a member or, under
-    the shortcut, falls below itself.  Takes the plan's jumps, its finish
-    exit and the orbit memo only without the shortcut; under it, the loop
-    runs only the seeds up to max_elem.
+    the shortcut, falls below itself.  Takes the plan's jumps, and its
+    finish exit and the orbit memo only without the shortcut; under it, the
+    loop runs only the seeds up to max_elem.
 
     Orbit memo.  In its first MEMO_STEPS steps, a seed records each loop
     value above small, none of them a member or in the finish table; the
@@ -589,7 +607,7 @@ def _scan_members(plan: ScanPlan, seeds: Sequence[int]) -> list[tuple[int, str]]
     t, members, max_elem, shortcut = plan.triplet, plan.members, plan.max_elem, plan.shortcut
     d, alpha, beta = t.d, t.alpha, t.beta
     max_steps, max_value = plan.limits.max_steps, plan.limits.max_value
-    jumps, finish = (None, None) if shortcut else (plan.jumps, plan.finish)
+    jumps, finish = plan.jumps, plan.finish
     exceptions: list[tuple[int, str]] = []
     plus = t.kappa == PLUS
     # a jump may start only while steps <= jump_last, i.e. steps + k <= max_steps
@@ -778,24 +796,6 @@ def _worker_count(workers: Optional[int]) -> int:
     return max(1, workers)
 
 
-def _checkpoint(job: VerificationJob, exceptions: Iterable[tuple[int, str]],
-                wall: float) -> Checkpoint:
-    """The checkpoint of `job` with these exceptions, in seed order: its
-    frontier is the seed before the first of them, and every seed of the
-    range counts as scanned."""
-    exceptions = tuple(exceptions)
-    seeds = job.hi - job.lo + 1
-    return Checkpoint(
-        job=job,
-        digest=job_digest(job),
-        verified_frontier=job.hi if not exceptions else exceptions[0][0] - 1,
-        exceptions=exceptions,
-        seeds_scanned=seeds,
-        wall_time=wall,
-        throughput=seeds / wall if wall > 0 else float("inf"),
-    )
-
-
 def verify_range(job: VerificationJob, workers: Optional[int] = None) -> Checkpoint:
     """Scan the whole range; deterministic exception list in seed order,
     independent of chunking and worker count."""
@@ -825,24 +825,24 @@ def verify_range(job: VerificationJob, workers: Optional[int] = None) -> Checkpo
         # in this process, with whatever builders it looked up
         blob = pickle.dumps(plan, pickle.HIGHEST_PROTOCOL)
         results = _map_on_kept_pool(nworkers, [(blob, lo, hi) for lo, hi in spans])
-    return _checkpoint(job, (e for r in results for e in r), time.perf_counter() - start)
+    return Checkpoint(job, tuple(e for r in results for e in r), time.perf_counter() - start)
 
 
 def resume(cp: Checkpoint, hi_new: int, workers: Optional[int] = None) -> Checkpoint:
-    """Continue a checkpointed job up to hi_new; digest integrity enforced.
+    """Continue a checkpointed job up to hi_new.  A checkpoint's digest is
+    derived from its job; a file's stored digest is checked when the file
+    is loaded (`checkpoint_from_json_dict`).
 
     Every exception of the checkpoint lies past its frontier, and the scan
     of (frontier, hi_new] finds again each one up to hi_new, so that scan's
     exceptions are the whole result, and none lies past hi_new."""
-    if job_digest(cp.job) != cp.digest:
-        raise DigestMismatchError("checkpoint digest does not match its job")
     if hi_new <= cp.verified_frontier:
         raise InvalidTargetsError(
             f"nothing to do: hi_new={hi_new} <= frontier={cp.verified_frontier}")
     part = verify_range(replace(cp.job, lo=cp.verified_frontier + 1, hi=hi_new,
                                 prefix_verified_to=cp.verified_frontier), workers=workers)
-    return _checkpoint(replace(cp.job, hi=hi_new), part.exceptions,
-                       cp.wall_time + part.wall_time)
+    return Checkpoint(replace(cp.job, hi=hi_new), part.exceptions,
+                      cp.wall_time + part.wall_time)
 
 
 # --- checkpoint files ---------------------------------------------------------
@@ -884,13 +884,15 @@ def _json_int(value, key: str) -> int:
 
 def checkpoint_from_json_dict(doc: dict) -> Checkpoint:
     """Inverse of checkpoint_to_json_dict; CheckpointError when a field is
-    missing or has the wrong type, or when the result contradicts the job.
+    missing or has the wrong type, or when the result contradicts the job,
+    and DigestMismatchError when the stored digest is not the job's.
 
     The digest covers the job alone, so the result fields are checked
     against it: every status is step_cap or value_cap, the exception seeds
-    increase strictly within [lo, hi], the frontier is the seed before the
-    first exception (hi when there is none), and seeds_scanned is the size
-    of the range."""
+    increase strictly within [lo, hi], and the stored frontier and
+    seeds_scanned are the ones the exceptions and the range give.  The
+    wall time is a finite number >= 0; the stored throughput, derived from
+    it, need only be a number."""
     if not isinstance(doc, dict):
         raise CheckpointError("checkpoint is not a JSON object")
     version = doc.get("version")
@@ -909,10 +911,13 @@ def checkpoint_from_json_dict(doc: dict) -> Checkpoint:
                 kbar=_json_int(c["kbar"], "target kbar"),
                 max_elem=_json_int(c["max_elem"], "target max_elem"),
             ))
-        for key, kind, word in (("chunk_size", int, "an integer"),
-                                ("below_frontier_shortcut", bool, "true or false")):
-            if type(jd[key]) is not kind:  # bool("false") is True, and True is the integer 1
-                raise CheckpointError(f"malformed checkpoint: {key} {jd[key]!r} is not {word}")
+        # bool("false") is True, True is the integer 1, and float() loads "1e3"
+        for node, key, kinds, word in ((jd, "chunk_size", (int,), "an integer"),
+                                       (jd, "below_frontier_shortcut", (bool,), "true or false"),
+                                       (doc, "wall_time", (int, float), "a number"),
+                                       (doc, "throughput", (int, float), "a number")):
+            if type(node[key]) not in kinds:
+                raise CheckpointError(f"malformed checkpoint: {key} {node[key]!r} is not {word}")
         job = VerificationJob(
             triplet=t,
             lo=_json_int(jd["lo"], "lo"),
@@ -924,36 +929,34 @@ def checkpoint_from_json_dict(doc: dict) -> Checkpoint:
             below_frontier_shortcut=jd["below_frontier_shortcut"],
             prefix_verified_to=_json_int(jd["prefix_verified_to"], "prefix_verified_to"),
         )
-        cp = Checkpoint(
-            job=job,
-            digest=doc["digest"],
-            verified_frontier=_json_int(doc["verified_frontier"], "verified_frontier"),
-            exceptions=tuple((_json_int(n, "exception seed"), status)
-                             for n, status in doc["exceptions"]),
-            seeds_scanned=_json_int(doc["seeds_scanned"], "seeds_scanned"),
-            wall_time=float(doc["wall_time"]),
-            throughput=float(doc["throughput"]),
-        )
+        cp = Checkpoint(job, tuple((_json_int(n, "exception seed"), status)
+                                   for n, status in doc["exceptions"]), float(doc["wall_time"]))
+        digest = doc["digest"]
+        frontier = _json_int(doc["verified_frontier"], "verified_frontier")
+        seeds_scanned = _json_int(doc["seeds_scanned"], "seeds_scanned")
     except KeyError as exc:
         raise CheckpointError(f"checkpoint lacks field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from None
+    if not 0 <= cp.wall_time < inf:  # json loads NaN and Infinity as floats
+        raise CheckpointError(
+            f"malformed checkpoint: wall_time {cp.wall_time!r} is not a finite number >= 0")
+    if digest != cp.digest:
+        raise DigestMismatchError("checkpoint digest does not match its job")
     for n, status in cp.exceptions:
         if status not in (STEP_CAP, VALUE_CAP):
             raise CheckpointError(f"checkpoint exception {n} has unknown status {status!r}")
-    seeds = [n for n, _status in cp.exceptions]
-    chain = [job.lo - 1, *seeds, job.hi + 1]
+    chain = [job.lo - 1, *(n for n, _status in cp.exceptions), job.hi + 1]
     if any(a >= b for a, b in zip(chain, chain[1:])):
         raise CheckpointError(
             f"checkpoint exceptions do not increase strictly within [{job.lo}, {job.hi}]")
-    frontier = seeds[0] - 1 if seeds else job.hi
-    if cp.verified_frontier != frontier:
+    if frontier != cp.verified_frontier:
         raise CheckpointError(
-            f"checkpoint frontier {cp.verified_frontier} contradicts its exceptions "
-            f"and range: expected {frontier}")
-    if cp.seeds_scanned != job.hi - job.lo + 1:
+            f"checkpoint frontier {frontier} contradicts its exceptions "
+            f"and range: expected {cp.verified_frontier}")
+    if seeds_scanned != cp.seeds_scanned:
         raise CheckpointError(
-            f"checkpoint seeds_scanned {cp.seeds_scanned} is not the size of "
+            f"checkpoint seeds_scanned {seeds_scanned} is not the size of "
             f"[{job.lo}, {job.hi}]")
     return cp
 

@@ -395,6 +395,33 @@ def test_resume_rejects_result_contradicting_its_job(capsys, tmp_path, edit, mes
     assert json.loads(cp_path.read_text()) == doc  # nothing resumed
 
 
+@pytest.mark.parametrize("where, value, message", [
+    ("job.triplet.alpha", "5", "error: checkpoint digest does not match its job"),
+    ("job.targets.0.kbar", 99, "error: target 1 claims kbar 99 but its cycle has 1"),
+    ("wall_time", "nan", "error: malformed checkpoint: wall_time 'nan' is not a number"),
+    ("wall_time", float("nan"),
+     "error: malformed checkpoint: wall_time nan is not a finite number >= 0"),
+    ("throughput", "1e3", "error: malformed checkpoint: throughput '1e3' is not a number"),
+])
+def test_resume_rejects_edited_checkpoint(capsys, tmp_path, where, value, message):
+    cp_path = tmp_path / "cp.json"
+    assert run(["verify", "--triplet", "2:3:1:+", "--hi", "1000", "--targets", "1",
+                "--threads", "1", "--checkpoint", str(cp_path)]) == 0
+    doc = json.loads(cp_path.read_text())
+    keys = [int(key) if key.isdigit() else key for key in where.split(".")]
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    cp_path.write_text(json.dumps(doc))
+    edited = cp_path.read_text()
+    capsys.readouterr()
+    assert run(["resume", "--checkpoint", str(cp_path), "--hi", "6000", "--threads", "1"]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert cp_path.read_text() == edited  # nothing resumed
+
+
 def test_resume_missing_checkpoint(capsys, tmp_path):
     rc = run(["resume", "--checkpoint", str(tmp_path / "nosuch.json"), "--hi", "100"])
     assert rc == 1

@@ -20,9 +20,9 @@ from collatzkit import (CheckpointError, DigestMismatchError, InvalidTargetsErro
                         save_checkpoint, verify, verify_range)
 from collatzkit.core import PLUS, Triplet
 from collatzkit.dynamics import Cycle, enumerate_cycles
-from collatzkit.verify import (_FROM_N, FINISH_CAP, FINISH_STEPS, ScanPlan, _scan_chunk,
-                               _scan_classes, _scan_members, build_finish, build_jumps,
-                               build_sieve, checkpoint_from_json_dict,
+from collatzkit.verify import (_FROM_N, FINISH_CAP, FINISH_STEPS, Checkpoint, ScanPlan,
+                               _scan_chunk, _scan_classes, _scan_members, build_finish,
+                               build_jumps, build_sieve, checkpoint_from_json_dict,
                                checkpoint_to_json_dict, job_digest)
 
 T10128 = parse_triplet("10:12:8:+")
@@ -602,10 +602,10 @@ class TestJumpTable:
         assert report_bytes(jumped) == report_bytes(plain)
         assert jumped.exceptions == () and jumped.seeds_scanned == 2001
 
-    def test_membership_loop_never_jumps_under_the_shortcut(self):
+    def test_membership_loop_under_the_shortcut_keeps_report(self):
         # seeds up to the largest member (536) scan in the membership loop,
-        # which takes no table under the shortcut; under the caps most
-        # classes above it are skipped and the rest scanned from n
+        # which jumps but has no finish table under the shortcut; under the
+        # caps most classes above it are skipped and the rest scanned from n
         targets = enumerate_cycles(T8124, 1, 200)
         j = job(T8124, 1, 1213, targets, limits=Limits(max_steps=10, max_value=10**4),
                 chunk_size=400)
@@ -613,6 +613,21 @@ class TestJumpTable:
         assert len(_scan_classes(sieve, 1213, j.limits).forms) < sieve.modulus
         cp = assert_tables_keep_report(j)
         assert len(cp.exceptions) == 39
+
+    @pytest.mark.parametrize("limits", [Limits(), Limits(max_steps=12),
+                                        Limits(max_value=10**6)], ids=["default", "steps", "value"])
+    def test_membership_loop_jumps_under_the_shortcut(self, limits):
+        # 17:18:16:+ (k = 2) has members up to 21,488, so the seeds up to
+        # there run the membership loop, whose orbits pass far above them
+        fam = build_two_power_family(4, 0)
+        max_elem = max(x for c in fam.cycles for x in c.elements)
+        assert max_elem == 21_488 and build_jumps(fam.triplet, max_elem, 10**6).depth == 2
+        cp = assert_tables_keep_report(job(fam.triplet, 1, 30_000, fam.cycles, limits=limits,
+                                           chunk_size=7_000))
+        if limits == Limits():
+            assert cp.exceptions == ()
+        else:  # some seeds of the membership loop end at the cap
+            assert cp.exceptions[0][0] <= max_elem
 
     def test_report_unchanged_toward_members_far_above_the_seeds(self):
         # the 34 cycles of 4:10:54:+ met from seeds 1..3000 reach
@@ -883,14 +898,12 @@ class TestCheckpoints:
         cp = verify_range(job(T231, 1, 1000, (OMEGA1,)), workers=1)
         path = tmp_path / "cp.json"
         save_checkpoint(cp, str(path))
-        import json
         doc = json.loads(path.read_text())
         doc["job"]["triplet"]["alpha"] = "5"
         doc["job"]["triplet"]["beta"] = "3"
         path.write_text(json.dumps(doc))
-        tampered = load_checkpoint(str(path))
         with pytest.raises(DigestMismatchError):
-            resume(tampered, 2000)
+            load_checkpoint(str(path))
 
     def test_resume_rejects_empty_extension(self):
         cp = verify_range(job(T231, 1, 1000, (OMEGA1,)), workers=1)
@@ -1013,6 +1026,43 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("wall_time", True, "wall_time True is not a number"),
+        ("wall_time", "nan", "wall_time 'nan' is not a number"),
+        ("wall_time", "-5", "wall_time '-5' is not a number"),
+        ("wall_time", "1e3", "wall_time '1e3' is not a number"),
+        ("wall_time", "inf", "wall_time 'inf' is not a number"),
+        ("wall_time", None, "wall_time None is not a number"),
+        ("wall_time", float("nan"), "wall_time nan is not a finite number >= 0"),
+        ("wall_time", float("inf"), "wall_time inf is not a finite number >= 0"),
+        ("wall_time", -5, "wall_time -5.0 is not a finite number >= 0"),
+        ("wall_time", -0.5, "wall_time -0.5 is not a finite number >= 0"),
+        ("throughput", True, "throughput True is not a number"),
+        ("throughput", "1e3", "throughput '1e3' is not a number"),
+        ("throughput", [1.0], "throughput \\[1.0\\] is not a number"),
+    ])
+    def test_timings_must_be_json_numbers(self, tmp_path, key, value, message):
+        # float() would load "nan" and "-5", and a NaN wall time would then
+        # be written back as NaN, which is not JSON
+        doc = checkpoint_to_json_dict(verify_range(job(T8124, 1, 100, TARGETS[T8124][:1]),
+                                                   workers=1))
+        doc[key] = value
+        path = tmp_path / "cp.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(str(path))
+
+    def test_timings_load_from_any_json_number(self):
+        # the throughput is derived from the wall time and the range
+        cp = verify_range(job(T8124, 1, 100, TARGETS[T8124][:1]), workers=1)
+        doc = checkpoint_to_json_dict(cp)
+        for wall, throughput in ((0, 7), (3, -1.5), (0.25, float("inf"))):
+            doc["wall_time"], doc["throughput"] = wall, throughput
+            loaded = checkpoint_from_json_dict(doc)
+            assert loaded == replace(cp, wall_time=wall)
+            assert type(loaded.wall_time) is float
+            assert loaded.throughput == (100 / wall if wall else float("inf"))
+
     def test_integer_fields_load_from_json_integers(self):
         # as well as from the decimal strings that checkpoint_to_json_dict writes
         cp = verify_range(job(T8124, 1, 100, TARGETS[T8124][:1]), workers=1)
@@ -1032,6 +1082,31 @@ class TestCheckpoints:
         doc["job"]["below_frontier_shortcut"] = value
         with pytest.raises(CheckpointError, match="is not true or false"):
             checkpoint_from_json_dict(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("length", 5), ("kbar", 99), ("max_elem", "16"),
+    ])
+    def test_target_shape_contradicting_its_elements_is_rejected(self, field, value):
+        # the digest covers each target's minimum and elements, not its
+        # length, kbar or max_elem, so a resume checks those against the cycle
+        cp = verify_range(job(T8124, 1, 100, TARGETS[T8124][:1]), workers=1)
+        doc = checkpoint_to_json_dict(cp)
+        claimed = doc["job"]["targets"][0][field]
+        doc["job"]["targets"][0][field] = value
+        edited = checkpoint_from_json_dict(doc)
+        assert edited.digest == cp.digest
+        message = f"target 1 claims {field} {value} but its cycle has {claimed}"
+        with pytest.raises(InvalidTargetsError, match=message):
+            resume(edited, 200, workers=1)
+        with pytest.raises(InvalidTargetsError, match=message):
+            verify_range(edited.job, workers=1)
+
+    def test_fields_follow_from_the_job_exceptions_and_wall_time(self):
+        cp = Checkpoint(job(T8124, 11, 100, TARGETS[T8124][:1]), ((67, "step_cap"),), 0.5)
+        assert (cp.digest, cp.verified_frontier, cp.seeds_scanned, cp.throughput) == (
+            job_digest(cp.job), 66, 90, 180.0)
+        assert replace(cp, exceptions=()).verified_frontier == 100
+        assert replace(cp, wall_time=0.0).throughput == float("inf")
 
     def test_resume_past_exceptions_counts_each_seed_once(self):
         targets = TARGETS[T8124][:1]  # leaves 67 and its class undecided
