@@ -283,8 +283,10 @@ def _cmd_bound(args) -> int:
 
 
 def _targets_for(t: Triplet, minima: Sequence[int], limits: Limits):
+    """The target cycles of `--targets`, one per minimum, in first-seen order:
+    a repeated minimum would repeat its cycle in the job and its digest."""
     targets = []
-    for omega in minima:
+    for omega in dict.fromkeys(minima):
         cycle = detect_cycle_from(t, omega, limits) if omega >= 1 else None
         if cycle is None or cycle.omega != omega:
             raise InvalidTargetsError(

@@ -21,12 +21,15 @@ refinement (`_refine`), unpruned.  Without the shortcut, a finish table
 a member is known to follow within the caps, and an orbit memo, kept for
 one chunk, ends it as soon as it reaches a value that an earlier seed of
 the chunk passed early on its way to a member, when the steps recorded for
-that value fit in the steps left (`_scan_members`).  The report is the
-same as without any of the tables or the memo.  Each table is built once
-per process for its triplet, value cap and targets, the jump table for the
-largest target element alone (`_memo_table`), and a job's tables travel
-with its map, members and caps in one scan plan (`ScanPlan`), pickled once
-per job and sent with each chunk; a worker unpickles it only when it
+that value fit in the steps left (`_scan_members`); a seed whose iterate k,
+by the jump table, is that of a seed a few places below it in the chunk
+ends, with no step, when that seed met a member (the partner exit).  The
+report is the same as without any of the tables, the memo or the partner
+exit.  Each table is built once per process for its triplet, value cap and
+targets, the jump table for the largest target element alone
+(`_memo_table`), and a job's tables travel with its map, members and caps
+in one scan plan (`ScanPlan`), pickled once per job and sent once per batch
+of chunks, one batch per worker; a worker unpickles it only when it
 differs from the last plan it holds.  The worker pool is kept per process
 (`_map_on_kept_pool`): later jobs that need as many workers reuse it, and
 it stays alive until the process exits.
@@ -412,8 +415,10 @@ class JumpTable:
 
     For n = d^k*q + r, iterate k of n is coeff[r]*q + const[r].  The
     membership loop jumps from n only when hit[r] < q <= qmax, the descent
-    loop of a seed s only when q <= qmax and low_c[r]*q + low_p[r] >= s
-    (see `build_jumps`).
+    loop of a seed s only when q <= qmax and low_c[r]*q + low_p[r] >= s,
+    and the membership loop without the shortcut takes the partner exit of
+    a seed n only when back[r] > 0 and back_hit[r] < q <= qmax (see
+    `build_jumps`).
     """
 
     depth: int  # k
@@ -424,6 +429,8 @@ class JumpTable:
     low_c: list  # iterates 1..k-1 of d^k*q + r are at least
     low_p: list  # low_c[r]*q + low_p[r]
     qmax: int  # iterates 1..k stay at or below max_value for q <= qmax
+    back: list  # n - back[r] has n's iterate k, n = d^k*q + r; 0 for none
+    back_hit: list  # for q > back_hit[r], iterates 1..k-1 of n and n - back[r] exceed max_elem
 
 
 def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable]:
@@ -462,6 +469,17 @@ def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable
     every iterate 1..k-1 exceeds the largest member, and none is a member.
     Under the shortcut the membership loop runs only seeds n <= max_elem,
     so those iterates exceed n too, and no below-seed exit lies inside.
+
+    Partners.  The partner of n = d^k*q + r is the nearest of the d^k - 1
+    seeds below n whose iterate k is coeff[r]*q + const[r] for every q, and
+    back[r] is the distance to it, or 0 when there is none.  It is d^k*q +
+    r' for the largest r' < r with coeff[r'] = coeff[r] and const[r'] =
+    const[r]; else d^k*(q-1) + r' for the largest r' > r with coeff[r'] =
+    coeff[r] and const[r'] - coeff[r'] = const[r], whose iterate k is
+    coeff[r']*(q-1) + const[r'] = coeff[r]*q + const[r].  back_hit[r] is
+    max(hit[r], hit[r']), or max(hit[r], hit[r'] + 1) for a partner in the
+    block before, so for q > back_hit[r] iterates 1..k-1 of both n and its
+    partner exceed max_elem.  `_scan_members` says why the exit is exact.
     """
     d = t.d
     if d * d > JUMP_MODULUS_CAP:
@@ -469,14 +487,31 @@ def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable
     depth = 0
     for modulus, live in _refine(t, d, JUMP_MODULUS_CAP):
         depth += 1
-    coeff, const, hit, low_c, low_p = ([0] * modulus for _ in range(5))
+    coeff, const, hit, low_c, low_p, back = ([0] * modulus for _ in range(6))
     for r, a, b, _j, _floor, _c, _p, l_c, l_p in live:
         coeff[r], const[r], low_c[r], low_p[r] = a, b, l_c, l_p
         hit[r] = (max_elem - l_p) // l_c
+    back_hit = list(hit)
+    # downwards, `before` holds the largest residue above r of each form
+    # (coeff, const - coeff), the form its seed of the block before takes
+    # in the q of this block; upwards, `same` the largest below r of each
+    # (coeff, const), which is nearer when there is one
+    before: dict = {}
+    for r in range(modulus - 1, -1, -1):
+        partner = before.get((coeff[r], const[r]))
+        if partner is not None:
+            back[r], back_hit[r] = r + modulus - partner, max(hit[r], hit[partner] + 1)
+        before.setdefault((coeff[r], const[r] - coeff[r]), r)
+    same: dict = {}
+    for r in range(modulus):
+        partner = same.get((coeff[r], const[r]))
+        if partner is not None:
+            back[r], back_hit[r] = r - partner, max(hit[r], hit[partner])
+        same[(coeff[r], const[r])] = r
     peak_coeff = max(entry[5] for entry in live)
     peak_const = max(entry[6] for entry in live)
     return JumpTable(depth, modulus, coeff, const, hit, low_c, low_p,
-                     (max_value - peak_const) // peak_coeff)
+                     (max_value - peak_const) // peak_coeff, back, back_hit)
 
 
 def build_finish(t: Triplet, members: Iterable[int], max_value: int) -> array:
@@ -545,10 +580,10 @@ def _memo_table(builder, *args):
 @dataclass(frozen=True)
 class ScanPlan:
     """What a chunk scan needs of its job, built once by `verify_range` and
-    sent pickled with each chunk to the pool: the map, the members and the
-    largest of them, the caps, the shortcut flag, and the tables.  `classes`
-    serves only the shortcut and `finish` only a scan without it; each is
-    None where it does not serve."""
+    sent pickled to the pool once per batch of chunks: the map, the members
+    and the largest of them, the caps, the shortcut flag, and the tables.
+    `classes` serves only the shortcut and `finish` only a scan without it;
+    each is None where it does not serve."""
 
     triplet: Triplet
     members: frozenset
@@ -579,10 +614,23 @@ def _scan_chunk(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
 
 
 def _scan_members(plan: ScanPlan, seeds: Sequence[int]) -> list[tuple[int, str]]:
-    """The membership loop: each seed runs until it meets a member or, under
-    the shortcut, falls below itself.  Takes the plan's jumps, and its
-    finish exit and the orbit memo only without the shortcut; under it, the
-    loop runs only the seeds up to max_elem.
+    """The membership loop over `seeds`, in increasing order: each seed runs
+    until it meets a member or, under the shortcut, falls below itself.
+    Takes the plan's jumps, and its finish exit, the orbit memo and the
+    partner exit only without the shortcut; under it, the loop runs only
+    the seeds up to max_elem.
+
+    Partner exit.  A seed n = d^k*q + r ends with no exception, and takes
+    no step, when b = back[r] > 0, back_hit[r] < q <= qmax, and its partner
+    n' = n - b is one of `seeds`, above max_elem, and ended with no
+    exception.  n' is no member, and iterates 1..k-1 of n' exceed max_elem
+    (back_hit), so n' met its first member at a step s' >= k, with s' <=
+    max_steps and iterates 1..s' at most max_value, as the loop's exits are
+    exact.  Iterates 1..k-1 of n are no members (back_hit >= hit) and at
+    most max_value (qmax), and iterate k of n is that of n' (see
+    `build_jumps`).  So n meets its first member at step s' too, under both
+    caps: the exit is exact, and does not need the members to be closed
+    under the map.  A partner that ended with an exception lets n walk.
 
     Orbit memo.  In its first MEMO_STEPS steps, a seed records each loop
     value above small, none of them a member or in the finish table; the
@@ -627,7 +675,19 @@ def _scan_members(plan: ScanPlan, seeds: Sequence[int]) -> list[tuple[int, str]]
     # at most small
     memo = {}
     memo_steps = 0 if shortcut or len(seeds) < 2 else min(MEMO_STEPS, MEMO_CAP)
+    # the partner exit: off under the shortcut, where no seed exceeds max_elem
+    partner = jumps is not None and not shortcut
+    if partner:
+        back, back_hit = jumps.back, jumps.back_hit
+    failed = set()  # the seeds that ended with an exception
     for n in seeds:
+        if partner:
+            q, r = divmod(n, modulus)
+            b = back[r]
+            if b and back_hit[r] < q <= qmax:
+                prev = n - b
+                if prev > max_elem and prev in seeds and prev not in failed:
+                    continue
         v = n
         steps = 0
         status = None
@@ -669,6 +729,7 @@ def _scan_members(plan: ScanPlan, seeds: Sequence[int]) -> list[tuple[int, str]]
                 break
         if status is not None:
             exceptions.append((n, status))
+            failed.add(n)
         elif path:
             if len(memo) + len(path) > MEMO_CAP:
                 memo.clear()
@@ -769,8 +830,10 @@ _pool_lock = threading.Lock()
 
 def _map_on_kept_pool(nworkers: int, tasks: list) -> list:
     """`_scan_task` over the tasks, in order, on the kept pool of nworkers
-    workers.  A dead worker fails the job: the pool is dropped, so the next
-    job starts a fresh one, and BrokenProcessPool propagates."""
+    workers, one batch of tasks per worker: the tasks of a batch travel
+    pickled together, so a plan that they share is sent once per batch.  A
+    dead worker fails the job: the pool is dropped, so the next job starts
+    a fresh one, and BrokenProcessPool propagates."""
     global _pool
     with _pool_lock:
         if _pool is not None and _pool[0] != nworkers:
@@ -779,7 +842,8 @@ def _map_on_kept_pool(nworkers: int, tasks: list) -> list:
         if _pool is None:
             _pool = (nworkers, ProcessPoolExecutor(max_workers=nworkers))
         try:
-            return list(_pool[1].map(_scan_task, tasks))
+            return list(_pool[1].map(_scan_task, tasks,
+                                     chunksize=-(-len(tasks) // nworkers)))
         except BrokenProcessPool:
             _pool[1].shutdown()
             _pool = None
@@ -866,7 +930,8 @@ def checkpoint_to_json_dict(cp: Checkpoint) -> dict:
         "exceptions": [[str(n), status] for n, status in cp.exceptions],
         "seeds_scanned": str(cp.seeds_scanned),
         "wall_time": cp.wall_time,
-        "throughput": cp.throughput,
+        # strict JSON has no Infinity, the throughput of a zero wall time
+        "throughput": cp.throughput if cp.wall_time > 0 else None,
     }
 
 
@@ -892,7 +957,7 @@ def checkpoint_from_json_dict(doc: dict) -> Checkpoint:
     increase strictly within [lo, hi], and the stored frontier and
     seeds_scanned are the ones the exceptions and the range give.  The
     wall time is a finite number >= 0; the stored throughput, derived from
-    it, need only be a number."""
+    it, need only be a number, or null, as written for a zero wall time."""
     if not isinstance(doc, dict):
         raise CheckpointError("checkpoint is not a JSON object")
     version = doc.get("version")
@@ -915,7 +980,8 @@ def checkpoint_from_json_dict(doc: dict) -> Checkpoint:
         for node, key, kinds, word in ((jd, "chunk_size", (int,), "an integer"),
                                        (jd, "below_frontier_shortcut", (bool,), "true or false"),
                                        (doc, "wall_time", (int, float), "a number"),
-                                       (doc, "throughput", (int, float), "a number")):
+                                       (doc, "throughput", (int, float, type(None)),
+                                        "a number or null")):
             if type(node[key]) not in kinds:
                 raise CheckpointError(f"malformed checkpoint: {key} {node[key]!r} is not {word}")
         job = VerificationJob(

@@ -295,6 +295,20 @@ def test_verify_and_resume_cli(capsys, tmp_path):
     assert "verified frontier: 40000" in out
 
 
+def test_repeated_target_minimum_kept_once(capsys, tmp_path):
+    # the job and its digest are those of the minimum given once
+    docs = []
+    for targets in ("1", "1,1"):
+        out = tmp_path / f"{targets}.json"
+        rc = run(["verify", "--triplet", "2:3:1:+", "--hi", "100", "--targets", targets,
+                  "--threads", "1", "--json", str(out)])
+        assert rc == 0
+        docs.append(json.loads(out.read_text()))
+    capsys.readouterr()
+    assert docs[0]["digest"] == docs[1]["digest"]
+    assert [c["omega"] for c in docs[1]["job"]["targets"]] == ["1"]
+
+
 def test_verify_rejects_bad_target(capsys):
     rc = run(["verify", "--triplet", "10:12:8:+", "--hi", "100",
               "--targets", "5", "--threads", "1"])

@@ -442,14 +442,15 @@ def scan_plan(t, members, max_steps=10**5, max_value=10**30, shortcut=False,
 
 def assert_tables_keep_scan(t, lo, hi, members, **caps):
     """_scan_chunk with its jump table and its finish table, each alone and
-    both together, against the same scan with neither a table nor the
-    orbit memo."""
+    both together, and with both tables but no partners, against the same
+    scan with neither a table nor the orbit memo."""
     plan = scan_plan(t, members, **caps)
     jumps = build_jumps(t, plan.max_elem, plan.limits.max_value)
     finish = build_finish(t, plan.members, plan.limits.max_value)
     with mock.patch.object(verify, "MEMO_CAP", 0):
         plain = _scan_chunk(plan, lo, hi)
-    for tables in ((jumps, None), (None, finish), (jumps, finish)):
+    alone = jumps and replace(jumps, back=[0] * jumps.modulus)
+    for tables in ((jumps, None), (None, finish), (jumps, finish), (alone, finish)):
         assert _scan_chunk(replace(plan, jumps=tables[0], finish=tables[1]), lo, hi) == plain
     return plain
 
@@ -574,6 +575,84 @@ class TestJumpTable:
         assert iterates(T231, 2560, 10)[8] == 5 and jumps.hit[512] >= 2
         assert assert_tables_keep_scan(T231, 2560, 2560, {5}, max_steps=50) == []
         assert assert_tables_keep_scan(T231, 2500, 2700, {5}, max_steps=50)
+
+    @pytest.mark.parametrize("t", [T231, T10128, T3241, T34m1, T8124, T41054], ids=str)
+    def test_partner_is_the_nearest_seed_with_the_same_iterate_k(self, t):
+        jumps = build_jumps(t, max(CYCLE_MEMBERS[t]), 10**30)
+        modulus, coeff, const = jumps.modulus, jumps.coeff, jumps.const
+
+        def same_form(r, b):  # r - b in this block, or r - b + d^k in the one before
+            if b <= r:
+                return (coeff[r - b], const[r - b]) == (coeff[r], const[r])
+            rr = r - b + modulus
+            return (coeff[rr], const[rr] - coeff[rr]) == (coeff[r], const[r])
+
+        assert jumps.back == [next((b for b in range(1, modulus) if same_form(r, b)), 0)
+                              for r in range(modulus)]
+        partnered = [r for r in range(modulus) if jumps.back[r]]
+        assert partnered
+        for q in (1, 7, 10**9 + 7):
+            for r in partnered:
+                n = modulus * q + r
+                assert iterates(t, n, jumps.depth)[-1] == \
+                    iterates(t, n - jumps.back[r], jumps.depth)[-1]
+
+    @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124], ids=str)
+    def test_back_hit_keeps_both_seeds_off_the_members(self, t):
+        # at q = back_hit[r] + 1, iterates 1..k-1 of the seed and of its
+        # partner all exceed the largest member
+        max_elem = 10**6
+        jumps = build_jumps(t, max_elem, 10**30)
+        for r in range(jumps.modulus):
+            if jumps.back[r]:
+                n = jumps.modulus * (jumps.back_hit[r] + 1) + r
+                assert jumps.back_hit[r] >= jumps.hit[r]
+                for seed in (n, n - jumps.back[r]):
+                    assert min(iterates(t, seed, jumps.depth - 1)) > max_elem
+
+    def test_partner_meeting_a_member_before_step_k(self):
+        # 1024000003, the partner of 1024000007, meets the member 288000001
+        # at step 5, which 1024000007 never meets, so the later seed runs to
+        # the step cap: only the guard on the partner's q (back_hit) refuses
+        # the exit
+        n, member = 1_024_000_007, 288_000_001
+        jumps = build_jumps(T231, member, 10**30)
+        q, r = divmod(n, jumps.modulus)
+        assert jumps.back[r] == 4 and iterates(T231, n - 4, 5)[-1] == member
+        assert jumps.hit[r] < q <= jumps.back_hit[r]
+        found = assert_tables_keep_scan(T231, n - 4, n, {member}, max_steps=300)
+        assert (n, "step_cap") in found and (n - 4, "step_cap") not in found
+
+    def test_partner_that_is_a_member(self):
+        # 999999999997 is the only member and the partner of 10^12 + 1, whose
+        # orbit never meets it; iterates 1..2 of both exceed it, so only the
+        # floor above max_elem refuses the exit
+        n = 10**12 + 1
+        jumps = build_jumps(T10128, n - 4, 10**30)
+        q, r = divmod(n, jumps.modulus)
+        assert jumps.back[r] == 4 and jumps.back_hit[r] < q
+        assert assert_tables_keep_scan(T10128, n - 4, n, {n - 4}, max_steps=200) == [
+            (n - 3, "step_cap"), (n - 2, "step_cap"), (n - 1, "step_cap"), (n, "step_cap")]
+
+    def test_partner_ending_at_the_step_cap(self):
+        # 1000023 and its partner 1000022 meet 1 at the same step, one past
+        # the cap: the later seed walks, and ends at the cap too
+        n = 1_000_023
+        assert build_jumps(T231, 2, 10**30).back[n % 1024] == 1
+        cap = steps_to_member(T231, n - 1, {1, 2}) - 1
+        assert assert_tables_keep_scan(T231, n - 1, n, {1, 2}, max_steps=cap) == [
+            (n - 1, "step_cap"), (n, "step_cap")]
+        assert assert_tables_keep_scan(T231, n - 1, n, {1, 2}, max_steps=cap + 1) == []
+
+    def test_partner_ending_at_the_value_cap(self):
+        # the orbit of 1000022 peaks at 87680384 at step 30, past k = 10,
+        # and q = 976 is within qmax: the later seed walks to the cap too
+        n = 1_000_023
+        assert max(iterates(T231, n - 1, 30)) == iterates(T231, n - 1, 30)[-1] == 87_680_384
+        assert n // 1024 <= build_jumps(T231, 2, 87_680_383).qmax
+        assert assert_tables_keep_scan(T231, n - 1, n, {1, 2}, max_value=87_680_383) == [
+            (n - 1, "value_cap"), (n, "value_cap")]
+        assert assert_tables_keep_scan(T231, n - 1, n, {1, 2}, max_value=87_680_384) == []
 
     @pytest.mark.parametrize("max_steps", [9, 10, 11, 25, 39])
     def test_step_cap_inside_a_jump(self, max_steps):
@@ -1063,6 +1142,14 @@ class TestCheckpoints:
             assert type(loaded.wall_time) is float
             assert loaded.throughput == (100 / wall if wall else float("inf"))
 
+    def test_zero_wall_time_writes_strict_json(self):
+        # the throughput of a zero wall time has no JSON number; null stands for it
+        cp = Checkpoint(job(T8124, 1, 100, TARGETS[T8124][:1]), ((67, "step_cap"),), 0.0)
+        text = json.dumps(checkpoint_to_json_dict(cp), allow_nan=False)
+        doc = json.loads(text)
+        assert doc["throughput"] is None
+        assert checkpoint_from_json_dict(doc) == cp
+
     def test_integer_fields_load_from_json_integers(self):
         # as well as from the decimal strings that checkpoint_to_json_dict writes
         cp = verify_range(job(T8124, 1, 100, TARGETS[T8124][:1]), workers=1)
@@ -1140,16 +1227,17 @@ class TestCheckpoints:
 
 
 def test_pool_never_larger_than_the_chunk_count(monkeypatch):
-    started, stopped = [], []
+    started, stopped, batches = [], [], []
 
     class InlineExecutor:
-        """Records the pool sizes and maps in this process."""
+        """Records the pool sizes and batch sizes, and maps in this process."""
 
         def __init__(self, max_workers):
             self.size = max_workers
             started.append(max_workers)
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
+            batches.append(chunksize)
             return map(fn, items)
 
         def shutdown(self):
@@ -1166,6 +1254,9 @@ def test_pool_never_larger_than_the_chunk_count(monkeypatch):
     assert started == [3] and stopped == []  # the kept pool serves the next job
     verify_range(job(T231, 1, 2000, (OMEGA1,), chunk_size=1000), workers=64)
     assert started == [3, 2] and stopped == [3]  # and is replaced for another count
+    # one batch per worker: 5 chunks on 2 workers go in batches of 3 and 2
+    verify_range(job(T231, 1, 5000, (OMEGA1,), chunk_size=1000), workers=2)
+    assert batches == [1, 1, 1, 3]
 
 
 def test_worker_count_defaults_to_the_cpus_the_process_may_use(monkeypatch):
