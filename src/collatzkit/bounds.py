@@ -278,11 +278,17 @@ def _past_gamma0_M(rung: _Rung, M: int, n: int, q: int) -> bool:
 
 def hurwitz_bound(t: Triplet, m0: int,
                   policy: PrecisionPolicy = DEFAULT_POLICY) -> BoundReport:
-    """Length bound sqrt(alpha*log(d)*M0 / (beta*(d-1)*sqrt(5))), floored.
+    """Advisory length bound sqrt(alpha*log(d)*M0 / (beta*(d-1)*sqrt(5))),
+    floored.
 
-    The floor is certified (exact integer square roots never arise: the
-    radicand contains log d and sqrt 5).  The report's bound is the floor;
-    the conventional quote rounds up by one.
+    Advisory because Hurwitz's theorem gives infinitely many p/q with
+    |xi - p/q| < 1/(sqrt(5) q^2), and no lower bound on |xi - p/q| that
+    holds for every p/q, which a bound on every cycle needs; the report is
+    tagged uncertified.  A real cycle undercuts it: 7:46:3:+ has the cycle
+    (5, 35) of length 2, and the bound at M0 = 5 is 3.  The floor itself is
+    certified (exact integer square roots never arise: the radicand
+    contains log d and sqrt 5).  The report's bound is the floor; the
+    conventional quote rounds up by one.
     """
     _require_section_preconditions(t, m0, "M0")
     ladder = _Ladder(t, policy, lambda ctx: _hurwitz_radicand(t, ctx, m0))
@@ -298,7 +304,7 @@ def hurwitz_bound(t: Triplet, m0: int,
     constants["bound_ceiling"] = str(floor_val + 1)
     return BoundReport(
         method="hurwitz", triplet=t, M=m0, bound=floor_val, n0=0, rows=(),
-        constants=constants, bits_used=ladder[i].bits)
+        constants=constants, bits_used=ladder[i].bits, certified=False)
 
 
 def r_infinity_bound(t: Triplet, M: int,

@@ -13,7 +13,10 @@ classes mod d * s^(depth-1), s = d // gcd(alpha, d), that their seeds
 descend within a step count and under a bound of the class's own, and
 carries the exact form of each surviving class at the last step that it
 fixes; a run skips the classes that fit its caps, and enters the survivors
-that fit at that step (`_scan_classes`).  A table of exact k-step jumps
+that fit at that step (`_scan_classes`).  A survivor whose entry form is
+that of a smaller survivor is merged into it: its seed is decided by the
+smaller one's seed of the same block, when that seed entered and descended,
+and is scanned otherwise (`_scan_survivors`).  A table of exact k-step jumps
 (`build_jumps`) lets both scan loops take k steps at once wherever no cap
 or exit can lie inside them; it comes from the sieve's digit-by-digit
 refinement (`_refine`), unpruned.  Without the shortcut, a finish table
@@ -50,7 +53,7 @@ from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, inf
 from typing import Iterable, Optional, Sequence
 
@@ -291,6 +294,24 @@ class ResidueSieve:
     peak_p: list  # peak_c[i]*m + peak_p[i]
     sieved: list  # (r, level, k, C, P) per sieved class mod its level
 
+    @cached_property
+    def classes(self) -> ClassList:
+        """The class list when every class fits: each survivor whose entry
+        form (a, b, k) is that of a smaller survivor is merged into the
+        smallest such, its representative (see `build_sieve`).  Worked out
+        once per sieve, on first use."""
+        first: dict = {}  # (a, b, k) -> the smallest survivor with that entry form
+        residues, forms, merged = array("l"), [], {}
+        for form in self.forms:
+            r, a, b, _low_c, _low_p, k = form
+            rep = first.setdefault((a, b, k), r)
+            if rep == r:
+                residues.append(r)
+                forms.append(form)
+            else:
+                merged.setdefault(rep, []).append(form)
+        return ClassList(self.modulus, residues, forms, merged)
+
 
 def build_sieve(t: Triplet) -> Optional[ResidueSieve]:
     """The classes mod M = d * s^(depth-1), s = d // gcd(alpha, d) and depth
@@ -330,6 +351,22 @@ def build_sieve(t: Triplet) -> Optional[ResidueSieve]:
     statuses and the frontier are unchanged.  Otherwise the seed is scanned
     from n.
 
+    Merged classes.  A surviving class r whose entry form (a, b, k) is that
+    of a smaller survivor r0 is merged into the smallest such r0, its
+    representative (`ResidueSieve.classes`), and a seed n = M*m + r is
+    skipped when n0 = M*m + r0 is a seed of the same scan that entered at
+    step k and ended with no exception (`_scan_survivors`); both classes
+    fit.  n0 < n has iterate k of n, a*m + b, for every m.  Entered, n0 has
+    iterates 1..k-1 at least low_c*m + low_p >= n0, so it fell below itself
+    at a step s >= k, with s <= max_steps and iterates 1..s at most
+    max_value.  n's class fits, so k <= max_steps and its iterates 1..k-1
+    are at most max_value; its iterates k..s are those of n0, and iterate s
+    is below n0 < n.  So n falls below itself by step s with no cap before
+    it, and its scan reports nothing: every exception, its status, the
+    frontier and the digest are unchanged.  Merges across blocks are not
+    made: 2 of the 3,459 representatives of 10:12:8:+ share iterate k with
+    a survivor of the block before.
+
     Pruning.  A class carries a floor F such that every member of the class
     that is at least F meets the rule at some step i <= j: a step with
     alpha^(o_i) < d^i and T^i(r) >= r contributes the least member
@@ -362,17 +399,21 @@ class ClassList:
     """The classes mod `modulus` that a shortcut scan visits above max_elem:
     a seed n = modulus*m + r whose class has the form (r, a, b, low_c,
     low_p, k) enters at step k, at a*m + b, when low_c*m + low_p >= n, and
-    otherwise at n; a class scanned from n has k = 0 and a*m + b = n."""
+    otherwise at n; a class scanned from n has k = 0 and a*m + b = n.  The
+    classes merged into a listed representative r0 are not listed: their
+    seeds are decided by the seed of r0 in the same block, or scanned by
+    their own forms where it does not decide them (`_scan_survivors`)."""
 
     modulus: int
     residues: array  # sorted
     forms: list  # (r, a, b, low_c, low_p, k) per residue, in the same order
+    merged: dict  # representative r0 -> the forms of the classes merged into it, in order of r
 
 
 # no sieve, or no class fits: every seed from n, in blocks of 2^10 classes,
 # as blocks of one class made such scans 1.4-1.6x slower
 _FROM_N = ClassList(1 << 10, array("l", range(1 << 10)),
-                    [(r, 1 << 10, r, 1 << 10, r, 0) for r in range(1 << 10)])
+                    [(r, 1 << 10, r, 1 << 10, r, 0) for r in range(1 << 10)], {})
 
 
 def _scan_classes(sieve: Optional[ResidueSieve], hi: int, limits: Limits) -> ClassList:
@@ -383,9 +424,10 @@ def _scan_classes(sieve: Optional[ResidueSieve], hi: int, limits: Limits) -> Cla
     C*(hi // level) + P <= max_value, which bounds its iterates up to step
     k for every seed n <= hi, as C >= 0.  A sieved class that fits is
     skipped, a surviving one that fits enters at step k, and every other
-    class mod M is scanned from n (see `build_sieve`).  Under the default
-    caps every class fits, and the list is the sieve's own survivors and
-    forms."""
+    class mod M is scanned from n (see `build_sieve`).  A merged class stays
+    merged when it and its representative both fit, and is listed on its
+    own otherwise.  Under the default caps every class fits, and the list
+    is the sieve's own (`ResidueSieve.classes`)."""
     if sieve is None:
         return _FROM_N
     max_steps, max_value, modulus = limits.max_steps, limits.max_value, sieve.modulus
@@ -395,7 +437,7 @@ def _scan_classes(sieve: Optional[ResidueSieve], hi: int, limits: Limits) -> Cla
     unfit = [(r, level) for r, level, k, c, p in sieve.sieved
              if k > max_steps or c * (hi // level) + p > max_value]
     if not unfit and all(entered):
-        return ClassList(modulus, sieve.survivors, sieve.forms)
+        return sieve.classes
     if len(unfit) == len(sieve.sieved) and not any(entered):
         return _FROM_N
     forms: list = [None] * modulus
@@ -405,8 +447,16 @@ def _scan_classes(sieve: Optional[ResidueSieve], hi: int, limits: Limits) -> Cla
     for form, enter in zip(sieve.forms, entered):
         r = form[0]
         forms[r] = form if enter else (r, modulus, r, modulus, r, 0)
+    merged = {}
+    for rep, kept in sieve.classes.merged.items():
+        if forms[rep][5]:  # k > 0: the class enters at step k
+            kept = [form for form in kept if forms[form[0]][5]]
+            if kept:
+                merged[rep] = kept
+                for form in kept:
+                    forms[form[0]] = None
     forms = [form for form in forms if form is not None]
-    return ClassList(modulus, array("l", (form[0] for form in forms)), forms)
+    return ClassList(modulus, array("l", (form[0] for form in forms)), forms, merged)
 
 
 @dataclass(frozen=True)
@@ -745,7 +795,14 @@ def _scan_survivors(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
     seed n = M*m + r enters at its class's iterate k, a*m + b, when its
     lower guard holds (see `build_sieve`), and otherwise at n; it then
     jumps while the jump table's guards hold, and steps one at a time to
-    the end."""
+    the end.
+
+    Merged classes.  A seed n = M*m + r of a class merged into r0 < r is
+    skipped when n0 = M*m + r0 is one of this call's seeds, was entered at
+    step k and ended with no exception (see `build_sieve`); the seeds of
+    the classes merged into a representative that was below lo, scanned
+    from n0 or reported an exception are scanned afterwards in the same
+    loop, by their own forms, and the exceptions are then sorted."""
     t, jumps = plan.triplet, plan.jumps
     d, alpha, beta = t.d, t.alpha, t.beta
     max_steps, max_value = plan.limits.max_steps, plan.limits.max_value
@@ -758,52 +815,74 @@ def _scan_survivors(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
         coeff, const = jumps.coeff, jumps.const
         low_c, low_p = jumps.low_c, jumps.low_p
         jump_last = max_steps - jump_k
-    modulus, residues, forms = plan.classes.modulus, plan.classes.residues, plan.classes.forms
-    m, r = divmod(lo, modulus)
-    base = lo - r
-    start = bisect_left(residues, r)
+    classes = plan.classes
+    modulus, residues, forms = classes.modulus, classes.residues, classes.forms
+    merged = classes.merged
+    m, r_lo = divmod(lo, modulus)
+    base = lo - r_lo
+    start = bisect_left(residues, r_lo)
+    fell_back = False
     while base <= hi:
-        stop = bisect_right(residues, hi - base)
-        for r, a, b, form_low_c, form_low_p, form_steps in forms[start:stop]:
-            n = base + r
-            if form_low_c * m + form_low_p >= n:
-                v = a * m + b
-                steps = form_steps
-            else:
-                v = n
-                steps = 0
-            status = None
-            # jumps while the guards hold, then single steps to the end: on
-            # 2:3:1:+, 10:12:8:+, 3:4:1:-, 8:12:4:+ and 5:6:4:+ no seed took a
-            # jump after its first refused one, so testing again after each
-            # single step would only cost a divmod per step
-            while steps <= jump_last and v >= n:
-                q, r = divmod(v, jump_mod)
-                if q > qmax or low_c[r] * q + low_p[r] < n:
-                    break
-                v = coeff[r] * q + const[r]
-                steps += jump_k
-            # membership impossible while v >= n; pure descent test
-            # (kept: merged into the membership loop, 1-worker scans ran 1.22-1.39x slower)
-            while v >= n:
-                if steps >= max_steps:
-                    status = STEP_CAP
-                    break
-                r = v % d
-                if r == 0:
-                    v //= d
+        r_hi = hi - base
+        todo = forms[start:bisect_right(residues, r_hi)]
+        # the representatives whose merged seeds get scanned: first those
+        # below lo, then each one scanned from n0 or ending with an exception
+        dropped = set(residues[:start]) if merged else set()
+        while True:
+            for r, a, b, form_low_c, form_low_p, form_steps in todo:
+                n = base + r
+                if form_low_c * m + form_low_p >= n:
+                    v = a * m + b
+                    steps = form_steps
                 else:
-                    v = (alpha * v + beta * r) // d if plus else \
-                        (alpha * v + beta * (d - r)) // d
-                steps += 1
-                if v > max_value:
-                    status = VALUE_CAP
-                    break
-            if status is not None:
-                exceptions.append((n, status))
+                    v = n
+                    steps = 0
+                    dropped.add(r)
+                status = None
+                # jumps while the guards hold, then single steps to the end: on
+                # 2:3:1:+, 10:12:8:+, 3:4:1:-, 8:12:4:+ and 5:6:4:+ no seed took a
+                # jump after its first refused one, so testing again after each
+                # single step would only cost a divmod per step
+                while steps <= jump_last and v >= n:
+                    q, r = divmod(v, jump_mod)
+                    if q > qmax or low_c[r] * q + low_p[r] < n:
+                        break
+                    v = coeff[r] * q + const[r]
+                    steps += jump_k
+                # membership impossible while v >= n; pure descent test
+                # (kept: merged into the membership loop, 1-worker scans ran 1.22-1.39x slower)
+                while v >= n:
+                    if steps >= max_steps:
+                        status = STEP_CAP
+                        break
+                    r = v % d
+                    if r == 0:
+                        v //= d
+                    else:
+                        v = (alpha * v + beta * r) // d if plus else \
+                            (alpha * v + beta * (d - r)) // d
+                    steps += 1
+                    if v > max_value:
+                        status = VALUE_CAP
+                        break
+                if status is not None:
+                    exceptions.append((n, status))
+                    dropped.add(n - base)  # r is rebound by the walk
+            if not merged or not dropped:
+                break
+            # a merged class lies above its representative, so only the
+            # classes merged into one below lo can lie below lo too
+            todo = [form for rep in dropped for form in merged.get(rep, ())
+                    if r_lo <= form[0] <= r_hi]
+            if not todo:
+                break
+            dropped = set()  # the merged classes have no merged classes
+            fell_back = True
         m += 1
         base += modulus
-        start = 0
+        start = r_lo = 0
+    if fell_back:
+        exceptions.sort()
     return exceptions
 
 

@@ -15,8 +15,9 @@ import pytest
 
 from collatzkit import (BoundPreconditionError, CoprimalityError,
                         MTooSmallError, PrecisionExhaustedError, PrecisionPolicy,
-                        bounds, convergents, farey_bound, hurwitz_bound, intervals,
-                        mu_bound, parse_triplet, r_infinity_bound, xi_value)
+                        bounds, convergents, detect_cycle_from, farey_bound,
+                        hurwitz_bound, intervals, mu_bound, parse_triplet,
+                        r_infinity_bound, xi_value)
 from collatzkit.bounds import exact_farey_sign
 
 T564 = parse_triplet("5:6:4:+")
@@ -151,6 +152,16 @@ class TestHurwitz:
 
     def test_vacuous_at_one(self):
         assert hurwitz_bound(T231, 1).bound == 0
+
+    def test_advisory_as_a_real_cycle_undercuts_it(self):
+        # the cycle (5, 35) of 7:46:3:+ has length 2 against a bound of 3 at
+        # its minimum: Hurwitz's theorem does not bound every p/q
+        t = parse_triplet("7:46:3:+")
+        cycle = detect_cycle_from(t, 5)
+        assert (cycle.elements, cycle.length) == ((5, 35), 2)
+        rep = hurwitz_bound(t, cycle.omega)
+        assert rep.bound == 3 > cycle.length
+        assert not rep.certified and rep.to_json_dict()["certified"] is False
 
     def test_preconditions(self):
         with pytest.raises(BoundPreconditionError):

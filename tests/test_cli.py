@@ -252,7 +252,7 @@ def test_bound_alg2_and_aliases(capsys):
 def test_bound_hurwitz(capsys):
     rc = run(["bound", "hurwitz", "--triplet", "2:3:1:+", "--min-omega", "2^71"])
     assert rc == 0
-    assert "bound=46859289878" in capsys.readouterr().out
+    assert "bound=46859289878 n0=0 (advisory)" in capsys.readouterr().out
 
 
 def test_bound_mu_advisory(capsys):

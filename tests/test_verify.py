@@ -77,6 +77,12 @@ def assert_tables_keep_report(j, workers=1):
     return full
 
 
+def listed_forms(classes) -> list:
+    """The forms of a class list's representatives and of the classes merged
+    into them, in order of r."""
+    return sorted(classes.forms + [form for kept in classes.merged.values() for form in kept])
+
+
 def fixed_steps(t: Triplet, r: int, modulus: int) -> list[tuple[int, int, int]]:
     """(alpha^(o_j), d^j, T^j(r)) for each step j that the class of r mod M
     fixes: iterate j of M*m + r is M*alpha^(o_j)/d^j * m + T^j(r), and step
@@ -245,9 +251,10 @@ class TestResidueSieve:
     ], ids=str)
     def test_report_unchanged(self, t, lo, hi, chunk, workers):
         j = job(t, lo, hi, TARGETS[t], chunk_size=chunk, prefix_verified_to=lo - 1)
-        # under the default caps every class fits: the list is the survivors
+        # under the default caps every class fits: the list is the survivors,
+        # each listed or merged into its representative
         sieve = build_sieve(t)
-        assert _scan_classes(sieve, hi, j.limits).forms == sieve.forms
+        assert listed_forms(_scan_classes(sieve, hi, j.limits)) == sieve.forms
         cp = assert_tables_keep_report(j, workers)
         assert cp.seeds_scanned == hi - lo + 1
         # seed 10 of 4:10:54:+ ends in the cycle of 342 and never falls below 10
@@ -328,7 +335,8 @@ class TestResidueSieve:
         limits = Limits(max_steps=sieve.depth, max_value=max_value)
         # the class list decides the value and step guards, the scan the lower one
         classes = _scan_classes(doctored, n, limits)
-        assert (classes.forms == doctored.forms) == (not cap_below_peak and not k_above_cap)
+        assert (listed_forms(classes) == doctored.forms) == (not cap_below_peak
+                                                             and not k_above_cap)
         plan = scan_plan(T231, {1, 2}, shortcut=True, max_steps=limits.max_steps,
                          max_value=max_value, classes=classes)
         assert _scan_chunk(plan, n, n) == ([] if entered else [(n, "step_cap")])
@@ -343,7 +351,7 @@ class TestResidueSieve:
         doctored = replace(sieve, forms=[(r, 0, 2 * n - 2, 0, n, k) for r, *_form in sieve.forms],
                            peak_c=[0] * len(sieve.forms), peak_p=[0] * len(sieve.forms))
         classes = _scan_classes(doctored, n, Limits(max_steps=sieve.depth))
-        assert classes.forms == doctored.forms
+        assert listed_forms(classes) == doctored.forms
         plan = scan_plan(T231, {1, 2}, shortcut=True, max_steps=sieve.depth, classes=classes)
         assert _scan_chunk(plan, n, n) == ([] if entered else [(n, "step_cap")])
 
@@ -357,7 +365,8 @@ class TestResidueSieve:
         hi = 4 * sieve.modulus
         bounds = sorted(c * 4 + p for c, p in zip(sieve.peak_c, sieve.peak_p))
         limits = Limits(max_value=bounds[len(bounds) // 2])
-        entered = [form for form in _scan_classes(sieve, hi, limits).forms if form[5] > 0]
+        entered = [form for form in listed_forms(_scan_classes(sieve, hi, limits))
+                   if form[5] > 0]
         assert 0 < len(entered) < len(sieve.forms)
         j = job(t, 1, hi, TARGETS[t], limits=limits, chunk_size=sieve.modulus)
         full = assert_tables_keep_report(j)
@@ -429,6 +438,163 @@ class TestResidueSieve:
         assert_tables_keep_report(job(
             t, lo, lo + size, TARGETS[t], chunk_size=chunk, prefix_verified_to=lo - 1,
             limits=Limits(max_steps=max_steps, max_value=max_value)))
+
+
+def descent_status(t: Triplet, n: int, limits: Limits):
+    """The shortcut's descent of seed n walked one step at a time: None when
+    n falls below itself within the caps, else the cap it meets first."""
+    step = t.step_function()
+    v, steps = n, 0
+    while v >= n:
+        if steps >= limits.max_steps:
+            return "step_cap"
+        v, steps = step(v), steps + 1
+        if v > limits.max_value:
+            return "value_cap"
+    return None
+
+
+class TestMergedClasses:
+    @pytest.mark.parametrize("t", sorted(TARGETS, key=str), ids=str)
+    def test_merged_classes_share_iterate_k_with_their_representative(self, t):
+        sieve = build_sieve(t)
+        classes = sieve.classes
+        listed = {form[0]: form for form in classes.forms}
+        seen = set()
+        for rep, kept in classes.merged.items():
+            r0, a, b, _low_c, _low_p, k = listed[rep]
+            assert [form[0] for form in kept] == sorted(form[0] for form in kept)
+            for r, a_r, b_r, _low_c, _low_p, k_r in kept:
+                assert r0 < r and (a_r, b_r, k_r) == (a, b, k)
+                for m in range(4):
+                    n0, n = sieve.modulus * m + r0, sieve.modulus * m + r
+                    assert iterates(t, n, k)[-1] == iterates(t, n0, k)[-1] == a * m + b
+        # the representative is the smallest survivor of its entry form
+        for r, a, b, _low_c, _low_p, k in sieve.forms:
+            assert (r in listed) == ((a, b, k) not in seen)
+            seen.add((a, b, k))
+
+    def test_merge_counts(self):
+        merged = {t: sum(len(kept) for kept in build_sieve(t).classes.merged.values())
+                  for t in (T10128, T364032, T8124, T3241, T41054, T231)}
+        assert merged == {T10128: 5758, T364032: 16565, T8124: 118, T3241: 83,
+                          T41054: 1, T231: 0}
+        assert len(build_sieve(T10128).classes.forms) == 3459  # of 9,217 survivors
+
+    def test_merge_is_computed_once_per_sieve(self):
+        sieve = build_sieve(T10128)
+        assert sieve.classes is sieve.classes
+        assert _scan_classes(sieve, 10**6, Limits()) is sieve.classes
+
+    @pytest.mark.parametrize("t, limits", [
+        (T10128, Limits(max_steps=8)),
+        (T364032, Limits(max_steps=6)),
+        (T8124, Limits(max_steps=16)),
+        (T3241, Limits(max_steps=12)),
+        (T10128, "largest bound"),
+        (T364032, "largest bound"),
+        (T3241, "largest bound"),
+    ], ids=str)
+    def test_representative_reporting_a_cap(self, t, limits):
+        # every class fits, and merged seeds report step_cap or value_cap
+        # together with their representatives: the merged seeds of those
+        # blocks are scanned by their own forms
+        sieve = build_sieve(t)
+        hi = 2 * sieve.modulus + 5_000
+        if limits == "largest bound":
+            limits = Limits(max_value=max(
+                [c * (hi // sieve.modulus) + p for c, p in zip(sieve.peak_c, sieve.peak_p)]
+                + [c * (hi // level) + p for _r, level, _k, c, p in sieve.sieved]))
+        classes = _scan_classes(sieve, hi, limits)
+        assert classes.merged and listed_forms(classes) == sieve.forms
+        cp = assert_tables_keep_report(job(t, 1, hi, TARGETS[t], limits=limits,
+                                           chunk_size=7_000))
+        failed = dict(cp.exceptions)
+        pairs = [(sieve.modulus * m + rep, sieve.modulus * m + form[0])
+                 for rep, kept in classes.merged.items() for form in kept for m in (1, 2)]
+        assert any(n0 in failed and n in failed for n0, n in pairs)
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 1_000, 1])
+    def test_representative_below_lo(self, chunk):
+        # lo lies between a representative and the seeds merged into it, and
+        # the merged seeds report step_cap: they are scanned, not skipped
+        sieve, limits = build_sieve(T10128), Limits(max_steps=8)
+        classes = _scan_classes(sieve, 2 * sieve.modulus, limits)
+        rep, kept = next((rep, kept) for rep, kept in classes.merged.items()
+                         if descent_status(T10128, sieve.modulus + kept[-1][0], limits))
+        lo, hi = sieve.modulus + rep + 1, sieve.modulus + kept[-1][0]
+        cp = assert_tables_keep_report(job(T10128, lo, hi, TARGETS[T10128], limits=limits,
+                                           chunk_size=chunk, prefix_verified_to=lo - 1))
+        assert (hi, "step_cap") in cp.exceptions
+
+    @pytest.mark.parametrize("t, limits", [(T10128, Limits()), (T10128, Limits(max_steps=8)),
+                                           (T364032, Limits(max_steps=6))], ids=str)
+    def test_representative_refused_by_its_lower_guard(self, t, limits):
+        # a sieve whose representatives' lower bounds are 0, still true but
+        # never at least the seed: each representative is scanned from n0,
+        # and the seeds merged into it by their own forms
+        sieve = build_sieve(t)
+        reps = set(sieve.classes.merged)
+        doctored = replace(sieve, forms=[(*form[:3], 0, 0, form[5]) if form[0] in reps else form
+                                         for form in sieve.forms])
+        assert doctored.classes.merged.keys() == reps
+        with mock.patch.object(verify, "build_sieve", lambda t: doctored):
+            assert_tables_keep_report(job(t, 1, 2 * sieve.modulus + 5_000, TARGETS[t],
+                                          limits=limits, chunk_size=20_000))
+
+    @pytest.mark.parametrize("case, lo_past_n0, expected", [
+        ("skipped", False, []),
+        ("scanned-from-n0", False, ["value_cap"]),
+        ("scanned-from-n0-to-a-cap", False, ["step_cap", "step_cap"]),
+        ("exception", False, ["value_cap", "value_cap"]),
+        ("below-lo", True, ["value_cap"]),
+        ("other-k", False, ["step_cap"]),
+        ("representative-unfit", False, ["value_cap"]),
+        ("merged-unfit", False, ["step_cap"]),
+    ])
+    def test_merged_seed_skipped_exactly_when_its_representative_decides_it(
+            self, case, lo_past_n0, expected):
+        # a doctored sieve in which the survivor r of 2^40 - 1 and the one
+        # just below it, r0, share an entry form a*m + b = B at step k, and
+        # both classes fit but in the last case; the scan of [n0, n] (or
+        # [n0 + 1, n]) visits only their seeds, and shows which of them
+        # report what
+        n = 2**40 - 1
+        sieve = build_sieve(T231)
+        r = n % sieve.modulus
+        r0 = sieve.survivors[list(sieve.survivors).index(r) - 1]
+        n0 = n - r + r0
+        max_steps, max_value, k0 = 16, 10**30, 16
+        top = max_value - 1  # odd: its next iterate exceeds max_value
+        if case == "skipped":  # n0 descends from B; n, by its own guard, would step to the cap
+            b, low0, low = n0 - 1, n0, n - 1
+        elif case == "scanned-from-n0":  # n0 refused: its real walk descends
+            b, low0, low, max_steps = top, n0 - 1, n, 10**5
+        elif case == "scanned-from-n0-to-a-cap":  # n0 refused: its real walk meets the cap
+            b, low0, low = top, n0 - 1, n
+        elif case in ("exception", "below-lo"):  # both enter at B and meet the value cap
+            b, low0, low, max_steps = top, n0, n, 10**5
+        elif case == "representative-unfit":  # n0's bound passes the cap: its real walk descends
+            b, low0, low, max_steps = top, n0, n, 10**5
+        elif case == "merged-unfit":  # n0 descends from B; n's bound passes the cap
+            b, low0, low = n0 - 1, n0, n
+        else:  # n0 descends one step after B at step 15; n meets the step cap at B
+            b, low0, low, k0 = 2 * n0 - 2, n0, n, 15
+        forms = {r0: (r0, 0, b, 0, low0, k0), r: (r, 0, b, 0, low, 16)}
+        unfit = {"representative-unfit": r0, "merged-unfit": r}.get(case)
+        peak_p = [max_value + 1 if form[0] == unfit else 0 for form in sieve.forms]
+        doctored = replace(sieve, forms=[forms.get(form[0], form) for form in sieve.forms],
+                           peak_c=[0] * len(sieve.forms), peak_p=peak_p)
+        limits = Limits(max_steps=max_steps, max_value=max_value)
+        classes = _scan_classes(doctored, n, limits)
+        assert (r in classes.residues) == (case in ("other-k", "representative-unfit",
+                                                    "merged-unfit"))
+        plan = scan_plan(T231, {1, 2}, shortcut=True, max_steps=max_steps,
+                         max_value=max_value, classes=classes)
+        lo = n0 + 1 if lo_past_n0 else n0
+        assert _scan_chunk(plan, lo, n) == [(seed, status) for seed, status in
+                                            zip([n0, n][-len(expected):] if expected else [],
+                                                expected)]
 
 
 def scan_plan(t, members, max_steps=10**5, max_value=10**30, shortcut=False,
