@@ -7,9 +7,11 @@ decides every row (R_n floors, stop tests, D_n signs and digits,
 square-root floors) by exact rational comparison against the enclosure's
 endpoints.  A row the enclosure leaves ambiguous is decided again on the
 next rung, and the report stays there; rerunning any bound at doubled
-precision returns the identical integers.  The irrationality-measure bound
-is the one advisory exception and is labeled as such (its validity
-threshold is not effectively computable).
+precision returns the identical integers.  Two bounds are advisory and
+labeled as such: the irrationality-measure bound (its validity threshold
+is not effectively computable) and the Hurwitz square-root bound
+(Hurwitz's theorem does not bound every p/q, and a real cycle can be
+shorter).
 """
 
 from __future__ import annotations

@@ -424,10 +424,9 @@ def _scan_classes(sieve: Optional[ResidueSieve], hi: int, limits: Limits) -> Cla
     C*(hi // level) + P <= max_value, which bounds its iterates up to step
     k for every seed n <= hi, as C >= 0.  A sieved class that fits is
     skipped, a surviving one that fits enters at step k, and every other
-    class mod M is scanned from n (see `build_sieve`).  A merged class stays
-    merged when it and its representative both fit, and is listed on its
-    own otherwise.  Under the default caps every class fits, and the list
-    is the sieve's own (`ResidueSieve.classes`)."""
+    class mod M is scanned from n (see `build_sieve`).  Under the default
+    caps every class fits, and the list is the sieve's own, with its merges
+    (`ResidueSieve.classes`); otherwise no class is merged."""
     if sieve is None:
         return _FROM_N
     max_steps, max_value, modulus = limits.max_steps, limits.max_value, sieve.modulus
@@ -447,16 +446,8 @@ def _scan_classes(sieve: Optional[ResidueSieve], hi: int, limits: Limits) -> Cla
     for form, enter in zip(sieve.forms, entered):
         r = form[0]
         forms[r] = form if enter else (r, modulus, r, modulus, r, 0)
-    merged = {}
-    for rep, kept in sieve.classes.merged.items():
-        if forms[rep][5]:  # k > 0: the class enters at step k
-            kept = [form for form in kept if forms[form[0]][5]]
-            if kept:
-                merged[rep] = kept
-                for form in kept:
-                    forms[form[0]] = None
     forms = [form for form in forms if form is not None]
-    return ClassList(modulus, array("l", (form[0] for form in forms)), forms, merged)
+    return ClassList(modulus, array("l", (form[0] for form in forms)), forms, {})
 
 
 @dataclass(frozen=True)

@@ -365,8 +365,9 @@ class TestResidueSieve:
         hi = 4 * sieve.modulus
         bounds = sorted(c * 4 + p for c, p in zip(sieve.peak_c, sieve.peak_p))
         limits = Limits(max_value=bounds[len(bounds) // 2])
-        entered = [form for form in listed_forms(_scan_classes(sieve, hi, limits))
-                   if form[5] > 0]
+        classes = _scan_classes(sieve, hi, limits)
+        assert classes.merged == {}  # not every class fits: none is merged
+        entered = [form for form in classes.forms if form[5] > 0]
         assert 0 < len(entered) < len(sieve.forms)
         j = job(t, 1, hi, TARGETS[t], limits=limits, chunk_size=sieve.modulus)
         full = assert_tables_keep_report(j)
@@ -549,16 +550,14 @@ class TestMergedClasses:
         ("exception", False, ["value_cap", "value_cap"]),
         ("below-lo", True, ["value_cap"]),
         ("other-k", False, ["step_cap"]),
-        ("representative-unfit", False, ["value_cap"]),
-        ("merged-unfit", False, ["step_cap"]),
     ])
     def test_merged_seed_skipped_exactly_when_its_representative_decides_it(
             self, case, lo_past_n0, expected):
         # a doctored sieve in which the survivor r of 2^40 - 1 and the one
         # just below it, r0, share an entry form a*m + b = B at step k, and
-        # both classes fit but in the last case; the scan of [n0, n] (or
-        # [n0 + 1, n]) visits only their seeds, and shows which of them
-        # report what
+        # every class fits, so the list is the sieve's own with its merges;
+        # the scan of [n0, n] (or [n0 + 1, n]) visits only their seeds, and
+        # shows which of them report what
         n = 2**40 - 1
         sieve = build_sieve(T231)
         r = n % sieve.modulus
@@ -574,21 +573,15 @@ class TestMergedClasses:
             b, low0, low = top, n0 - 1, n
         elif case in ("exception", "below-lo"):  # both enter at B and meet the value cap
             b, low0, low, max_steps = top, n0, n, 10**5
-        elif case == "representative-unfit":  # n0's bound passes the cap: its real walk descends
-            b, low0, low, max_steps = top, n0, n, 10**5
-        elif case == "merged-unfit":  # n0 descends from B; n's bound passes the cap
-            b, low0, low = n0 - 1, n0, n
         else:  # n0 descends one step after B at step 15; n meets the step cap at B
             b, low0, low, k0 = 2 * n0 - 2, n0, n, 15
         forms = {r0: (r0, 0, b, 0, low0, k0), r: (r, 0, b, 0, low, 16)}
-        unfit = {"representative-unfit": r0, "merged-unfit": r}.get(case)
-        peak_p = [max_value + 1 if form[0] == unfit else 0 for form in sieve.forms]
         doctored = replace(sieve, forms=[forms.get(form[0], form) for form in sieve.forms],
-                           peak_c=[0] * len(sieve.forms), peak_p=peak_p)
+                           peak_c=[0] * len(sieve.forms), peak_p=[0] * len(sieve.forms))
         limits = Limits(max_steps=max_steps, max_value=max_value)
         classes = _scan_classes(doctored, n, limits)
-        assert (r in classes.residues) == (case in ("other-k", "representative-unfit",
-                                                    "merged-unfit"))
+        assert classes is doctored.classes
+        assert (r in classes.residues) == (case == "other-k")
         plan = scan_plan(T231, {1, 2}, shortcut=True, max_steps=max_steps,
                          max_value=max_value, classes=classes)
         lo = n0 + 1 if lo_past_n0 else n0
