@@ -253,8 +253,7 @@ def _cmd_trace(args) -> int:
 def _cmd_cycles(args) -> int:
     t = parse_triplet(args.triplet)
     cycles = enumerate_cycles(t, args.seed_lo, args.seed_hi, _limits_from(args))
-    report = PredictedCycleSet(t, cycles, f"seeds:{args.seed_lo}..{args.seed_hi}",
-                               len(cycles))
+    report = PredictedCycleSet(t, cycles, f"seeds:{args.seed_lo}..{args.seed_hi}")
     return _emit(report, args)
 
 
@@ -336,8 +335,8 @@ def _verify_outputs(cp: Checkpoint, args) -> int:
 # --- parser -------------------------------------------------------------------
 
 def _add_caps(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-steps", type=parse_natural, default=DEFAULT_MAX_STEPS)
-    p.add_argument("--max-value", type=parse_natural, default=DEFAULT_MAX_VALUE)
+    p.add_argument("--max-steps", type=_positive, default=DEFAULT_MAX_STEPS)
+    p.add_argument("--max-value", type=_positive, default=DEFAULT_MAX_VALUE)
 
 
 def _add_outputs(p: argparse.ArgumentParser) -> None:
@@ -371,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cycles", help="enumerate cycles over a seed range")
     p.add_argument("--triplet", required=True)
-    p.add_argument("--seed-lo", type=parse_natural, default=1)
-    p.add_argument("--seed-hi", type=parse_natural, required=True)
+    p.add_argument("--seed-lo", type=_positive, default=1)
+    p.add_argument("--seed-hi", type=_positive, required=True)
     _add_caps(p)
     _add_outputs(p)
     p.set_defaults(func=_cmd_cycles)
@@ -393,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="lower bounds on hypothetical cycle length")
     p.add_argument("method", choices=_BOUND_METHODS)
     p.add_argument("--triplet", required=True)
-    p.add_argument("--min-omega", type=parse_natural, required=True,
+    p.add_argument("--min-omega", type=_positive, required=True,
                    help="threshold M: every cycle minimum is assumed >= M")
     p.add_argument("--mu", type=_fraction, default="2",
                    help="irrationality measure (mu method)")
@@ -404,12 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify every seed in a range reaches a target")
     p.add_argument("--triplet", required=True)
-    p.add_argument("--lo", type=parse_natural, default=1)
-    p.add_argument("--hi", type=parse_natural, required=True)
+    p.add_argument("--lo", type=_positive, default=1)
+    p.add_argument("--hi", type=_positive, required=True)
     p.add_argument("--targets", type=_naturals, required=True,
                    help="comma-separated cycle minima (the walk from a value that is "
                         "no cycle's minimum hashes up to --max-steps values)")
-    p.add_argument("--chunk", type=parse_natural, default=DEFAULT_CHUNK)
+    p.add_argument("--chunk", type=_positive, default=DEFAULT_CHUNK)
     p.add_argument("--threads", type=_positive, default=None,
                    help="worker processes (default: $COLLATZKIT_THREADS or usable CPUs)")
     p.add_argument("--no-shortcut", action="store_true",
@@ -421,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resume", help="extend a checkpointed verification")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--hi", type=parse_natural, required=True)
+    p.add_argument("--hi", type=_positive, required=True)
     p.add_argument("--threads", type=_positive, default=None,
                    help="worker processes (default: $COLLATZKIT_THREADS or usable CPUs)")
     _add_outputs(p)

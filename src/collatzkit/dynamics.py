@@ -45,17 +45,14 @@ class Cycle:
     kbar: int
     max_elem: int
 
-    def to_json_dict(self, t: Triplet | None = None) -> dict:
-        rec = {
+    def to_json_dict(self) -> dict:
+        return {
             "omega": str(self.omega),
             "length": self.length,
             "kbar": self.kbar,
             "max_elem": str(self.max_elem),
             "elements": [str(x) for x in self.elements],
         }
-        if t is not None:
-            rec["triplet"] = t.to_json_dict()
-        return rec
 
 
 def canonicalize(t: Triplet, elements: Iterable[int]) -> Cycle:

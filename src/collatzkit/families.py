@@ -87,8 +87,12 @@ class PredictedCycleSet:
     triplet: Triplet
     cycles: tuple[Cycle, ...]
     provenance: str
-    lower_bound_on_order: int
     generated_count: Optional[int] = None  # pre-deduplication, where it differs
+
+    @property
+    def lower_bound_on_order(self) -> int:
+        """The distinct cycles built, a lower bound on the triplet's count."""
+        return len(self.cycles)
 
     @property
     def minima(self) -> tuple[int, ...]:
@@ -179,7 +183,7 @@ def build_ladder_family(params: LadderParams) -> PredictedCycleSet:
         raise NoApplicableCaseError(
             f"no ladder case applies to {params}: " + "; ".join(gates))
     cycles = _sorted_cycles(by_omega)
-    return PredictedCycleSet(t, cycles, _spec_string("ladder", *astuple(params)), len(cycles))
+    return PredictedCycleSet(t, cycles, _spec_string("ladder", *astuple(params)))
 
 
 def build_square_gap_family(params: SquareGapParams) -> PredictedCycleSet:
@@ -213,7 +217,7 @@ def build_square_gap_family(params: SquareGapParams) -> PredictedCycleSet:
         by_omega.setdefault(extra.omega, extra)
     cycles = _sorted_cycles(by_omega)
     return PredictedCycleSet(t, cycles, _spec_string("squaregap", *astuple(params)),
-                             len(cycles), generated_count=generated)
+                             generated_count=generated)
 
 
 def scale_cycles(base: Triplet, cycles: Iterable[Cycle], a0: int) -> PredictedCycleSet:
@@ -234,7 +238,7 @@ def scale_cycles(base: Triplet, cycles: Iterable[Cycle], a0: int) -> PredictedCy
                 f"scaling changed cycle length {c.length} -> {scaled.length}")
         by_omega.setdefault(scaled.omega, scaled)
     out = _sorted_cycles(by_omega)
-    return PredictedCycleSet(scaled_t, out, f"scale:a0={a0},base={base.text}", len(out))
+    return PredictedCycleSet(scaled_t, out, f"scale:a0={a0},base={base.text}")
 
 
 def build_dplus1_family(d: int, kappa: int) -> PredictedCycleSet:
@@ -252,7 +256,7 @@ def build_dplus1_family(d: int, kappa: int) -> PredictedCycleSet:
     else:
         raise InvalidFamilyParamsError(f"kappa must be +1 or -1, got {kappa}")
     cycles = _sorted_cycles(by_omega)
-    return PredictedCycleSet(t, cycles, _spec_string("dplus1", d, kappa), len(cycles))
+    return PredictedCycleSet(t, cycles, _spec_string("dplus1", d, kappa))
 
 
 def build_mersenne_family(p: int) -> PredictedCycleSet:
@@ -264,7 +268,7 @@ def build_mersenne_family(p: int) -> PredictedCycleSet:
     cyc = canonicalize(t, [2**i for i in range(p)])
     if cyc.length != p:
         raise NotACycleError(f"mersenne cycle has length {cyc.length}, expected {p}")
-    return PredictedCycleSet(t, (cyc,), _spec_string("mersenne", p), 1)
+    return PredictedCycleSet(t, (cyc,), _spec_string("mersenne", p))
 
 
 # Exceptional two-power pairs carrying extra cycles beyond the doubling one.
@@ -305,7 +309,7 @@ def build_two_power_family(p: int, q: int) -> PredictedCycleSet:
                 f"tabulated start {omega} is not its cycle minimum ({cyc.omega})")
         by_omega.setdefault(cyc.omega, cyc)
     cycles = _sorted_cycles(by_omega)
-    return PredictedCycleSet(t, cycles, _spec_string("power2", p, q), len(cycles))
+    return PredictedCycleSet(t, cycles, _spec_string("power2", p, q))
 
 
 # --- family registry: spec strings and CLI flags -----------------------------

@@ -25,17 +25,17 @@ a member is known to follow within the caps, and an orbit memo, kept for
 one chunk, ends it as soon as it reaches a value that an earlier seed of
 the chunk passed early on its way to a member, when the steps recorded for
 that value fit in the steps left (`_scan_members`); a seed whose iterate k,
-by the jump table, is that of a seed a few places below it in the chunk
-ends, with no step, when that seed met a member (the partner exit).  The
-report is the same as without any of the tables, the memo or the partner
-exit.  Each table is built once per process for its triplet, value cap and
-targets, the jump table for the largest target element alone
-(`_memo_table`), and a job's tables travel with its map, members and caps
-in one scan plan (`ScanPlan`), pickled once per job and sent once per batch
-of chunks, one batch per worker; a worker unpickles it only when it
-differs from the last plan it holds.  The worker pool is kept per process
-(`_map_on_kept_pool`): later jobs that need as many workers reuse it, and
-it stays alive until the process exits.
+by the jump table, is that of a seed a few places below it in the chunk and
+in its block mod d^k ends, with no step, when that seed met a member (the
+partner exit).  The report is the same as without any of the tables, the
+memo or the partner exit.  Each table is built once per process for its
+triplet, value cap and targets, the jump table for the largest target
+element alone (`_memo_table`), and a job's tables travel with its map,
+members and caps in one scan plan (`ScanPlan`), pickled once per job and
+sent once per batch of chunks, one batch per worker; a worker unpickles it
+only when it differs from the last plan it holds.  The worker pool is kept
+per process (`_map_on_kept_pool`): later jobs that need as many workers
+reuse it, and it stays alive until the process exits.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from math import gcd, inf
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .core import PLUS, Triplet, parse_triplet
@@ -90,6 +91,8 @@ MEMO_STEPS = 1 << 6
 
 STEP_CAP = "step_cap"
 VALUE_CAP = "value_cap"
+
+_RESIDUE = itemgetter(0)  # the residue r of a class form (r, ...)
 
 
 @dataclass(frozen=True)
@@ -173,8 +176,9 @@ def _validate_targets(job: VerificationJob) -> None:
 
 def _refine(t: Triplet, split: int, cap: int, sieved: Optional[list] = None):
     """Refine the residue classes of the seeds one digit at a time on the
-    moduli M_1 = d and M_l = M_(l-1) * split, while M_l <= cap, and yield
-    (M_l, classes) for each level l, the classes in order of r.
+    moduli M_1 = d and M_l = M_(l-1) * split, while M_l <= cap, and return
+    (depth, M, classes) of the last level, l = depth and M = M_depth, the
+    classes in order of r.
 
     A class (r, a, b, j, F, C, P, L, Q) mod M_l stands for the seeds
     n = M_l*m + r, m >= 0: iterate j of n is a*m + b, iterates 1..j are at
@@ -220,7 +224,7 @@ def _refine(t: Triplet, split: int, cap: int, sieved: Optional[list] = None):
     prune = sieved is not None
     # level 0 (M_0 = 1, n = m): iterate 0 is m, and n + 1 stands below
     live = [(0, 1, 0, 0, None, 0, 0, 1, 1)]
-    scale, width = 1, d  # M_(l-1), and the split at level l
+    depth, scale, width = 0, 1, d  # l - 1, M_(l-1), and the split at level l
     while scale * width <= cap:
         level = scale * width  # M_l
         # children by digit: with the parents in order of r, each list, and
@@ -269,8 +273,8 @@ def _refine(t: Triplet, split: int, cap: int, sieved: Optional[list] = None):
                         continue
                 sieved.append((rr, level, steps, c_new, p_new))
         live = [entry for children in refined for entry in children]
-        yield level, live
-        scale, width = level, split
+        depth, scale, width = depth + 1, level, split
+    return depth, scale, live
 
 
 @dataclass(frozen=True)
@@ -301,16 +305,15 @@ class ResidueSieve:
         smallest such, its representative (see `build_sieve`).  Worked out
         once per sieve, on first use."""
         first: dict = {}  # (a, b, k) -> the smallest survivor with that entry form
-        residues, forms, merged = array("l"), [], {}
+        forms, merged = [], {}
         for form in self.forms:
             r, a, b, _low_c, _low_p, k = form
             rep = first.setdefault((a, b, k), r)
             if rep == r:
-                residues.append(r)
                 forms.append(form)
             else:
                 merged.setdefault(rep, []).append(form)
-        return ClassList(self.modulus, residues, forms, merged)
+        return ClassList(self.modulus, forms, merged)
 
 
 def build_sieve(t: Triplet) -> Optional[ResidueSieve]:
@@ -380,9 +383,7 @@ def build_sieve(t: Triplet) -> Optional[ResidueSieve]:
     if d > SIEVE_MODULUS_CAP:
         return None
     sieved: list = []
-    depth = 0
-    for modulus, live in _refine(t, d // gcd(t.alpha, d), SIEVE_MODULUS_CAP, sieved):
-        depth += 1
+    depth, modulus, live = _refine(t, d // gcd(t.alpha, d), SIEVE_MODULUS_CAP, sieved)
     # each class's form replaces its entry in place, which keeps the build's
     # peak memory, and so that of the pool workers forked after it, down
     peak_c, peak_p = [], []
@@ -405,15 +406,13 @@ class ClassList:
     their own forms where it does not decide them (`_scan_survivors`)."""
 
     modulus: int
-    residues: array  # sorted
-    forms: list  # (r, a, b, low_c, low_p, k) per residue, in the same order
+    forms: list  # (r, a, b, low_c, low_p, k) per listed class, in order of r
     merged: dict  # representative r0 -> the forms of the classes merged into it, in order of r
 
 
 # no sieve, or no class fits: every seed from n, in blocks of 2^10 classes,
 # as blocks of one class made such scans 1.4-1.6x slower
-_FROM_N = ClassList(1 << 10, array("l", range(1 << 10)),
-                    [(r, 1 << 10, r, 1 << 10, r, 0) for r in range(1 << 10)], {})
+_FROM_N = ClassList(1 << 10, [(r, 1 << 10, r, 1 << 10, r, 0) for r in range(1 << 10)], {})
 
 
 def _scan_classes(sieve: Optional[ResidueSieve], hi: int, limits: Limits) -> ClassList:
@@ -446,8 +445,7 @@ def _scan_classes(sieve: Optional[ResidueSieve], hi: int, limits: Limits) -> Cla
     for form, enter in zip(sieve.forms, entered):
         r = form[0]
         forms[r] = form if enter else (r, modulus, r, modulus, r, 0)
-    forms = [form for form in forms if form is not None]
-    return ClassList(modulus, array("l", (form[0] for form in forms)), forms, {})
+    return ClassList(modulus, [form for form in forms if form is not None], {})
 
 
 @dataclass(frozen=True)
@@ -458,8 +456,9 @@ class JumpTable:
     membership loop jumps from n only when hit[r] < q <= qmax, the descent
     loop of a seed s only when q <= qmax and low_c[r]*q + low_p[r] >= s,
     and the membership loop without the shortcut takes the partner exit of
-    a seed n only when back[r] > 0 and back_hit[r] < q <= qmax (see
-    `build_jumps`).
+    a seed n only when back[r] > 0 and back_hit[r] < q <= qmax, its partner
+    n - back[r] being the nearest seed below n in its own block with its
+    iterate k (see `build_jumps`).
     """
 
     depth: int  # k
@@ -470,7 +469,7 @@ class JumpTable:
     low_c: list  # iterates 1..k-1 of d^k*q + r are at least
     low_p: list  # low_c[r]*q + low_p[r]
     qmax: int  # iterates 1..k stay at or below max_value for q <= qmax
-    back: list  # n - back[r] has n's iterate k, n = d^k*q + r; 0 for none
+    back: list  # n - back[r], of n's block, has n's iterate k, n = d^k*q + r; 0 for none
     back_hit: list  # for q > back_hit[r], iterates 1..k-1 of n and n - back[r] exceed max_elem
 
 
@@ -511,39 +510,26 @@ def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable
     Under the shortcut the membership loop runs only seeds n <= max_elem,
     so those iterates exceed n too, and no below-seed exit lies inside.
 
-    Partners.  The partner of n = d^k*q + r is the nearest of the d^k - 1
-    seeds below n whose iterate k is coeff[r]*q + const[r] for every q, and
-    back[r] is the distance to it, or 0 when there is none.  It is d^k*q +
-    r' for the largest r' < r with coeff[r'] = coeff[r] and const[r'] =
-    const[r]; else d^k*(q-1) + r' for the largest r' > r with coeff[r'] =
-    coeff[r] and const[r'] - coeff[r'] = const[r], whose iterate k is
-    coeff[r']*(q-1) + const[r'] = coeff[r]*q + const[r].  back_hit[r] is
-    max(hit[r], hit[r']), or max(hit[r], hit[r'] + 1) for a partner in the
-    block before, so for q > back_hit[r] iterates 1..k-1 of both n and its
-    partner exceed max_elem.  `_scan_members` says why the exit is exact.
+    Partners.  The partner of n = d^k*q + r is d^k*q + r' for the largest
+    r' < r with coeff[r'] = coeff[r] and const[r'] = const[r], the nearest
+    seed of n's own block whose iterate k is that of n for every q, and
+    back[r] = r - r' is the distance to it, or 0 when there is none.
+    back_hit[r] = max(hit[r], hit[r']), so for q > back_hit[r] iterates
+    1..k-1 of both n and its partner exceed max_elem.  A partner in the
+    block before is not looked for: it would partner 26 more of the 1,024
+    residues of `4:10:54:+`, 10 more of the 1,000 of `10:12:8:+` and none
+    of `2:3:1:+`.  `_scan_members` says why the exit is exact.
     """
     d = t.d
     if d * d > JUMP_MODULUS_CAP:
         return None
-    depth = 0
-    for modulus, live in _refine(t, d, JUMP_MODULUS_CAP):
-        depth += 1
+    depth, modulus, live = _refine(t, d, JUMP_MODULUS_CAP)
     coeff, const, hit, low_c, low_p, back = ([0] * modulus for _ in range(6))
     for r, a, b, _j, _floor, _c, _p, l_c, l_p in live:
         coeff[r], const[r], low_c[r], low_p[r] = a, b, l_c, l_p
         hit[r] = (max_elem - l_p) // l_c
     back_hit = list(hit)
-    # downwards, `before` holds the largest residue above r of each form
-    # (coeff, const - coeff), the form its seed of the block before takes
-    # in the q of this block; upwards, `same` the largest below r of each
-    # (coeff, const), which is nearer when there is one
-    before: dict = {}
-    for r in range(modulus - 1, -1, -1):
-        partner = before.get((coeff[r], const[r]))
-        if partner is not None:
-            back[r], back_hit[r] = r + modulus - partner, max(hit[r], hit[partner] + 1)
-        before.setdefault((coeff[r], const[r] - coeff[r]), r)
-    same: dict = {}
+    same: dict = {}  # (coeff, const) -> the largest residue below r of that form
     for r in range(modulus):
         partner = same.get((coeff[r], const[r]))
         if partner is not None:
@@ -663,15 +649,16 @@ def _scan_members(plan: ScanPlan, seeds: Sequence[int]) -> list[tuple[int, str]]
 
     Partner exit.  A seed n = d^k*q + r ends with no exception, and takes
     no step, when b = back[r] > 0, back_hit[r] < q <= qmax, and its partner
-    n' = n - b is one of `seeds`, above max_elem, and ended with no
-    exception.  n' is no member, and iterates 1..k-1 of n' exceed max_elem
-    (back_hit), so n' met its first member at a step s' >= k, with s' <=
-    max_steps and iterates 1..s' at most max_value, as the loop's exits are
-    exact.  Iterates 1..k-1 of n are no members (back_hit >= hit) and at
-    most max_value (qmax), and iterate k of n is that of n' (see
-    `build_jumps`).  So n meets its first member at step s' too, under both
-    caps: the exit is exact, and does not need the members to be closed
-    under the map.  A partner that ended with an exception lets n walk.
+    n' = n - b, of the same block mod d^k, is one of `seeds`, above
+    max_elem, and ended with no exception.  n' is no member, and iterates
+    1..k-1 of n' exceed max_elem (back_hit), so n' met its first member at
+    a step s' >= k, with s' <= max_steps and iterates 1..s' at most
+    max_value, as the loop's exits are exact.  Iterates 1..k-1 of n are no
+    members (back_hit >= hit) and at most max_value (qmax), and iterate k
+    of n is that of n' (see `build_jumps`).  So n meets its first member at
+    step s' too, under both caps: the exit is exact, and does not need the
+    members to be closed under the map.  A partner that ended with an
+    exception lets n walk.
 
     Orbit memo.  In its first MEMO_STEPS steps, a seed records each loop
     value above small, none of them a member or in the finish table; the
@@ -807,18 +794,17 @@ def _scan_survivors(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
         low_c, low_p = jumps.low_c, jumps.low_p
         jump_last = max_steps - jump_k
     classes = plan.classes
-    modulus, residues, forms = classes.modulus, classes.residues, classes.forms
-    merged = classes.merged
+    modulus, forms, merged = classes.modulus, classes.forms, classes.merged
     m, r_lo = divmod(lo, modulus)
     base = lo - r_lo
-    start = bisect_left(residues, r_lo)
+    start = bisect_left(forms, r_lo, key=_RESIDUE)
     fell_back = False
     while base <= hi:
         r_hi = hi - base
-        todo = forms[start:bisect_right(residues, r_hi)]
+        todo = forms[start:bisect_right(forms, r_hi, key=_RESIDUE)]
         # the representatives whose merged seeds get scanned: first those
         # below lo, then each one scanned from n0 or ending with an exception
-        dropped = set(residues[:start]) if merged else set()
+        dropped = {form[0] for form in forms[:start]} if merged else set()
         while True:
             for r, a, b, form_low_c, form_low_p, form_steps in todo:
                 n = base + r

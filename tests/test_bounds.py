@@ -15,9 +15,9 @@ import pytest
 
 from collatzkit import (BoundPreconditionError, CoprimalityError,
                         MTooSmallError, PrecisionExhaustedError, PrecisionPolicy,
-                        bounds, convergents, detect_cycle_from, farey_bound,
-                        hurwitz_bound, intervals, mu_bound, parse_triplet,
-                        r_infinity_bound, xi_value)
+                        bounds, convergents, detect_cycle_from, enumerate_cycles,
+                        farey_bound, hurwitz_bound, intervals, mu_bound,
+                        parse_triplet, r_infinity_bound, xi_value)
 from collatzkit.bounds import exact_farey_sign
 
 T564 = parse_triplet("5:6:4:+")
@@ -329,6 +329,34 @@ def test_cross_method_sanity():
         h = hurwitz_bound(T564, 5**e).bound
         best = max(r_infinity_bound(T564, 5**e).bound, farey_bound(T564, 5**e).bound)
         assert 1 <= h <= best
+
+
+def test_alg1_bound_holds_for_every_enumerated_cycle():
+    # the orbit engine as an oracle for the bounds engine: every cycle found
+    # from seeds up to 300 has at least as many elements not divisible by d
+    # as alg1 claims for its minimum; the sweep is every well-formed triplet
+    # with 2 <= d <= 4, d < alpha <= 3d, gcd(d, alpha) = 1, 0 < beta < 2d
+    # and d not dividing beta, of either sign
+    swept = [t for d in range(2, 5) for alpha in range(d + 1, 3 * d + 1)
+             if math.gcd(d, alpha) == 1
+             for beta in range(1, 2 * d) if beta % d
+             for sign in "+-"
+             for t in [parse_triplet(f"{d}:{alpha}:{beta}:{sign}")]
+             if t.wellformedness.satisfied]
+    cycles = [(t, c) for t in swept for c in enumerate_cycles(t, 1, 300)]
+    assert (len(swept), len(cycles)) == (40, 112)
+    assert [(t.text, c.omega) for t, c in cycles
+            if c.kbar < r_infinity_bound(t, c.omega).bound] == []
+
+
+@pytest.mark.xfail(strict=True, reason="alg2 reports p_(2*n0+1), not the least numerator "
+                                       "that the min-side chain allows (ROADMAP open item 1)")
+@pytest.mark.parametrize("text, omega", [("3:4:2:+", 14), ("2:3:5:+", 187)])
+def test_alg2_bound_holds_for_known_cycles(text, omega):
+    # 3:4:2:+ has a cycle at 14 of length 9 against an alg2 bound of 24, and
+    # 2:3:5:+ one at 187 of length 27 against 65
+    t = parse_triplet(text)
+    assert detect_cycle_from(t, omega).length >= farey_bound(t, omega).bound
 
 
 class TestMuBound:

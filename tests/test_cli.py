@@ -354,7 +354,26 @@ def test_verify_rejects_non_positive_target(targets, capsys):
     (["map", "--triplet", "2:3:1:+", "--n", "0"], "--n"),
     (["trace", "--triplet", "2:3:1:+", "--n", "6", "--known", "0"], "--known"),
     (["trace", "--triplet", "2:3:1:+", "--n", "6", "--known", "1,0"], "--known"),
-], ids=["trace-0", "map-0", "known-0", "known-1,0"])
+    (["trace", "--triplet", "2:3:1:+", "--n", "6", "--max-steps", "0"], "--max-steps"),
+    (["trace", "--triplet", "2:3:1:+", "--n", "6", "--max-value", "0"], "--max-value"),
+    (["cycles", "--triplet", "2:3:1:+", "--seed-hi", "9", "--max-steps", "0"], "--max-steps"),
+    (["cycles", "--triplet", "2:3:1:+", "--seed-hi", "9", "--max-value", "0"], "--max-value"),
+    (["cycles", "--triplet", "2:3:1:+", "--seed-lo", "0", "--seed-hi", "9"], "--seed-lo"),
+    (["cycles", "--triplet", "2:3:1:+", "--seed-hi", "0"], "--seed-hi"),
+    (["verify", "--triplet", "2:3:1:+", "--hi", "10", "--targets", "1", "--max-steps", "0"],
+     "--max-steps"),
+    (["verify", "--triplet", "2:3:1:+", "--hi", "10", "--targets", "1", "--max-value", "0"],
+     "--max-value"),
+    (["verify", "--triplet", "2:3:1:+", "--hi", "10", "--targets", "1", "--chunk", "0"],
+     "--chunk"),
+    (["verify", "--triplet", "2:3:1:+", "--lo", "0", "--hi", "10", "--targets", "1"], "--lo"),
+    (["verify", "--triplet", "2:3:1:+", "--hi", "0", "--targets", "1"], "--hi"),
+    (["resume", "--checkpoint", "cp.json", "--hi", "0"], "--hi"),
+    (["bound", "alg1", "--triplet", "2:3:1:+", "--min-omega", "0"], "--min-omega"),
+], ids=["trace-0", "map-0", "known-0", "known-1,0", "trace-max-steps-0",
+        "trace-max-value-0", "cycles-max-steps-0", "cycles-max-value-0", "seed-lo-0",
+        "seed-hi-0", "verify-max-steps-0", "verify-max-value-0", "chunk-0", "lo-0", "hi-0",
+        "resume-hi-0", "min-omega-0"])
 def test_non_positive_value_is_usage_error(argv, flag, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()

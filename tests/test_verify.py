@@ -384,7 +384,7 @@ class TestResidueSieve:
         limits = Limits(max_steps=sieve.depth - 1)
         classes = _scan_classes(sieve, 5000, limits)
         assert all(form[5] == 0 for form in classes.forms)
-        assert set(sieve.survivors) < set(classes.residues)
+        assert set(sieve.survivors) < {form[0] for form in classes.forms}
         assert len(classes.forms) < sieve.modulus
         cp = assert_tables_keep_report(job(T231, 1, 5000, (OMEGA1,), limits=limits,
                                            chunk_size=999))
@@ -417,7 +417,7 @@ class TestResidueSieve:
         # hi descending within the caps
         sieve = build_sieve(t)
         hi = sieve.modulus + 5_000
-        kept = set(_scan_classes(sieve, hi, limits).residues)
+        kept = {form[0] for form in _scan_classes(sieve, hi, limits).forms}
         skipped = [r for r in range(sieve.modulus) if r not in kept]
         assert skipped
         step = t.step_function()
@@ -581,7 +581,7 @@ class TestMergedClasses:
         limits = Limits(max_steps=max_steps, max_value=max_value)
         classes = _scan_classes(doctored, n, limits)
         assert classes is doctored.classes
-        assert (r in classes.residues) == (case == "other-k")
+        assert any(form[0] == r for form in classes.forms) == (case == "other-k")
         plan = scan_plan(T231, {1, 2}, shortcut=True, max_steps=max_steps,
                          max_value=max_value, classes=classes)
         lo = n0 + 1 if lo_past_n0 else n0
@@ -740,16 +740,15 @@ class TestJumpTable:
         jumps = build_jumps(t, max(CYCLE_MEMBERS[t]), 10**30)
         modulus, coeff, const = jumps.modulus, jumps.coeff, jumps.const
 
-        def same_form(r, b):  # r - b in this block, or r - b + d^k in the one before
-            if b <= r:
-                return (coeff[r - b], const[r - b]) == (coeff[r], const[r])
-            rr = r - b + modulus
-            return (coeff[rr], const[rr] - coeff[rr]) == (coeff[r], const[r])
+        def same_form(r, b):  # r - b, in this block
+            return (coeff[r - b], const[r - b]) == (coeff[r], const[r])
 
-        assert jumps.back == [next((b for b in range(1, modulus) if same_form(r, b)), 0)
+        assert jumps.back == [next((b for b in range(1, r + 1) if same_form(r, b)), 0)
                               for r in range(modulus)]
         partnered = [r for r in range(modulus) if jumps.back[r]]
         assert partnered
+        assert all(jumps.back_hit[r] == max(jumps.hit[r], jumps.hit[r - jumps.back[r]])
+                   for r in range(modulus))
         for q in (1, 7, 10**9 + 7):
             for r in partnered:
                 n = modulus * q + r
@@ -783,10 +782,10 @@ class TestJumpTable:
         assert (n, "step_cap") in found and (n - 4, "step_cap") not in found
 
     def test_partner_that_is_a_member(self):
-        # 999999999997 is the only member and the partner of 10^12 + 1, whose
+        # 10^12 + 7 is the only member and the partner of 10^12 + 11, whose
         # orbit never meets it; iterates 1..2 of both exceed it, so only the
         # floor above max_elem refuses the exit
-        n = 10**12 + 1
+        n = 10**12 + 11
         jumps = build_jumps(T10128, n - 4, 10**30)
         q, r = divmod(n, jumps.modulus)
         assert jumps.back[r] == 4 and jumps.back_hit[r] < q
