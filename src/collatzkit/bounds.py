@@ -2,14 +2,16 @@
 
 Each report encloses its one real quantity (gamma0 for alg1 and mu, the
 shifted ratio X = xi + log_d(1 + beta*(d-1)/(alpha*M)) for alg2, the
-radicand for hurwitz) in one interval context per precision rung, and
-decides every row (R_n floors, stop tests, D_n signs and digits,
-square-root floors) by exact rational comparison against the enclosure's
-endpoints.  A row the enclosure leaves ambiguous is decided again on the
-next rung, and the report stays there; rerunning any bound at doubled
-precision returns the identical integers.  Two bounds are advisory and
-labeled as such: the irrationality-measure bound (its validity threshold
-is not effectively computable) and the Hurwitz square-root bound
+radicand for hurwitz) on one `intervals._Ladder`, one interval context per
+precision rung, beside log_d(alpha), and decides every row (R_n floors,
+stop tests, D_n signs and digits, square-root floors) by exact rational
+comparison against the enclosure's endpoints.  A row the enclosure leaves
+ambiguous is settled on the first rung above that decides it, and the
+report stays there; its convergents are expanded on the same rungs.
+Rerunning any bound at doubled precision returns the identical integers.
+alg1 and mu share one peak walk and one row type.  Two bounds are advisory
+and labeled as such: the irrationality-measure bound (its validity
+threshold is not effectively computable) and the Hurwitz square-root bound
 (Hurwitz's theorem does not bound every p/q, and a real cycle can be
 shorter).
 """
@@ -22,11 +24,10 @@ from fractions import Fraction
 from typing import Any, Callable, Optional, Union
 
 from .core import Triplet
-from .errors import (BoundPreconditionError, CoprimalityError, MTooSmallError,
-                     PrecisionExhaustedError)
+from .errors import BoundPreconditionError, CoprimalityError, MTooSmallError
 from .intervals import (DEFAULT_POLICY, CertifiedReal, ConvergentStream,
-                        Expr, PrecisionPolicy, certified_enclosure, endpoints,
-                        log_ratio_expr, make_context)
+                        PrecisionPolicy, _Ambiguous, _Ladder, _Rung, endpoints,
+                        log_ratio_expr)
 
 EXACT_SIGN_Q_LIMIT = 10**4
 
@@ -44,11 +45,14 @@ class ConvergentSequence:
 
 
 @dataclass(frozen=True)
-class Alg1Row:
+class PeakRow:
+    """A row of alg1 (value R_n) or of mu (value min(q_n, gamma0*M/q_n^mu));
+    the report's bound is the peak value."""
+
     n: int
     p: int
     q: int
-    value: int  # R_n
+    value: int
 
 
 @dataclass(frozen=True)
@@ -60,15 +64,7 @@ class Alg2Row:
     approx: str  # D_n to 3 significant digits, certified
 
 
-@dataclass(frozen=True)
-class MuRow:
-    n: int
-    p: int
-    q: int
-    value: int
-
-
-BoundRow = Union[Alg1Row, Alg2Row, MuRow]
+BoundRow = Union[PeakRow, Alg2Row]
 
 
 @dataclass(frozen=True)
@@ -136,8 +132,15 @@ def xi_value(t: Triplet, bits: int,
     if policy is None:
         policy = PrecisionPolicy(start_bits=max(DEFAULT_POLICY.start_bits, bits + 8),
                                  max_bits=max(DEFAULT_POLICY.max_bits, 4 * (bits + 8)))
-    return certified_enclosure(log_ratio_expr(t.d, t.alpha), Fraction(1, 2**bits),
-                               policy, what=f"log_{t.d}({t.alpha})")
+    radius = Fraction(1, 2**bits)
+
+    def enclosure(rung: _Rung) -> CertifiedReal:
+        lo, hi = rung.xi
+        if hi - lo > 2 * radius:
+            raise _Ambiguous(f"cannot enclose log_{t.d}({t.alpha}) to radius {radius}")
+        return CertifiedReal(lo, hi, rung.bits)
+
+    return _Ladder(t.d, t.alpha, policy).settle(enclosure)[0]
 
 
 def convergents(t: Triplet, min_terms: int,
@@ -167,10 +170,6 @@ def _hurwitz_radicand(t: Triplet, ctx, m0: int) -> Any:
         (ctx.mpf(t.beta * (t.d - 1)) * ctx.sqrt(ctx.mpf(5)))
 
 
-class _Ambiguous(Exception):
-    """A decision that the enclosure on the current rung leaves open."""
-
-
 def _floor(lo: Fraction, hi: Fraction, what: str) -> int:
     """Floor of a value enclosed in [lo, hi]."""
     if math.floor(lo) != math.floor(hi):
@@ -185,58 +184,6 @@ def _sign(lo: Fraction, hi: Fraction, what: str) -> int:
     if hi < 0:
         return -1
     raise _Ambiguous(f"sign of {what} still ambiguous")
-
-
-@dataclass(frozen=True)
-class _Rung:
-    """One rung of a report's ladder: its precision, context and enclosures."""
-
-    index: int
-    bits: int
-    ctx: Any
-    lo: Fraction  # the report's quantity lies in [lo, hi]
-    hi: Fraction
-    xi: tuple[Fraction, Fraction]  # log_d(alpha), for the convergent stream
-
-
-class _Ladder:
-    """A report's one real quantity, and log_d(alpha), enclosed on the rungs
-    of its precision policy.  Rung i is one interval context at the policy's
-    i-th precision, built when first asked for and kept, so every decision
-    made on a rung, and every convergent expansion done there, shares its
-    context and its enclosures."""
-
-    def __init__(self, t: Triplet, policy: PrecisionPolicy, quantity: Expr):
-        self.policy = policy
-        self._bits = list(policy.ladder())
-        self._log_ratio = log_ratio_expr(t.d, t.alpha)
-        self._quantity = quantity
-        self._rungs: list[_Rung] = []
-
-    def __getitem__(self, i: int) -> _Rung:
-        while len(self._rungs) <= i:
-            bits = self._bits[len(self._rungs)]
-            ctx = make_context(bits)
-            self._rungs.append(_Rung(len(self._rungs), bits, ctx, *endpoints(self._quantity(ctx)),
-                                     endpoints(self._log_ratio(ctx))))
-        return self._rungs[i]
-
-    def xi(self, bits: int) -> tuple[Fraction, Fraction]:
-        """log_d(alpha) on the rung of the given precision."""
-        return self[self._bits.index(bits)].xi
-
-    def settle(self, decide: Callable[[_Rung], Any], start: int,
-               n: Optional[int] = None) -> tuple[Any, int]:
-        """decide(rung) on rung start, else on the first rung above it that
-        settles it: (decision, rung index).  Past the last rung, raises
-        PrecisionExhaustedError naming the last ambiguity and row n."""
-        for i in range(start, len(self._bits)):
-            try:
-                return decide(self[i]), i
-            except _Ambiguous as exc:
-                last = exc
-        raise PrecisionExhaustedError(f"{last} at {self.policy.max_bits} bits",
-                                      ambiguous_index=n)
 
 
 def _sci20(value, bits: int) -> str:
@@ -260,22 +207,17 @@ def _walk(t: Triplet, ladder: _Ladder,
     through the first that stops the walk, and the bits used: the highest
     rung a row needed, or the convergent stream's precision if higher.
     """
-    stream = ConvergentStream(t.d, t.alpha, ladder.policy, ladder.xi)
+    stream = ConvergentStream(t.d, t.alpha, ladder=ladder)
     rows: list = []
-    i = qprev = 0
+    bits = qprev = 0
     while True:
         n = len(rows)
         _a, p, q = stream.term(n)
-        (r, stop), i = ladder.settle(lambda rung: row(rung, n, p, q, qprev), i, n)
+        (r, stop), bits = ladder.settle(lambda rung: row(rung, n, p, q, qprev), bits, n)
         rows.append(r)
         if stop:
-            return rows, max(ladder[i].bits, stream.bits_used)
+            return rows, max(bits, stream.bits_used)
         qprev = q
-
-
-def _past_gamma0_M(rung: _Rung, M: int, n: int, q: int) -> bool:
-    """The stop rule of alg1 and mu: q_n > gamma0*M."""
-    return _sign(rung.lo * M - q, rung.hi * M - q, f"gamma0*M - q_{n}") < 0
 
 
 def hurwitz_bound(t: Triplet, m0: int,
@@ -293,11 +235,11 @@ def hurwitz_bound(t: Triplet, m0: int,
     conventional quote rounds up by one.
     """
     _require_section_preconditions(t, m0, "M0")
-    ladder = _Ladder(t, policy, lambda ctx: _hurwitz_radicand(t, ctx, m0))
+    ladder = _Ladder(t.d, t.alpha, policy, lambda ctx: _hurwitz_radicand(t, ctx, m0))
     # floor(sqrt(x)) = isqrt(floor(x)) for x >= 0
-    floor_val, i = ladder.settle(
+    floor_val, bits = ladder.settle(
         lambda rung: _floor(math.isqrt(math.floor(rung.lo)), math.isqrt(math.floor(rung.hi)),
-                            "hurwitz length bound"), 0)
+                            "hurwitz length bound"))
     first = ladder[0]
     constants = _constants_echo(t, first)
     constants["mu0"] = _sci20(first.ctx.sqrt(_hurwitz_radicand(t, first.ctx, 1)), first.bits)
@@ -306,7 +248,28 @@ def hurwitz_bound(t: Triplet, m0: int,
     constants["bound_ceiling"] = str(floor_val + 1)
     return BoundReport(
         method="hurwitz", triplet=t, M=m0, bound=floor_val, n0=0, rows=(),
-        constants=constants, bits_used=ladder[i].bits, certified=False)
+        constants=constants, bits_used=bits, certified=False)
+
+
+def _peak_bound(method: str, t: Triplet, M: int, policy: PrecisionPolicy,
+                value: Callable[[_Rung, int, int, int], int],
+                echo: Optional[dict[str, str]] = None, certified: bool = True) -> BoundReport:
+    """The peak walk of alg1 and mu: row n's value(rung, n, q_n, q_(n-1)),
+    from gamma0 enclosed on the rung, up to the first row with q_n >
+    gamma0*M; the bound is the peak value, at the first row that reaches
+    it.  echo adds to the constants."""
+    ladder = _Ladder(t.d, t.alpha, policy, lambda ctx: _gamma0(t, ctx))
+
+    def row(rung, n, p, q, qprev):
+        peak_row = PeakRow(n, p, q, value(rung, n, q, qprev))
+        return peak_row, _sign(rung.lo * M - q, rung.hi * M - q, f"gamma0*M - q_{n}") < 0
+
+    rows, bits_used = _walk(t, ladder, row)
+    peak = max(rows, key=lambda r: r.value)
+    return BoundReport(
+        method=method, triplet=t, M=M, bound=peak.value, n0=peak.n, rows=tuple(rows),
+        constants={**_constants_echo(t, ladder[0]), **(echo or {})}, bits_used=bits_used,
+        certified=certified)
 
 
 def r_infinity_bound(t: Triplet, M: int,
@@ -319,19 +282,13 @@ def r_infinity_bound(t: Triplet, M: int,
     certifiably exceeds gamma0*M, past which every R_n is 1.
     """
     _require_section_preconditions(t, M)
-    ladder = _Ladder(t, policy, lambda ctx: _gamma0(t, ctx))
 
-    def row(rung, n, p, q, qprev):
+    def value(rung, n, q, qprev):
         denom = qprev + q
-        r_n = _floor(rung.lo * M / denom, rung.hi * M / denom,
-                     f"gamma0*M/(q_{n - 1}+q_{n})") + 1
-        return Alg1Row(n, p, q, min(q, r_n)), _past_gamma0_M(rung, M, n, q)
+        return min(q, _floor(rung.lo * M / denom, rung.hi * M / denom,
+                             f"gamma0*M/(q_{n - 1}+q_{n})") + 1)
 
-    rows, bits_used = _walk(t, ladder, row)
-    peak = max(rows, key=lambda r: r.value)
-    return BoundReport(
-        method="alg1", triplet=t, M=M, bound=peak.value, n0=peak.n, rows=tuple(rows),
-        constants=_constants_echo(t, ladder[0]), bits_used=bits_used)
+    return _peak_bound("alg1", t, M, policy, value)
 
 
 def exact_farey_sign(t: Triplet, M: int, p: int, q: int) -> int:
@@ -358,7 +315,7 @@ def farey_bound(t: Triplet, M: int,
     cross-checked by integer power comparison.
     """
     _require_section_preconditions(t, M)
-    ladder = _Ladder(t, policy, lambda ctx: _shifted_xi(t, ctx, M))
+    ladder = _Ladder(t.d, t.alpha, policy, lambda ctx: _shifted_xi(t, ctx, M))
 
     def digits(rung, x, n):
         shown = CertifiedReal(rung.lo - x, rung.hi - x, rung.bits).sci_certified(3)
@@ -377,7 +334,7 @@ def farey_bound(t: Triplet, M: int,
         # an enclosure tight enough for the sign can be too loose for its
         # digits; they are then read on the rungs above, which the walk
         # does not climb for them
-        approx, _ = ladder.settle(lambda finer: digits(finer, x, n), rung.index, n)
+        approx, _ = ladder.settle(lambda finer: digits(finer, x, n), rung.bits, n)
         if n == 1 and sign > 0:
             raise MTooSmallError(
                 f"D_1(M) >= 0 for M={M}; threshold too small for the sign-flip bound")
@@ -407,24 +364,15 @@ def mu_bound(t: Triplet, M: int, mu: Union[int, Fraction],
     mu = Fraction(mu)
     if mu < 2:
         raise BoundPreconditionError(f"mu must be >= 2, got {mu}")
-    ladder = _Ladder(t, policy, lambda ctx: _gamma0(t, ctx))
 
-    def row(rung, n, p, q, _qprev):
+    def value(rung, n, q, _qprev):
         ctx = rung.ctx
         qlo, qhi = endpoints(
             ctx.exp(ctx.log(ctx.mpf(q)) * ctx.mpf(mu.numerator) / ctx.mpf(mu.denominator)))
         lo, hi = rung.lo * M / qhi, rung.hi * M / qlo  # gamma0*M/q_n^mu
         # branch decision first, so the floored quantity is single-valued
         if _sign(lo - q, hi - q, f"gamma0*M/q_{n}^mu - q_{n}") > 0:
-            value = q
-        else:
-            value = _floor(lo, hi, f"gamma0*M/q_{n}^mu")
-        return MuRow(n, p, q, value), _past_gamma0_M(rung, M, n, q)
+            return q
+        return _floor(lo, hi, f"gamma0*M/q_{n}^mu")
 
-    rows, bits_used = _walk(t, ladder, row)
-    peak = max(rows, key=lambda r: r.value)
-    constants = _constants_echo(t, ladder[0])
-    constants["mu"] = str(mu)
-    return BoundReport(
-        method="mu", triplet=t, M=M, bound=peak.value, n0=peak.n, rows=tuple(rows),
-        constants=constants, bits_used=bits_used, certified=False)
+    return _peak_bound("mu", t, M, policy, value, {"mu": str(mu)}, certified=False)

@@ -3,7 +3,8 @@ resume.  Human-readable tables go to stdout; --json/--csv write reports.
 
 Exit status: 0 success, 1 domain error (message names the violated
 precondition, a malformed checkpoint, or a file that cannot be read or
-written), 2 usage error.
+written; verify and resume check their output paths before the scan), 2
+usage error.
 """
 
 from __future__ import annotations
@@ -304,21 +305,30 @@ def _cmd_verify(args) -> int:
     job = VerificationJob(
         triplet=t, lo=args.lo, hi=args.hi, targets=targets, limits=limits,
         chunk_size=args.chunk, below_frontier_shortcut=not args.no_shortcut)
-    if args.checkpoint:  # fail before the scan, not after it
-        directory = os.path.dirname(os.path.abspath(args.checkpoint))
-        if not os.path.isdir(directory):
-            raise NotADirectoryError(
-                f"cannot write checkpoint {args.checkpoint}: {directory} is not a directory")
-        if os.path.isdir(args.checkpoint):
-            raise IsADirectoryError(
-                f"cannot write checkpoint {args.checkpoint}: it is a directory")
+    _check_output_paths(args, "checkpoint", "json", "csv")
     return _verify_outputs(verify_range(job, workers=workers), args)
 
 
 def _cmd_resume(args) -> int:
     workers = _threads(args)
     cp = load_checkpoint(args.checkpoint)
+    _check_output_paths(args, "json", "csv")
     return _verify_outputs(resume(cp, args.hi, workers=workers), args)
+
+
+def _check_output_paths(args, *flags: str) -> None:
+    """Fail before a scan, not after it, on an output path that names a
+    directory or lies in a missing one."""
+    for flag in flags:
+        path = getattr(args, flag)
+        if not path:
+            continue
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            raise NotADirectoryError(
+                f"cannot write --{flag} {path}: {directory} is not a directory")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"cannot write --{flag} {path}: it is a directory")
 
 
 def _verify_outputs(cp: Checkpoint, args) -> int:

@@ -2,18 +2,22 @@
 
 Every comparison made here is backed by an mpmath interval enclosure whose
 endpoints are extracted as exact dyadic rationals.  A comparison is
-*certified* when the whole enclosure lies on one side; otherwise precision
-is doubled up the policy ladder to its cap, and the caller gets
-PrecisionExhaustedError rather than a guess.  Contexts are local to a
-single computation (one enclosure, or one bound report's rung), so
-concurrent callers never share rounding state.
+*certified* when the whole enclosure lies on one side.  Precision climbs
+one way, a `_Ladder`: one interval context per rung of the policy, built
+when first needed and kept, holding the enclosures of log_d(alpha) and of
+one optional quantity.  A decision that a rung leaves ambiguous is
+`settle`d on the first rung above that decides it; past the last rung the
+caller gets PrecisionExhaustedError, naming that rung, rather than a
+guess.  The convergent expansion, `bounds.xi_value` and every bound report
+decide on ladders.  Contexts are local to one ladder, so concurrent
+callers never share rounding state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from mpmath.ctx_iv import MPIntervalContext
 
@@ -131,18 +135,6 @@ def enclose(expr: Expr, bits: int) -> tuple[Fraction, Fraction]:
     return endpoints(expr(make_context(bits)))
 
 
-def certified_enclosure(expr: Expr, max_radius: Fraction,
-                        policy: PrecisionPolicy = DEFAULT_POLICY,
-                        what: str = "value") -> CertifiedReal:
-    """Enclosure of expr with radius at most max_radius."""
-    for bits in policy.ladder():
-        lo, hi = enclose(expr, bits)
-        if hi - lo <= 2 * max_radius:
-            return CertifiedReal(lo, hi, bits)
-    raise PrecisionExhaustedError(
-        f"cannot enclose {what} to radius {max_radius} within {policy.max_bits} bits")
-
-
 def log_ratio_expr(d: int, alpha: int) -> Expr:
     """Expression for log(alpha)/log(d)."""
     def expr(ctx):
@@ -150,64 +142,115 @@ def log_ratio_expr(d: int, alpha: int) -> Expr:
     return expr
 
 
+class _Ambiguous(Exception):
+    """A decision that the enclosure on the current rung leaves open; tail
+    follows the precision in the message when no rung settles it."""
+
+    def __init__(self, what: str, tail: str = ""):
+        super().__init__(what)
+        self.tail = tail
+
+
+@dataclass(frozen=True)
+class _Rung:
+    """One rung of a ladder: its precision, context and enclosures."""
+
+    bits: int
+    ctx: MPIntervalContext
+    lo: Optional[Fraction]  # the ladder's quantity, if any, lies in [lo, hi]
+    hi: Optional[Fraction]
+    xi: tuple[Fraction, Fraction]  # log_d(alpha)
+
+
+class _Ladder:
+    """log_d(alpha), and optionally one more quantity, enclosed on the rungs
+    of a precision policy.  Rung i is one interval context at the policy's
+    i-th precision, built when first asked for and kept, so every decision
+    made on a rung, and every convergent expansion done there, shares its
+    context and its enclosures."""
+
+    def __init__(self, d: int, alpha: int, policy: PrecisionPolicy,
+                 quantity: Optional[Expr] = None):
+        self._bits = list(policy.ladder())
+        self._log_ratio = log_ratio_expr(d, alpha)
+        self._quantity = quantity
+        self._rungs: list[_Rung] = []
+
+    def __getitem__(self, i: int) -> _Rung:
+        while len(self._rungs) <= i:
+            bits = self._bits[len(self._rungs)]
+            ctx = make_context(bits)
+            lo, hi = endpoints(self._quantity(ctx)) if self._quantity else (None, None)
+            self._rungs.append(_Rung(bits, ctx, lo, hi, endpoints(self._log_ratio(ctx))))
+        return self._rungs[i]
+
+    def settle(self, decide: Callable[[_Rung], Any], start_bits: int = 0,
+               n: Optional[int] = None) -> tuple[Any, int]:
+        """decide(rung) on the lowest rung of at least start_bits that
+        settles it: (decision, the rung's bits).  Past the last rung, raises
+        PrecisionExhaustedError naming the last ambiguity, the last rung
+        tried and row n."""
+        for i, bits in enumerate(self._bits):
+            if bits >= start_bits:
+                try:
+                    return decide(self[i]), bits
+                except _Ambiguous as exc:
+                    last = exc
+        raise PrecisionExhaustedError(f"{last} at {bits} bits{last.tail}", ambiguous_index=n)
+
+
 def certified_partial_quotients(
         d: int, alpha: int, n_terms: int, policy: PrecisionPolicy = DEFAULT_POLICY,
-        enclosure: Optional[Callable[[int], tuple[Fraction, Fraction]]] = None
-) -> tuple[list[int], int]:
-    """First n_terms partial quotients of log_d(alpha), each one certified.
+        ladder: Optional[_Ladder] = None, start_bits: int = 0) -> tuple[list[int], int]:
+    """First n_terms partial quotients of log_d(alpha), each one certified,
+    and the precision that certified them.
 
     Runs the continued-fraction recursion on the exact rational endpoints of
     an interval enclosure; a term is emitted only when both endpoints share
     the same floor, so each emitted a_n is proven correct.  Ambiguity (or an
     endpoint landing exactly on an integer) escalates the whole expansion to
-    doubled precision.  enclosure(bits) gives the endpoints of log_d(alpha)
-    on a rung; by default each rung encloses it in a fresh context.
+    the next rung.  The rungs are those of ladder, a ladder of log_d(alpha),
+    from start_bits up; by default, a ladder of policy's own.
     """
-    if enclosure is None:
-        def enclosure(bits):
-            return enclose(log_ratio_expr(d, alpha), bits)
-    for bits in policy.ladder():
-        lo, hi = enclosure(bits)
+    def expand(rung: _Rung) -> list[int]:
+        lo, hi = rung.xi
         terms: list[int] = []
         while len(terms) < n_terms:
             flo = lo.numerator // lo.denominator
-            fhi = hi.numerator // hi.denominator
-            if flo != fhi:
+            if flo != hi.numerator // hi.denominator:
                 break
-            a = int(flo)
-            terms.append(a)
-            lo_frac = lo - a
-            hi_frac = hi - a
+            terms.append(flo)
+            lo_frac, hi_frac = lo - flo, hi - flo
             if lo_frac <= 0:
                 break  # next interval would be unbounded; escalate
             lo, hi = 1 / hi_frac, 1 / lo_frac
-        if len(terms) >= n_terms:
-            return terms, bits
-    raise PrecisionExhaustedError(
-        f"only certified {len(terms)} partial quotients of log_{d}({alpha}) "
-        f"at {policy.max_bits} bits, wanted {n_terms}")
+        if len(terms) < n_terms:
+            raise _Ambiguous(f"only certified {len(terms)} partial quotients of log_{d}({alpha})",
+                             f", wanted {n_terms}")
+        return terms
+
+    return (ladder or _Ladder(d, alpha, policy)).settle(expand, start_bits)
 
 
 class ConvergentStream:
     """Lazily extended certified convergents p_n/q_n of log_d(alpha).
 
-    Extension recomputes the expansion from scratch at whatever precision the
-    policy ladder needs.  It climbs the ladder from bits_used rather than
-    from its start: each rung certifies a fixed number of terms, and every
-    rung below bits_used certified fewer than the stream already holds, so
-    it cannot certify more, and skipping it leaves the terms and bits_used
-    unchanged.  Prefixes are stable across extensions because every emitted
-    term is certified.  enclosure is passed on to certified_partial_quotients:
-    a bound report passes its own rungs' enclosures, so that extending the
-    stream builds no context of its own.
+    Extension recomputes the expansion from scratch on whatever rung of the
+    stream's ladder it needs: by default a ladder of policy's own, or a
+    bound report's ladder, so that extending the stream builds no context of
+    its own.  It climbs the ladder from bits_used rather than from its
+    start: each rung certifies a fixed number of terms, and every rung below
+    bits_used certified fewer than the stream already holds, so it cannot
+    certify more, and skipping it leaves the terms and bits_used unchanged.
+    Prefixes are stable across extensions because every emitted term is
+    certified.
     """
 
     def __init__(self, d: int, alpha: int, policy: PrecisionPolicy = DEFAULT_POLICY,
-                 enclosure: Optional[Callable[[int], tuple[Fraction, Fraction]]] = None):
+                 ladder: Optional[_Ladder] = None):
         self.d = d
         self.alpha = alpha
-        self.policy = policy
-        self.enclosure = enclosure
+        self.ladder = ladder or _Ladder(d, alpha, policy)
         self.bits_used = 0
         self._terms: list[tuple[int, int, int]] = []  # (a_n, p_n, q_n)
 
@@ -215,17 +258,16 @@ class ConvergentStream:
         if n_terms <= len(self._terms):
             return
         target = max(n_terms, 2 * len(self._terms), 8)
-        policy = replace(self.policy, start_bits=max(self.policy.start_bits, self.bits_used))
         try:
-            quotients, bits = certified_partial_quotients(self.d, self.alpha, target, policy,
-                                                          self.enclosure)
+            quotients, bits = certified_partial_quotients(
+                self.d, self.alpha, target, ladder=self.ladder, start_bits=self.bits_used)
         except PrecisionExhaustedError:
             if target == n_terms:
                 raise
             # the amortized over-request exceeded the policy cap; the exact
             # demand may still be certifiable
-            quotients, bits = certified_partial_quotients(self.d, self.alpha, n_terms, policy,
-                                                          self.enclosure)
+            quotients, bits = certified_partial_quotients(
+                self.d, self.alpha, n_terms, ladder=self.ladder, start_bits=self.bits_used)
         self.bits_used = max(self.bits_used, bits)
         terms: list[tuple[int, int, int]] = []
         p1, p2, q1, q2 = 1, 0, 0, 1

@@ -292,8 +292,7 @@ class ResidueSieve:
 
     depth: int  # levels of refinement, no fewer than the steps any class fixes
     modulus: int  # M = d * s^(depth-1), s = d // gcd(alpha, d)
-    survivors: array  # sorted residues in [0, M) that are not sieved
-    forms: list  # (r, a, b, low_c, low_p, k) per survivor r, in the same order
+    forms: list  # (r, a, b, low_c, low_p, k) per survivor r, in order of r
     peak_c: list  # iterates 1..k of survivor i are at most
     peak_p: list  # peak_c[i]*m + peak_p[i]
     sieved: list  # (r, level, k, C, P) per sieved class mod its level
@@ -391,8 +390,7 @@ def build_sieve(t: Triplet) -> Optional[ResidueSieve]:
         live[i] = (r, a, b, low_c, low_p, k)
         peak_c.append(c)
         peak_p.append(p)
-    return ResidueSieve(depth, modulus, array("l", (entry[0] for entry in live)),
-                        live, peak_c, peak_p, sieved)
+    return ResidueSieve(depth, modulus, live, peak_c, peak_p, sieved)
 
 
 @dataclass(frozen=True)

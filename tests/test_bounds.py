@@ -15,7 +15,7 @@ import pytest
 
 from collatzkit import (BoundPreconditionError, CoprimalityError,
                         MTooSmallError, PrecisionExhaustedError, PrecisionPolicy,
-                        bounds, convergents, detect_cycle_from, enumerate_cycles,
+                        convergents, detect_cycle_from, enumerate_cycles,
                         farey_bound, hurwitz_bound, intervals, mu_bound,
                         parse_triplet, r_infinity_bound, xi_value)
 from collatzkit.bounds import exact_farey_sign
@@ -298,13 +298,13 @@ class TestFarey:
     def test_ambiguous_sign_carries_index(self, monkeypatch):
         # widen X = xi + log_d(1 + beta*(d-1)/(alpha*M)) by 1 on every rung:
         # every |D_n| < 1, so no rung settles the sign of D_0
-        enclose_rung = bounds._Ladder.__getitem__
+        enclose_rung = intervals._Ladder.__getitem__
 
         def widened(ladder, i):
             rung = enclose_rung(ladder, i)
             return dataclasses.replace(rung, lo=rung.lo - 1, hi=rung.hi + 1)
 
-        monkeypatch.setattr(bounds._Ladder, "__getitem__", widened)
+        monkeypatch.setattr(intervals._Ladder, "__getitem__", widened)
         with pytest.raises(PrecisionExhaustedError) as exc:
             farey_bound(T564, 5**15)
         assert exc.value.ambiguous_index == 0
@@ -391,7 +391,7 @@ class TestMuBound:
             mu_bound(T564, 5**15, Fraction(3, 2))
 
 
-@pytest.mark.parametrize("report, message, index", [
+EXHAUSTED = pytest.mark.parametrize("report, message, index", [
     (lambda policy: r_infinity_bound(T564, 5**15, policy),
      "floor of gamma0*M/(q_-1+q_0) still ambiguous at 16 bits", 0),
     # mu's rows settle at 16 bits; its walk needs more convergents than 16 bits certify
@@ -400,6 +400,9 @@ class TestMuBound:
     (lambda policy: hurwitz_bound(T564, 5**30, policy),
      "floor of hurwitz length bound still ambiguous at 16 bits", None),
 ], ids=["alg1", "mu", "hurwitz"])
+
+
+@EXHAUSTED
 def test_precision_exhaustion_past_the_cap(report, message, index):
     with pytest.raises(PrecisionExhaustedError) as exc:
         report(PrecisionPolicy(start_bits=8, max_bits=16))
@@ -407,13 +410,24 @@ def test_precision_exhaustion_past_the_cap(report, message, index):
     assert exc.value.ambiguous_index == index
 
 
+@EXHAUSTED
+def test_exhaustion_names_the_last_rung_tried(report, message, index):
+    # a cap of 24 bits is no rung: the ladder tries 8 and 16 bits, as under
+    # a cap of 16, and the message names 16
+    with pytest.raises(PrecisionExhaustedError) as exc:
+        report(PrecisionPolicy(start_bits=8, max_bits=24))
+    assert str(exc.value) == message
+    assert exc.value.ambiguous_index == index
+
+
 @pytest.mark.parametrize("policy", [PrecisionPolicy(), PrecisionPolicy(start_bits=8)],
                          ids=["start128", "start8"])
 @pytest.mark.parametrize("e", [10, 30, 60])
-@pytest.mark.parametrize("method", ["alg1", "mu", "hurwitz", "alg2"])
+@pytest.mark.parametrize("method", ["alg1", "mu", "hurwitz", "alg2", "xi", "convergents"])
 def test_one_context_per_rung(monkeypatch, method, e, policy):
     # a report encloses its quantity, log_d(alpha) and its constants in one
-    # interval context per rung it climbs, rows and convergents included
+    # interval context per rung it climbs, rows and convergents included;
+    # xi_value and convergents enclose log_d(alpha) once per rung
     built = []
     make_context = intervals.make_context
 
@@ -422,14 +436,16 @@ def test_one_context_per_rung(monkeypatch, method, e, policy):
         return make_context(bits)
 
     monkeypatch.setattr(intervals, "make_context", recording)
-    monkeypatch.setattr(bounds, "make_context", recording)
-    report = {"alg1": lambda: r_infinity_bound(T564, 5**e, policy),
-              "mu": lambda: mu_bound(T564, 5**e, 2, policy),
-              "hurwitz": lambda: hurwitz_bound(T564, 5**e, policy),
-              "alg2": lambda: farey_bound(T564, 5**e, policy)}[method]()
+    bits_used = {"alg1": lambda: r_infinity_bound(T564, 5**e, policy).bits_used,
+                 "mu": lambda: mu_bound(T564, 5**e, 2, policy).bits_used,
+                 "hurwitz": lambda: hurwitz_bound(T564, 5**e, policy).bits_used,
+                 "alg2": lambda: farey_bound(T564, 5**e, policy).bits_used,
+                 "xi": lambda: xi_value(T564, 4 * e, policy).bits_used,
+                 "convergents": lambda: convergents(T564, e, policy).precision_bits_used,
+                 }[method]()
     assert built == list(policy.ladder())[:len(built)]
     if method == "alg2":
         # the three digits of a row may need rungs above its sign's
-        assert built[-1] >= report.bits_used
+        assert built[-1] >= bits_used
     else:
-        assert built[-1] == report.bits_used
+        assert built[-1] == bits_used

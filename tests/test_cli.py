@@ -462,27 +462,41 @@ def test_resume_missing_checkpoint(capsys, tmp_path):
 
 
 def test_unwritable_report_path(capsys, tmp_path):
+    path = str(tmp_path / "no" / "such" / "dir.json")
     rc = run(["verify", "--triplet", "2:3:1:+", "--hi", "100", "--targets", "1",
-              "--threads", "1", "--json", str(tmp_path / "no" / "such" / "dir.json")])
+              "--threads", "1", "--json", path])
     assert rc == 1
-    assert "error: [Errno 2] No such file or directory" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # refused before the scan, which would print its report
+    assert err == f"error: cannot write --json {path}: {os.path.dirname(path)} is not a directory\n"
 
 
 def test_checkpoint_directory_checked_before_the_scan(capsys, tmp_path, monkeypatch):
     import collatzkit.cli as cli
 
-    def no_scan(job, workers=None):
-        raise AssertionError("verify_range called")
+    saved = str(tmp_path / "saved.json")
+    assert run(["verify", "--triplet", "2:3:1:+", "--hi", "100", "--targets", "1",
+                "--threads", "1", "--checkpoint", saved]) == 0
+    capsys.readouterr()
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan called")
 
     monkeypatch.setattr(cli, "verify_range", no_scan)
+    monkeypatch.setattr(cli, "resume", no_scan)
+    verify = ["verify", "--triplet", "2:3:1:+", "--hi", "100", "--targets", "1", "--threads", "1"]
+    resume = ["resume", "--checkpoint", saved, "--hi", "200", "--threads", "1"]
     # a path in a missing directory, and a path that is a directory
-    for path in (str(tmp_path / "no" / "such" / "cp.json"), str(tmp_path)):
-        rc = run(["verify", "--triplet", "2:3:1:+", "--hi", "100", "--targets", "1",
-                  "--threads", "1", "--checkpoint", path])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and path in err
-        assert "Traceback" not in err and ".tmp." not in err
+    for command, flags in ((verify, ("--checkpoint", "--json", "--csv")),
+                           (resume, ("--json", "--csv"))):
+        for flag in flags:
+            for path in (str(tmp_path / "no" / "such" / "cp.json"), str(tmp_path)):
+                rc = run(command + [flag, path])
+                assert rc == 1
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err.startswith(f"error: cannot write {flag} ") and path in err
+                assert "Traceback" not in err and ".tmp." not in err
 
 
 def test_bound_precision_out_of_range_is_usage_error(capsys):

@@ -5,8 +5,7 @@ import pytest
 
 from collatzkit import PrecisionExhaustedError, PrecisionPolicy, intervals
 from collatzkit.intervals import (CertifiedReal, ConvergentStream,
-                                  certified_enclosure, certified_partial_quotients,
-                                  log_ratio_expr)
+                                  certified_partial_quotients)
 
 
 def test_policy_ladder():
@@ -28,11 +27,6 @@ def test_sci_formatting_is_high_precision():
     # a value float64 cannot represent at 20 digits
     r = CertifiedReal(Fraction(10**30 + 7, 3 * 10**30), Fraction(10**30 + 7, 3 * 10**30), 8)
     assert r.sci(20).startswith("3.333333333333333333")
-
-
-def test_certified_enclosure_radius():
-    enc = certified_enclosure(log_ratio_expr(2, 3), Fraction(1, 2**100))
-    assert enc.hi - enc.lo <= Fraction(1, 2**99)
 
 
 def test_partial_quotients_match_decimal_oracle():
@@ -63,20 +57,28 @@ def test_stream_prefix_stable_across_extensions():
 
 
 def test_extension_climbs_the_ladder_from_bits_used(monkeypatch):
-    rungs = []
-    real_enclose = intervals.enclose
+    built, tried = [], []
+    make_context = intervals.make_context
+    rung = intervals._Ladder.__getitem__
 
-    def recording_enclose(expr, bits):
-        rungs.append(bits)
-        return real_enclose(expr, bits)
+    def recording(bits):
+        built.append(bits)
+        return make_context(bits)
 
-    monkeypatch.setattr(intervals, "enclose", recording_enclose)
+    def recording_rung(ladder, i):
+        tried.append(rung(ladder, i).bits)
+        return rung(ladder, i)
+
+    monkeypatch.setattr(intervals, "make_context", recording)
+    monkeypatch.setattr(intervals._Ladder, "__getitem__", recording_rung)
     s = ConvergentStream(2, 3)
     s.ensure(50)  # 128 bits certify fewer than 50 terms
-    assert rungs == [128, 256] and s.bits_used == 256
-    rungs.clear()
+    assert built == tried == [128, 256] and s.bits_used == 256
+    built.clear()
+    tried.clear()
     s.ensure(60)  # asks for 100 terms, which need 512 bits
-    assert rungs == [256, 512]
+    assert tried == [256, 512]
+    assert built == [512]  # the stream's ladder keeps its rungs
     monkeypatch.undo()
     quotients, bits = certified_partial_quotients(2, 3, 100)
     assert [a for a, _p, _q in s.prefix(100)] == quotients

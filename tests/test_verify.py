@@ -223,19 +223,19 @@ class TestResidueSieve:
     def test_survivor_count_classical(self):
         # 3.2% of the classes mod 2^16 still need a scan; 2115, not 2116,
         # since class 0 is sieved: iterate 1 of 2^16*m is 2^15*m < 2^16*m
-        assert len(build_sieve(T231).survivors) == 2115
+        assert len(build_sieve(T231).forms) == 2115
 
     @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124, T41054, T364032, T257],
                              ids=str)
     def test_no_sieve_keeps_class_zero(self, t):
-        assert build_sieve(t).survivors[0] > 0
+        assert build_sieve(t).forms[0][0] > 0
 
     @pytest.mark.parametrize("t", [T10128, T8124, T3241, T41054, T364032], ids=str)
     def test_survivors_follow_the_rule(self, t):
         sieve = build_sieve(t)
         expected = [r for r in range(sieve.modulus)
                     if not sieved_by_rule(t, r, sieve.modulus)]
-        assert list(sieve.survivors) == expected
+        assert [form[0] for form in sieve.forms] == expected
 
     @pytest.mark.parametrize("t, lo, hi, chunk, workers", [
         (T231, 1, 200_000, 1 << 16, 1),
@@ -275,7 +275,7 @@ class TestResidueSieve:
         sieve = build_sieve(t)
         step = t.step_function()
         covered = [0] * sieve.modulus
-        for r in sieve.survivors:
+        for r, *_form in sieve.forms:
             covered[r] += 1
         for r, level, k, c, p in sieve.sieved:
             assert sieve.modulus % level == 0 and 1 <= k <= sieve.depth
@@ -296,7 +296,8 @@ class TestResidueSieve:
                              ids=str)
     def test_survivor_forms_are_iterate_k_within_their_bounds(self, t):
         sieve = build_sieve(t)
-        assert [entry[0] for entry in sieve.forms] == list(sieve.survivors)
+        residues = [entry[0] for entry in sieve.forms]
+        assert residues == sorted(set(residues))  # `_scan_survivors` bisects them
         assert len(sieve.peak_c) == len(sieve.peak_p) == len(sieve.forms)
         peaks = list(zip(sieve.peak_c, sieve.peak_p))
         for r, *_form, k in sieve.forms:
@@ -325,7 +326,7 @@ class TestResidueSieve:
         # 40 steps; each guard is put one past its bound
         n, max_value = 2**40 - 1, 10**30
         sieve = build_sieve(T231)
-        assert n % sieve.modulus in sieve.survivors
+        assert n % sieve.modulus in {form[0] for form in sieve.forms}
         k = sieve.depth + 1 if k_above_cap else sieve.depth
         doctored = replace(sieve, forms=[(r, 0, 1, 0, n - 1 if low_below_n else n, k)
                                          for r, *_form in sieve.forms],
@@ -384,7 +385,7 @@ class TestResidueSieve:
         limits = Limits(max_steps=sieve.depth - 1)
         classes = _scan_classes(sieve, 5000, limits)
         assert all(form[5] == 0 for form in classes.forms)
-        assert set(sieve.survivors) < {form[0] for form in classes.forms}
+        assert {form[0] for form in sieve.forms} < {form[0] for form in classes.forms}
         assert len(classes.forms) < sieve.modulus
         cp = assert_tables_keep_report(job(T231, 1, 5000, (OMEGA1,), limits=limits,
                                            chunk_size=999))
@@ -398,9 +399,9 @@ class TestResidueSieve:
         below = sieve.modulus - 1
         limits = Limits(max_value=max(c * (below // level) + p
                                       for _r, level, _k, c, p in sieve.sieved))
-        assert len(_scan_classes(sieve, below, limits).forms) == len(sieve.survivors)
+        assert len(_scan_classes(sieve, below, limits).forms) == len(sieve.forms)
         classes = _scan_classes(sieve, 3 * sieve.modulus, limits)
-        assert len(sieve.survivors) < len(classes.forms) < sieve.modulus
+        assert len(sieve.forms) < len(classes.forms) < sieve.modulus
         cp = assert_tables_keep_report(job(T231, 1, 3 * sieve.modulus, (OMEGA1,),
                                            limits=limits, chunk_size=20_000))
         assert {s for _n, s in cp.exceptions} == {"value_cap"}
@@ -561,7 +562,8 @@ class TestMergedClasses:
         n = 2**40 - 1
         sieve = build_sieve(T231)
         r = n % sieve.modulus
-        r0 = sieve.survivors[list(sieve.survivors).index(r) - 1]
+        survivors = [form[0] for form in sieve.forms]
+        r0 = survivors[survivors.index(r) - 1]
         n0 = n - r + r0
         max_steps, max_value, k0 = 16, 10**30, 16
         top = max_value - 1  # odd: its next iterate exceeds max_value
