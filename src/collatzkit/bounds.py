@@ -132,7 +132,7 @@ def xi_value(t: Triplet, bits: int,
     if policy is None:
         policy = PrecisionPolicy(start_bits=max(DEFAULT_POLICY.start_bits, bits + 8),
                                  max_bits=max(DEFAULT_POLICY.max_bits, 4 * (bits + 8)))
-    radius = Fraction(1, 2**bits)
+    radius = Fraction(1, 2) ** bits
 
     def enclosure(rung: _Rung) -> CertifiedReal:
         lo, hi = rung.xi

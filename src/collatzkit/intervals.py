@@ -130,11 +130,6 @@ class CertifiedReal:
 Expr = Callable[[MPIntervalContext], object]
 
 
-def enclose(expr: Expr, bits: int) -> tuple[Fraction, Fraction]:
-    """Evaluate expr in a fresh context at the given precision."""
-    return endpoints(expr(make_context(bits)))
-
-
 def log_ratio_expr(d: int, alpha: int) -> Expr:
     """Expression for log(alpha)/log(d)."""
     def expr(ctx):

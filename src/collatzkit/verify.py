@@ -10,10 +10,11 @@ undecided seed.
 
 Under the shortcut, a residue-class sieve (`build_sieve`) proves, for most
 classes mod d * s^(depth-1), s = d // gcd(alpha, d), that their seeds
-descend within a step count and under a bound of the class's own, and
-carries the exact form of each surviving class at the last step that it
-fixes; a run skips the classes that fit its caps, and enters the survivors
-that fit at that step (`_scan_classes`).  A survivor whose entry form is
+descend, and carries the exact form of each surviving class at the last
+step that it fixes.  It is built no deeper than the run's step cap, and a
+run uses it whole, skipping the sieved classes and entering each survivor
+at that step, when its bounds fit the value cap, and not at all otherwise
+(`_scan_classes`).  A survivor whose entry form is
 that of a smaller survivor is merged into it: its seed is decided by the
 smaller one's seed of the same block, when that seed entered and descended,
 and is scanned otherwise (`_scan_survivors`).  A table of exact k-step jumps
@@ -282,25 +283,23 @@ class ResidueSieve:
     """Every residue class mod M, either sieved or surviving (see
     `build_sieve`).
 
-    A sieved record (r, level, k, C, P) covers the seeds n = level*m + r >=
-    1: each falls below itself within k steps, its iterates up to there at
-    most C*m + P.  For a seed n = M*m + r in the i-th surviving class,
-    forms[i] is (r, a, b, low_c, low_p, k): iterate k of n is a*m + b,
-    iterates 1..k-1 are at least low_c*m + low_p, and iterates 1..k are at
-    most peak_c[i]*m + peak_p[i].
+    For a seed n = M*m + r in the i-th surviving class, forms[i] is (r, a,
+    b, low_c, low_p, k): iterate k of n is a*m + b, and iterates 1..k-1 are
+    at least low_c*m + low_p.  An entry (level, C, P) of peaks bounds the
+    classes decided at that level, the survivors at level M: the seeds n
+    of a class sieved there fall below themselves within its k steps, and
+    for every such class iterates 1..k of n are at most C*(n // level) + P.
     """
 
     depth: int  # levels of refinement, no fewer than the steps any class fixes
     modulus: int  # M = d * s^(depth-1), s = d // gcd(alpha, d)
     forms: list  # (r, a, b, low_c, low_p, k) per survivor r, in order of r
-    peak_c: list  # iterates 1..k of survivor i are at most
-    peak_p: list  # peak_c[i]*m + peak_p[i]
-    sieved: list  # (r, level, k, C, P) per sieved class mod its level
+    peaks: list  # (level, C, P) per level that decides a class, in order of level
 
     @cached_property
     def classes(self) -> ClassList:
-        """The class list when every class fits: each survivor whose entry
-        form (a, b, k) is that of a smaller survivor is merged into the
+        """The class list of a run that uses the sieve: each survivor whose
+        entry form (a, b, k) is that of a smaller survivor is merged into the
         smallest such, its representative (see `build_sieve`).  Worked out
         once per sieve, on first use."""
         first: dict = {}  # (a, b, k) -> the smallest survivor with that entry form
@@ -315,11 +314,12 @@ class ResidueSieve:
         return ClassList(self.modulus, forms, merged)
 
 
-def build_sieve(t: Triplet) -> Optional[ResidueSieve]:
-    """The classes mod M = d * s^(depth-1), s = d // gcd(alpha, d) and depth
-    the largest with M <= SIEVE_MODULUS_CAP, refined by `_refine` with
-    split s; None when d > SIEVE_MODULUS_CAP.  Each class mod M fixes at
-    most depth steps, and the last step it fixes is its entry step k.
+def build_sieve(t: Triplet, max_steps: int) -> Optional[ResidueSieve]:
+    """The classes mod M = d * s^(depth-1), s = d // gcd(alpha, d), refined
+    by `_refine` with split s to depth min(max_steps, L), L the largest
+    depth with d * s^(L-1) <= SIEVE_MODULUS_CAP; None when d >
+    SIEVE_MODULUS_CAP.  A class fixes at most one step per level, so at
+    most max_steps, and the last step it fixes is its entry step k.
 
     Rule.  The class of r mod M_l is sieved when r = 0, or when some step j
     that it fixes has alpha^(o_j) <= d^j and T^j(r) < r.
@@ -330,44 +330,43 @@ def build_sieve(t: Triplet) -> Optional[ResidueSieve]:
     iterate 1, (M_l // d)*m < M_l*m.  The shortcut scan of a seed n >
     max_elem is a pure descent loop: it reports nothing for n exactly when
     n falls below itself within max_steps steps and no iterate before that
-    exceeds max_value.  A sieved record (r, M_l, k, C, P) has k no smaller
-    than that j and C*m + P above iterates 1..k, so its seeds report
-    nothing, and need no scan, when k <= max_steps and C*(n // M_l) + P <=
-    max_value; `_scan_classes` checks both against the job's hi, for every
-    seed n <= hi.  Seeds up to max_elem are scanned from n itself, and the
-    other classes as below, so every exception, its status, and the
-    frontier are unchanged; the below-frontier induction that makes a
-    descent count as convergence is the shortcut's, not the sieve's.
+    exceeds max_value.  A sieved class falls below itself within its k <=
+    max_steps steps, its iterates up to there at most C*(n // M_l) + P for
+    the entry (M_l, C, P) of its level, and a run uses the sieve only when
+    every entry's bound at its hi is at most max_value (`_scan_classes`):
+    then no sieved seed n <= hi reports anything, and none needs a scan.
+    Seeds up to max_elem are scanned from n itself, and the survivors as
+    below, so every exception, its status, and the frontier are unchanged;
+    the below-frontier induction that makes a descent count as convergence
+    is the shortcut's, not the sieve's.
 
     Entry at each form's own step.  For a seed n = M*m + r in a surviving
-    class with entry step k, iterate k is a*m + b exactly, iterates 1..k-1
-    are at least low_c*m + low_p and iterates 1..k at most C*m + P, for
-    every m >= 0.  The descent loop of such a seed enters at v = a*m + b
-    with k steps taken when low_c*m + low_p >= n, provided that the class
-    fits: k <= max_steps and C*(hi // M) + P <= max_value.  Stepping one at
-    a time from n, the loop would stop before step k only at the step cap,
-    which k <= max_steps rules out; at an iterate above max_value, which the
-    value bound rules out; or at an iterate below n, which the lower bound
-    rules out.  So it reaches a*m + b after exactly k steps either way and
-    goes on from the same value and step count: the exceptions, their
-    statuses and the frontier are unchanged.  Otherwise the seed is scanned
-    from n.
+    class with entry step k, iterate k is a*m + b exactly, and iterates
+    1..k-1 are at least low_c*m + low_p, for every m >= 0.  The descent loop
+    of such a seed enters at v = a*m + b with k steps taken when low_c*m +
+    low_p >= n.  Stepping one at a time from n, the loop would stop before
+    step k only at the step cap, which k <= max_steps rules out; at an
+    iterate above max_value, which the level-M bound rules out while the
+    sieve is in use; or at an iterate below n, which the lower bound rules
+    out.  So it reaches a*m + b after exactly k steps either way and goes
+    on from the same value and step count: the exceptions, their statuses
+    and the frontier are unchanged.  Otherwise the seed is scanned from n.
 
     Merged classes.  A surviving class r whose entry form (a, b, k) is that
     of a smaller survivor r0 is merged into the smallest such r0, its
     representative (`ResidueSieve.classes`), and a seed n = M*m + r is
     skipped when n0 = M*m + r0 is a seed of the same scan that entered at
-    step k and ended with no exception (`_scan_survivors`); both classes
-    fit.  n0 < n has iterate k of n, a*m + b, for every m.  Entered, n0 has
-    iterates 1..k-1 at least low_c*m + low_p >= n0, so it fell below itself
-    at a step s >= k, with s <= max_steps and iterates 1..s at most
-    max_value.  n's class fits, so k <= max_steps and its iterates 1..k-1
-    are at most max_value; its iterates k..s are those of n0, and iterate s
-    is below n0 < n.  So n falls below itself by step s with no cap before
-    it, and its scan reports nothing: every exception, its status, the
-    frontier and the digest are unchanged.  Merges across blocks are not
-    made: 2 of the 3,459 representatives of 10:12:8:+ share iterate k with
-    a survivor of the block before.
+    step k and ended with no exception (`_scan_survivors`).  n0 < n has
+    iterate k of n, a*m + b, for every m.  Entered, n0 has iterates 1..k-1
+    at least low_c*m + low_p >= n0, so it fell below itself at a step s >=
+    k, with s <= max_steps and iterates 1..s at most max_value.  With the
+    sieve in use, k <= max_steps and n's iterates 1..k-1 are at most
+    max_value; its iterates k..s are those of n0, and iterate s is below
+    n0 < n.  So n falls below itself by step s with no cap before it, and
+    its scan reports nothing: every exception, its status, the frontier
+    and the digest are unchanged.  Merges across blocks are not made: 2 of
+    the 3,459 representatives of 10:12:8:+ share iterate k with a survivor
+    of the block before.
 
     Pruning.  A class carries a floor F such that every member of the class
     that is at least F meets the rule at some step i <= j: a step with
@@ -381,16 +380,25 @@ def build_sieve(t: Triplet) -> Optional[ResidueSieve]:
     d = t.d
     if d > SIEVE_MODULUS_CAP:
         return None
+    split = d // gcd(t.alpha, d)
+    # no sieve under the cap is deeper than its log2, as d, split >= 2
+    levels = min(max_steps, SIEVE_MODULUS_CAP.bit_length() - 1)
     sieved: list = []
-    depth, modulus, live = _refine(t, d // gcd(t.alpha, d), SIEVE_MODULUS_CAP, sieved)
-    # each class's form replaces its entry in place, which keeps the build's
-    # peak memory, and so that of the pool workers forked after it, down
-    peak_c, peak_p = [], []
+    depth, modulus, live = _refine(t, split, min(SIEVE_MODULUS_CAP, d * split ** (levels - 1)),
+                                   sieved)
+    peaks: dict = {}  # level -> the largest C and P of the classes decided there
+    for _r, level, _k, c, p in sieved:
+        top_c, top_p = peaks.get(level, (0, 0))
+        peaks[level] = max(top_c, c), max(top_p, p)
+    # each survivor's form replaces its entry in place, which keeps the
+    # build's peak memory, and so that of the pool workers forked after it, down
+    top_c, top_p = peaks.get(modulus, (0, 0))
     for i, (r, a, b, k, _floor, c, p, low_c, low_p) in enumerate(live):
         live[i] = (r, a, b, low_c, low_p, k)
-        peak_c.append(c)
-        peak_p.append(p)
-    return ResidueSieve(depth, modulus, live, peak_c, peak_p, sieved)
+        top_c, top_p = max(top_c, c), max(top_p, p)
+    peaks[modulus] = top_c, top_p
+    return ResidueSieve(depth, modulus, live,
+                        [(level, c, p) for level, (c, p) in sorted(peaks.items())])
 
 
 @dataclass(frozen=True)
@@ -408,42 +416,21 @@ class ClassList:
     merged: dict  # representative r0 -> the forms of the classes merged into it, in order of r
 
 
-# no sieve, or no class fits: every seed from n, in blocks of 2^10 classes,
-# as blocks of one class made such scans 1.4-1.6x slower
+# no sieve, or one whose bounds exceed the value cap: every seed from n, in
+# blocks of 2^10 classes, as blocks of one class made such scans 1.4-1.6x slower
 _FROM_N = ClassList(1 << 10, [(r, 1 << 10, r, 1 << 10, r, 0) for r in range(1 << 10)], {})
 
 
-def _scan_classes(sieve: Optional[ResidueSieve], hi: int, limits: Limits) -> ClassList:
-    """The class list of a shortcut scan of seeds n <= hi under `limits`;
-    `_FROM_N` when there is no sieve, or it skips and enters no class.
-
-    A class (sieved, or surviving with level M) fits when k <= max_steps and
-    C*(hi // level) + P <= max_value, which bounds its iterates up to step
-    k for every seed n <= hi, as C >= 0.  A sieved class that fits is
-    skipped, a surviving one that fits enters at step k, and every other
-    class mod M is scanned from n (see `build_sieve`).  Under the default
-    caps every class fits, and the list is the sieve's own, with its merges
-    (`ResidueSieve.classes`); otherwise no class is merged."""
-    if sieve is None:
+def _scan_classes(sieve: Optional[ResidueSieve], hi: int, max_value: int) -> ClassList:
+    """The class list of a shortcut scan of seeds n <= hi under max_value,
+    with a sieve built no deeper than the scan's step cap: the sieve's own
+    (`ResidueSieve.classes`) when every bound C*(hi // level) + P of its
+    peaks is at most max_value, which bounds the iterates up to step k of
+    every class for every seed n <= hi, as C >= 0 (see `build_sieve`);
+    `_FROM_N` otherwise, and when there is no sieve."""
+    if sieve is None or any(c * (hi // level) + p > max_value for level, c, p in sieve.peaks):
         return _FROM_N
-    max_steps, max_value, modulus = limits.max_steps, limits.max_value, sieve.modulus
-    block = hi // modulus
-    entered = [form[5] <= max_steps and c * block + p <= max_value
-               for form, c, p in zip(sieve.forms, sieve.peak_c, sieve.peak_p)]
-    unfit = [(r, level) for r, level, k, c, p in sieve.sieved
-             if k > max_steps or c * (hi // level) + p > max_value]
-    if not unfit and all(entered):
-        return sieve.classes
-    if len(unfit) == len(sieve.sieved) and not any(entered):
-        return _FROM_N
-    forms: list = [None] * modulus
-    for r, level in unfit:
-        for rr in range(r, modulus, level):
-            forms[rr] = (rr, modulus, rr, modulus, rr, 0)
-    for form, enter in zip(sieve.forms, entered):
-        r = form[0]
-        forms[r] = form if enter else (r, modulus, r, modulus, r, 0)
-    return ClassList(modulus, [form for form in forms if form is not None], {})
+    return sieve.classes
 
 
 @dataclass(frozen=True)
@@ -930,10 +917,14 @@ def verify_range(job: VerificationJob, workers: Optional[int] = None) -> Checkpo
     t, limits, shortcut = job.triplet, job.limits, job.below_frontier_shortcut
     members = frozenset(x for c in job.targets for x in c.elements)
     max_elem = max(members)
+    # no sieve under SIEVE_MODULUS_CAP is deeper than its log2, so every
+    # step cap from there up shares one sieve
+    sieve_steps = min(limits.max_steps, SIEVE_MODULUS_CAP.bit_length() - 1)
     # the builders are looked up here, at call time, so a replaced one is used
     plan = ScanPlan(
         t, members, max_elem, limits, shortcut,
-        _scan_classes(_memo_table(build_sieve, t), job.hi, limits) if shortcut else None,
+        _scan_classes(_memo_table(build_sieve, t, sieve_steps), job.hi, limits.max_value)
+        if shortcut else None,
         _memo_table(build_jumps, t, max_elem, limits.max_value),
         None if shortcut else _memo_table(build_finish, t, members, limits.max_value))
     if nworkers == 1:

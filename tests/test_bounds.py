@@ -118,9 +118,9 @@ class TestXiValue:
     def test_radius_and_containment(self):
         for t, digits in ((T231, "1.5849625007211561814537389439478"),
                           (T564, "1.1132827525593783458046729280350")):
-            for bits in (8, 64, 128):
+            for bits in (-1, 0, 8, 64, 128):
                 enc = xi_value(t, bits)
-                assert enc.radius <= Fraction(1, 2**bits)
+                assert enc.radius <= Fraction(1, 2) ** bits
                 truth = Fraction(Decimal(digits))
                 # truth string has 31 digits; containment up to that accuracy
                 assert enc.lo - Fraction(1, 10**30) <= truth <= enc.hi + Fraction(1, 10**30)

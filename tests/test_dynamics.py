@@ -14,7 +14,7 @@ from collatzkit import (BoundPreconditionError, Converged, Cycle, CycleDetected,
                         enumerate_cycles, parse_triplet, trace)
 from collatzkit.families import (SquareGapParams, build_square_gap_family,
                                  build_two_power_family, scale_cycles)
-from collatzkit.intervals import DEFAULT_POLICY, enclose
+from collatzkit.intervals import DEFAULT_POLICY, endpoints, make_context
 
 T231 = parse_triplet("2:3:1:+")
 T3819 = parse_triplet("3:8:19:+")
@@ -455,7 +455,8 @@ class TestNecessaryConditions:
             return (bound - mid) / ctx.log(ctx.mpf(d))
 
         def certified_positive(expr):
-            return any(enclose(expr, bits)[0] > 0 for bits in DEFAULT_POLICY.ladder())
+            return any(endpoints(expr(make_context(bits)))[0] > 0
+                       for bits in DEFAULT_POLICY.ladder())
 
         assert certified_positive(sum_slack)
         assert certified_positive(min_slack)

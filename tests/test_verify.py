@@ -8,6 +8,7 @@ import tracemalloc
 from array import array
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -19,7 +20,7 @@ from collatzkit import (CheckpointError, DigestMismatchError, InvalidTargetsErro
                         load_checkpoint, parse_triplet, resume,
                         save_checkpoint, verify, verify_range)
 from collatzkit.core import PLUS, Triplet
-from collatzkit.dynamics import Cycle, enumerate_cycles
+from collatzkit.dynamics import DEFAULT_MAX_STEPS, Cycle, enumerate_cycles
 from collatzkit.verify import (_FROM_N, FINISH_CAP, FINISH_STEPS, Checkpoint, ScanPlan,
                                _scan_chunk, _scan_classes, _scan_members, build_finish,
                                build_jumps, build_sieve, checkpoint_from_json_dict,
@@ -70,7 +71,7 @@ def assert_tables_keep_report(j, workers=1):
     with mock.patch.object(verify, "build_jumps", lambda *args: None), \
             mock.patch.object(verify, "build_finish", lambda *args: None):
         sieve_only = verify_range(j, workers=1)
-        with mock.patch.object(verify, "build_sieve", lambda t: None), \
+        with mock.patch.object(verify, "build_sieve", lambda *args: None), \
                 mock.patch.object(verify, "MEMO_CAP", 0):
             plain = verify_range(j, workers=1)
     assert report_bytes(full) == report_bytes(sieve_only) == report_bytes(plain)
@@ -213,26 +214,41 @@ class TestVerifyRange:
 class TestResidueSieve:
     def test_depth_is_largest_under_the_cap(self):
         # M = d * s^(L-1) with s = d // gcd(alpha, d); depth L
-        classical, two_power = build_sieve(T231), build_sieve(T10128)
+        classical = build_sieve(T231, DEFAULT_MAX_STEPS)
+        two_power = build_sieve(T10128, DEFAULT_MAX_STEPS)
         assert (classical.depth, classical.modulus) == (16, 1 << 16)
         assert (two_power.depth, two_power.modulus) == (6, 31250)  # 10 * 5^5
-        sieve = build_sieve(T364032)
+        sieve = build_sieve(T364032, DEFAULT_MAX_STEPS)
         assert (sieve.depth, sieve.modulus) == (4, 26244)  # 36 * 9^3
-        assert build_sieve(Triplet(65537, 65538, 65536, 1)) is None
+        assert build_sieve(Triplet(65537, 65538, 65536, 1), DEFAULT_MAX_STEPS) is None
+
+    @pytest.mark.parametrize("t", sorted(TARGETS, key=str), ids=str)
+    def test_depth_follows_the_step_cap(self, t):
+        # a sieve built for a step cap is no deeper than the cap, so no form
+        # enters past it, and a run under the cap reports as without tables
+        deepest = build_sieve(t, DEFAULT_MAX_STEPS).depth
+        for max_steps in range(1, deepest + 2):
+            sieve = build_sieve(t, max_steps)
+            assert sieve.depth == min(max_steps, deepest)
+            assert sieve.modulus == t.d * (t.d // gcd(t.alpha, t.d)) ** (sieve.depth - 1)
+            assert all(form[5] <= sieve.depth for form in sieve.forms)
+            for workers in (1, 2):
+                assert_tables_keep_report(job(t, 1, 12_000, TARGETS[t], chunk_size=5_000,
+                                              limits=Limits(max_steps=max_steps)), workers)
 
     def test_survivor_count_classical(self):
         # 3.2% of the classes mod 2^16 still need a scan; 2115, not 2116,
         # since class 0 is sieved: iterate 1 of 2^16*m is 2^15*m < 2^16*m
-        assert len(build_sieve(T231).forms) == 2115
+        assert len(build_sieve(T231, DEFAULT_MAX_STEPS).forms) == 2115
 
     @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124, T41054, T364032, T257],
                              ids=str)
     def test_no_sieve_keeps_class_zero(self, t):
-        assert build_sieve(t).forms[0][0] > 0
+        assert build_sieve(t, DEFAULT_MAX_STEPS).forms[0][0] > 0
 
     @pytest.mark.parametrize("t", [T10128, T8124, T3241, T41054, T364032], ids=str)
     def test_survivors_follow_the_rule(self, t):
-        sieve = build_sieve(t)
+        sieve = build_sieve(t, DEFAULT_MAX_STEPS)
         expected = [r for r in range(sieve.modulus)
                     if not sieved_by_rule(t, r, sieve.modulus)]
         assert [form[0] for form in sieve.forms] == expected
@@ -251,10 +267,10 @@ class TestResidueSieve:
     ], ids=str)
     def test_report_unchanged(self, t, lo, hi, chunk, workers):
         j = job(t, lo, hi, TARGETS[t], chunk_size=chunk, prefix_verified_to=lo - 1)
-        # under the default caps every class fits: the list is the survivors,
+        # under the default caps the sieve is used: the list is the survivors,
         # each listed or merged into its representative
-        sieve = build_sieve(t)
-        assert listed_forms(_scan_classes(sieve, hi, j.limits)) == sieve.forms
+        sieve = build_sieve(t, DEFAULT_MAX_STEPS)
+        assert listed_forms(_scan_classes(sieve, hi, j.limits.max_value)) == sieve.forms
         cp = assert_tables_keep_report(j, workers)
         assert cp.seeds_scanned == hi - lo + 1
         # seed 10 of 4:10:54:+ ends in the cycle of 342 and never falls below 10
@@ -270,40 +286,40 @@ class TestResidueSieve:
 
     @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124, T41054, T364032], ids=str)
     def test_sieved_seeds_descend_under_the_peak_bound(self, t):
-        # each record's seeds fall below themselves within its k steps, under
-        # its own C*m + P; records and survivors cover the classes mod M once
-        sieve = build_sieve(t)
+        # every seed of a sieved class falls below itself within depth steps,
+        # its iterates up to there under the largest bound of the peaks
+        sieve = build_sieve(t, DEFAULT_MAX_STEPS)
+        levels = [level for level, _c, _p in sieve.peaks]
+        assert levels == sorted(set(levels)) and levels[-1] == sieve.modulus
+        assert all(sieve.modulus % level == 0 for level in levels)
+        survivors = {form[0] for form in sieve.forms}
         step = t.step_function()
-        covered = [0] * sieve.modulus
-        for r, *_form in sieve.forms:
-            covered[r] += 1
-        for r, level, k, c, p in sieve.sieved:
-            assert sieve.modulus % level == 0 and 1 <= k <= sieve.depth
-            for rr in range(r, sieve.modulus, level):
-                covered[rr] += 1
-            for m in (0, 1, 7, 10**6):
-                n = level * m + r
+        for r in range(sieve.modulus):
+            if r in survivors:
+                continue
+            for m in (0, 1, 10**6 + r):
+                n = sieve.modulus * m + r
                 if n == 0:
                     continue
+                bound = max(c * (n // level) + p for level, c, p in sieve.peaks)
                 v, steps = step(n), 1
                 while v >= n:
-                    assert v <= c * m + p
+                    assert v <= bound
                     v, steps = step(v), steps + 1
-                assert v <= c * m + p and steps <= k
-        assert set(covered) == {1}
+                assert v <= bound and steps <= sieve.depth
 
     @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124, T257, T41054, T364032],
                              ids=str)
     def test_survivor_forms_are_iterate_k_within_their_bounds(self, t):
-        sieve = build_sieve(t)
+        sieve = build_sieve(t, DEFAULT_MAX_STEPS)
         residues = [entry[0] for entry in sieve.forms]
         assert residues == sorted(set(residues))  # `_scan_survivors` bisects them
-        assert len(sieve.peak_c) == len(sieve.peak_p) == len(sieve.forms)
-        peaks = list(zip(sieve.peak_c, sieve.peak_p))
+        level, c, p = sieve.peaks[-1]  # the survivors' level
+        assert level == sieve.modulus
         for r, *_form, k in sieve.forms:
             assert 1 <= k == len(fixed_steps(t, r, sieve.modulus)) <= sieve.depth
         for m in (0, 1, 7, 10**6, 10**12):
-            for (r, a, b, low_c, low_p, k), (c, p) in list(zip(sieve.forms, peaks))[::7]:
+            for r, a, b, low_c, low_p, k in sieve.forms[::7]:
                 n = sieve.modulus * m + r
                 inside = iterates(t, n, k)
                 assert inside[-1] == a * m + b
@@ -313,32 +329,31 @@ class TestResidueSieve:
                 else:  # no iterate before step k: the bound admits every seed
                     assert low_c * m + low_p > n
 
-    @pytest.mark.parametrize("low_below_n, cap_below_peak, k_above_cap, entered", [
-        (False, False, False, True),
-        (True, False, False, False),
-        (False, True, False, False),
-        (False, False, True, False),
-    ], ids=["all-hold", "lower-guard", "value-guard", "step-guard"])
+    @pytest.mark.parametrize("low_below_n, over, entered", [
+        (False, None, True),
+        (True, None, False),
+        (False, "survivors", False),
+        (False, "sieved", False),
+    ], ids=["all-hold", "lower-guard", "value-guard", "sieved-value-guard"])
     def test_survivor_entered_at_step_k_exactly_when_the_guards_hold(
-            self, low_below_n, cap_below_peak, k_above_cap, entered):
+            self, low_below_n, over, entered):
         # a doctored sieve whose every survivor lands on 1 at step k, below
         # the seed, so an entry shows as a descended seed; 2^40 - 1 rises for
-        # 40 steps; each guard is put one past its bound
+        # 40 steps; each guard is put one past its bound, the value guard at
+        # the survivors' level or at the first level, which sieves classes
         n, max_value = 2**40 - 1, 10**30
-        sieve = build_sieve(T231)
+        sieve = build_sieve(T231, DEFAULT_MAX_STEPS)
         assert n % sieve.modulus in {form[0] for form in sieve.forms}
-        k = sieve.depth + 1 if k_above_cap else sieve.depth
-        doctored = replace(sieve, forms=[(r, 0, 1, 0, n - 1 if low_below_n else n, k)
-                                         for r, *_form in sieve.forms],
-                           peak_c=[0] * len(sieve.forms),
-                           peak_p=[max_value + 1 if cap_below_peak else max_value]
-                           * len(sieve.forms))
-        limits = Limits(max_steps=sieve.depth, max_value=max_value)
-        # the class list decides the value and step guards, the scan the lower one
-        classes = _scan_classes(doctored, n, limits)
-        assert (listed_forms(classes) == doctored.forms) == (not cap_below_peak
-                                                             and not k_above_cap)
-        plan = scan_plan(T231, {1, 2}, shortcut=True, max_steps=limits.max_steps,
+        top = sieve.peaks[-1 if over == "survivors" else 0][0] if over else None
+        doctored = replace(
+            sieve, forms=[(r, 0, 1, 0, n - 1 if low_below_n else n, sieve.depth)
+                          for r, *_form in sieve.forms],
+            peaks=[(level, 0, max_value + 1 if level == top else max_value)
+                   for level, _c, _p in sieve.peaks])
+        # the class list decides the value guard, the scan the lower one
+        classes = _scan_classes(doctored, n, max_value)
+        assert (classes is _FROM_N) == (over is not None)
+        plan = scan_plan(T231, {1, 2}, shortcut=True, max_steps=sieve.depth,
                          max_value=max_value, classes=classes)
         assert _scan_chunk(plan, n, n) == ([] if entered else [(n, "step_cap")])
 
@@ -348,88 +363,26 @@ class TestResidueSieve:
         # one step above n - 1: from step 15 the seed descends at step 16,
         # from step 16 it meets the step cap 16 first
         n = 2**40 - 1
-        sieve = build_sieve(T231)
+        sieve = build_sieve(T231, DEFAULT_MAX_STEPS)
         doctored = replace(sieve, forms=[(r, 0, 2 * n - 2, 0, n, k) for r, *_form in sieve.forms],
-                           peak_c=[0] * len(sieve.forms), peak_p=[0] * len(sieve.forms))
-        classes = _scan_classes(doctored, n, Limits(max_steps=sieve.depth))
+                           peaks=[(level, 0, 0) for level, _c, _p in sieve.peaks])
+        classes = _scan_classes(doctored, n, Limits().max_value)
         assert listed_forms(classes) == doctored.forms
         plan = scan_plan(T231, {1, 2}, shortcut=True, max_steps=sieve.depth, classes=classes)
         assert _scan_chunk(plan, n, n) == ([] if entered else [(n, "step_cap")])
 
-    @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124], ids=str)
-    def test_report_unchanged_at_the_survivors_value_cap(self, t):
-        # a value cap at the median survivor's own bound for seeds up to 4M:
-        # that survivor and the ones below it enter at step k, the rest are
-        # scanned from n; the report equals the one from a sieve whose
-        # survivors never enter, and from no tables at all
-        sieve = build_sieve(t)
-        hi = 4 * sieve.modulus
-        bounds = sorted(c * 4 + p for c, p in zip(sieve.peak_c, sieve.peak_p))
-        limits = Limits(max_value=bounds[len(bounds) // 2])
-        classes = _scan_classes(sieve, hi, limits)
-        assert classes.merged == {}  # not every class fits: none is merged
-        entered = [form for form in classes.forms if form[5] > 0]
-        assert 0 < len(entered) < len(sieve.forms)
-        j = job(t, 1, hi, TARGETS[t], limits=limits, chunk_size=sieve.modulus)
-        full = assert_tables_keep_report(j)
-        never = replace(sieve, peak_c=[0] * len(sieve.forms),
-                        peak_p=[limits.max_value + 1] * len(sieve.forms))
-        with mock.patch.object(verify, "build_sieve", lambda t: never):
-            assert report_bytes(verify_range(j, workers=1)) == report_bytes(full)
-
-    def test_fallback_below_depth_steps(self):
-        # every survivor of 2:3:1:+ fixes 16 steps, so under 15 each falls
-        # back to a scan from n; the sieved classes of 15 steps or fewer
-        # are still skipped
-        sieve = build_sieve(T231)
-        limits = Limits(max_steps=sieve.depth - 1)
-        classes = _scan_classes(sieve, 5000, limits)
-        assert all(form[5] == 0 for form in classes.forms)
-        assert {form[0] for form in sieve.forms} < {form[0] for form in classes.forms}
-        assert len(classes.forms) < sieve.modulus
-        cp = assert_tables_keep_report(job(T231, 1, 5000, (OMEGA1,), limits=limits,
-                                           chunk_size=999))
-        assert {s for _n, s in cp.exceptions} == {"step_cap"}
-
-    def test_fallback_per_class_under_small_value_cap(self):
-        # the cap is the largest bound of a sieved class for seeds below
-        # M = 2^16: a job that ends there skips every sieved class, one that
-        # ends at 3M scans some of them from n
-        sieve = build_sieve(T231)
-        below = sieve.modulus - 1
-        limits = Limits(max_value=max(c * (below // level) + p
-                                      for _r, level, _k, c, p in sieve.sieved))
-        assert len(_scan_classes(sieve, below, limits).forms) == len(sieve.forms)
-        classes = _scan_classes(sieve, 3 * sieve.modulus, limits)
-        assert len(sieve.forms) < len(classes.forms) < sieve.modulus
-        cp = assert_tables_keep_report(job(T231, 1, 3 * sieve.modulus, (OMEGA1,),
-                                           limits=limits, chunk_size=20_000))
-        assert {s for _n, s in cp.exceptions} == {"value_cap"}
-
-    @pytest.mark.parametrize("t, limits", [
-        (T231, Limits(max_steps=15)),  # one below the sieve depth 16
-        (T231, Limits(max_value=10**5)),
-        (T10128, Limits(max_steps=3)),
-        (T8124, Limits(max_steps=10, max_value=10**4)),
-    ], ids=["2:3:1:+ steps", "2:3:1:+ value", "10:12:8:+ steps", "8:12:4:+ both"])
-    def test_per_class_caps_keep_the_sieve(self, t, limits):
-        # under caps below the sieve's deepest class, the classes that fit
-        # are still skipped, and a direct walk shows each skipped seed up to
-        # hi descending within the caps
-        sieve = build_sieve(t)
-        hi = sieve.modulus + 5_000
-        kept = {form[0] for form in _scan_classes(sieve, hi, limits).forms}
-        skipped = [r for r in range(sieve.modulus) if r not in kept]
-        assert skipped
-        step = t.step_function()
-        for r in skipped:
-            for n in range(r or sieve.modulus, hi + 1, sieve.modulus):
-                v, steps = step(n), 1
-                while v >= n:
-                    assert v <= limits.max_value and steps < limits.max_steps
-                    v, steps = step(v), steps + 1
-                assert v <= limits.max_value
-        assert_tables_keep_report(job(t, 1, hi, TARGETS[t], limits=limits, chunk_size=7_000))
+    @pytest.mark.parametrize("t", sorted(TARGETS, key=str), ids=str)
+    def test_sieve_dropped_one_below_its_largest_level_bound(self, t):
+        # a value cap at the largest bound of the peaks at hi keeps the whole
+        # sieve; one unit below it, every seed is scanned from n
+        sieve = build_sieve(t, DEFAULT_MAX_STEPS)
+        hi = 2 * sieve.modulus + 5
+        bound = max(c * (hi // level) + p for level, c, p in sieve.peaks)
+        assert _scan_classes(sieve, hi, bound) is sieve.classes
+        assert _scan_classes(sieve, hi, bound - 1) is _FROM_N
+        assert _scan_classes(None, hi, bound) is _FROM_N
+        assert_tables_keep_report(job(t, 1, hi, TARGETS[t], chunk_size=20_000,
+                                      limits=Limits(max_value=bound - 1)))
 
     @settings(max_examples=100, deadline=None)
     @given(t=st.sampled_from(sorted(TARGETS, key=str)),
@@ -459,7 +412,7 @@ def descent_status(t: Triplet, n: int, limits: Limits):
 class TestMergedClasses:
     @pytest.mark.parametrize("t", sorted(TARGETS, key=str), ids=str)
     def test_merged_classes_share_iterate_k_with_their_representative(self, t):
-        sieve = build_sieve(t)
+        sieve = build_sieve(t, DEFAULT_MAX_STEPS)
         classes = sieve.classes
         listed = {form[0]: form for form in classes.forms}
         seen = set()
@@ -477,16 +430,18 @@ class TestMergedClasses:
             seen.add((a, b, k))
 
     def test_merge_counts(self):
-        merged = {t: sum(len(kept) for kept in build_sieve(t).classes.merged.values())
+        merged = {t: sum(len(kept) for kept in
+                         build_sieve(t, DEFAULT_MAX_STEPS).classes.merged.values())
                   for t in (T10128, T364032, T8124, T3241, T41054, T231)}
         assert merged == {T10128: 5758, T364032: 16565, T8124: 118, T3241: 83,
                           T41054: 1, T231: 0}
-        assert len(build_sieve(T10128).classes.forms) == 3459  # of 9,217 survivors
+        # of 9,217 survivors
+        assert len(build_sieve(T10128, DEFAULT_MAX_STEPS).classes.forms) == 3459
 
     def test_merge_is_computed_once_per_sieve(self):
-        sieve = build_sieve(T10128)
+        sieve = build_sieve(T10128, DEFAULT_MAX_STEPS)
         assert sieve.classes is sieve.classes
-        assert _scan_classes(sieve, 10**6, Limits()) is sieve.classes
+        assert _scan_classes(sieve, 10**6, Limits().max_value) is sieve.classes
 
     @pytest.mark.parametrize("t, limits", [
         (T10128, Limits(max_steps=8)),
@@ -498,16 +453,15 @@ class TestMergedClasses:
         (T3241, "largest bound"),
     ], ids=str)
     def test_representative_reporting_a_cap(self, t, limits):
-        # every class fits, and merged seeds report step_cap or value_cap
+        # the sieve is used, and merged seeds report step_cap or value_cap
         # together with their representatives: the merged seeds of those
         # blocks are scanned by their own forms
-        sieve = build_sieve(t)
+        sieve = build_sieve(t, DEFAULT_MAX_STEPS)
         hi = 2 * sieve.modulus + 5_000
         if limits == "largest bound":
-            limits = Limits(max_value=max(
-                [c * (hi // sieve.modulus) + p for c, p in zip(sieve.peak_c, sieve.peak_p)]
-                + [c * (hi // level) + p for _r, level, _k, c, p in sieve.sieved]))
-        classes = _scan_classes(sieve, hi, limits)
+            limits = Limits(max_value=max(c * (hi // level) + p
+                                          for level, c, p in sieve.peaks))
+        classes = _scan_classes(sieve, hi, limits.max_value)
         assert classes.merged and listed_forms(classes) == sieve.forms
         cp = assert_tables_keep_report(job(t, 1, hi, TARGETS[t], limits=limits,
                                            chunk_size=7_000))
@@ -520,8 +474,8 @@ class TestMergedClasses:
     def test_representative_below_lo(self, chunk):
         # lo lies between a representative and the seeds merged into it, and
         # the merged seeds report step_cap: they are scanned, not skipped
-        sieve, limits = build_sieve(T10128), Limits(max_steps=8)
-        classes = _scan_classes(sieve, 2 * sieve.modulus, limits)
+        sieve, limits = build_sieve(T10128, DEFAULT_MAX_STEPS), Limits(max_steps=8)
+        classes = _scan_classes(sieve, 2 * sieve.modulus, limits.max_value)
         rep, kept = next((rep, kept) for rep, kept in classes.merged.items()
                          if descent_status(T10128, sieve.modulus + kept[-1][0], limits))
         lo, hi = sieve.modulus + rep + 1, sieve.modulus + kept[-1][0]
@@ -535,12 +489,12 @@ class TestMergedClasses:
         # a sieve whose representatives' lower bounds are 0, still true but
         # never at least the seed: each representative is scanned from n0,
         # and the seeds merged into it by their own forms
-        sieve = build_sieve(t)
+        sieve = build_sieve(t, DEFAULT_MAX_STEPS)
         reps = set(sieve.classes.merged)
         doctored = replace(sieve, forms=[(*form[:3], 0, 0, form[5]) if form[0] in reps else form
                                          for form in sieve.forms])
         assert doctored.classes.merged.keys() == reps
-        with mock.patch.object(verify, "build_sieve", lambda t: doctored):
+        with mock.patch.object(verify, "build_sieve", lambda *args: doctored):
             assert_tables_keep_report(job(t, 1, 2 * sieve.modulus + 5_000, TARGETS[t],
                                           limits=limits, chunk_size=20_000))
 
@@ -556,11 +510,11 @@ class TestMergedClasses:
             self, case, lo_past_n0, expected):
         # a doctored sieve in which the survivor r of 2^40 - 1 and the one
         # just below it, r0, share an entry form a*m + b = B at step k, and
-        # every class fits, so the list is the sieve's own with its merges;
+        # its bounds fit, so the list is the sieve's own with its merges;
         # the scan of [n0, n] (or [n0 + 1, n]) visits only their seeds, and
         # shows which of them report what
         n = 2**40 - 1
-        sieve = build_sieve(T231)
+        sieve = build_sieve(T231, DEFAULT_MAX_STEPS)
         r = n % sieve.modulus
         survivors = [form[0] for form in sieve.forms]
         r0 = survivors[survivors.index(r) - 1]
@@ -579,9 +533,8 @@ class TestMergedClasses:
             b, low0, low, k0 = 2 * n0 - 2, n0, n, 15
         forms = {r0: (r0, 0, b, 0, low0, k0), r: (r, 0, b, 0, low, 16)}
         doctored = replace(sieve, forms=[forms.get(form[0], form) for form in sieve.forms],
-                           peak_c=[0] * len(sieve.forms), peak_p=[0] * len(sieve.forms))
-        limits = Limits(max_steps=max_steps, max_value=max_value)
-        classes = _scan_classes(doctored, n, limits)
+                           peaks=[(level, 0, 0) for level, _c, _p in sieve.peaks])
+        classes = _scan_classes(doctored, n, max_value)
         assert classes is doctored.classes
         assert any(form[0] == r for form in classes.forms) == (case == "other-k")
         plan = scan_plan(T231, {1, 2}, shortcut=True, max_steps=max_steps,
@@ -843,13 +796,12 @@ class TestJumpTable:
 
     def test_membership_loop_under_the_shortcut_keeps_report(self):
         # seeds up to the largest member (536) scan in the membership loop,
-        # which jumps but has no finish table under the shortcut; under the
-        # caps most classes above it are skipped and the rest scanned from n
+        # which jumps but has no finish table under the shortcut; the sieve's
+        # bounds exceed the value cap, so the seeds above it scan from n
         targets = enumerate_cycles(T8124, 1, 200)
         j = job(T8124, 1, 1213, targets, limits=Limits(max_steps=10, max_value=10**4),
                 chunk_size=400)
-        sieve = build_sieve(T8124)
-        assert len(_scan_classes(sieve, 1213, j.limits).forms) < sieve.modulus
+        assert _scan_classes(build_sieve(T8124, 10), 1213, 10**4) is _FROM_N
         cp = assert_tables_keep_report(j)
         assert len(cp.exceptions) == 39
 
@@ -885,9 +837,11 @@ class TestJumpTable:
         (T10128, Limits(max_steps=40, max_value=5 * 10**4)),
     ], ids=["2:3:1:+ steps", "2:3:1:+ value", "10:12:8:+ steps", "10:12:8:+ both"])
     def test_shortcut_report_unchanged_on_the_sieve_fallback(self, t, limits):
-        # the classes that do not fit these caps are scanned from n
-        classes = _scan_classes(build_sieve(t), 30_000, limits)
-        assert any(form[5] == 0 for form in classes.forms)
+        # a step cap below the sieve depth builds a shallower sieve, and under
+        # a value cap below the sieve's bounds every seed is scanned from n
+        sieve = build_sieve(t, limits.max_steps)
+        classes = _scan_classes(sieve, 30_000, limits.max_value)
+        assert (classes is _FROM_N) != (sieve.depth == limits.max_steps)
         cp = assert_tables_keep_report(
             job(t, 1, 30_000, TARGETS[t], limits=limits, chunk_size=4_096), workers=2)
         assert cp.exceptions
@@ -1026,7 +980,7 @@ class TestFinishTable:
         with mock.patch.object(verify, "build_finish", lambda *args: everything_finishes):
             assert verify_range(j, workers=1).exceptions == ()
         calls = []
-        with mock.patch.object(verify, "build_sieve", lambda t: calls.append("sieve")), \
+        with mock.patch.object(verify, "build_sieve", lambda *args: calls.append("sieve")), \
                 mock.patch.object(verify, "build_jumps", lambda *args: calls.append("jumps")), \
                 mock.patch.object(verify, "build_finish", lambda *args: calls.append("finish")):
             verify_range(j, workers=1)
