@@ -20,16 +20,19 @@ smaller one's seed of the same block, when that seed entered and descended,
 and is scanned otherwise (`_scan_survivors`).  A table of exact k-step jumps
 (`build_jumps`) lets both scan loops take k steps at once wherever no cap
 or exit can lie inside them; it comes from the sieve's digit-by-digit
-refinement (`_refine`), unpruned.  Without the shortcut, a finish table
-(`build_finish`) ends a seed as soon as it reaches a small value from which
-a member is known to follow within the caps, and an orbit memo, kept for
-one chunk, ends it as soon as it reaches a value that an earlier seed of
-the chunk passed early on its way to a member, when the steps recorded for
-that value fit in the steps left (`_scan_members`); a seed whose iterate k,
-by the jump table, is that of a seed a few places below it in the chunk and
-in its block mod d^k ends, with no step, when that seed met a member (the
-partner exit).  The report is the same as without any of the tables, the
-memo or the partner exit.  Each table is built once per process for its
+refinement (`_refine`), unpruned.  Where only the descent exit can lie
+inside a jump, the descent loop ends the seed with no step when the jump's
+dip, its iterate with the smallest coefficient, is below the seed.
+Without the shortcut, a finish table (`build_finish`) ends a seed as soon
+as it reaches a small value from which a member is known to follow within
+the caps, and an orbit memo, kept for one chunk, ends it as soon as it
+reaches a value that an earlier seed of the chunk passed early on its way
+to a member, when the steps recorded for that value fit in the steps left
+(`_scan_members`); a seed whose iterate k, by the jump table, is that of
+a seed a few places below it in the chunk and in its block mod d^k ends,
+with no step, when that seed met a member (the partner exit).  The report
+is the same as without any of the tables, the memo, the partner exit or
+the dip exit.  Each table is built once per process for its
 triplet, value cap and targets, the jump table for the largest target
 element alone (`_memo_table`), and a job's tables travel with its map,
 members and caps in one scan plan (`ScanPlan`), pickled once per job and
@@ -303,7 +306,7 @@ class ResidueSieve:
         smallest such, its representative (see `build_sieve`).  Worked out
         once per sieve, on first use."""
         first: dict = {}  # (a, b, k) -> the smallest survivor with that entry form
-        forms, merged = [], {}
+        forms, merged, reach = [], {}, 0
         for form in self.forms:
             r, a, b, _low_c, _low_p, k = form
             rep = first.setdefault((a, b, k), r)
@@ -311,7 +314,8 @@ class ResidueSieve:
                 forms.append(form)
             else:
                 merged.setdefault(rep, []).append(form)
-        return ClassList(self.modulus, forms, merged)
+                reach = max(reach, r - rep)
+        return ClassList(self.modulus, forms, merged, reach)
 
 
 def build_sieve(t: Triplet, max_steps: int) -> Optional[ResidueSieve]:
@@ -409,16 +413,18 @@ class ClassList:
     otherwise at n; a class scanned from n has k = 0 and a*m + b = n.  The
     classes merged into a listed representative r0 are not listed: their
     seeds are decided by the seed of r0 in the same block, or scanned by
-    their own forms where it does not decide them (`_scan_survivors`)."""
+    their own forms where it does not decide them (`_scan_survivors`); no
+    such class lies more than `reach` above its representative."""
 
     modulus: int
     forms: list  # (r, a, b, low_c, low_p, k) per listed class, in order of r
     merged: dict  # representative r0 -> the forms of the classes merged into it, in order of r
+    reach: int  # the largest r - r0 of a class r merged into r0; 0 for none
 
 
 # no sieve, or one whose bounds exceed the value cap: every seed from n, in
 # blocks of 2^10 classes, as blocks of one class made such scans 1.4-1.6x slower
-_FROM_N = ClassList(1 << 10, [(r, 1 << 10, r, 1 << 10, r, 0) for r in range(1 << 10)], {})
+_FROM_N = ClassList(1 << 10, [(r, 1 << 10, r, 1 << 10, r, 0) for r in range(1 << 10)], {}, 0)
 
 
 def _scan_classes(sieve: Optional[ResidueSieve], hi: int, max_value: int) -> ClassList:
@@ -440,10 +446,11 @@ class JumpTable:
     For n = d^k*q + r, iterate k of n is coeff[r]*q + const[r].  The
     membership loop jumps from n only when hit[r] < q <= qmax, the descent
     loop of a seed s only when q <= qmax and low_c[r]*q + low_p[r] >= s,
-    and the membership loop without the shortcut takes the partner exit of
-    a seed n only when back[r] > 0 and back_hit[r] < q <= qmax, its partner
-    n - back[r] being the nearest seed below n in its own block with its
-    iterate k (see `build_jumps`).
+    and ends s where its lower guard alone refuses a jump, with no step,
+    when dip_c[r]*q + dip_p[r] < s; the membership loop without the
+    shortcut takes the partner exit of a seed n only when back[r] > 0 and
+    back_hit[r] < q <= qmax, its partner n - back[r] being the nearest
+    seed below n in its own block with its iterate k (see `build_jumps`).
     """
 
     depth: int  # k
@@ -453,6 +460,8 @@ class JumpTable:
     hit: list  # iterates 1..k-1 of d^k*q + r exceed max_elem for q > hit[r]
     low_c: list  # iterates 1..k-1 of d^k*q + r are at least
     low_p: list  # low_c[r]*q + low_p[r]
+    dip_c: list  # dip_c[r]*q + dip_p[r] is the iterate 1..k of d^k*q + r with
+    dip_p: list  # the smallest coefficient, and the smaller constant on a tie
     qmax: int  # iterates 1..k stay at or below max_value for q <= qmax
     back: list  # n - back[r], of n's block, has n's iterate k, n = d^k*q + r; 0 for none
     back_hit: list  # for q > back_hit[r], iterates 1..k-1 of n and n - back[r] exceed max_elem
@@ -469,7 +478,11 @@ def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable
     = alpha^(o_k) and const[r] = T^k(r), every iterate 1..k-1 is at least
     low_c[r]*q + low_p[r] (the class's L and Q, L >= 1), and C*q + P, with
     C and P the largest over the classes mod d^k, bounds iterates 1..k of
-    every class; qmax = (max_value - P) // C.
+    every class; qmax = (max_value - P) // C.  Likewise iterate j of
+    d^k*q + r is d^(k-j)*alpha^(o_j)*q + T^j(r); walking r for k steps
+    gives these forms, and the dip dip_c[r]*q + dip_p[r] is the smallest
+    of them in (coefficient, constant) order, which is an iterate 1..k
+    itself, so at least the lowest of them.
 
     Guards.  hit[r] = (max_elem - low_p[r]) // low_c[r].  A scan at a value
     v = d^k*q + r with steps < max_steps taken jumps to iterate k with
@@ -490,6 +503,13 @@ def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable
     member test, or v >= n) as before: every exception, its status, the
     frontier, seeds_scanned and the digest are unchanged.
 
+    Dip exit.  The descent loop of a seed n, refused a jump from v >= n by
+    its lower guard alone (steps + k <= max_steps and q <= qmax hold), ends
+    with no exception when dip_c[r]*q + dip_p[r] < n.  That value is
+    iterate j of v for some 1 <= j <= k, so stepping one at a time the loop
+    would fall below n by step steps + j, with neither cap before it, by
+    the same two guards: the exit is exact.
+
     Member guard.  For q > hit[r], low_c[r]*q + low_p[r] > max_elem, so
     every iterate 1..k-1 exceeds the largest member, and none is a member.
     Under the shortcut the membership loop runs only seeds n <= max_elem,
@@ -509,10 +529,17 @@ def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable
     if d * d > JUMP_MODULUS_CAP:
         return None
     depth, modulus, live = _refine(t, d, JUMP_MODULUS_CAP)
-    coeff, const, hit, low_c, low_p, back = ([0] * modulus for _ in range(6))
+    step = t.step_function()
+    coeff, const, hit, low_c, low_p, dip_c, dip_p, back = ([0] * modulus for _ in range(8))
     for r, a, b, _j, _floor, _c, _p, l_c, l_p in live:
         coeff[r], const[r], low_c[r], low_p[r] = a, b, l_c, l_p
         hit[r] = (max_elem - l_p) // l_c
+        v, c, forms = r, modulus, []  # iterate j of d^k*q + r is c*q + v
+        for _ in range(depth):
+            c = c // d * (t.alpha if v % d else 1)
+            v = step(v)
+            forms.append((c, v))
+        dip_c[r], dip_p[r] = min(forms)
     back_hit = list(hit)
     same: dict = {}  # (coeff, const) -> the largest residue below r of that form
     for r in range(modulus):
@@ -522,7 +549,7 @@ def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable
         same[(coeff[r], const[r])] = r
     peak_coeff = max(entry[5] for entry in live)
     peak_const = max(entry[6] for entry in live)
-    return JumpTable(depth, modulus, coeff, const, hit, low_c, low_p,
+    return JumpTable(depth, modulus, coeff, const, hit, low_c, low_p, dip_c, dip_p,
                      (max_value - peak_const) // peak_coeff, back, back_hit)
 
 
@@ -757,15 +784,22 @@ def _scan_survivors(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
     above max_elem, whose classes mod M are in the plan's class list.  A
     seed n = M*m + r enters at its class's iterate k, a*m + b, when its
     lower guard holds (see `build_sieve`), and otherwise at n; it then
-    jumps while the jump table's guards hold, and steps one at a time to
-    the end.
+    jumps while the jump table's guards hold.  Where the lower guard alone
+    refuses a jump, the seed ends with no exception when the jump's dip is
+    below n (see `build_jumps`); otherwise, and where a cap refuses it, it
+    steps one at a time to the end.
 
     Merged classes.  A seed n = M*m + r of a class merged into r0 < r is
     skipped when n0 = M*m + r0 is one of this call's seeds, was entered at
     step k and ended with no exception (see `build_sieve`); the seeds of
     the classes merged into a representative that was below lo, scanned
     from n0 or reported an exception are scanned afterwards in the same
-    loop, by their own forms, and the exceptions are then sorted."""
+    loop, by their own forms, and the exceptions are then sorted.  Only the
+    representatives in [r_lo - reach, r_lo) of the first block are looked
+    up, r_lo = lo mod M: a class lies at most the class list's reach above
+    its representative.  A representative that the dip exit ends has ended
+    with no exception, and fell below itself by a step s <= max_steps under
+    both caps, so the merge argument of `build_sieve` holds for it too."""
     t, jumps = plan.triplet, plan.jumps
     d, alpha, beta = t.d, t.alpha, t.beta
     max_steps, max_value = plan.limits.max_steps, plan.limits.max_value
@@ -776,7 +810,7 @@ def _scan_survivors(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
     if jumps is not None:
         jump_k, jump_mod, qmax = jumps.depth, jumps.modulus, jumps.qmax
         coeff, const = jumps.coeff, jumps.const
-        low_c, low_p = jumps.low_c, jumps.low_p
+        low_c, low_p, dip_c, dip_p = jumps.low_c, jumps.low_p, jumps.dip_c, jumps.dip_p
         jump_last = max_steps - jump_k
     classes = plan.classes
     modulus, forms, merged = classes.modulus, classes.forms, classes.merged
@@ -788,8 +822,10 @@ def _scan_survivors(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
         r_hi = hi - base
         todo = forms[start:bisect_right(forms, r_hi, key=_RESIDUE)]
         # the representatives whose merged seeds get scanned: first those
-        # below lo, then each one scanned from n0 or ending with an exception
-        dropped = {form[0] for form in forms[:start]} if merged else set()
+        # below lo that a class at or above lo can be merged into, then each
+        # one scanned from n0 or ending with an exception
+        dropped = {form[0] for form in
+                   forms[bisect_left(forms, r_lo - classes.reach, key=_RESIDUE):start]}
         while True:
             for r, a, b, form_low_c, form_low_p, form_steps in todo:
                 n = base + r
@@ -801,13 +837,19 @@ def _scan_survivors(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
                     steps = 0
                     dropped.add(r)
                 status = None
-                # jumps while the guards hold, then single steps to the end: on
-                # 2:3:1:+, 10:12:8:+, 3:4:1:-, 8:12:4:+ and 5:6:4:+ no seed took a
-                # jump after its first refused one, so testing again after each
-                # single step would only cost a divmod per step
+                # jumps while the guards hold, then the dip exit or single
+                # steps to the end: the lower guard refused a jump to 104,488
+                # of the 112,948 seeds scanned here to 3.5e6 on 2:3:1:+ and to
+                # 162,192 of 221,396 to 2e6 on 10:12:8:+; the dip ends all of
+                # them, which took 506,453 and 230,705 single steps without it
                 while steps <= jump_last and v >= n:
                     q, r = divmod(v, jump_mod)
-                    if q > qmax or low_c[r] * q + low_p[r] < n:
+                    if q > qmax:
+                        break
+                    if low_c[r] * q + low_p[r] < n:
+                        dip = dip_c[r] * q + dip_p[r]
+                        if dip < n:
+                            v = dip  # an iterate of v below n: the seed ends here
                         break
                     v = coeff[r] * q + const[r]
                     steps += jump_k

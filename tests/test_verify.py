@@ -483,6 +483,33 @@ class TestMergedClasses:
                                            chunk_size=chunk, prefix_verified_to=lo - 1))
         assert (hi, "step_cap") in cp.exceptions
 
+    @pytest.mark.parametrize("t", sorted(TARGETS, key=str), ids=str)
+    def test_reach_is_the_largest_distance_to_a_representative(self, t):
+        classes = build_sieve(t, DEFAULT_MAX_STEPS).classes
+        assert classes.reach == max((form[0] - rep for rep, kept in classes.merged.items()
+                                     for form in kept), default=0)
+        assert classes.reach == {T10128: 7, T364032: 54, T8124: 2}.get(t, classes.reach)
+        assert _FROM_N.reach == 0
+
+    @pytest.mark.parametrize("t, limits", [(T10128, Limits(max_steps=8)),
+                                           (T364032, Limits(max_steps=16))], ids=str)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resume_between_a_representative_and_its_merged_class(self, t, limits, workers):
+        # a resume's lo strictly between n0 and a seed n merged into it at
+        # the reach, or at n, where n0 is the first representative looked
+        # up; n reports an exception, so it is scanned, not lost
+        sieve = build_sieve(t, limits.max_steps)
+        classes, modulus = sieve.classes, sieve.modulus
+        n0, n = next((modulus * m + rep, modulus * m + form[0])
+                     for m in range(1, 6) for rep, kept in classes.merged.items()
+                     for form in kept if form[0] - rep == classes.reach
+                     and descent_status(t, modulus * m + form[0], limits))
+        for lo in (n0 + 1, n - 1, n):
+            cp = assert_tables_keep_report(job(t, lo, n + 5_000, TARGETS[t], limits=limits,
+                                               chunk_size=997, prefix_verified_to=lo - 1),
+                                           workers)
+            assert n in dict(cp.exceptions)
+
     @pytest.mark.parametrize("t, limits", [(T10128, Limits()), (T10128, Limits(max_steps=8)),
                                            (T364032, Limits(max_steps=6))], ids=str)
     def test_representative_refused_by_its_lower_guard(self, t, limits):
@@ -578,6 +605,19 @@ def iterates(t: Triplet, n: int, k: int) -> list[int]:
     return out
 
 
+def jump_peak(t: Triplet) -> tuple[int, int]:
+    """The C and P of the jump table's value guard, walked directly: the
+    largest coefficient and the largest constant of iterates 1..k of
+    d^k*q + r over the residues r."""
+    jumps = build_jumps(t, 1, 10**30)
+    coeff = const = 0
+    for r in range(jumps.modulus):
+        for low, high in zip(iterates(t, r, jumps.depth) if r else [0] * jumps.depth,
+                             iterates(t, jumps.modulus + r, jumps.depth)):
+            coeff, const = max(coeff, high - low), max(const, low)
+    return coeff, const
+
+
 class TestJumpTable:
     def test_depth_is_largest_under_the_cap(self):
         classical, two_power = build_jumps(T231, 2, 10**30), build_jumps(T10128, 4, 10**30)
@@ -632,12 +672,7 @@ class TestJumpTable:
     def test_qmax_comes_from_the_largest_coefficient_and_constant(self, t):
         # iterate j of d^k*q + r is c*q + T^j(r); on 2:3:-1:+ the largest
         # constant is met before step k
-        jumps = build_jumps(t, 1, 10**30)
-        coeff = const = 0
-        for r in range(jumps.modulus):
-            for low, high in zip(iterates(t, r, jumps.depth) if r else [0] * jumps.depth,
-                                 iterates(t, jumps.modulus + r, jumps.depth)):
-                coeff, const = max(coeff, high - low), max(const, low)
+        coeff, const = jump_peak(t)
         for max_value in (coeff * 17 + const - 1, coeff * 17 + const, 10**6):
             assert build_jumps(t, 1, max_value).qmax == (max_value - const) // coeff
 
@@ -681,6 +716,64 @@ class TestJumpTable:
         plan = scan_plan(T231, {1, 2}, shortcut=True, classes=_FROM_N, jumps=doctored,
                          max_steps=jumps.depth - 1 if cap_below_k else jumps.depth)
         assert _scan_chunk(plan, n, n) == ([] if jumped else [(n, "step_cap")])
+
+    @pytest.mark.parametrize("t", [T231, T10128, T3241, T34m1], ids=str)
+    def test_dip_is_the_iterate_with_the_smallest_coefficient(self, t):
+        # iterate j of d^k*q + r is c_j*q + T^j(r); the dip is the smallest
+        # (c_j, T^j(r)), so it is an iterate 1..k at every q, and no iterate
+        # has a smaller coefficient
+        jumps = build_jumps(t, max(CYCLE_MEMBERS[t]), 10**30)
+        for r in range(jumps.modulus):
+            at_0 = iterates(t, r, jumps.depth) if r else [0] * jumps.depth
+            at_1 = iterates(t, jumps.modulus + r, jumps.depth)
+            forms = [(high - low, low) for low, high in zip(at_0, at_1)]
+            assert (jumps.dip_c[r], jumps.dip_p[r]) == min(forms)
+            for q in (0, 1, 7, 10**9 + 7):
+                if q or r:
+                    inside = iterates(t, jumps.modulus * q + r, jumps.depth)
+                    assert jumps.dip_c[r] * q + jumps.dip_p[r] in inside
+
+    @pytest.mark.parametrize("dip_at_n, qmax_below_q, cap_below_k, exits", [
+        (False, False, False, True),
+        (True, False, False, False),
+        (False, True, False, False),
+        (False, False, True, False),
+    ], ids=["all-hold", "dip-guard", "value-guard", "step-guard"])
+    def test_dip_exit_taken_exactly_when_the_guards_hold(self, dip_at_n, qmax_below_q,
+                                                         cap_below_k, exits):
+        # a doctored table whose lower guard refuses every jump and whose
+        # dip is n - 1 or n, so an exit shows as a descended seed; 2^40 - 1
+        # rises for 40 steps, so without the exit it meets the step cap
+        n = 2**40 - 1
+        jumps = build_jumps(T231, 2, 10**30)
+        q = n // jumps.modulus
+        doctored = replace(jumps, low_c=[0] * jumps.modulus, low_p=[n - 1] * jumps.modulus,
+                           dip_c=[0] * jumps.modulus,
+                           dip_p=[n if dip_at_n else n - 1] * jumps.modulus,
+                           qmax=q - 1 if qmax_below_q else q)
+        plan = scan_plan(T231, {1, 2}, shortcut=True, classes=_FROM_N, jumps=doctored,
+                         max_steps=jumps.depth - 1 if cap_below_k else jumps.depth)
+        assert _scan_chunk(plan, n, n) == ([] if exits else [(n, "step_cap")])
+
+    @pytest.mark.parametrize("t", [T231, T10128], ids=str)
+    @pytest.mark.parametrize("past_k", [-1, 0, 1])
+    def test_dip_exit_keeps_report_at_the_caps(self, t, past_k):
+        # max_steps k - 1, k and k + 1 past the sieve's depth, so a seed
+        # entered at the last level meets the jump's step guard, under the
+        # smallest value cap that keeps the sieve and is C*qmax + P itself
+        sieve = build_sieve(t, DEFAULT_MAX_STEPS)
+        hi = sieve.modulus + 5_000
+        bound = max(c * (hi // level) + p for level, c, p in sieve.peaks)
+        coeff, const = jump_peak(t)
+        qmax = -(-(bound - const) // coeff)
+        max_value = coeff * qmax + const
+        jumps = build_jumps(t, max(CYCLE_MEMBERS[t]), max_value)
+        assert jumps.qmax == qmax
+        assert _scan_classes(sieve, hi, max_value) is sieve.classes
+        limits = Limits(max_steps=sieve.depth + jumps.depth + past_k, max_value=max_value)
+        cp = assert_tables_keep_report(job(t, 1, hi, TARGETS[t], limits=limits,
+                                           chunk_size=20_000))
+        assert cp.exceptions
 
     def test_member_strictly_inside_a_jump(self):
         # _scan_chunk stops at any member, so a set that is not closed under
