@@ -28,8 +28,8 @@ from .dynamics import (DEFAULT_MAX_STEPS, DEFAULT_MAX_VALUE, CycleDetected,
 from .errors import CollatzKitError, InvalidFamilyParamsError, InvalidTargetsError
 from .families import FAMILIES, PredictedCycleSet, parse_family_spec, parse_natural as _natural
 from .intervals import DEFAULT_POLICY, PrecisionPolicy
-from .verify import (DEFAULT_CHUNK, Checkpoint, VerificationJob, load_checkpoint,
-                     resume, save_checkpoint, verify_range)
+from .verify import (DEFAULT_CHUNK, Checkpoint, VerificationJob, checkpoint_to_json_dict,
+                     load_checkpoint, resume, save_checkpoint, verify_range)
 
 
 def _flag_type(parse):
@@ -139,7 +139,6 @@ def emit_table(report, fmt: str = "text") -> str:
         lines.append(_text_table(header, rows))
         return "\n".join(lines)
     if isinstance(report, Checkpoint):
-        from .verify import checkpoint_to_json_dict
         if fmt == "json":
             return json.dumps(checkpoint_to_json_dict(report), indent=1)
         header = ["n", "status"]

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterator, Optional, Sequence
 
-from mpmath.ctx_iv import MPIntervalContext
-
 from .errors import PrecisionExhaustedError
 
 # extra bits over the nominal rung, absorbs enclosure slack near thresholds
@@ -68,7 +66,11 @@ def endpoints(x) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def make_context(bits: int) -> MPIntervalContext:
+def make_context(bits: int) -> Any:
+    # mpmath is imported on the first context, not with the package:
+    # `verify` and the CLI's parser build no interval, and need not pay for
+    # the import at every start
+    from mpmath.ctx_iv import MPIntervalContext
     ctx = MPIntervalContext()
     ctx.prec = bits + GUARD_BITS
     return ctx
@@ -127,7 +129,7 @@ class CertifiedReal:
         return shown if shown == format(hi, f".{sig - 1}e") else None
 
 
-Expr = Callable[[MPIntervalContext], object]
+Expr = Callable[[Any], object]  # of an mpmath interval context
 
 
 def log_ratio_expr(d: int, alpha: int) -> Expr:
@@ -151,7 +153,7 @@ class _Rung:
     """One rung of a ladder: its precision, context and enclosures."""
 
     bits: int
-    ctx: MPIntervalContext
+    ctx: Any  # an mpmath interval context, from make_context
     lo: Optional[Fraction]  # the ladder's quantity, if any, lies in [lo, hi]
     hi: Optional[Fraction]
     xi: tuple[Fraction, Fraction]  # log_d(alpha)
@@ -194,9 +196,8 @@ class _Ladder:
         raise PrecisionExhaustedError(f"{last} at {bits} bits{last.tail}", ambiguous_index=n)
 
 
-def certified_partial_quotients(
-        d: int, alpha: int, n_terms: int, policy: PrecisionPolicy = DEFAULT_POLICY,
-        ladder: Optional[_Ladder] = None, start_bits: int = 0) -> tuple[list[int], int]:
+def certified_partial_quotients(d: int, alpha: int, n_terms: int, ladder: _Ladder,
+                                start_bits: int = 0) -> tuple[list[int], int]:
     """First n_terms partial quotients of log_d(alpha), each one certified,
     and the precision that certified them.
 
@@ -205,7 +206,7 @@ def certified_partial_quotients(
     the same floor, so each emitted a_n is proven correct.  Ambiguity (or an
     endpoint landing exactly on an integer) escalates the whole expansion to
     the next rung.  The rungs are those of ladder, a ladder of log_d(alpha),
-    from start_bits up; by default, a ladder of policy's own.
+    from start_bits up.
     """
     def expand(rung: _Rung) -> list[int]:
         lo, hi = rung.xi
@@ -224,7 +225,7 @@ def certified_partial_quotients(
                              f", wanted {n_terms}")
         return terms
 
-    return (ladder or _Ladder(d, alpha, policy)).settle(expand, start_bits)
+    return ladder.settle(expand, start_bits)
 
 
 class ConvergentStream:

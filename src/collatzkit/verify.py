@@ -19,10 +19,10 @@ that of a smaller survivor is merged into it: its seed is decided by the
 smaller one's seed of the same block, when that seed entered and descended,
 and is scanned otherwise (`_scan_survivors`).  A table of exact k-step jumps
 (`build_jumps`) lets both scan loops take k steps at once wherever no cap
-or exit can lie inside them; it comes from the sieve's digit-by-digit
-refinement (`_refine`), unpruned.  Where only the descent exit can lie
-inside a jump, the descent loop ends the seed with no step when the jump's
-dip, its iterate with the smallest coefficient, is below the seed.
+or exit can lie inside them; walking each residue k steps gives it every
+iterate inside a jump as an exact form.  Where only the descent exit can
+lie inside a jump, the descent loop ends the seed with no step when the
+jump's dip, its iterate with the smallest coefficient, is below the seed.
 Without the shortcut, a finish table (`build_finish`) ends a seed as soon
 as it reaches a small value from which a member is known to follow within
 the caps, and an orbit memo, kept for one chunk, ends it as soon as it
@@ -178,19 +178,18 @@ def _validate_targets(job: VerificationJob) -> None:
                     f"target {c.omega} claims {name} {claimed} but its cycle has {actual}")
 
 
-def _refine(t: Triplet, split: int, cap: int, sieved: Optional[list] = None):
+def _refine(t: Triplet, split: int, cap: int, sieved: list):
     """Refine the residue classes of the seeds one digit at a time on the
     moduli M_1 = d and M_l = M_(l-1) * split, while M_l <= cap, and return
     (depth, M, classes) of the last level, l = depth and M = M_depth, the
-    classes in order of r.
+    classes that the sieve's rule leaves, in order of r.
 
     A class (r, a, b, j, F, C, P, L, Q) mod M_l stands for the seeds
     n = M_l*m + r, m >= 0: iterate j of n is a*m + b, iterates 1..j are at
     most C*m + P, and iterates 1..j-1 are at least L*m + Q (n + 1 while
-    there are none).  Given a list `sieved`, the classes that the sieve's
-    rule proves to descend are pruned and appended to it as (r, M_l, j, C,
-    P), and F is a floor for the rest (see `build_sieve`); without one,
-    every class is kept and F is None.
+    there are none).  The classes that the sieve's rule proves to descend
+    are pruned and appended to `sieved` as (M_l, C, P), and F is a floor
+    for the rest, or None (see `build_sieve`).
 
     Fixed steps.  Iterate 0 of n is the affine form M_l*m + r, and while d
     divides the m-coefficient of iterate j, the residue mod d of iterate j
@@ -225,7 +224,6 @@ def _refine(t: Triplet, split: int, cap: int, sieved: Optional[list] = None):
     """
     d, alpha, beta = t.d, t.alpha, t.beta
     plus = t.kappa == PLUS
-    prune = sieved is not None
     # level 0 (M_0 = 1, n = m): iterate 0 is m, and n + 1 stands below
     live = [(0, 1, 0, 0, None, 0, 0, 1, 1)]
     depth, scale, width = 0, 1, d  # l - 1, M_(l-1), and the split at level l
@@ -263,19 +261,19 @@ def _refine(t: Triplet, split: int, cap: int, sieved: Optional[list] = None):
                             c_new = coeff
                         if v > p_new:
                             p_new = v
-                    if not prune or not fixed or coeff > level or v >= rr > 0:
+                    if not fixed or coeff > level or v >= rr > 0:
                         p_low = c_min * digit + p_min
                         if fold and (j == 1 or u < p_low):
                             p_low = u
                         fl = floor
-                        if prune and fixed and coeff < level:
+                        if fixed and coeff < level:
                             start = rr + level * ((v - rr) // (level - coeff) + 1)
                             if fl is None or start < fl:
                                 fl = start
                         refined[digit].append((rr, coeff, v, steps, fl, c_new, p_new,
                                                l_wide, p_low))
                         continue
-                sieved.append((rr, level, steps, c_new, p_new))
+                sieved.append((level, c_new, p_new))
         live = [entry for children in refined for entry in children]
         depth, scale, width = depth + 1, level, split
     return depth, scale, live
@@ -377,8 +375,8 @@ def build_sieve(t: Triplet, max_steps: int) -> Optional[ResidueSieve]:
     alpha^(o_i) < d^i and T^i(r) >= r contributes the least member
     r + M_l*u with u*(M_l - a) > T^i(r) - r, a being the m-coefficient of
     iterate i.  A refined residue at or above F is sieved together with all
-    its own refinements, which are no smaller, with its parent's j, C and
-    P; what is left at the last level is exactly the classes the rule does
+    its own refinements, which are no smaller, with its parent's C and P;
+    what is left at the last level is exactly the classes the rule does
     not sieve.
     """
     d = t.d
@@ -391,7 +389,7 @@ def build_sieve(t: Triplet, max_steps: int) -> Optional[ResidueSieve]:
     depth, modulus, live = _refine(t, split, min(SIEVE_MODULUS_CAP, d * split ** (levels - 1)),
                                    sieved)
     peaks: dict = {}  # level -> the largest C and P of the classes decided there
-    for _r, level, _k, c, p in sieved:
+    for level, c, p in sieved:
         top_c, top_p = peaks.get(level, (0, 0))
         peaks[level] = max(top_c, c), max(top_p, p)
     # each survivor's form replaces its entry in place, which keeps the
@@ -473,16 +471,20 @@ def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable
     None when k < 2, since a one-step jump only adds a divmod and three
     lookups to a step.
 
-    Form.  `_refine` with split d and no pruning fixes one step per level,
-    so for n = d^k*q + r iterate k is coeff[r]*q + const[r] with coeff[r]
-    = alpha^(o_k) and const[r] = T^k(r), every iterate 1..k-1 is at least
-    low_c[r]*q + low_p[r] (the class's L and Q, L >= 1), and C*q + P, with
-    C and P the largest over the classes mod d^k, bounds iterates 1..k of
-    every class; qmax = (max_value - P) // C.  Likewise iterate j of
-    d^k*q + r is d^(k-j)*alpha^(o_j)*q + T^j(r); walking r for k steps
-    gives these forms, and the dip dip_c[r]*q + dip_p[r] is the smallest
-    of them in (coefficient, constant) order, which is an iterate 1..k
-    itself, so at least the lowest of them.
+    Form.  Iterate j of n = d^k*q + r is c_j*q + T^j(r), with c_j =
+    d^(k-j)*alpha^(o_j) and o_j the number of the first j steps of r taken
+    at a non-zero residue mod d.  It holds at j = 0, and for j < k, d
+    divides c_j, so iterate j is T^j(r) mod d, step j + 1 is that of r's
+    walk, and it takes c_j*q + T^j(r) to c_(j+1)*q + T^(j+1)(r).  Walking r
+    for k steps gives these forms: form k gives coeff[r] = alpha^(o_k) and
+    const[r] = T^k(r); the smallest coefficient and the smallest constant
+    of forms 1..k-1 give the bound low_c[r]*q + low_p[r] below iterates
+    1..k-1 (low_c[r] >= 1), and the smallest of forms 1..k in (coefficient,
+    constant) order is the dip dip_c[r]*q + dip_p[r], an iterate 1..k
+    itself, so at least the lowest of them.  C and P, the largest
+    coefficient and the largest constant of forms 1..k over every residue,
+    give C*q + P above iterates 1..k of every class; qmax = (max_value - P)
+    // C.
 
     Guards.  hit[r] = (max_elem - low_p[r]) // low_c[r].  A scan at a value
     v = d^k*q + r with steps < max_steps taken jumps to iterate k with
@@ -516,9 +518,10 @@ def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable
     so those iterates exceed n too, and no below-seed exit lies inside.
 
     Partners.  The partner of n = d^k*q + r is d^k*q + r' for the largest
-    r' < r with coeff[r'] = coeff[r] and const[r'] = const[r], the nearest
-    seed of n's own block whose iterate k is that of n for every q, and
-    back[r] = r - r' is the distance to it, or 0 when there is none.
+    r' < r with coeff[r'] = coeff[r] and const[r'] = const[r], walked before
+    r, the nearest seed of n's own block whose iterate k is that of n for
+    every q, and back[r] = r - r' is the distance to it, or 0 when there is
+    none.
     back_hit[r] = max(hit[r], hit[r']), so for q > back_hit[r] iterates
     1..k-1 of both n and its partner exceed max_elem.  A partner in the
     block before is not looked for: it would partner 26 more of the 1,024
@@ -526,31 +529,33 @@ def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable
     of `2:3:1:+`.  `_scan_members` says why the exit is exact.
     """
     d = t.d
-    if d * d > JUMP_MODULUS_CAP:
+    # d >= 2, so no k past the cap's log2 has d^k <= JUMP_MODULUS_CAP
+    depth = max(k for k in range(JUMP_MODULUS_CAP.bit_length()) if d ** k <= JUMP_MODULUS_CAP)
+    modulus = d ** depth
+    if depth < 2:
         return None
-    depth, modulus, live = _refine(t, d, JUMP_MODULUS_CAP)
     step = t.step_function()
-    coeff, const, hit, low_c, low_p, dip_c, dip_p, back = ([0] * modulus for _ in range(8))
-    for r, a, b, _j, _floor, _c, _p, l_c, l_p in live:
-        coeff[r], const[r], low_c[r], low_p[r] = a, b, l_c, l_p
-        hit[r] = (max_elem - l_p) // l_c
+    coeff, const, hit, low_c, low_p, dip_c, dip_p, back, back_hit = (
+        [0] * modulus for _ in range(9))
+    every_c, every_p = [], []  # the coefficients and constants of every form
+    same: dict = {}  # (coeff, const) -> the largest residue so far of that form
+    for r in range(modulus):
         v, c, forms = r, modulus, []  # iterate j of d^k*q + r is c*q + v
         for _ in range(depth):
             c = c // d * (t.alpha if v % d else 1)
             v = step(v)
             forms.append((c, v))
+        cs, vs = zip(*forms)
+        coeff[r], const[r], low_c[r], low_p[r] = c, v, min(cs[:-1]), min(vs[:-1])
+        hit[r] = (max_elem - low_p[r]) // low_c[r]
         dip_c[r], dip_p[r] = min(forms)
-    back_hit = list(hit)
-    same: dict = {}  # (coeff, const) -> the largest residue below r of that form
-    for r in range(modulus):
-        partner = same.get((coeff[r], const[r]))
-        if partner is not None:
-            back[r], back_hit[r] = r - partner, max(hit[r], hit[partner])
-        same[(coeff[r], const[r])] = r
-    peak_coeff = max(entry[5] for entry in live)
-    peak_const = max(entry[6] for entry in live)
+        every_c += cs
+        every_p += vs
+        partner = same.get((c, v), r)  # r itself when there is none
+        back[r], back_hit[r] = r - partner, max(hit[r], hit[partner])
+        same[(c, v)] = r
     return JumpTable(depth, modulus, coeff, const, hit, low_c, low_p, dip_c, dip_p,
-                     (max_value - peak_const) // peak_coeff, back, back_hit)
+                     (max_value - max(every_p)) // max(every_c), back, back_hit)
 
 
 def build_finish(t: Triplet, members: Iterable[int], max_value: int) -> array:
@@ -620,15 +625,15 @@ def _memo_table(builder, *args):
 class ScanPlan:
     """What a chunk scan needs of its job, built once by `verify_range` and
     sent pickled to the pool once per batch of chunks: the map, the members
-    and the largest of them, the caps, the shortcut flag, and the tables.
-    `classes` serves only the shortcut and `finish` only a scan without it;
-    each is None where it does not serve."""
+    and the largest of them, the caps, and the tables.  A plan scans under
+    the shortcut exactly when it has a class list: `classes` serves only
+    the shortcut and `finish` only a scan without it, and each is None
+    where it does not serve."""
 
     triplet: Triplet
     members: frozenset
     max_elem: int
     limits: Limits
-    shortcut: bool
     classes: Optional[ClassList]
     jumps: Optional[JumpTable]
     finish: Optional[array]
@@ -637,15 +642,16 @@ class ScanPlan:
 def _scan_chunk(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
     """Scan seeds [lo, hi]; returns (seed, status) for every undecided seed.
 
-    Without the shortcut every seed runs the membership loop, which takes
-    the jump table's guarded k-step jumps and stops at the finish table's
-    exit and at the orbit memo's.  Under the shortcut, seeds up to max_elem
-    run the membership loop with the jumps but neither the finish exit nor
-    the memo, and the seeds above it the descent loop of `_scan_survivors`,
-    which jumps: the seeds of the classes in the plan's class list, each
-    entered at its class's step where its guards hold.
+    Without the shortcut, in a plan with no class list, every seed runs the
+    membership loop, which takes the jump table's guarded k-step jumps and
+    stops at the finish table's exit and at the orbit memo's.  Under the
+    shortcut, seeds up to max_elem run the membership loop with the jumps
+    but neither the finish exit nor the memo, and the seeds above it the
+    descent loop of `_scan_survivors`, which jumps: the seeds of the
+    classes in the plan's class list, each entered at its class's step
+    where its guards hold.
     """
-    if not plan.shortcut:
+    if plan.classes is None:
         return _scan_members(plan, range(lo, hi + 1))
     split = min(hi, plan.max_elem)
     return (_scan_members(plan, range(lo, split + 1))
@@ -692,7 +698,8 @@ def _scan_members(plan: ScanPlan, seeds: Sequence[int]) -> list[tuple[int, str]]
     seed walk on, as it would without the memo.  The memo lives for one
     call, so for one chunk, is off for a lone seed, which no later seed
     follows, and is emptied before it would pass MEMO_CAP entries."""
-    t, members, max_elem, shortcut = plan.triplet, plan.members, plan.max_elem, plan.shortcut
+    t, members, max_elem = plan.triplet, plan.members, plan.max_elem
+    shortcut = plan.classes is not None
     d, alpha, beta = t.d, t.alpha, t.beta
     max_steps, max_value = plan.limits.max_steps, plan.limits.max_value
     jumps, finish = plan.jumps, plan.finish
@@ -964,7 +971,7 @@ def verify_range(job: VerificationJob, workers: Optional[int] = None) -> Checkpo
     sieve_steps = min(limits.max_steps, SIEVE_MODULUS_CAP.bit_length() - 1)
     # the builders are looked up here, at call time, so a replaced one is used
     plan = ScanPlan(
-        t, members, max_elem, limits, shortcut,
+        t, members, max_elem, limits,
         _scan_classes(_memo_table(build_sieve, t, sieve_steps), job.hi, limits.max_value)
         if shortcut else None,
         _memo_table(build_jumps, t, max_elem, limits.max_value),

@@ -516,6 +516,27 @@ def test_python_dash_m_entry_point():
     assert done.stdout.startswith("usage: collatzkit")
 
 
+def test_parser_and_verify_import_no_mpmath():
+    # mpmath comes with the first interval context, which the parser and a
+    # verify run never build; a bound run still builds one
+    src = str(Path(collatzkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = "\n".join([
+        "import sys, collatzkit",
+        "from collatzkit import cli",
+        "cli.build_parser()",
+        "assert cli.run(['verify', '--triplet', '2:3:1:+', '--hi', '2000', '--targets', '1',"
+        " '--threads', '1']) == 0",
+        "assert 'mpmath' not in sys.modules, 'verify imported mpmath'",
+        "assert cli.run(['bound', 'alg2', '--triplet', '5:6:4:+', '--min-omega', '5^10']) == 0",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "bound=2791" in done.stdout
+
+
 def test_verify_on_two_workers_exits_and_leaves_no_process():
     # the kept pool's workers share the CLI's process group, which must be
     # empty once the CLI has exited and been reaped

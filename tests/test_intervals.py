@@ -38,13 +38,13 @@ def test_partial_quotients_match_decimal_oracle():
             a = int(x)
             expected.append(a)
             x = 1 / (x - a)
-    got, _bits = certified_partial_quotients(2, 3, 20)
+    got, _bits = certified_partial_quotients(2, 3, 20, intervals._Ladder(2, 3, PrecisionPolicy()))
     assert got == expected
 
 
 def test_partial_quotients_exhaustion_at_tiny_cap():
     with pytest.raises(PrecisionExhaustedError):
-        certified_partial_quotients(5, 6, 40, PrecisionPolicy(16, 32))
+        certified_partial_quotients(5, 6, 40, intervals._Ladder(5, 6, PrecisionPolicy(16, 32)))
 
 
 def test_stream_prefix_stable_across_extensions():
@@ -80,6 +80,7 @@ def test_extension_climbs_the_ladder_from_bits_used(monkeypatch):
     assert tried == [256, 512]
     assert built == [512]  # the stream's ladder keeps its rungs
     monkeypatch.undo()
-    quotients, bits = certified_partial_quotients(2, 3, 100)
+    quotients, bits = certified_partial_quotients(2, 3, 100,
+                                                  intervals._Ladder(2, 3, PrecisionPolicy()))
     assert [a for a, _p, _q in s.prefix(100)] == quotients
     assert s.bits_used == bits == 512

@@ -353,7 +353,7 @@ class TestResidueSieve:
         # the class list decides the value guard, the scan the lower one
         classes = _scan_classes(doctored, n, max_value)
         assert (classes is _FROM_N) == (over is not None)
-        plan = scan_plan(T231, {1, 2}, shortcut=True, max_steps=sieve.depth,
+        plan = scan_plan(T231, {1, 2}, max_steps=sieve.depth,
                          max_value=max_value, classes=classes)
         assert _scan_chunk(plan, n, n) == ([] if entered else [(n, "step_cap")])
 
@@ -368,7 +368,7 @@ class TestResidueSieve:
                            peaks=[(level, 0, 0) for level, _c, _p in sieve.peaks])
         classes = _scan_classes(doctored, n, Limits().max_value)
         assert listed_forms(classes) == doctored.forms
-        plan = scan_plan(T231, {1, 2}, shortcut=True, max_steps=sieve.depth, classes=classes)
+        plan = scan_plan(T231, {1, 2}, max_steps=sieve.depth, classes=classes)
         assert _scan_chunk(plan, n, n) == ([] if entered else [(n, "step_cap")])
 
     @pytest.mark.parametrize("t", sorted(TARGETS, key=str), ids=str)
@@ -564,7 +564,7 @@ class TestMergedClasses:
         classes = _scan_classes(doctored, n, max_value)
         assert classes is doctored.classes
         assert any(form[0] == r for form in classes.forms) == (case == "other-k")
-        plan = scan_plan(T231, {1, 2}, shortcut=True, max_steps=max_steps,
+        plan = scan_plan(T231, {1, 2}, max_steps=max_steps,
                          max_value=max_value, classes=classes)
         lo = n0 + 1 if lo_past_n0 else n0
         assert _scan_chunk(plan, lo, n) == [(seed, status) for seed, status in
@@ -572,13 +572,13 @@ class TestMergedClasses:
                                                 expected)]
 
 
-def scan_plan(t, members, max_steps=10**5, max_value=10**30, shortcut=False,
+def scan_plan(t, members, max_steps=10**5, max_value=10**30,
               classes=None, jumps=None, finish=None):
     """A `_scan_chunk` plan, by default for a scan without the shortcut and
     without tables."""
     members = frozenset(members)
     return ScanPlan(t, members, max(members), Limits(max_steps=max_steps, max_value=max_value),
-                    shortcut, classes, jumps, finish)
+                    classes, jumps, finish)
 
 
 def assert_tables_keep_scan(t, lo, hi, members, **caps):
@@ -713,7 +713,7 @@ class TestJumpTable:
                            low_c=[0] * jumps.modulus,
                            low_p=[n - 1 if low_below_n else n] * jumps.modulus,
                            qmax=q - 1 if qmax_below_q else q)
-        plan = scan_plan(T231, {1, 2}, shortcut=True, classes=_FROM_N, jumps=doctored,
+        plan = scan_plan(T231, {1, 2}, classes=_FROM_N, jumps=doctored,
                          max_steps=jumps.depth - 1 if cap_below_k else jumps.depth)
         assert _scan_chunk(plan, n, n) == ([] if jumped else [(n, "step_cap")])
 
@@ -733,6 +733,33 @@ class TestJumpTable:
                     inside = iterates(t, jumps.modulus * q + r, jumps.depth)
                     assert jumps.dip_c[r] * q + jumps.dip_p[r] in inside
 
+    @pytest.mark.parametrize("t", [T231, T10128, T3241, T34m1, T8124, T41054], ids=str)
+    def test_low_is_the_smallest_coefficient_and_constant_before_step_k(self, t):
+        # iterate j of d^k*q + r is c_j*q + T^j(r), read off the iterates at
+        # q = 0 and q = 1: low_c and low_p are the smallest c_j and the
+        # smallest T^j(r) of iterates 1..k-1
+        jumps = build_jumps(t, max(CYCLE_MEMBERS[t]), 10**30)
+        inner = jumps.depth - 1
+        for r in range(jumps.modulus):
+            at_0 = iterates(t, r, inner) if r else [0] * inner
+            at_1 = iterates(t, jumps.modulus + r, inner)
+            assert jumps.low_c[r] == min(high - low for low, high in zip(at_0, at_1))
+            assert jumps.low_p[r] == min(at_0)
+
+    def test_low_is_exact_where_the_refinement_undercut_it(self):
+        # on 4:10:54:+ the sieve's refinement bounded iterates 1..k-1 of
+        # 4^5*q + 296 by 160*q + 50; the smallest constant is T^3(296) = 53
+        jumps = build_jumps(T41054, max(CYCLE_MEMBERS[T41054]), 10**30)
+        assert (jumps.low_c[296], jumps.low_p[296]) == (160, 53)
+        assert min(iterates(T41054, 296, jumps.depth - 1)) == 53
+
+    @pytest.mark.parametrize("t", [T41054, T8124], ids=str)
+    def test_value_guard_peak_is_the_walked_peak(self, t):
+        # qmax steps from 16 to 17 exactly at max_value = 17*C + P
+        coeff, const = jump_peak(t)
+        for max_value, qmax in ((coeff * 17 + const - 1, 16), (coeff * 17 + const, 17)):
+            assert build_jumps(t, 1, max_value).qmax == qmax
+
     @pytest.mark.parametrize("dip_at_n, qmax_below_q, cap_below_k, exits", [
         (False, False, False, True),
         (True, False, False, False),
@@ -751,9 +778,20 @@ class TestJumpTable:
                            dip_c=[0] * jumps.modulus,
                            dip_p=[n if dip_at_n else n - 1] * jumps.modulus,
                            qmax=q - 1 if qmax_below_q else q)
-        plan = scan_plan(T231, {1, 2}, shortcut=True, classes=_FROM_N, jumps=doctored,
+        plan = scan_plan(T231, {1, 2}, classes=_FROM_N, jumps=doctored,
                          max_steps=jumps.depth - 1 if cap_below_k else jumps.depth)
         assert _scan_chunk(plan, n, n) == ([] if exits else [(n, "step_cap")])
+
+    def test_dip_just_above_the_seed_lets_it_walk(self):
+        # a doctored dip of n + 1 = 2^40, which halves below n at once: an
+        # exit there would restart the walk from it and report nothing, but
+        # 2^40 - 1 itself rises for 40 steps and meets the step cap
+        n = 2**40 - 1
+        jumps = build_jumps(T231, 2, 10**30)
+        doctored = replace(jumps, low_c=[0] * jumps.modulus, low_p=[n - 1] * jumps.modulus,
+                           dip_c=[0] * jumps.modulus, dip_p=[n + 1] * jumps.modulus)
+        plan = scan_plan(T231, {1, 2}, classes=_FROM_N, jumps=doctored, max_steps=jumps.depth)
+        assert _scan_chunk(plan, n, n) == [(n, "step_cap")]
 
     @pytest.mark.parametrize("t", [T231, T10128], ids=str)
     @pytest.mark.parametrize("past_k", [-1, 0, 1])
@@ -1163,6 +1201,74 @@ class TestOrbitMemo:
         assert got == plain == [(13, "step_cap"), (26, "step_cap")]
         # a path of every one of the 10^5 loop values would take 800 KB
         assert peak < 50_000
+
+
+def oracle_exceptions(t: Triplet, lo: int, hi: int, members, limits: Limits,
+                      shortcut: bool) -> list[tuple[int, str]]:
+    """The exceptions of [lo, hi] walked one seed and one step at a time,
+    with none of verify's tables: a seed ends at a member or, under the
+    shortcut, below itself; else at the step cap, or past the value cap."""
+    step, out = t.step_function(), []
+    for n in range(lo, hi + 1):
+        v, steps = n, 0
+        while v not in members and not (shortcut and v < n):
+            if steps >= limits.max_steps:
+                out.append((n, "step_cap"))
+                break
+            v, steps = step(v), steps + 1
+            if v > limits.max_value:
+                out.append((n, "value_cap"))
+                break
+    return out
+
+
+def assert_oracle_report(t, lo, hi, shortcut=True, workers=1, **kw):
+    j = job(t, lo, hi, TARGETS[t], below_frontier_shortcut=shortcut,
+            prefix_verified_to=lo - 1, **kw)
+    assert list(verify_range(j, workers=workers).exceptions) == oracle_exceptions(
+        t, lo, hi, CYCLE_MEMBERS[t], j.limits, shortcut)
+
+
+class TestOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.sampled_from(sorted(TARGETS, key=str)), shortcut=st.booleans(),
+           lo=st.one_of(st.integers(1, 3 * 10**5), st.integers(1, 10**12)),
+           size=st.integers(0, 300), chunk=st.one_of(st.integers(7, 64), st.integers(7, 1 << 16)),
+           max_steps=st.integers(3, 2_000),
+           max_value=st.builds(lambda m, e: m * 10**e, st.integers(1, 9), st.integers(5, 29)),
+           workers=st.sampled_from([1, 2]))
+    def test_report_matches_the_oracle(self, t, shortcut, lo, size, chunk, max_steps,
+                                       max_value, workers):
+        assert_oracle_report(t, lo, lo + size, shortcut, workers, chunk_size=chunk,
+                             limits=Limits(max_steps=max_steps, max_value=max_value))
+
+    @pytest.mark.parametrize("t", [T231, T10128, T41054, T364032], ids=str)
+    def test_report_matches_the_oracle_at_the_edges(self, t):
+        # step caps one below and above the sieve's depth and the jump's k,
+        # value caps one below and at the sieve's bound at hi and at C*q + P
+        # for the q of hi, so that qmax is q - 1 or q; lo at a merged class's
+        # representative, with a chunk starting at the merged class, and at
+        # the merged class
+        sieve = build_sieve(t, DEFAULT_MAX_STEPS)
+        rep = min(sieve.classes.merged) if sieve.classes.merged else sieve.forms[1][0]
+        merged = sieve.classes.merged[rep][0][0] if sieve.classes.merged else rep + 1
+        base = 3 * sieve.modulus
+        hi = base + merged + 400
+        steps = [sieve.depth - 1, sieve.depth + 1]
+        values = [max(c * (hi // level) + p for level, c, p in sieve.peaks) + e for e in (-1, 0)]
+        jumps = build_jumps(t, max(CYCLE_MEMBERS[t]), 10**30)
+        if jumps is not None:
+            coeff, const = jump_peak(t)
+            steps += [jumps.depth - 1, jumps.depth + 1]
+            values += [coeff * (hi // jumps.modulus) + const + e for e in (-1, 0)]
+        # without the shortcut, seeds that enter a cycle other than the
+        # targets walk to the step cap, so it is kept low there
+        for limits in [Limits(max_steps=s) for s in steps] + \
+                [Limits(max_steps=500, max_value=v) for v in values]:
+            assert_oracle_report(t, base + rep, hi, limits=limits, chunk_size=merged - rep)
+            assert_oracle_report(t, base + merged, hi, limits=limits, chunk_size=7)
+            assert_oracle_report(t, base + rep, base + rep + 150, shortcut=False,
+                                 limits=limits, chunk_size=merged - rep)
 
 
 class TestCheckpoints:
