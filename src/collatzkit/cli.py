@@ -189,8 +189,7 @@ def _write_outputs(report, args) -> None:
 # --- command handlers ---------------------------------------------------------
 
 def _limits_from(args) -> Limits:
-    return Limits(max_steps=args.max_steps, max_value=args.max_value,
-                  known_cycle_minima=frozenset(getattr(args, "known", None) or ()))
+    return Limits(max_steps=args.max_steps, max_value=args.max_value)
 
 
 def _policy_from(args) -> PrecisionPolicy:
@@ -230,7 +229,7 @@ def _cmd_map(args) -> int:
 
 def _cmd_trace(args) -> int:
     t = parse_triplet(args.triplet)
-    tr = trace(t, args.n, _limits_from(args))
+    tr = trace(t, args.n, _limits_from(args), frozenset(args.known or ()))
     shown = tr.path if len(tr.path) <= 40 else tr.path[:40]
     arrow = "->".join(str(x) for x in shown)
     if len(tr.path) > 40:

@@ -20,11 +20,10 @@ DEFAULT_MAX_VALUE = 10**30
 
 @dataclass(frozen=True)
 class Limits:
-    """Caps for orbit exploration plus early-exit cycle minima."""
+    """Caps for orbit exploration."""
 
     max_steps: int = DEFAULT_MAX_STEPS
     max_value: int = DEFAULT_MAX_VALUE
-    known_cycle_minima: frozenset[int] = frozenset()
 
     def __post_init__(self):
         if self.max_steps < 1 or self.max_value < 1:
@@ -147,16 +146,17 @@ def _walk(step, v: int, max_steps: int, max_value, stop=(),
     return v, steps, _STOP, path
 
 
-def trace(t: Triplet, n: int, limits: Limits = Limits()) -> Trajectory:
+def trace(t: Triplet, n: int, limits: Limits = Limits(),
+          known: frozenset[int] = frozenset()) -> Trajectory:
     """Iterate T from n until a known minimum, a revisit, or a cap.
 
-    Stops at the first of: current value is one of the known cycle minima,
+    Stops at the first of: current value is one of the `known` cycle minima,
     revisit of a value seen in this trajectory (the cycle is extracted),
     step cap, value cap.  On the value cap the path ends with the value
     that went over it.  InvalidTripletError when n < 1.
     """
     v, steps, end, path = _walk(t.step_function(), n, limits.max_steps, limits.max_value,
-                                limits.known_cycle_minima)
+                                known)
     values = tuple(path)
     if end == _STOP:
         terminal = EnteredKnownCycle(v)

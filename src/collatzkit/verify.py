@@ -14,13 +14,14 @@ descend, and carries the exact form of each surviving class at the last
 step that it fixes.  It is built no deeper than the run's step cap, and a
 run uses it whole, skipping the sieved classes and entering each survivor
 at that step, when its bounds fit the value cap, and not at all otherwise
-(`_scan_classes`).  A survivor whose entry form is
-that of a smaller survivor is merged into it: its seed is decided by the
-smaller one's seed of the same block, when that seed entered and descended,
-and is scanned otherwise (`_scan_survivors`).  A table of exact k-step jumps
-(`build_jumps`) lets both scan loops take k steps at once wherever no cap
-or exit can lie inside them; walking each residue k steps gives it every
-iterate inside a jump as an exact form.  Where only the descent exit can
+(`_scan_classes`).  A survivor whose entry form is that of a smaller
+survivor is merged into it, and kept as its residue alone: its seed is
+decided by the smaller one's seed of the same block, when that seed
+entered and descended, and is scanned from n otherwise
+(`_scan_survivors`).  A table of exact k-step jumps (`build_jumps`) lets
+both scan loops take k steps at once wherever no cap or exit can lie
+inside them; walking each residue k steps gives it every iterate inside a
+jump as an exact form.  Where only the descent exit can
 lie inside a jump, the descent loop ends the seed with no step when the
 jump's dip, its iterate with the smallest coefficient, is below the seed.
 Without the shortcut, a finish table (`build_finish`) ends a seed as soon
@@ -311,7 +312,7 @@ class ResidueSieve:
             if rep == r:
                 forms.append(form)
             else:
-                merged.setdefault(rep, []).append(form)
+                merged.setdefault(rep, []).append(r)
                 reach = max(reach, r - rep)
         return ClassList(self.modulus, forms, merged, reach)
 
@@ -366,7 +367,10 @@ def build_sieve(t: Triplet, max_steps: int) -> Optional[ResidueSieve]:
     max_value; its iterates k..s are those of n0, and iterate s is below
     n0 < n.  So n falls below itself by step s with no cap before it, and
     its scan reports nothing: every exception, its status, the frontier
-    and the digest are unchanged.  Merges across blocks are not made: 2 of
+    and the digest are unchanged.  Where n0 does not decide it, n is
+    scanned from n itself, the loop's own base case, so a merged class
+    needs no entry form of its own: `ClassList.merged` holds its residue
+    alone.  Merges across blocks are not made: 2 of
     the 3,459 representatives of 10:12:8:+ share iterate k with a survivor
     of the block before.
 
@@ -410,13 +414,14 @@ class ClassList:
     low_p, k) enters at step k, at a*m + b, when low_c*m + low_p >= n, and
     otherwise at n; a class scanned from n has k = 0 and a*m + b = n.  The
     classes merged into a listed representative r0 are not listed: their
-    seeds are decided by the seed of r0 in the same block, or scanned by
-    their own forms where it does not decide them (`_scan_survivors`); no
-    such class lies more than `reach` above its representative."""
+    seeds are decided by the seed of r0 in the same block, or scanned from
+    n where it does not decide them (`_scan_survivors`), so they are kept as
+    residues alone; no such class lies more than `reach` above its
+    representative."""
 
     modulus: int
     forms: list  # (r, a, b, low_c, low_p, k) per listed class, in order of r
-    merged: dict  # representative r0 -> the forms of the classes merged into it, in order of r
+    merged: dict  # representative r0 -> the residues merged into it, in order
     reach: int  # the largest r - r0 of a class r merged into r0; 0 for none
 
 
@@ -446,9 +451,10 @@ class JumpTable:
     loop of a seed s only when q <= qmax and low_c[r]*q + low_p[r] >= s,
     and ends s where its lower guard alone refuses a jump, with no step,
     when dip_c[r]*q + dip_p[r] < s; the membership loop without the
-    shortcut takes the partner exit of a seed n only when back[r] > 0 and
-    back_hit[r] < q <= qmax, its partner n - back[r] being the nearest
-    seed below n in its own block with its iterate k (see `build_jumps`).
+    shortcut takes the partner exit of a seed n only when b = back[r] > 0,
+    hit[r] < q <= qmax and hit[r - b] < q, its partner n - b being the
+    nearest seed below n in its own block with its iterate k (see
+    `build_jumps`).
     """
 
     depth: int  # k
@@ -462,7 +468,6 @@ class JumpTable:
     dip_p: list  # the smallest coefficient, and the smaller constant on a tie
     qmax: int  # iterates 1..k stay at or below max_value for q <= qmax
     back: list  # n - back[r], of n's block, has n's iterate k, n = d^k*q + r; 0 for none
-    back_hit: list  # for q > back_hit[r], iterates 1..k-1 of n and n - back[r] exceed max_elem
 
 
 def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable]:
@@ -521,12 +526,12 @@ def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable
     r' < r with coeff[r'] = coeff[r] and const[r'] = const[r], walked before
     r, the nearest seed of n's own block whose iterate k is that of n for
     every q, and back[r] = r - r' is the distance to it, or 0 when there is
-    none.
-    back_hit[r] = max(hit[r], hit[r']), so for q > back_hit[r] iterates
-    1..k-1 of both n and its partner exceed max_elem.  A partner in the
-    block before is not looked for: it would partner 26 more of the 1,024
-    residues of `4:10:54:+`, 10 more of the 1,000 of `10:12:8:+` and none
-    of `2:3:1:+`.  `_scan_members` says why the exit is exact.
+    none.  The partner has n's q, so for q > hit[r] and q > hit[r'],
+    iterates 1..k-1 of both n and its partner exceed max_elem, and the
+    exit reads both guards, once per seed.  A partner in the block before
+    is not looked for: it would partner 26 more of the 1,024 residues of
+    `4:10:54:+`, 10 more of the 1,000 of `10:12:8:+` and none of
+    `2:3:1:+`.  `_scan_members` says why the exit is exact.
     """
     d = t.d
     # d >= 2, so no k past the cap's log2 has d^k <= JUMP_MODULUS_CAP
@@ -535,8 +540,7 @@ def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable
     if depth < 2:
         return None
     step = t.step_function()
-    coeff, const, hit, low_c, low_p, dip_c, dip_p, back, back_hit = (
-        [0] * modulus for _ in range(9))
+    coeff, const, hit, low_c, low_p, dip_c, dip_p, back = ([0] * modulus for _ in range(8))
     every_c, every_p = [], []  # the coefficients and constants of every form
     same: dict = {}  # (coeff, const) -> the largest residue so far of that form
     for r in range(modulus):
@@ -551,11 +555,10 @@ def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable
         dip_c[r], dip_p[r] = min(forms)
         every_c += cs
         every_p += vs
-        partner = same.get((c, v), r)  # r itself when there is none
-        back[r], back_hit[r] = r - partner, max(hit[r], hit[partner])
+        back[r] = r - same.get((c, v), r)  # 0 when there is none
         same[(c, v)] = r
     return JumpTable(depth, modulus, coeff, const, hit, low_c, low_p, dip_c, dip_p,
-                     (max_value - max(every_p)) // max(every_c), back, back_hit)
+                     (max_value - max(every_p)) // max(every_c), back)
 
 
 def build_finish(t: Triplet, members: Iterable[int], max_value: int) -> array:
@@ -666,17 +669,17 @@ def _scan_members(plan: ScanPlan, seeds: Sequence[int]) -> list[tuple[int, str]]
     the seeds up to max_elem.
 
     Partner exit.  A seed n = d^k*q + r ends with no exception, and takes
-    no step, when b = back[r] > 0, back_hit[r] < q <= qmax, and its partner
-    n' = n - b, of the same block mod d^k, is one of `seeds`, above
-    max_elem, and ended with no exception.  n' is no member, and iterates
-    1..k-1 of n' exceed max_elem (back_hit), so n' met its first member at
-    a step s' >= k, with s' <= max_steps and iterates 1..s' at most
-    max_value, as the loop's exits are exact.  Iterates 1..k-1 of n are no
-    members (back_hit >= hit) and at most max_value (qmax), and iterate k
-    of n is that of n' (see `build_jumps`).  So n meets its first member at
-    step s' too, under both caps: the exit is exact, and does not need the
-    members to be closed under the map.  A partner that ended with an
-    exception lets n walk.
+    no step, when b = back[r] > 0, hit[r] < q <= qmax, hit[r - b] < q, and
+    its partner n' = n - b, of the same block mod d^k and so with the same
+    q, is one of `seeds`, above max_elem, and ended with no exception.  n'
+    is no member, and iterates 1..k-1 of n' exceed max_elem (hit[r - b] <
+    q), so n' met its first member at a step s' >= k, with s' <= max_steps
+    and iterates 1..s' at most max_value, as the loop's exits are exact.
+    Iterates 1..k-1 of n are no members (hit[r] < q) and at most max_value
+    (qmax), and iterate k of n is that of n' (see `build_jumps`).  So n
+    meets its first member at step s' too, under both caps: the exit is
+    exact, and does not need the members to be closed under the map.  A
+    partner that ended with an exception lets n walk.
 
     Orbit memo.  In its first MEMO_STEPS steps, a seed records each loop
     value above small, none of them a member or in the finish table; the
@@ -725,13 +728,13 @@ def _scan_members(plan: ScanPlan, seeds: Sequence[int]) -> list[tuple[int, str]]
     # the partner exit: off under the shortcut, where no seed exceeds max_elem
     partner = jumps is not None and not shortcut
     if partner:
-        back, back_hit = jumps.back, jumps.back_hit
+        back = jumps.back
     failed = set()  # the seeds that ended with an exception
     for n in seeds:
         if partner:
             q, r = divmod(n, modulus)
             b = back[r]
-            if b and back_hit[r] < q <= qmax:
+            if b and hit[r] < q <= qmax and hit[r - b] < q:
                 prev = n - b
                 if prev > max_elem and prev in seeds and prev not in failed:
                     continue
@@ -801,7 +804,7 @@ def _scan_survivors(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
     step k and ended with no exception (see `build_sieve`); the seeds of
     the classes merged into a representative that was below lo, scanned
     from n0 or reported an exception are scanned afterwards in the same
-    loop, by their own forms, and the exceptions are then sorted.  Only the
+    loop, from n, and the exceptions are then sorted.  Only the
     representatives in [r_lo - reach, r_lo) of the first block are looked
     up, r_lo = lo mod M: a class lies at most the class list's reach above
     its representative.  A representative that the dip exit ends has ended
@@ -881,10 +884,11 @@ def _scan_survivors(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
                     dropped.add(n - base)  # r is rebound by the walk
             if not merged or not dropped:
                 break
-            # a merged class lies above its representative, so only the
-            # classes merged into one below lo can lie below lo too
-            todo = [form for rep in dropped for form in merged.get(rep, ())
-                    if r_lo <= form[0] <= r_hi]
+            # each from n, by the form (r, M, r, M, r, 0) of `_FROM_N`; a merged
+            # class lies above its representative, so only the classes merged
+            # into one below lo can lie below lo too
+            todo = [(r, modulus, r, modulus, r, 0) for rep in dropped
+                    for r in merged.get(rep, ()) if r_lo <= r <= r_hi]
             if not todo:
                 break
             dropped = set()  # the merged classes have no merged classes

@@ -79,7 +79,7 @@ def test_orbit_of_a_non_positive_value_is_a_domain_error(walk, n):
 
 class TestTrace:
     def test_classical_known_minimum(self):
-        tr = trace(T231, 6, Limits(known_cycle_minima=frozenset({1})))
+        tr = trace(T231, 6, known=frozenset({1}))
         assert tr.path == (6, 3, 5, 8, 4, 2, 1)
         assert tr.visited_count == 6
         assert tr.terminal == EnteredKnownCycle(1)
@@ -194,7 +194,7 @@ class TestClassify:
                              Limits(max_steps=100, max_value=10**9)) == Undecided()
 
 
-def ref_walk(t, n, limits):
+def ref_walk(t, n, limits, known=frozenset()):
     """Naive orbit walk on a list, in the documented stop order: a known
     minimum, then the step cap; after each step, the value cap, then a
     revisit.  Returns (end, steps, path), where path ends with the value
@@ -202,7 +202,7 @@ def ref_walk(t, n, limits):
     path = [n]
     while True:
         v = path[-1]
-        if v in limits.known_cycle_minima:
+        if v in known:
             return "stop", len(path) - 1, path
         if len(path) - 1 >= limits.max_steps:
             return "step_cap", len(path) - 1, path
@@ -245,19 +245,20 @@ WALK_SEEDS = range(1, 120)
 
 
 def walk_limit_sets(t):
+    """(limits, known cycle minima) pairs; only `trace` reads the minima."""
     minima = frozenset(c.omega for c in enumerate_cycles(t, 1, 100))
-    return [Limits(), Limits(max_steps=5), Limits(max_value=200), Limits(max_value=40),
-            Limits(known_cycle_minima=minima),
-            Limits(max_steps=12, max_value=10**4, known_cycle_minima=minima)]
+    return [(Limits(), frozenset()), (Limits(max_steps=5), frozenset()),
+            (Limits(max_value=200), frozenset()), (Limits(max_value=40), frozenset()),
+            (Limits(), minima), (Limits(max_steps=12, max_value=10**4), minima)]
 
 
 class TestWalkerAgainstReference:
     @pytest.mark.parametrize("t", WALK_TRIPLETS, ids=str)
     def test_trace(self, t):
-        for limits in walk_limit_sets(t):
+        for limits, known in walk_limit_sets(t):
             for n in WALK_SEEDS:
-                end, steps, path = ref_walk(t, n, limits)
-                tr = trace(t, n, limits)
+                end, steps, path = ref_walk(t, n, limits, known)
+                tr = trace(t, n, limits, known)
                 assert tr.visited_count == steps
                 assert tr.peak == max(path)
                 if end == "revisit":
@@ -271,8 +272,7 @@ class TestWalkerAgainstReference:
 
     @pytest.mark.parametrize("t", WALK_TRIPLETS, ids=str)
     def test_detect_cycle_from(self, t):
-        for limits in walk_limit_sets(t):
-            limits = Limits(limits.max_steps, limits.max_value)
+        for limits, _known in walk_limit_sets(t):
             for n in WALK_SEEDS:
                 end, _, path = ref_walk(t, n, limits)
                 expected = ref_cycle(path) if end == "revisit" else None
@@ -293,16 +293,14 @@ class TestWalkerAgainstReference:
     def test_classify_seed(self, t):
         cycles = enumerate_cycles(t, 1, 100)
         owner = {x: cycles[0].omega for x in cycles[0].elements}
-        for limits in walk_limit_sets(t):
-            limits = Limits(limits.max_steps, limits.max_value)
+        for limits, _known in walk_limit_sets(t):
             for n in WALK_SEEDS:
                 expected = ref_classify(t, n, owner, limits)
                 assert classify_seed(t, n, cycles[:1], limits) == expected
 
     @pytest.mark.parametrize("t", WALK_TRIPLETS, ids=str)
     def test_enumerate_cycles(self, t):
-        for limits in walk_limit_sets(t):
-            limits = Limits(limits.max_steps, limits.max_value)
+        for limits, _known in walk_limit_sets(t):
             for lo, hi in ((1, 150), (20, 150)):
                 expected = set()
                 for n in range(lo, hi + 1):
@@ -327,9 +325,9 @@ class TestWalkerAgainstReference:
         assert detect_cycle_from(T3819, 18, Limits(max_value=10)) is None
 
     def test_visited_count_at_each_terminal(self):
-        known = Limits(known_cycle_minima=frozenset({1}))
-        assert trace(T231, 1, known).visited_count == 0
-        assert trace(T231, 27, known).visited_count == 70
+        known = frozenset({1})
+        assert trace(T231, 1, known=known).visited_count == 0
+        assert trace(T231, 27, known=known).visited_count == 70
         assert trace(T231, 27, Limits(max_steps=9)).visited_count == 9
         # 2 -> 18 -> 6 -> 2: the revisit is the third step
         cyc = trace(T3819, 2)

@@ -78,10 +78,11 @@ def assert_tables_keep_report(j, workers=1):
     return full
 
 
-def listed_forms(classes) -> list:
-    """The forms of a class list's representatives and of the classes merged
-    into them, in order of r."""
-    return sorted(classes.forms + [form for kept in classes.merged.values() for form in kept])
+def listed_forms(classes, sieve) -> list:
+    """The forms of a class list's representatives and, read from the sieve,
+    of the residues merged into them, in order of r."""
+    form_of = {form[0]: form for form in sieve.forms}
+    return sorted(classes.forms + [form_of[r] for kept in classes.merged.values() for r in kept])
 
 
 def fixed_steps(t: Triplet, r: int, modulus: int) -> list[tuple[int, int, int]]:
@@ -270,7 +271,7 @@ class TestResidueSieve:
         # under the default caps the sieve is used: the list is the survivors,
         # each listed or merged into its representative
         sieve = build_sieve(t, DEFAULT_MAX_STEPS)
-        assert listed_forms(_scan_classes(sieve, hi, j.limits.max_value)) == sieve.forms
+        assert listed_forms(_scan_classes(sieve, hi, j.limits.max_value), sieve) == sieve.forms
         cp = assert_tables_keep_report(j, workers)
         assert cp.seeds_scanned == hi - lo + 1
         # seed 10 of 4:10:54:+ ends in the cycle of 342 and never falls below 10
@@ -337,37 +338,42 @@ class TestResidueSieve:
     ], ids=["all-hold", "lower-guard", "value-guard", "sieved-value-guard"])
     def test_survivor_entered_at_step_k_exactly_when_the_guards_hold(
             self, low_below_n, over, entered):
-        # a doctored sieve whose every survivor lands on 1 at step k, below
-        # the seed, so an entry shows as a descended seed; 2^40 - 1 rises for
-        # 40 steps; each guard is put one past its bound, the value guard at
-        # the survivors' level or at the first level, which sieves classes
+        # a doctored sieve whose survivor of 2^40 - 1 lands on 1 at step k,
+        # below the seed, so an entry shows as a descended seed; 2^40 - 1
+        # rises for 40 steps; each guard is put one past its bound, the value
+        # guard at the survivors' level or at the first level, which sieves
+        # classes; the other survivors keep their forms, so none merges
         n, max_value = 2**40 - 1, 10**30
         sieve = build_sieve(T231, DEFAULT_MAX_STEPS)
-        assert n % sieve.modulus in {form[0] for form in sieve.forms}
+        form = (n % sieve.modulus, 0, 1, 0, n - 1 if low_below_n else n, sieve.depth)
+        assert form[0] in {own[0] for own in sieve.forms}
         top = sieve.peaks[-1 if over == "survivors" else 0][0] if over else None
         doctored = replace(
-            sieve, forms=[(r, 0, 1, 0, n - 1 if low_below_n else n, sieve.depth)
-                          for r, *_form in sieve.forms],
+            sieve, forms=[form if own[0] == form[0] else own for own in sieve.forms],
             peaks=[(level, 0, max_value + 1 if level == top else max_value)
                    for level, _c, _p in sieve.peaks])
         # the class list decides the value guard, the scan the lower one
         classes = _scan_classes(doctored, n, max_value)
         assert (classes is _FROM_N) == (over is not None)
+        assert not doctored.classes.merged
         plan = scan_plan(T231, {1, 2}, max_steps=sieve.depth,
                          max_value=max_value, classes=classes)
         assert _scan_chunk(plan, n, n) == ([] if entered else [(n, "step_cap")])
 
     @pytest.mark.parametrize("k, entered", [(15, True), (16, False)])
     def test_survivor_entered_at_its_own_step(self, k, entered):
-        # a doctored sieve whose every survivor lands on 2n - 2 at step k,
-        # one step above n - 1: from step 15 the seed descends at step 16,
-        # from step 16 it meets the step cap 16 first
+        # a doctored sieve whose survivor of n lands on 2n - 2 at step k, one
+        # step above n - 1: from step 15 the seed descends at step 16, from
+        # step 16 it meets the step cap 16 first; the other survivors keep
+        # their forms, so none merges and n is entered at its own step
         n = 2**40 - 1
         sieve = build_sieve(T231, DEFAULT_MAX_STEPS)
-        doctored = replace(sieve, forms=[(r, 0, 2 * n - 2, 0, n, k) for r, *_form in sieve.forms],
+        form = (n % sieve.modulus, 0, 2 * n - 2, 0, n, k)
+        doctored = replace(sieve, forms=[form if own[0] == form[0] else own
+                                         for own in sieve.forms],
                            peaks=[(level, 0, 0) for level, _c, _p in sieve.peaks])
         classes = _scan_classes(doctored, n, Limits().max_value)
-        assert listed_forms(classes) == doctored.forms
+        assert not classes.merged and classes.forms == doctored.forms
         plan = scan_plan(T231, {1, 2}, max_steps=sieve.depth, classes=classes)
         assert _scan_chunk(plan, n, n) == ([] if entered else [(n, "step_cap")])
 
@@ -415,11 +421,13 @@ class TestMergedClasses:
         sieve = build_sieve(t, DEFAULT_MAX_STEPS)
         classes = sieve.classes
         listed = {form[0]: form for form in classes.forms}
+        form_of = {form[0]: form for form in sieve.forms}
         seen = set()
         for rep, kept in classes.merged.items():
             r0, a, b, _low_c, _low_p, k = listed[rep]
-            assert [form[0] for form in kept] == sorted(form[0] for form in kept)
-            for r, a_r, b_r, _low_c, _low_p, k_r in kept:
+            assert kept == sorted(kept)
+            for r in kept:
+                _r, a_r, b_r, _low_c, _low_p, k_r = form_of[r]
                 assert r0 < r and (a_r, b_r, k_r) == (a, b, k)
                 for m in range(4):
                     n0, n = sieve.modulus * m + r0, sieve.modulus * m + r
@@ -455,19 +463,19 @@ class TestMergedClasses:
     def test_representative_reporting_a_cap(self, t, limits):
         # the sieve is used, and merged seeds report step_cap or value_cap
         # together with their representatives: the merged seeds of those
-        # blocks are scanned by their own forms
+        # blocks are scanned from n
         sieve = build_sieve(t, DEFAULT_MAX_STEPS)
         hi = 2 * sieve.modulus + 5_000
         if limits == "largest bound":
             limits = Limits(max_value=max(c * (hi // level) + p
                                           for level, c, p in sieve.peaks))
         classes = _scan_classes(sieve, hi, limits.max_value)
-        assert classes.merged and listed_forms(classes) == sieve.forms
+        assert classes.merged and listed_forms(classes, sieve) == sieve.forms
         cp = assert_tables_keep_report(job(t, 1, hi, TARGETS[t], limits=limits,
                                            chunk_size=7_000))
         failed = dict(cp.exceptions)
-        pairs = [(sieve.modulus * m + rep, sieve.modulus * m + form[0])
-                 for rep, kept in classes.merged.items() for form in kept for m in (1, 2)]
+        pairs = [(sieve.modulus * m + rep, sieve.modulus * m + r)
+                 for rep, kept in classes.merged.items() for r in kept for m in (1, 2)]
         assert any(n0 in failed and n in failed for n0, n in pairs)
 
     @pytest.mark.parametrize("chunk", [1 << 16, 1_000, 1])
@@ -477,8 +485,8 @@ class TestMergedClasses:
         sieve, limits = build_sieve(T10128, DEFAULT_MAX_STEPS), Limits(max_steps=8)
         classes = _scan_classes(sieve, 2 * sieve.modulus, limits.max_value)
         rep, kept = next((rep, kept) for rep, kept in classes.merged.items()
-                         if descent_status(T10128, sieve.modulus + kept[-1][0], limits))
-        lo, hi = sieve.modulus + rep + 1, sieve.modulus + kept[-1][0]
+                         if descent_status(T10128, sieve.modulus + kept[-1], limits))
+        lo, hi = sieve.modulus + rep + 1, sieve.modulus + kept[-1]
         cp = assert_tables_keep_report(job(T10128, lo, hi, TARGETS[T10128], limits=limits,
                                            chunk_size=chunk, prefix_verified_to=lo - 1))
         assert (hi, "step_cap") in cp.exceptions
@@ -486,8 +494,8 @@ class TestMergedClasses:
     @pytest.mark.parametrize("t", sorted(TARGETS, key=str), ids=str)
     def test_reach_is_the_largest_distance_to_a_representative(self, t):
         classes = build_sieve(t, DEFAULT_MAX_STEPS).classes
-        assert classes.reach == max((form[0] - rep for rep, kept in classes.merged.items()
-                                     for form in kept), default=0)
+        assert classes.reach == max((r - rep for rep, kept in classes.merged.items()
+                                     for r in kept), default=0)
         assert classes.reach == {T10128: 7, T364032: 54, T8124: 2}.get(t, classes.reach)
         assert _FROM_N.reach == 0
 
@@ -500,10 +508,10 @@ class TestMergedClasses:
         # up; n reports an exception, so it is scanned, not lost
         sieve = build_sieve(t, limits.max_steps)
         classes, modulus = sieve.classes, sieve.modulus
-        n0, n = next((modulus * m + rep, modulus * m + form[0])
+        n0, n = next((modulus * m + rep, modulus * m + r)
                      for m in range(1, 6) for rep, kept in classes.merged.items()
-                     for form in kept if form[0] - rep == classes.reach
-                     and descent_status(t, modulus * m + form[0], limits))
+                     for r in kept if r - rep == classes.reach
+                     and descent_status(t, modulus * m + r, limits))
         for lo in (n0 + 1, n - 1, n):
             cp = assert_tables_keep_report(job(t, lo, n + 5_000, TARGETS[t], limits=limits,
                                                chunk_size=997, prefix_verified_to=lo - 1),
@@ -515,7 +523,7 @@ class TestMergedClasses:
     def test_representative_refused_by_its_lower_guard(self, t, limits):
         # a sieve whose representatives' lower bounds are 0, still true but
         # never at least the seed: each representative is scanned from n0,
-        # and the seeds merged into it by their own forms
+        # and the seeds merged into it from n
         sieve = build_sieve(t, DEFAULT_MAX_STEPS)
         reps = set(sieve.classes.merged)
         doctored = replace(sieve, forms=[(*form[:3], 0, 0, form[5]) if form[0] in reps else form
@@ -532,6 +540,8 @@ class TestMergedClasses:
         ("exception", False, ["value_cap", "value_cap"]),
         ("below-lo", True, ["value_cap"]),
         ("other-k", False, ["step_cap"]),
+        ("from-n", False, ["step_cap", "step_cap"]),
+        ("from-n-below-lo", True, ["step_cap"]),
     ])
     def test_merged_seed_skipped_exactly_when_its_representative_decides_it(
             self, case, lo_past_n0, expected):
@@ -539,14 +549,17 @@ class TestMergedClasses:
         # just below it, r0, share an entry form a*m + b = B at step k, and
         # its bounds fit, so the list is the sieve's own with its merges;
         # the scan of [n0, n] (or [n0 + 1, n]) visits only their seeds, and
-        # shows which of them report what
+        # shows which of them report what.  A seed n that n0 does not decide
+        # is scanned from n, not entered at its own form: 2^40 - 1 rises for
+        # 40 steps and peaks at about 1.2e19 before it falls below itself,
+        # n0 at about 1.0e13
         n = 2**40 - 1
         sieve = build_sieve(T231, DEFAULT_MAX_STEPS)
         r = n % sieve.modulus
         survivors = [form[0] for form in sieve.forms]
         r0 = survivors[survivors.index(r) - 1]
         n0 = n - r + r0
-        max_steps, max_value, k0 = 16, 10**30, 16
+        max_steps, max_value, k0 = 16, 10**16, 16
         top = max_value - 1  # odd: its next iterate exceeds max_value
         if case == "skipped":  # n0 descends from B; n, by its own guard, would step to the cap
             b, low0, low = n0 - 1, n0, n - 1
@@ -556,6 +569,8 @@ class TestMergedClasses:
             b, low0, low = top, n0 - 1, n
         elif case in ("exception", "below-lo"):  # both enter at B and meet the value cap
             b, low0, low, max_steps = top, n0, n, 10**5
+        elif case.startswith("from-n"):  # B = 1 is below both; n0 refused meets the cap
+            b, low0, low = 1, n0 - 1, n
         else:  # n0 descends one step after B at step 15; n meets the step cap at B
             b, low0, low, k0 = 2 * n0 - 2, n0, n, 15
         forms = {r0: (r0, 0, b, 0, low0, k0), r: (r, 0, b, 0, low, 16)}
@@ -833,8 +848,6 @@ class TestJumpTable:
                               for r in range(modulus)]
         partnered = [r for r in range(modulus) if jumps.back[r]]
         assert partnered
-        assert all(jumps.back_hit[r] == max(jumps.hit[r], jumps.hit[r - jumps.back[r]])
-                   for r in range(modulus))
         for q in (1, 7, 10**9 + 7):
             for r in partnered:
                 n = modulus * q + r
@@ -842,28 +855,31 @@ class TestJumpTable:
                     iterates(t, n - jumps.back[r], jumps.depth)[-1]
 
     @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124], ids=str)
-    def test_back_hit_keeps_both_seeds_off_the_members(self, t):
-        # at q = back_hit[r] + 1, iterates 1..k-1 of the seed and of its
-        # partner all exceed the largest member
+    def test_partner_guard_keeps_both_seeds_off_the_members(self, t):
+        # at q = max(hit[r], hit[r - back[r]]) + 1, the least q at which the
+        # partner exit reads both guards as passed, iterates 1..k-1 of the
+        # seed and of its partner, which has the same q, all exceed the
+        # largest member
         max_elem = 10**6
         jumps = build_jumps(t, max_elem, 10**30)
         for r in range(jumps.modulus):
             if jumps.back[r]:
-                n = jumps.modulus * (jumps.back_hit[r] + 1) + r
-                assert jumps.back_hit[r] >= jumps.hit[r]
+                guard = max(jumps.hit[r], jumps.hit[r - jumps.back[r]])
+                n = jumps.modulus * (guard + 1) + r
+                assert n // jumps.modulus == (n - jumps.back[r]) // jumps.modulus
                 for seed in (n, n - jumps.back[r]):
                     assert min(iterates(t, seed, jumps.depth - 1)) > max_elem
 
     def test_partner_meeting_a_member_before_step_k(self):
         # 1024000003, the partner of 1024000007, meets the member 288000001
         # at step 5, which 1024000007 never meets, so the later seed runs to
-        # the step cap: only the guard on the partner's q (back_hit) refuses
-        # the exit
+        # the step cap: only the partner's own guard, hit[r - 4] < q,
+        # refuses the exit
         n, member = 1_024_000_007, 288_000_001
         jumps = build_jumps(T231, member, 10**30)
         q, r = divmod(n, jumps.modulus)
         assert jumps.back[r] == 4 and iterates(T231, n - 4, 5)[-1] == member
-        assert jumps.hit[r] < q <= jumps.back_hit[r]
+        assert jumps.hit[r] < q <= jumps.hit[r - 4]
         found = assert_tables_keep_scan(T231, n - 4, n, {member}, max_steps=300)
         assert (n, "step_cap") in found and (n - 4, "step_cap") not in found
 
@@ -874,7 +890,7 @@ class TestJumpTable:
         n = 10**12 + 11
         jumps = build_jumps(T10128, n - 4, 10**30)
         q, r = divmod(n, jumps.modulus)
-        assert jumps.back[r] == 4 and jumps.back_hit[r] < q
+        assert jumps.back[r] == 4 and max(jumps.hit[r], jumps.hit[r - 4]) < q
         assert assert_tables_keep_scan(T10128, n - 4, n, {n - 4}, max_steps=200) == [
             (n - 3, "step_cap"), (n - 2, "step_cap"), (n - 1, "step_cap"), (n, "step_cap")]
 
@@ -1223,10 +1239,12 @@ def oracle_exceptions(t: Triplet, lo: int, hi: int, members, limits: Limits,
 
 
 def assert_oracle_report(t, lo, hi, shortcut=True, workers=1, **kw):
+    """verify_range against the oracle; returns the exceptions."""
     j = job(t, lo, hi, TARGETS[t], below_frontier_shortcut=shortcut,
             prefix_verified_to=lo - 1, **kw)
-    assert list(verify_range(j, workers=workers).exceptions) == oracle_exceptions(
-        t, lo, hi, CYCLE_MEMBERS[t], j.limits, shortcut)
+    expected = oracle_exceptions(t, lo, hi, CYCLE_MEMBERS[t], j.limits, shortcut)
+    assert list(verify_range(j, workers=workers).exceptions) == expected
+    return expected
 
 
 class TestOracle:
@@ -1251,7 +1269,7 @@ class TestOracle:
         # the merged class
         sieve = build_sieve(t, DEFAULT_MAX_STEPS)
         rep = min(sieve.classes.merged) if sieve.classes.merged else sieve.forms[1][0]
-        merged = sieve.classes.merged[rep][0][0] if sieve.classes.merged else rep + 1
+        merged = sieve.classes.merged[rep][0] if sieve.classes.merged else rep + 1
         base = 3 * sieve.modulus
         hi = base + merged + 400
         steps = [sieve.depth - 1, sieve.depth + 1]
@@ -1269,6 +1287,34 @@ class TestOracle:
             assert_oracle_report(t, base + merged, hi, limits=limits, chunk_size=7)
             assert_oracle_report(t, base + rep, base + rep + 150, shortcut=False,
                                  limits=limits, chunk_size=merged - rep)
+
+    @pytest.mark.parametrize("t, max_steps", [(T10128, 8), (T364032, 6)], ids=str)
+    def test_report_matches_the_oracle_where_merged_seeds_are_scanned(self, t, max_steps):
+        # merged seeds that their representative does not decide are
+        # scanned from n: in chunks that start 1..reach residues above a
+        # representative, which then lies below the chunk; under a step cap
+        # at which representatives report step_cap; and with every
+        # representative's lower guard doctored to 0, so each is scanned
+        # from n0 and decides none of its merged seeds
+        sieve = build_sieve(t, DEFAULT_MAX_STEPS)
+        classes, modulus, reach = sieve.classes, sieve.modulus, sieve.classes.reach
+        rep = next(rep for rep, kept in classes.merged.items() if kept[-1] - rep == reach)
+        base = 2 * modulus + rep
+        for chunk in (1, 3, reach):
+            assert_oracle_report(t, base + 1, base + reach + 100, chunk_size=chunk)
+        for offset in range(1, reach + 1):
+            assert_oracle_report(t, base + offset, base + reach, chunk_size=1 << 16)
+        lo, hi = 2 * modulus + 1, 2 * modulus + 2_500
+        failed = dict(assert_oracle_report(t, lo, hi, limits=Limits(max_steps=max_steps),
+                                           chunk_size=600))
+        assert any(2 * modulus + rep in failed and 2 * modulus + r <= hi
+                   for rep, kept in classes.merged.items() for r in kept)
+        reps = set(classes.merged)
+        doctored = replace(sieve, forms=[(*form[:3], 0, 0, form[5]) if form[0] in reps else form
+                                         for form in sieve.forms])
+        with mock.patch.object(verify, "build_sieve", lambda *args: doctored):
+            for limits in (Limits(), Limits(max_steps=max_steps)):
+                assert_oracle_report(t, lo, hi, limits=limits, chunk_size=600)
 
 
 class TestCheckpoints:
@@ -1455,9 +1501,16 @@ class TestCheckpoints:
             assert type(loaded.wall_time) is float
             assert loaded.throughput == (100 / wall if wall else float("inf"))
 
-    def test_zero_wall_time_writes_strict_json(self):
-        # the throughput of a zero wall time has no JSON number; null stands for it
-        cp = Checkpoint(job(T8124, 1, 100, TARGETS[T8124][:1]), ((67, "step_cap"),), 0.0)
+    @pytest.mark.parametrize("j", [
+        job(T8124, 1, 100, TARGETS[T8124][:1]),
+        job(T10128, 1_000, 3_000, TARGETS[T10128], chunk_size=777,
+            limits=Limits(max_steps=500, max_value=10**20),
+            below_frontier_shortcut=False, prefix_verified_to=999),
+    ], ids=["default", "every_field_set"])
+    def test_zero_wall_time_writes_strict_json(self, j):
+        # the throughput of a zero wall time has no JSON number; null stands
+        # for it; every field of the job, its caps included, is read back
+        cp = Checkpoint(j, ((j.lo + 66, "step_cap"),), 0.0)
         text = json.dumps(checkpoint_to_json_dict(cp), allow_nan=False)
         doc = json.loads(text)
         assert doc["throughput"] is None
