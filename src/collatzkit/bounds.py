@@ -312,7 +312,8 @@ def farey_bound(t: Triplet, M: int,
     rows are positive throughout; odd rows are negative until the flip.
     Every sign is interval-certified, and so are the three digits of D_n
     each row prints; rows with q_n <= EXACT_SIGN_Q_LIMIT are
-    cross-checked by integer power comparison.
+    cross-checked by integer power comparison, which alone signs a D_1(M)
+    of exactly 0.
     """
     _require_section_preconditions(t, M)
     ladder = _Ladder(t.d, t.alpha, policy, lambda ctx: _shifted_xi(t, ctx, M))
@@ -325,19 +326,20 @@ def farey_bound(t: Triplet, M: int,
 
     def row(rung, n, p, q, _qprev):
         x = Fraction(p, q)
-        sign = _sign(rung.lo - x, rung.hi - x, f"D_{n}(M)")
-        if q <= EXACT_SIGN_Q_LIMIT:
-            exact = exact_farey_sign(t, M, p, q)
-            if exact != sign:
-                raise AssertionError(
-                    f"interval sign {sign} disagrees with exact comparison {exact} at n={n}")
+        exact = exact_farey_sign(t, M, p, q) if q <= EXACT_SIGN_Q_LIMIT else None
+        # D_1(M) can be exactly 0 (X = 2 = p_1/q_1 for 2:3:1:+ at M = 1),
+        # which no rung's enclosure can sign: row 1 takes the exact zero
+        sign = 0 if n == 1 and exact == 0 else _sign(rung.lo - x, rung.hi - x, f"D_{n}(M)")
+        if exact is not None and exact != sign:
+            raise AssertionError(
+                f"interval sign {sign} disagrees with exact comparison {exact} at n={n}")
+        if n == 1 and sign >= 0:
+            raise MTooSmallError(
+                f"D_1(M) >= 0 for M={M}; threshold too small for the sign-flip bound")
         # an enclosure tight enough for the sign can be too loose for its
         # digits; they are then read on the rungs above, which the walk
         # does not climb for them
         approx, _ = ladder.settle(lambda finer: digits(finer, x, n), rung.bits, n)
-        if n == 1 and sign > 0:
-            raise MTooSmallError(
-                f"D_1(M) >= 0 for M={M}; threshold too small for the sign-flip bound")
         if n % 2 == 0 and sign < 0:
             raise AssertionError(f"even-index D_{n} certified negative; defect")
         return Alg2Row(n, p, q, sign, approx), n % 2 == 1 and sign > 0

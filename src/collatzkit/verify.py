@@ -13,17 +13,18 @@ classes mod d * s^(depth-1), s = d // gcd(alpha, d), that their seeds
 descend, and carries the exact form of each surviving class at the last
 step that it fixes.  It is built no deeper than the run's step cap, and a
 run uses it whole, skipping the sieved classes and entering each survivor
-at that step, when its bounds fit the value cap, and not at all otherwise
-(`_scan_classes`).  A survivor whose entry form is that of a smaller
-survivor is merged into it, and kept as its residue alone: its seed is
-decided by the smaller one's seed of the same block, when that seed
-entered and descended, and is scanned from n otherwise
-(`_scan_survivors`).  A table of exact k-step jumps (`build_jumps`) lets
-both scan loops take k steps at once wherever no cap or exit can lie
-inside them; walking each residue k steps gives it every iterate inside a
-jump as an exact form.  Where only the descent exit can
-lie inside a jump, the descent loop ends the seed with no step when the
-jump's dip, its iterate with the smallest coefficient, is below the seed.
+at that step, when one closed-form bound on iterates 1..depth of every seed
+up to hi fits the value cap, and not at all otherwise (`_scan_classes`).
+A survivor whose entry form is that of a smaller survivor is merged into
+it, and kept as its residue alone: its seed is decided by the smaller
+one's seed of the same block, when that seed entered and descended, and
+is scanned from n otherwise (`_scan_survivors`).  A table of exact
+k-step jumps (`build_jumps`) lets both scan loops take k steps at once
+wherever no cap or exit can lie inside them; walking each residue k steps
+gives it every iterate inside a jump as an exact form.  Where only the
+descent exit can lie inside a jump, the descent loop ends the seed with
+no step when the jump's dip, its iterate with the smallest coefficient,
+is below the seed.
 Without the shortcut, a finish table (`build_finish`) ends a seed as soon
 as it reaches a small value from which a member is known to follow within
 the caps, and an orbit memo, kept for one chunk, ends it as soon as it
@@ -179,18 +180,17 @@ def _validate_targets(job: VerificationJob) -> None:
                     f"target {c.omega} claims {name} {claimed} but its cycle has {actual}")
 
 
-def _refine(t: Triplet, split: int, cap: int, sieved: list):
+def _refine(t: Triplet, split: int, cap: int):
     """Refine the residue classes of the seeds one digit at a time on the
     moduli M_1 = d and M_l = M_(l-1) * split, while M_l <= cap, and return
     (depth, M, classes) of the last level, l = depth and M = M_depth, the
     classes that the sieve's rule leaves, in order of r.
 
-    A class (r, a, b, j, F, C, P, L, Q) mod M_l stands for the seeds
-    n = M_l*m + r, m >= 0: iterate j of n is a*m + b, iterates 1..j are at
-    most C*m + P, and iterates 1..j-1 are at least L*m + Q (n + 1 while
-    there are none).  The classes that the sieve's rule proves to descend
-    are pruned and appended to `sieved` as (M_l, C, P), and F is a floor
-    for the rest, or None (see `build_sieve`).
+    A class (r, a, b, j, F, L, Q) mod M_l stands for the seeds n = M_l*m
+    + r, m >= 0: iterate j of n is a*m + b, and iterates 1..j-1 are at
+    least L*m + Q (n + 1 while there are none).  The classes that the
+    sieve's rule proves to descend are dropped, and F is a floor for the
+    rest, or None (see `build_sieve`).
 
     Fixed steps.  Iterate 0 of n is the affine form M_l*m + r, and while d
     divides the m-coefficient of iterate j, the residue mod d of iterate j
@@ -215,66 +215,55 @@ def _refine(t: Triplet, split: int, cap: int, sieved: list):
     divisible by d: such a class fixes fewer steps than it has levels.
 
     Bounds.  A refined class has m = split*m' + digit in its parent's
-    forms, so it keeps C*split*m' + C*digit + P above iterates 1..j and
-    takes the larger coefficient and the larger constant against the new
-    iterate j + 1, which stays a bound above as m' >= 0.  When it steps
-    past iterate j >= 1, it takes the smaller ones against iterate j,
-    a*split*m' + a*digit + b, below (iterate 1 replaces the n + 1 that
-    stood for no iterate), so L*m + Q covers iterates 1..j-1 whatever the
-    number of steps a level fixes.
+    forms, so it keeps L*split*m' + L*digit + Q below iterates 1..j-1.
+    When it steps past iterate j >= 1, it takes the smaller coefficient and
+    the smaller constant against iterate j, a*split*m' + a*digit + b, which
+    stays a bound below as m' >= 0 (iterate 1 replaces the n + 1 that stood
+    for no iterate), so L*m + Q covers iterates 1..j-1 whatever the number
+    of steps a level fixes.
     """
     d, alpha, beta = t.d, t.alpha, t.beta
     plus = t.kappa == PLUS
     # level 0 (M_0 = 1, n = m): iterate 0 is m, and n + 1 stands below
-    live = [(0, 1, 0, 0, None, 0, 0, 1, 1)]
+    live = [(0, 1, 0, 0, None, 1, 1)]
     depth, scale, width = 0, 1, d  # l - 1, M_(l-1), and the split at level l
     while scale * width <= cap:
         level = scale * width  # M_l
         # children by digit: with the parents in order of r, each list, and
         # their concatenation, is in order of rr = r + digit * M_(l-1)
         refined = [[] for _ in range(width)]
-        for r, a, b, j, floor, c_max, p_max, c_min, p_min in live:
-            a_wide, c_wide, l_wide = a * width, c_max * width, c_min * width
+        for r, a, b, j, floor, c_min, p_min in live:
+            a_wide, l_wide = a * width, c_min * width
             fixed = a_wide % d == 0  # step j + 1, for every digit or for none
             fold = fixed and j > 0  # iterate j joins the lower bound
             if fold and (j == 1 or a_wide < l_wide):
                 l_wide = a_wide
             for digit in range(width):
                 rr = r + digit * scale
-                c_new = c_wide
-                p_new = c_max * digit + p_max
+                if floor is not None and rr >= floor:
+                    continue  # pruned: sieved
                 coeff = a_wide
                 v = u = a * digit + b  # u: the constant of iterate j
                 steps = j
-                if floor is None or rr < floor:
-                    if fixed:
-                        res = v % d
-                        if res == 0:
-                            v //= d
-                            coeff //= d
-                        else:
-                            v = (alpha * v + beta * (res if plus else d - res)) // d
-                            coeff = coeff // d * alpha
-                        steps += 1
-                        # comparisons, not max() and min(): they halve the
-                        # cost of this loop, which runs once per class
-                        if coeff > c_new:
-                            c_new = coeff
-                        if v > p_new:
-                            p_new = v
-                    if not fixed or coeff > level or v >= rr > 0:
-                        p_low = c_min * digit + p_min
-                        if fold and (j == 1 or u < p_low):
-                            p_low = u
-                        fl = floor
-                        if fixed and coeff < level:
-                            start = rr + level * ((v - rr) // (level - coeff) + 1)
-                            if fl is None or start < fl:
-                                fl = start
-                        refined[digit].append((rr, coeff, v, steps, fl, c_new, p_new,
-                                               l_wide, p_low))
-                        continue
-                sieved.append((level, c_new, p_new))
+                if fixed:
+                    res = v % d
+                    if res == 0:
+                        v //= d
+                        coeff //= d
+                    else:
+                        v = (alpha * v + beta * (res if plus else d - res)) // d
+                        coeff = coeff // d * alpha
+                    steps += 1
+                if not fixed or coeff > level or v >= rr > 0:
+                    p_low = c_min * digit + p_min
+                    if fold and (j == 1 or u < p_low):
+                        p_low = u
+                    fl = floor
+                    if fixed and coeff < level:
+                        start = rr + level * ((v - rr) // (level - coeff) + 1)
+                        if fl is None or start < fl:
+                            fl = start
+                    refined[digit].append((rr, coeff, v, steps, fl, l_wide, p_low))
         live = [entry for children in refined for entry in children]
         depth, scale, width = depth + 1, level, split
     return depth, scale, live
@@ -287,16 +276,13 @@ class ResidueSieve:
 
     For a seed n = M*m + r in the i-th surviving class, forms[i] is (r, a,
     b, low_c, low_p, k): iterate k of n is a*m + b, and iterates 1..k-1 are
-    at least low_c*m + low_p.  An entry (level, C, P) of peaks bounds the
-    classes decided at that level, the survivors at level M: the seeds n
-    of a class sieved there fall below themselves within its k steps, and
-    for every such class iterates 1..k of n are at most C*(n // level) + P.
+    at least low_c*m + low_p.  The seeds of a sieved class fall below
+    themselves within depth steps.
     """
 
     depth: int  # levels of refinement, no fewer than the steps any class fixes
     modulus: int  # M = d * s^(depth-1), s = d // gcd(alpha, d)
     forms: list  # (r, a, b, low_c, low_p, k) per survivor r, in order of r
-    peaks: list  # (level, C, P) per level that decides a class, in order of level
 
     @cached_property
     def classes(self) -> ClassList:
@@ -322,7 +308,7 @@ def build_sieve(t: Triplet, max_steps: int) -> Optional[ResidueSieve]:
     by `_refine` with split s to depth min(max_steps, L), L the largest
     depth with d * s^(L-1) <= SIEVE_MODULUS_CAP; None when d >
     SIEVE_MODULUS_CAP.  A class fixes at most one step per level, so at
-    most max_steps, and the last step it fixes is its entry step k.
+    most depth <= max_steps, and the last step it fixes is its entry step k.
 
     Rule.  The class of r mod M_l is sieved when r = 0, or when some step j
     that it fixes has alpha^(o_j) <= d^j and T^j(r) < r.
@@ -333,10 +319,9 @@ def build_sieve(t: Triplet, max_steps: int) -> Optional[ResidueSieve]:
     iterate 1, (M_l // d)*m < M_l*m.  The shortcut scan of a seed n >
     max_elem is a pure descent loop: it reports nothing for n exactly when
     n falls below itself within max_steps steps and no iterate before that
-    exceeds max_value.  A sieved class falls below itself within its k <=
-    max_steps steps, its iterates up to there at most C*(n // M_l) + P for
-    the entry (M_l, C, P) of its level, and a run uses the sieve only when
-    every entry's bound at its hi is at most max_value (`_scan_classes`):
+    exceeds max_value.  A sieved class falls below itself within j <= depth
+    <= max_steps steps, and a run uses the sieve only when iterates
+    1..depth of every seed n <= hi are at most max_value (`_scan_classes`):
     then no sieved seed n <= hi reports anything, and none needs a scan.
     Seeds up to max_elem are scanned from n itself, and the survivors as
     below, so every exception, its status, and the frontier are unchanged;
@@ -349,11 +334,12 @@ def build_sieve(t: Triplet, max_steps: int) -> Optional[ResidueSieve]:
     of such a seed enters at v = a*m + b with k steps taken when low_c*m +
     low_p >= n.  Stepping one at a time from n, the loop would stop before
     step k only at the step cap, which k <= max_steps rules out; at an
-    iterate above max_value, which the level-M bound rules out while the
-    sieve is in use; or at an iterate below n, which the lower bound rules
-    out.  So it reaches a*m + b after exactly k steps either way and goes
-    on from the same value and step count: the exceptions, their statuses
-    and the frontier are unchanged.  Otherwise the seed is scanned from n.
+    iterate above max_value, which the value bound of `_scan_classes` rules
+    out while the sieve is in use, as k <= depth; or at an iterate below n,
+    which the lower bound rules out.  So it reaches a*m + b after exactly k
+    steps either way and goes on from the same value and step count: the
+    exceptions, their statuses and the frontier are unchanged.  Otherwise
+    the seed is scanned from n.
 
     Merged classes.  A surviving class r whose entry form (a, b, k) is that
     of a smaller survivor r0 is merged into the smallest such r0, its
@@ -363,8 +349,8 @@ def build_sieve(t: Triplet, max_steps: int) -> Optional[ResidueSieve]:
     iterate k of n, a*m + b, for every m.  Entered, n0 has iterates 1..k-1
     at least low_c*m + low_p >= n0, so it fell below itself at a step s >=
     k, with s <= max_steps and iterates 1..s at most max_value.  With the
-    sieve in use, k <= max_steps and n's iterates 1..k-1 are at most
-    max_value; its iterates k..s are those of n0, and iterate s is below
+    sieve in use, k <= depth <= max_steps and n's iterates 1..k-1 are at
+    most max_value; its iterates k..s are those of n0, and iterate s is below
     n0 < n.  So n falls below itself by step s with no cap before it, and
     its scan reports nothing: every exception, its status, the frontier
     and the digest are unchanged.  Where n0 does not decide it, n is
@@ -379,9 +365,8 @@ def build_sieve(t: Triplet, max_steps: int) -> Optional[ResidueSieve]:
     alpha^(o_i) < d^i and T^i(r) >= r contributes the least member
     r + M_l*u with u*(M_l - a) > T^i(r) - r, a being the m-coefficient of
     iterate i.  A refined residue at or above F is sieved together with all
-    its own refinements, which are no smaller, with its parent's C and P;
-    what is left at the last level is exactly the classes the rule does
-    not sieve.
+    its own refinements, which are no smaller; what is left at the last
+    level is exactly the classes the rule does not sieve.
     """
     d = t.d
     if d > SIEVE_MODULUS_CAP:
@@ -389,22 +374,12 @@ def build_sieve(t: Triplet, max_steps: int) -> Optional[ResidueSieve]:
     split = d // gcd(t.alpha, d)
     # no sieve under the cap is deeper than its log2, as d, split >= 2
     levels = min(max_steps, SIEVE_MODULUS_CAP.bit_length() - 1)
-    sieved: list = []
-    depth, modulus, live = _refine(t, split, min(SIEVE_MODULUS_CAP, d * split ** (levels - 1)),
-                                   sieved)
-    peaks: dict = {}  # level -> the largest C and P of the classes decided there
-    for level, c, p in sieved:
-        top_c, top_p = peaks.get(level, (0, 0))
-        peaks[level] = max(top_c, c), max(top_p, p)
+    depth, modulus, live = _refine(t, split, min(SIEVE_MODULUS_CAP, d * split ** (levels - 1)))
     # each survivor's form replaces its entry in place, which keeps the
     # build's peak memory, and so that of the pool workers forked after it, down
-    top_c, top_p = peaks.get(modulus, (0, 0))
-    for i, (r, a, b, k, _floor, c, p, low_c, low_p) in enumerate(live):
+    for i, (r, a, b, k, _floor, low_c, low_p) in enumerate(live):
         live[i] = (r, a, b, low_c, low_p, k)
-        top_c, top_p = max(top_c, c), max(top_p, p)
-    peaks[modulus] = top_c, top_p
-    return ResidueSieve(depth, modulus, live,
-                        [(level, c, p) for level, (c, p) in sorted(peaks.items())])
+    return ResidueSieve(depth, modulus, live)
 
 
 @dataclass(frozen=True)
@@ -425,21 +400,38 @@ class ClassList:
     reach: int  # the largest r - r0 of a class r merged into r0; 0 for none
 
 
-# no sieve, or one whose bounds exceed the value cap: every seed from n, in
+# no sieve, or one whose value bound exceeds the value cap: every seed from n, in
 # blocks of 2^10 classes, as blocks of one class made such scans 1.4-1.6x slower
 _FROM_N = ClassList(1 << 10, [(r, 1 << 10, r, 1 << 10, r, 0) for r in range(1 << 10)], {}, 0)
 
 
-def _scan_classes(sieve: Optional[ResidueSieve], hi: int, max_value: int) -> ClassList:
+def _scan_classes(t: Triplet, sieve: Optional[ResidueSieve], hi: int,
+                  max_value: int) -> ClassList:
     """The class list of a shortcut scan of seeds n <= hi under max_value,
-    with a sieve built no deeper than the scan's step cap: the sieve's own
-    (`ResidueSieve.classes`) when every bound C*(hi // level) + P of its
-    peaks is at most max_value, which bounds the iterates up to step k of
-    every class for every seed n <= hi, as C >= 0 (see `build_sieve`);
-    `_FROM_N` otherwise, and when there is no sieve."""
-    if sieve is None or any(c * (hi // level) + p > max_value for level, c, p in sieve.peaks):
+    with a sieve of t built no deeper than the scan's step cap: the sieve's
+    own (`ResidueSieve.classes`) when its value bound at hi,
+
+        alpha^L * (hi*(alpha - d) + |beta|*(d - 1)) // (d^L * (alpha - d)),
+
+    L = sieve.depth, is at most max_value; `_FROM_N` otherwise, and when
+    there is no sieve.
+
+    Value bound.  T(n) <= (alpha*n + |beta|*(d - 1))/d for every n >= 1: a
+    step at a non-zero residue adds at most |beta|*(d - 1) to alpha*n, and
+    when d | n, n/d <= alpha*n/d.  With c = |beta|*(d - 1)/(alpha - d), so
+    that alpha*c/d = c + |beta|*(d - 1)/d, this reads T(n) + c <= (alpha/d)
+    * (n + c), so iterate j of n is at most (alpha/d)^j * (n + c) - c.  As
+    alpha > d, every iterate 1..L of every seed n <= hi is at most
+    (alpha/d)^L * (hi + c), which is the bound before the floor, and an
+    integer iterate is at most its floor.  Each class fixes at most L steps
+    (see `build_sieve`), so the bound covers what the sieve's argument
+    needs: a sieved seed's iterates up to its descent, a survivor's up to
+    its entry step k, and a merged seed's iterates 1..k-1."""
+    if sieve is None:
         return _FROM_N
-    return sieve.classes
+    d, alpha, depth = t.d, t.alpha, sieve.depth
+    bound = alpha**depth * (hi * (alpha - d) + abs(t.beta) * (d - 1)) // (d**depth * (alpha - d))
+    return sieve.classes if bound <= max_value else _FROM_N
 
 
 @dataclass(frozen=True)
@@ -976,7 +968,7 @@ def verify_range(job: VerificationJob, workers: Optional[int] = None) -> Checkpo
     # the builders are looked up here, at call time, so a replaced one is used
     plan = ScanPlan(
         t, members, max_elem, limits,
-        _scan_classes(_memo_table(build_sieve, t, sieve_steps), job.hi, limits.max_value)
+        _scan_classes(t, _memo_table(build_sieve, t, sieve_steps), job.hi, limits.max_value)
         if shortcut else None,
         _memo_table(build_jumps, t, max_elem, limits.max_value),
         None if shortcut else _memo_table(build_finish, t, members, limits.max_value))

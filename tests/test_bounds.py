@@ -275,9 +275,14 @@ class TestFarey:
                     assert row.sign == (1 if d_n > 0 else -1), f"M=5^{e}, row {row.n}"
                     assert row.approx == format(d_n, ".2e"), f"M=5^{e}, row {row.n}"
 
-    def test_m_too_small(self):
-        with pytest.raises(MTooSmallError):
-            farey_bound(T564, 1)
+    @pytest.mark.parametrize("t, M", [(T564, 1), (T231, 1), (parse_triplet("7:46:3:+"), 6)],
+                             ids=str)
+    def test_m_too_small(self, t, M):
+        # D_1(M) > 0 for 5:6:4:+; for the other two X = log_d(d^2) = 2 =
+        # p_1/q_1 exactly, so D_1(M) = 0, which no rung can sign: each is
+        # refused on the first rung, so a one-rung ladder is not exhausted
+        with pytest.raises(MTooSmallError, match=r"D_1\(M\) >= 0"):
+            farey_bound(t, M, PrecisionPolicy(start_bits=64, max_bits=64))
 
     def test_precision_invariance(self):
         a = farey_bound(T564, 5**25, PrecisionPolicy(start_bits=64))

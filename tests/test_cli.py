@@ -262,10 +262,18 @@ def test_bound_mu_advisory(capsys):
     assert "(advisory)" in capsys.readouterr().out
 
 
-def test_bound_domain_error_exit_code(capsys):
-    rc = run(["bound", "alg1", "--triplet", "4:10:54:+", "--min-omega", "100"])
+@pytest.mark.parametrize("method, triplet, min_omega, message", [
+    ("alg1", "4:10:54:+", "100", "gcd"),
+    # D_1(M) is exactly 0 for these two: refused on the first rung, so a
+    # one-rung ladder is not exhausted
+    ("alg2", "2:3:1:+", "1", "D_1(M) >= 0"),
+    ("alg2", "7:46:3:+", "6", "D_1(M) >= 0"),
+])
+def test_bound_domain_error_exit_code(capsys, method, triplet, min_omega, message):
+    rc = run(["bound", method, "--triplet", triplet, "--min-omega", min_omega,
+              "--max-precision-bits", "128"])
     assert rc == 1
-    assert "gcd" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

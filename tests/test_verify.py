@@ -108,6 +108,14 @@ def sieved_by_rule(t: Triplet, r: int, modulus: int) -> bool:
                          for power, d_j, v in fixed_steps(t, r, modulus))
 
 
+def value_bound(t: Triplet, steps: int, hi: int) -> int:
+    """The closed-form bound (alpha/d)^steps * (hi + c), c = |beta|*(d-1)/(alpha-d),
+    on iterates 1..steps of every seed n <= hi, rounded down: the value
+    bound of `_scan_classes` at steps = sieve depth."""
+    d, alpha = t.d, t.alpha
+    return alpha**steps * (hi * (alpha - d) + abs(t.beta) * (d - 1)) // (d**steps * (alpha - d))
+
+
 class TestVerifyRange:
     def test_two_power_range_small(self):
         cp = verify_range(job(T10128, 1, 10**5, (OMEGA4,)), workers=1)
@@ -271,7 +279,7 @@ class TestResidueSieve:
         # under the default caps the sieve is used: the list is the survivors,
         # each listed or merged into its representative
         sieve = build_sieve(t, DEFAULT_MAX_STEPS)
-        assert listed_forms(_scan_classes(sieve, hi, j.limits.max_value), sieve) == sieve.forms
+        assert listed_forms(_scan_classes(t, sieve, hi, j.limits.max_value), sieve) == sieve.forms
         cp = assert_tables_keep_report(j, workers)
         assert cp.seeds_scanned == hi - lo + 1
         # seed 10 of 4:10:54:+ ends in the cycle of 342 and never falls below 10
@@ -285,14 +293,11 @@ class TestResidueSieve:
                 chunk_size=chunk, prefix_verified_to=lo - 1))
         assert (67, "step_cap") in cp.exceptions
 
-    @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124, T41054, T364032], ids=str)
+    @pytest.mark.parametrize("t", sorted(TARGETS, key=str) + [T34m1, T23m1, T257], ids=str)
     def test_sieved_seeds_descend_under_the_peak_bound(self, t):
         # every seed of a sieved class falls below itself within depth steps,
-        # its iterates up to there under the largest bound of the peaks
+        # its iterates up to there under the value bound at the seed
         sieve = build_sieve(t, DEFAULT_MAX_STEPS)
-        levels = [level for level, _c, _p in sieve.peaks]
-        assert levels == sorted(set(levels)) and levels[-1] == sieve.modulus
-        assert all(sieve.modulus % level == 0 for level in levels)
         survivors = {form[0] for form in sieve.forms}
         step = t.step_function()
         for r in range(sieve.modulus):
@@ -302,12 +307,21 @@ class TestResidueSieve:
                 n = sieve.modulus * m + r
                 if n == 0:
                     continue
-                bound = max(c * (n // level) + p for level, c, p in sieve.peaks)
+                bound = value_bound(t, sieve.depth, n)
                 v, steps = step(n), 1
                 while v >= n:
                     assert v <= bound
                     v, steps = step(v), steps + 1
                 assert v <= bound and steps <= sieve.depth
+        # and every iterate k <= depth of every seed n <= hi, walked, is
+        # under the bound at k and n, so under the sieve's gate at hi
+        hi = 5_000
+        top = 0
+        for n in range(1, hi + 1):
+            for k, v in enumerate(iterates(t, n, sieve.depth), 1):
+                assert v <= value_bound(t, k, n)
+                top = max(top, v)
+        assert top <= value_bound(t, sieve.depth, hi)
 
     @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124, T257, T41054, T364032],
                              ids=str)
@@ -315,8 +329,6 @@ class TestResidueSieve:
         sieve = build_sieve(t, DEFAULT_MAX_STEPS)
         residues = [entry[0] for entry in sieve.forms]
         assert residues == sorted(set(residues))  # `_scan_survivors` bisects them
-        level, c, p = sieve.peaks[-1]  # the survivors' level
-        assert level == sieve.modulus
         for r, *_form, k in sieve.forms:
             assert 1 <= k == len(fixed_steps(t, r, sieve.modulus)) <= sieve.depth
         for m in (0, 1, 7, 10**6, 10**12):
@@ -324,37 +336,36 @@ class TestResidueSieve:
                 n = sieve.modulus * m + r
                 inside = iterates(t, n, k)
                 assert inside[-1] == a * m + b
-                assert max(inside) <= c * m + p
+                assert max(inside) <= value_bound(t, k, n)
                 if k > 1:
                     assert min(inside[:-1]) >= low_c * m + low_p
                 else:  # no iterate before step k: the bound admits every seed
                     assert low_c * m + low_p > n
 
-    @pytest.mark.parametrize("low_below_n, over, entered", [
-        (False, None, True),
-        (True, None, False),
-        (False, "survivors", False),
-        (False, "sieved", False),
-    ], ids=["all-hold", "lower-guard", "value-guard", "sieved-value-guard"])
+    @pytest.mark.parametrize("low_below_n, cap_below, entered", [
+        (False, 0, True),
+        (True, 0, False),
+        (False, 1, False),
+    ], ids=["all-hold", "lower-guard", "value-guard"])
     def test_survivor_entered_at_step_k_exactly_when_the_guards_hold(
-            self, low_below_n, over, entered):
+            self, low_below_n, cap_below, entered):
         # a doctored sieve whose survivor of 2^40 - 1 lands on 1 at step k,
         # below the seed, so an entry shows as a descended seed; 2^40 - 1
-        # rises for 40 steps; each guard is put one past its bound, the value
-        # guard at the survivors' level or at the first level, which sieves
-        # classes; the other survivors keep their forms, so none merges
-        n, max_value = 2**40 - 1, 10**30
+        # rises for 40 steps, to 3^16 * 2^24 - 1 at step 16, one below the
+        # value bound at n; each guard is put one past its bound, the value
+        # cap at the bound or one below it; the other survivors keep their
+        # forms, so none merges
+        n = 2**40 - 1
         sieve = build_sieve(T231, DEFAULT_MAX_STEPS)
+        max_value = value_bound(T231, sieve.depth, n) - cap_below
+        assert max_value == 3**16 * 2**24 - cap_below
         form = (n % sieve.modulus, 0, 1, 0, n - 1 if low_below_n else n, sieve.depth)
         assert form[0] in {own[0] for own in sieve.forms}
-        top = sieve.peaks[-1 if over == "survivors" else 0][0] if over else None
         doctored = replace(
-            sieve, forms=[form if own[0] == form[0] else own for own in sieve.forms],
-            peaks=[(level, 0, max_value + 1 if level == top else max_value)
-                   for level, _c, _p in sieve.peaks])
+            sieve, forms=[form if own[0] == form[0] else own for own in sieve.forms])
         # the class list decides the value guard, the scan the lower one
-        classes = _scan_classes(doctored, n, max_value)
-        assert (classes is _FROM_N) == (over is not None)
+        classes = _scan_classes(T231, doctored, n, max_value)
+        assert (classes is _FROM_N) == (cap_below > 0)
         assert not doctored.classes.merged
         plan = scan_plan(T231, {1, 2}, max_steps=sieve.depth,
                          max_value=max_value, classes=classes)
@@ -370,23 +381,23 @@ class TestResidueSieve:
         sieve = build_sieve(T231, DEFAULT_MAX_STEPS)
         form = (n % sieve.modulus, 0, 2 * n - 2, 0, n, k)
         doctored = replace(sieve, forms=[form if own[0] == form[0] else own
-                                         for own in sieve.forms],
-                           peaks=[(level, 0, 0) for level, _c, _p in sieve.peaks])
-        classes = _scan_classes(doctored, n, Limits().max_value)
+                                         for own in sieve.forms])
+        classes = _scan_classes(T231, doctored, n, Limits().max_value)
         assert not classes.merged and classes.forms == doctored.forms
         plan = scan_plan(T231, {1, 2}, max_steps=sieve.depth, classes=classes)
         assert _scan_chunk(plan, n, n) == ([] if entered else [(n, "step_cap")])
 
     @pytest.mark.parametrize("t", sorted(TARGETS, key=str), ids=str)
     def test_sieve_dropped_one_below_its_largest_level_bound(self, t):
-        # a value cap at the largest bound of the peaks at hi keeps the whole
-        # sieve; one unit below it, every seed is scanned from n
+        # a value cap at the value bound at hi for the sieve's depth, the
+        # largest of the bounds for steps 1..depth, keeps the whole sieve;
+        # one unit below it, every seed is scanned from n
         sieve = build_sieve(t, DEFAULT_MAX_STEPS)
         hi = 2 * sieve.modulus + 5
-        bound = max(c * (hi // level) + p for level, c, p in sieve.peaks)
-        assert _scan_classes(sieve, hi, bound) is sieve.classes
-        assert _scan_classes(sieve, hi, bound - 1) is _FROM_N
-        assert _scan_classes(None, hi, bound) is _FROM_N
+        bound = value_bound(t, sieve.depth, hi)
+        assert _scan_classes(t, sieve, hi, bound) is sieve.classes
+        assert _scan_classes(t, sieve, hi, bound - 1) is _FROM_N
+        assert _scan_classes(t, None, hi, bound) is _FROM_N
         assert_tables_keep_report(job(t, 1, hi, TARGETS[t], chunk_size=20_000,
                                       limits=Limits(max_value=bound - 1)))
 
@@ -449,7 +460,7 @@ class TestMergedClasses:
     def test_merge_is_computed_once_per_sieve(self):
         sieve = build_sieve(T10128, DEFAULT_MAX_STEPS)
         assert sieve.classes is sieve.classes
-        assert _scan_classes(sieve, 10**6, Limits().max_value) is sieve.classes
+        assert _scan_classes(T10128, sieve, 10**6, Limits().max_value) is sieve.classes
 
     @pytest.mark.parametrize("t, limits", [
         (T10128, Limits(max_steps=8)),
@@ -467,9 +478,8 @@ class TestMergedClasses:
         sieve = build_sieve(t, DEFAULT_MAX_STEPS)
         hi = 2 * sieve.modulus + 5_000
         if limits == "largest bound":
-            limits = Limits(max_value=max(c * (hi // level) + p
-                                          for level, c, p in sieve.peaks))
-        classes = _scan_classes(sieve, hi, limits.max_value)
+            limits = Limits(max_value=value_bound(t, sieve.depth, hi))
+        classes = _scan_classes(t, sieve, hi, limits.max_value)
         assert classes.merged and listed_forms(classes, sieve) == sieve.forms
         cp = assert_tables_keep_report(job(t, 1, hi, TARGETS[t], limits=limits,
                                            chunk_size=7_000))
@@ -483,7 +493,7 @@ class TestMergedClasses:
         # lo lies between a representative and the seeds merged into it, and
         # the merged seeds report step_cap: they are scanned, not skipped
         sieve, limits = build_sieve(T10128, DEFAULT_MAX_STEPS), Limits(max_steps=8)
-        classes = _scan_classes(sieve, 2 * sieve.modulus, limits.max_value)
+        classes = _scan_classes(T10128, sieve, 2 * sieve.modulus, limits.max_value)
         rep, kept = next((rep, kept) for rep, kept in classes.merged.items()
                          if descent_status(T10128, sieve.modulus + kept[-1], limits))
         lo, hi = sieve.modulus + rep + 1, sieve.modulus + kept[-1]
@@ -547,7 +557,7 @@ class TestMergedClasses:
             self, case, lo_past_n0, expected):
         # a doctored sieve in which the survivor r of 2^40 - 1 and the one
         # just below it, r0, share an entry form a*m + b = B at step k, and
-        # its bounds fit, so the list is the sieve's own with its merges;
+        # the value bound fits, so the list is the sieve's own with its merges;
         # the scan of [n0, n] (or [n0 + 1, n]) visits only their seeds, and
         # shows which of them report what.  A seed n that n0 does not decide
         # is scanned from n, not entered at its own form: 2^40 - 1 rises for
@@ -574,9 +584,8 @@ class TestMergedClasses:
         else:  # n0 descends one step after B at step 15; n meets the step cap at B
             b, low0, low, k0 = 2 * n0 - 2, n0, n, 15
         forms = {r0: (r0, 0, b, 0, low0, k0), r: (r, 0, b, 0, low, 16)}
-        doctored = replace(sieve, forms=[forms.get(form[0], form) for form in sieve.forms],
-                           peaks=[(level, 0, 0) for level, _c, _p in sieve.peaks])
-        classes = _scan_classes(doctored, n, max_value)
+        doctored = replace(sieve, forms=[forms.get(form[0], form) for form in sieve.forms])
+        classes = _scan_classes(T231, doctored, n, max_value)
         assert classes is doctored.classes
         assert any(form[0] == r for form in classes.forms) == (case == "other-k")
         plan = scan_plan(T231, {1, 2}, max_steps=max_steps,
@@ -816,13 +825,13 @@ class TestJumpTable:
         # smallest value cap that keeps the sieve and is C*qmax + P itself
         sieve = build_sieve(t, DEFAULT_MAX_STEPS)
         hi = sieve.modulus + 5_000
-        bound = max(c * (hi // level) + p for level, c, p in sieve.peaks)
+        bound = value_bound(t, sieve.depth, hi)
         coeff, const = jump_peak(t)
         qmax = -(-(bound - const) // coeff)
         max_value = coeff * qmax + const
         jumps = build_jumps(t, max(CYCLE_MEMBERS[t]), max_value)
         assert jumps.qmax == qmax
-        assert _scan_classes(sieve, hi, max_value) is sieve.classes
+        assert _scan_classes(t, sieve, hi, max_value) is sieve.classes
         limits = Limits(max_steps=sieve.depth + jumps.depth + past_k, max_value=max_value)
         cp = assert_tables_keep_report(job(t, 1, hi, TARGETS[t], limits=limits,
                                            chunk_size=20_000))
@@ -944,11 +953,11 @@ class TestJumpTable:
     def test_membership_loop_under_the_shortcut_keeps_report(self):
         # seeds up to the largest member (536) scan in the membership loop,
         # which jumps but has no finish table under the shortcut; the sieve's
-        # bounds exceed the value cap, so the seeds above it scan from n
+        # value bound exceeds the value cap, so the seeds above it scan from n
         targets = enumerate_cycles(T8124, 1, 200)
         j = job(T8124, 1, 1213, targets, limits=Limits(max_steps=10, max_value=10**4),
                 chunk_size=400)
-        assert _scan_classes(build_sieve(T8124, 10), 1213, 10**4) is _FROM_N
+        assert _scan_classes(T8124, build_sieve(T8124, 10), 1213, 10**4) is _FROM_N
         cp = assert_tables_keep_report(j)
         assert len(cp.exceptions) == 39
 
@@ -985,9 +994,9 @@ class TestJumpTable:
     ], ids=["2:3:1:+ steps", "2:3:1:+ value", "10:12:8:+ steps", "10:12:8:+ both"])
     def test_shortcut_report_unchanged_on_the_sieve_fallback(self, t, limits):
         # a step cap below the sieve depth builds a shallower sieve, and under
-        # a value cap below the sieve's bounds every seed is scanned from n
+        # a value cap below the sieve's value bound every seed is scanned from n
         sieve = build_sieve(t, limits.max_steps)
-        classes = _scan_classes(sieve, 30_000, limits.max_value)
+        classes = _scan_classes(t, sieve, 30_000, limits.max_value)
         assert (classes is _FROM_N) != (sieve.depth == limits.max_steps)
         cp = assert_tables_keep_report(
             job(t, 1, 30_000, TARGETS[t], limits=limits, chunk_size=4_096), workers=2)
@@ -1273,7 +1282,7 @@ class TestOracle:
         base = 3 * sieve.modulus
         hi = base + merged + 400
         steps = [sieve.depth - 1, sieve.depth + 1]
-        values = [max(c * (hi // level) + p for level, c, p in sieve.peaks) + e for e in (-1, 0)]
+        values = [value_bound(t, sieve.depth, hi) + e for e in (-1, 0)]
         jumps = build_jumps(t, max(CYCLE_MEMBERS[t]), 10**30)
         if jumps is not None:
             coeff, const = jump_peak(t)
