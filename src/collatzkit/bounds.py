@@ -186,13 +186,17 @@ def _sign(lo: Fraction, hi: Fraction, what: str) -> int:
     raise _Ambiguous(f"sign of {what} still ambiguous")
 
 
-def _sci20(value, bits: int) -> str:
-    return CertifiedReal(*endpoints(value), bits).sci(20)
+def _sci20(lo_hi: tuple[Fraction, Fraction], bits: int) -> str:
+    """The most digits, at most 20, that every point of [lo, hi] rounds to;
+    "uncertified" when not one digit is, which takes an enclosure wider
+    than about 5e-4 of its value, far wider than a rung's constants."""
+    real = CertifiedReal(*lo_hi, bits)
+    return next(filter(None, map(real.sci_certified, range(20, 0, -1))), "uncertified")
 
 
 def _constants_echo(t: Triplet, rung: _Rung) -> dict[str, str]:
-    return {"gamma0": _sci20(_gamma0(t, rung.ctx), rung.bits),
-            "xi": CertifiedReal(*rung.xi, rung.bits).sci(20)}
+    return {"gamma0": _sci20(endpoints(_gamma0(t, rung.ctx)), rung.bits),
+            "xi": _sci20(rung.xi, rung.bits)}
 
 
 def _walk(t: Triplet, ladder: _Ladder,
@@ -242,7 +246,8 @@ def hurwitz_bound(t: Triplet, m0: int,
                             "hurwitz length bound"))
     first = ladder[0]
     constants = _constants_echo(t, first)
-    constants["mu0"] = _sci20(first.ctx.sqrt(_hurwitz_radicand(t, first.ctx, 1)), first.bits)
+    constants["mu0"] = _sci20(endpoints(first.ctx.sqrt(_hurwitz_radicand(t, first.ctx, 1))),
+                              first.bits)
     # the bounded quantity is irrational, so the conventional rounded-up
     # quote is always floor + 1
     constants["bound_ceiling"] = str(floor_val + 1)

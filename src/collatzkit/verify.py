@@ -10,13 +10,14 @@ undecided seed.
 
 Under the shortcut, a residue-class sieve (`build_sieve`) proves, for most
 classes mod d * s^(depth-1), s = d // gcd(alpha, d), that their seeds
-descend, and carries the exact form of each surviving class at the last
-step that it fixes.  It is built no deeper than the run's step cap, and a
-run uses it whole, skipping the sieved classes and entering each survivor
-at that step, when one closed-form bound on iterates 1..depth of every seed
-up to hi fits the value cap, and not at all otherwise (`_scan_classes`).
-A survivor whose entry form is that of a smaller survivor is merged into
-it, and kept as its residue alone: its seed is decided by the smaller
+descend, and returns the class list of the survivors, with the exact form
+of each at the last step that it fixes.  It is built no deeper than the
+run's step cap, and a run uses the list whole, skipping the sieved classes
+and entering each survivor at that step, when one closed-form bound on
+iterates 1..depth of every seed up to hi fits the value cap, and not at
+all otherwise (`_scan_classes`).  A survivor whose entry form is that of a
+smaller survivor is merged into it when the sieve is built, and kept as
+its residue alone: its seed is decided by the smaller
 one's seed of the same block, when that seed entered and descended, and
 is scanned from n otherwise (`_scan_survivors`).  A table of exact
 k-step jumps (`build_jumps`) lets both scan loops take k steps at once
@@ -59,7 +60,7 @@ from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, inf
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -270,45 +271,34 @@ def _refine(t: Triplet, split: int, cap: int):
 
 
 @dataclass(frozen=True)
-class ResidueSieve:
-    """Every residue class mod M, either sieved or surviving (see
-    `build_sieve`).
+class ClassList:
+    """The classes mod `modulus` that a shortcut scan visits above max_elem:
+    a seed n = modulus*m + r whose class has the form (r, a, b, low_c,
+    low_p, k) enters at step k, at a*m + b, when low_c*m + low_p >= n, and
+    otherwise at n; a class scanned from n has k = 0 and a*m + b = n.  The
+    classes merged into a listed representative r0 are not listed: their
+    seeds are decided by the seed of r0 in the same block, or scanned from
+    n where it does not decide them (`_scan_survivors`), so they are kept as
+    residues alone; no such class lies more than `reach` above its
+    representative.  A sieve's list (`build_sieve`) has its depth, which
+    bounds every k and gates its use (`_scan_classes`); `_FROM_N` has 0."""
 
-    For a seed n = M*m + r in the i-th surviving class, forms[i] is (r, a,
-    b, low_c, low_p, k): iterate k of n is a*m + b, and iterates 1..k-1 are
-    at least low_c*m + low_p.  The seeds of a sieved class fall below
-    themselves within depth steps.
-    """
-
+    modulus: int
+    forms: list  # (r, a, b, low_c, low_p, k) per listed class, in order of r
+    merged: dict  # representative r0 -> the residues merged into it, in order
+    reach: int  # the largest r - r0 of a class r merged into r0; 0 for none
     depth: int  # levels of refinement, no fewer than the steps any class fixes
-    modulus: int  # M = d * s^(depth-1), s = d // gcd(alpha, d)
-    forms: list  # (r, a, b, low_c, low_p, k) per survivor r, in order of r
-
-    @cached_property
-    def classes(self) -> ClassList:
-        """The class list of a run that uses the sieve: each survivor whose
-        entry form (a, b, k) is that of a smaller survivor is merged into the
-        smallest such, its representative (see `build_sieve`).  Worked out
-        once per sieve, on first use."""
-        first: dict = {}  # (a, b, k) -> the smallest survivor with that entry form
-        forms, merged, reach = [], {}, 0
-        for form in self.forms:
-            r, a, b, _low_c, _low_p, k = form
-            rep = first.setdefault((a, b, k), r)
-            if rep == r:
-                forms.append(form)
-            else:
-                merged.setdefault(rep, []).append(r)
-                reach = max(reach, r - rep)
-        return ClassList(self.modulus, forms, merged, reach)
 
 
-def build_sieve(t: Triplet, max_steps: int) -> Optional[ResidueSieve]:
-    """The classes mod M = d * s^(depth-1), s = d // gcd(alpha, d), refined
-    by `_refine` with split s to depth min(max_steps, L), L the largest
-    depth with d * s^(L-1) <= SIEVE_MODULUS_CAP; None when d >
-    SIEVE_MODULUS_CAP.  A class fixes at most one step per level, so at
-    most depth <= max_steps, and the last step it fixes is its entry step k.
+def build_sieve(t: Triplet, max_steps: int) -> Optional[ClassList]:
+    """The class list of the classes mod M = d * s^(depth-1), s = d //
+    gcd(alpha, d), that `_refine` leaves with split s at depth
+    min(max_steps, L), L the largest depth with d * s^(L-1) <=
+    SIEVE_MODULUS_CAP; None when d > SIEVE_MODULUS_CAP.  A class fixes at
+    most one step per level, so at most depth <= max_steps, and the last
+    step it fixes is its entry step k.  For a seed n = M*m + r of a listed
+    class (r, a, b, low_c, low_p, k), iterate k is a*m + b, and iterates
+    1..k-1 are at least low_c*m + low_p.
 
     Rule.  The class of r mod M_l is sieved when r = 0, or when some step j
     that it fixes has alpha^(o_j) <= d^j and T^j(r) < r.
@@ -343,7 +333,7 @@ def build_sieve(t: Triplet, max_steps: int) -> Optional[ResidueSieve]:
 
     Merged classes.  A surviving class r whose entry form (a, b, k) is that
     of a smaller survivor r0 is merged into the smallest such r0, its
-    representative (`ResidueSieve.classes`), and a seed n = M*m + r is
+    representative, when the sieve is built, and a seed n = M*m + r is
     skipped when n0 = M*m + r0 is a seed of the same scan that entered at
     step k and ended with no exception (`_scan_survivors`).  n0 < n has
     iterate k of n, a*m + b, for every m.  Entered, n0 has iterates 1..k-1
@@ -375,45 +365,37 @@ def build_sieve(t: Triplet, max_steps: int) -> Optional[ResidueSieve]:
     # no sieve under the cap is deeper than its log2, as d, split >= 2
     levels = min(max_steps, SIEVE_MODULUS_CAP.bit_length() - 1)
     depth, modulus, live = _refine(t, split, min(SIEVE_MODULUS_CAP, d * split ** (levels - 1)))
-    # each survivor's form replaces its entry in place, which keeps the
-    # build's peak memory, and so that of the pool workers forked after it, down
-    for i, (r, a, b, k, _floor, low_c, low_p) in enumerate(live):
-        live[i] = (r, a, b, low_c, low_p, k)
-    return ResidueSieve(depth, modulus, live)
-
-
-@dataclass(frozen=True)
-class ClassList:
-    """The classes mod `modulus` that a shortcut scan visits above max_elem:
-    a seed n = modulus*m + r whose class has the form (r, a, b, low_c,
-    low_p, k) enters at step k, at a*m + b, when low_c*m + low_p >= n, and
-    otherwise at n; a class scanned from n has k = 0 and a*m + b = n.  The
-    classes merged into a listed representative r0 are not listed: their
-    seeds are decided by the seed of r0 in the same block, or scanned from
-    n where it does not decide them (`_scan_survivors`), so they are kept as
-    residues alone; no such class lies more than `reach` above its
-    representative."""
-
-    modulus: int
-    forms: list  # (r, a, b, low_c, low_p, k) per listed class, in order of r
-    merged: dict  # representative r0 -> the residues merged into it, in order
-    reach: int  # the largest r - r0 of a class r merged into r0; 0 for none
+    # each representative's form is written back into the survivors' list, in
+    # place, which keeps the build's peak memory, and so that of the pool
+    # workers forked after it, down
+    first: dict = {}  # (a, b, k) -> the smallest survivor with that entry form
+    listed, merged, reach = 0, {}, 0
+    for r, a, b, k, _floor, low_c, low_p in live:
+        rep = first.setdefault((a, b, k), r)
+        if rep == r:
+            live[listed] = (r, a, b, low_c, low_p, k)
+            listed += 1
+        else:
+            merged.setdefault(rep, []).append(r)
+            reach = max(reach, r - rep)
+    del live[listed:]
+    return ClassList(modulus, live, merged, reach, depth)
 
 
 # no sieve, or one whose value bound exceeds the value cap: every seed from n, in
 # blocks of 2^10 classes, as blocks of one class made such scans 1.4-1.6x slower
-_FROM_N = ClassList(1 << 10, [(r, 1 << 10, r, 1 << 10, r, 0) for r in range(1 << 10)], {}, 0)
+_FROM_N = ClassList(1 << 10, [(r, 1 << 10, r, 1 << 10, r, 0) for r in range(1 << 10)], {}, 0, 0)
 
 
-def _scan_classes(t: Triplet, sieve: Optional[ResidueSieve], hi: int,
+def _scan_classes(t: Triplet, classes: Optional[ClassList], hi: int,
                   max_value: int) -> ClassList:
     """The class list of a shortcut scan of seeds n <= hi under max_value,
-    with a sieve of t built no deeper than the scan's step cap: the sieve's
-    own (`ResidueSieve.classes`) when its value bound at hi,
+    given the class list of a sieve of t built no deeper than the scan's
+    step cap (`build_sieve`): that list itself when its value bound at hi,
 
         alpha^L * (hi*(alpha - d) + |beta|*(d - 1)) // (d^L * (alpha - d)),
 
-    L = sieve.depth, is at most max_value; `_FROM_N` otherwise, and when
+    L = classes.depth, is at most max_value; `_FROM_N` otherwise, and when
     there is no sieve.
 
     Value bound.  T(n) <= (alpha*n + |beta|*(d - 1))/d for every n >= 1: a
@@ -427,11 +409,11 @@ def _scan_classes(t: Triplet, sieve: Optional[ResidueSieve], hi: int,
     (see `build_sieve`), so the bound covers what the sieve's argument
     needs: a sieved seed's iterates up to its descent, a survivor's up to
     its entry step k, and a merged seed's iterates 1..k-1."""
-    if sieve is None:
+    if classes is None:
         return _FROM_N
-    d, alpha, depth = t.d, t.alpha, sieve.depth
+    d, alpha, depth = t.d, t.alpha, classes.depth
     bound = alpha**depth * (hi * (alpha - d) + abs(t.beta) * (d - 1)) // (d**depth * (alpha - d))
-    return sieve.classes if bound <= max_value else _FROM_N
+    return classes if bound <= max_value else _FROM_N
 
 
 @dataclass(frozen=True)
@@ -533,7 +515,7 @@ def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable
         return None
     step = t.step_function()
     coeff, const, hit, low_c, low_p, dip_c, dip_p, back = ([0] * modulus for _ in range(8))
-    every_c, every_p = [], []  # the coefficients and constants of every form
+    top_c = top_p = 0  # C and P so far; starting at 0 changes neither, as r = 0 walks 0
     same: dict = {}  # (coeff, const) -> the largest residue so far of that form
     for r in range(modulus):
         v, c, forms = r, modulus, []  # iterate j of d^k*q + r is c*q + v
@@ -545,12 +527,11 @@ def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable
         coeff[r], const[r], low_c[r], low_p[r] = c, v, min(cs[:-1]), min(vs[:-1])
         hit[r] = (max_elem - low_p[r]) // low_c[r]
         dip_c[r], dip_p[r] = min(forms)
-        every_c += cs
-        every_p += vs
+        top_c, top_p = max(top_c, *cs), max(top_p, *vs)
         back[r] = r - same.get((c, v), r)  # 0 when there is none
         same[(c, v)] = r
     return JumpTable(depth, modulus, coeff, const, hit, low_c, low_p, dip_c, dip_p,
-                     (max_value - max(every_p)) // max(every_c), back)
+                     (max_value - top_p) // top_c, back)
 
 
 def build_finish(t: Triplet, members: Iterable[int], max_value: int) -> array:

@@ -336,6 +336,26 @@ def test_cross_method_sanity():
         assert 1 <= h <= best
 
 
+@pytest.mark.parametrize("report", [
+    lambda policy: r_infinity_bound(T231, 1000, policy),
+    lambda policy: farey_bound(T564, 5**10, policy),
+    lambda policy: hurwitz_bound(T564, 5**10, policy),
+    lambda policy: mu_bound(T231, 2**71, 2, policy),
+], ids=["alg1", "alg2", "hurwitz", "mu"])
+def test_constants_echo_only_certified_digits(report):
+    # at 8 bits the first rung certifies 5-7 digits of each constant, and
+    # the echo prints those alone: each is the 128-bit echo of 20 digits
+    # rounded to its own number of digits
+    coarse = report(PrecisionPolicy(start_bits=8)).constants
+    fine = report(PrecisionPolicy()).constants
+    shown = {name: value for name, value in coarse.items() if "e" in value}
+    assert shown.keys() >= {"gamma0", "xi"}
+    for name, value in shown.items():
+        digits = len(value.split("e")[0].replace(".", ""))
+        assert 1 <= digits < 20 and len(fine[name].split("e")[0]) == 21
+        assert value == format(Decimal(fine[name]), f".{digits - 1}e")
+
+
 def test_alg1_bound_holds_for_every_enumerated_cycle():
     # the orbit engine as an oracle for the bounds engine: every cycle found
     # from seeds up to 300 has at least as many elements not divisible by d

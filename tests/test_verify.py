@@ -78,10 +78,29 @@ def assert_tables_keep_report(j, workers=1):
     return full
 
 
-def listed_forms(classes, sieve) -> list:
-    """The forms of a class list's representatives and, read from the sieve,
-    of the residues merged into them, in order of r."""
-    form_of = {form[0]: form for form in sieve.forms}
+def refined(t: Triplet, max_steps: int = DEFAULT_MAX_STEPS, doctor=lambda form: form):
+    """build_sieve(t, max_steps) with each survivor that `_refine` leaves it,
+    as a form (r, a, b, low_c, low_p, k), replaced by doctor(form), so that
+    the real merge runs on the doctored survivors; and those survivors, in
+    order of r: every class the sieve keeps, merged or not."""
+    refine, survivors = verify._refine, []
+
+    def doctored(*args):
+        depth, modulus, live = refine(*args)
+        for i, (r, a, b, k, floor, low_c, low_p) in enumerate(live):
+            survivors.append(doctor((r, a, b, low_c, low_p, k)))
+            r, a, b, low_c, low_p, k = survivors[-1]
+            live[i] = (r, a, b, k, floor, low_c, low_p)
+        return depth, modulus, live
+
+    with mock.patch.object(verify, "_refine", doctored):
+        return build_sieve(t, max_steps), survivors
+
+
+def listed_forms(classes, survivors) -> list:
+    """The forms of a class list's representatives and, read from the
+    survivors, of the residues merged into them, in order of r."""
+    form_of = {form[0]: form for form in survivors}
     return sorted(classes.forms + [form_of[r] for kept in classes.merged.values() for r in kept])
 
 
@@ -237,10 +256,10 @@ class TestResidueSieve:
         # enters past it, and a run under the cap reports as without tables
         deepest = build_sieve(t, DEFAULT_MAX_STEPS).depth
         for max_steps in range(1, deepest + 2):
-            sieve = build_sieve(t, max_steps)
+            sieve, survivors = refined(t, max_steps)
             assert sieve.depth == min(max_steps, deepest)
             assert sieve.modulus == t.d * (t.d // gcd(t.alpha, t.d)) ** (sieve.depth - 1)
-            assert all(form[5] <= sieve.depth for form in sieve.forms)
+            assert all(form[5] <= sieve.depth for form in survivors)
             for workers in (1, 2):
                 assert_tables_keep_report(job(t, 1, 12_000, TARGETS[t], chunk_size=5_000,
                                               limits=Limits(max_steps=max_steps)), workers)
@@ -248,19 +267,19 @@ class TestResidueSieve:
     def test_survivor_count_classical(self):
         # 3.2% of the classes mod 2^16 still need a scan; 2115, not 2116,
         # since class 0 is sieved: iterate 1 of 2^16*m is 2^15*m < 2^16*m
-        assert len(build_sieve(T231, DEFAULT_MAX_STEPS).forms) == 2115
+        assert len(refined(T231)[1]) == 2115
 
     @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124, T41054, T364032, T257],
                              ids=str)
     def test_no_sieve_keeps_class_zero(self, t):
-        assert build_sieve(t, DEFAULT_MAX_STEPS).forms[0][0] > 0
+        assert refined(t)[1][0][0] > 0
 
     @pytest.mark.parametrize("t", [T10128, T8124, T3241, T41054, T364032], ids=str)
     def test_survivors_follow_the_rule(self, t):
-        sieve = build_sieve(t, DEFAULT_MAX_STEPS)
+        sieve, survivors = refined(t)
         expected = [r for r in range(sieve.modulus)
                     if not sieved_by_rule(t, r, sieve.modulus)]
-        assert [form[0] for form in sieve.forms] == expected
+        assert [form[0] for form in survivors] == expected
 
     @pytest.mark.parametrize("t, lo, hi, chunk, workers", [
         (T231, 1, 200_000, 1 << 16, 1),
@@ -278,8 +297,8 @@ class TestResidueSieve:
         j = job(t, lo, hi, TARGETS[t], chunk_size=chunk, prefix_verified_to=lo - 1)
         # under the default caps the sieve is used: the list is the survivors,
         # each listed or merged into its representative
-        sieve = build_sieve(t, DEFAULT_MAX_STEPS)
-        assert listed_forms(_scan_classes(t, sieve, hi, j.limits.max_value), sieve) == sieve.forms
+        sieve, survivors = refined(t)
+        assert listed_forms(_scan_classes(t, sieve, hi, j.limits.max_value), survivors) == survivors
         cp = assert_tables_keep_report(j, workers)
         assert cp.seeds_scanned == hi - lo + 1
         # seed 10 of 4:10:54:+ ends in the cycle of 342 and never falls below 10
@@ -297,8 +316,9 @@ class TestResidueSieve:
     def test_sieved_seeds_descend_under_the_peak_bound(self, t):
         # every seed of a sieved class falls below itself within depth steps,
         # its iterates up to there under the value bound at the seed
-        sieve = build_sieve(t, DEFAULT_MAX_STEPS)
-        survivors = {form[0] for form in sieve.forms}
+        # the survivors are those of `_refine`: a merged class is no sieved one
+        sieve, forms = refined(t)
+        survivors = {form[0] for form in forms}
         step = t.step_function()
         for r in range(sieve.modulus):
             if r in survivors:
@@ -326,13 +346,14 @@ class TestResidueSieve:
     @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124, T257, T41054, T364032],
                              ids=str)
     def test_survivor_forms_are_iterate_k_within_their_bounds(self, t):
-        sieve = build_sieve(t, DEFAULT_MAX_STEPS)
-        residues = [entry[0] for entry in sieve.forms]
-        assert residues == sorted(set(residues))  # `_scan_survivors` bisects them
-        for r, *_form, k in sieve.forms:
+        sieve, survivors = refined(t)
+        for forms in (sieve.forms, survivors):  # `_scan_survivors` bisects the listed ones
+            residues = [entry[0] for entry in forms]
+            assert residues == sorted(set(residues))
+        for r, *_form, k in survivors:
             assert 1 <= k == len(fixed_steps(t, r, sieve.modulus)) <= sieve.depth
         for m in (0, 1, 7, 10**6, 10**12):
-            for r, a, b, low_c, low_p, k in sieve.forms[::7]:
+            for r, a, b, low_c, low_p, k in survivors[::7]:
                 n = sieve.modulus * m + r
                 inside = iterates(t, n, k)
                 assert inside[-1] == a * m + b
@@ -360,13 +381,12 @@ class TestResidueSieve:
         max_value = value_bound(T231, sieve.depth, n) - cap_below
         assert max_value == 3**16 * 2**24 - cap_below
         form = (n % sieve.modulus, 0, 1, 0, n - 1 if low_below_n else n, sieve.depth)
-        assert form[0] in {own[0] for own in sieve.forms}
-        doctored = replace(
-            sieve, forms=[form if own[0] == form[0] else own for own in sieve.forms])
+        doctored, survivors = refined(T231, doctor=lambda own: form if own[0] == form[0] else own)
+        assert form in survivors
         # the class list decides the value guard, the scan the lower one
         classes = _scan_classes(T231, doctored, n, max_value)
         assert (classes is _FROM_N) == (cap_below > 0)
-        assert not doctored.classes.merged
+        assert not doctored.merged
         plan = scan_plan(T231, {1, 2}, max_steps=sieve.depth,
                          max_value=max_value, classes=classes)
         assert _scan_chunk(plan, n, n) == ([] if entered else [(n, "step_cap")])
@@ -380,10 +400,10 @@ class TestResidueSieve:
         n = 2**40 - 1
         sieve = build_sieve(T231, DEFAULT_MAX_STEPS)
         form = (n % sieve.modulus, 0, 2 * n - 2, 0, n, k)
-        doctored = replace(sieve, forms=[form if own[0] == form[0] else own
-                                         for own in sieve.forms])
+        doctored, survivors = refined(T231, doctor=lambda own: form if own[0] == form[0] else own)
         classes = _scan_classes(T231, doctored, n, Limits().max_value)
-        assert not classes.merged and classes.forms == doctored.forms
+        assert form in survivors
+        assert not classes.merged and classes.forms == survivors
         plan = scan_plan(T231, {1, 2}, max_steps=sieve.depth, classes=classes)
         assert _scan_chunk(plan, n, n) == ([] if entered else [(n, "step_cap")])
 
@@ -395,7 +415,7 @@ class TestResidueSieve:
         sieve = build_sieve(t, DEFAULT_MAX_STEPS)
         hi = 2 * sieve.modulus + 5
         bound = value_bound(t, sieve.depth, hi)
-        assert _scan_classes(t, sieve, hi, bound) is sieve.classes
+        assert _scan_classes(t, sieve, hi, bound) is sieve
         assert _scan_classes(t, sieve, hi, bound - 1) is _FROM_N
         assert _scan_classes(t, None, hi, bound) is _FROM_N
         assert_tables_keep_report(job(t, 1, hi, TARGETS[t], chunk_size=20_000,
@@ -429,10 +449,14 @@ def descent_status(t: Triplet, n: int, limits: Limits):
 class TestMergedClasses:
     @pytest.mark.parametrize("t", sorted(TARGETS, key=str), ids=str)
     def test_merged_classes_share_iterate_k_with_their_representative(self, t):
-        sieve = build_sieve(t, DEFAULT_MAX_STEPS)
-        classes = sieve.classes
+        classes, survivors = refined(t)
         listed = {form[0]: form for form in classes.forms}
-        form_of = {form[0]: form for form in sieve.forms}
+        form_of = {form[0]: form for form in survivors}
+        # the listed and the merged residues are the survivors, each once,
+        # and a listed class keeps its survivor's form
+        assert sorted([*listed, *(r for kept in classes.merged.values() for r in kept)]) == \
+            [form[0] for form in survivors]
+        assert all(form_of[r] == form for r, form in listed.items())
         seen = set()
         for rep, kept in classes.merged.items():
             r0, a, b, _low_c, _low_p, k = listed[rep]
@@ -441,26 +465,20 @@ class TestMergedClasses:
                 _r, a_r, b_r, _low_c, _low_p, k_r = form_of[r]
                 assert r0 < r and (a_r, b_r, k_r) == (a, b, k)
                 for m in range(4):
-                    n0, n = sieve.modulus * m + r0, sieve.modulus * m + r
+                    n0, n = classes.modulus * m + r0, classes.modulus * m + r
                     assert iterates(t, n, k)[-1] == iterates(t, n0, k)[-1] == a * m + b
         # the representative is the smallest survivor of its entry form
-        for r, a, b, _low_c, _low_p, k in sieve.forms:
+        for r, a, b, _low_c, _low_p, k in survivors:
             assert (r in listed) == ((a, b, k) not in seen)
             seen.add((a, b, k))
 
     def test_merge_counts(self):
-        merged = {t: sum(len(kept) for kept in
-                         build_sieve(t, DEFAULT_MAX_STEPS).classes.merged.values())
+        merged = {t: sum(len(kept) for kept in build_sieve(t, DEFAULT_MAX_STEPS).merged.values())
                   for t in (T10128, T364032, T8124, T3241, T41054, T231)}
         assert merged == {T10128: 5758, T364032: 16565, T8124: 118, T3241: 83,
                           T41054: 1, T231: 0}
-        # of 9,217 survivors
-        assert len(build_sieve(T10128, DEFAULT_MAX_STEPS).classes.forms) == 3459
-
-    def test_merge_is_computed_once_per_sieve(self):
-        sieve = build_sieve(T10128, DEFAULT_MAX_STEPS)
-        assert sieve.classes is sieve.classes
-        assert _scan_classes(T10128, sieve, 10**6, Limits().max_value) is sieve.classes
+        classes, survivors = refined(T10128)
+        assert (len(classes.forms), len(survivors)) == (3459, 9217)
 
     @pytest.mark.parametrize("t, limits", [
         (T10128, Limits(max_steps=8)),
@@ -475,12 +493,12 @@ class TestMergedClasses:
         # the sieve is used, and merged seeds report step_cap or value_cap
         # together with their representatives: the merged seeds of those
         # blocks are scanned from n
-        sieve = build_sieve(t, DEFAULT_MAX_STEPS)
+        sieve, survivors = refined(t)
         hi = 2 * sieve.modulus + 5_000
         if limits == "largest bound":
             limits = Limits(max_value=value_bound(t, sieve.depth, hi))
         classes = _scan_classes(t, sieve, hi, limits.max_value)
-        assert classes.merged and listed_forms(classes, sieve) == sieve.forms
+        assert classes.merged and listed_forms(classes, survivors) == survivors
         cp = assert_tables_keep_report(job(t, 1, hi, TARGETS[t], limits=limits,
                                            chunk_size=7_000))
         failed = dict(cp.exceptions)
@@ -503,7 +521,7 @@ class TestMergedClasses:
 
     @pytest.mark.parametrize("t", sorted(TARGETS, key=str), ids=str)
     def test_reach_is_the_largest_distance_to_a_representative(self, t):
-        classes = build_sieve(t, DEFAULT_MAX_STEPS).classes
+        classes = build_sieve(t, DEFAULT_MAX_STEPS)
         assert classes.reach == max((r - rep for rep, kept in classes.merged.items()
                                      for r in kept), default=0)
         assert classes.reach == {T10128: 7, T364032: 54, T8124: 2}.get(t, classes.reach)
@@ -516,8 +534,8 @@ class TestMergedClasses:
         # a resume's lo strictly between n0 and a seed n merged into it at
         # the reach, or at n, where n0 is the first representative looked
         # up; n reports an exception, so it is scanned, not lost
-        sieve = build_sieve(t, limits.max_steps)
-        classes, modulus = sieve.classes, sieve.modulus
+        classes = build_sieve(t, limits.max_steps)
+        modulus = classes.modulus
         n0, n = next((modulus * m + rep, modulus * m + r)
                      for m in range(1, 6) for rep, kept in classes.merged.items()
                      for r in kept if r - rep == classes.reach
@@ -534,13 +552,12 @@ class TestMergedClasses:
         # a sieve whose representatives' lower bounds are 0, still true but
         # never at least the seed: each representative is scanned from n0,
         # and the seeds merged into it from n
-        sieve = build_sieve(t, DEFAULT_MAX_STEPS)
-        reps = set(sieve.classes.merged)
-        doctored = replace(sieve, forms=[(*form[:3], 0, 0, form[5]) if form[0] in reps else form
-                                         for form in sieve.forms])
-        assert doctored.classes.merged.keys() == reps
+        reps = set(build_sieve(t, DEFAULT_MAX_STEPS).merged)
+        doctored, _ = refined(t, doctor=lambda form: (*form[:3], 0, 0, form[5])
+                              if form[0] in reps else form)
+        assert doctored.merged.keys() == reps
         with mock.patch.object(verify, "build_sieve", lambda *args: doctored):
-            assert_tables_keep_report(job(t, 1, 2 * sieve.modulus + 5_000, TARGETS[t],
+            assert_tables_keep_report(job(t, 1, 2 * doctored.modulus + 5_000, TARGETS[t],
                                           limits=limits, chunk_size=20_000))
 
     @pytest.mark.parametrize("case, lo_past_n0, expected", [
@@ -564,9 +581,9 @@ class TestMergedClasses:
         # 40 steps and peaks at about 1.2e19 before it falls below itself,
         # n0 at about 1.0e13
         n = 2**40 - 1
-        sieve = build_sieve(T231, DEFAULT_MAX_STEPS)
+        sieve, forms = refined(T231)
         r = n % sieve.modulus
-        survivors = [form[0] for form in sieve.forms]
+        survivors = [form[0] for form in forms]
         r0 = survivors[survivors.index(r) - 1]
         n0 = n - r + r0
         max_steps, max_value, k0 = 16, 10**16, 16
@@ -584,9 +601,9 @@ class TestMergedClasses:
         else:  # n0 descends one step after B at step 15; n meets the step cap at B
             b, low0, low, k0 = 2 * n0 - 2, n0, n, 15
         forms = {r0: (r0, 0, b, 0, low0, k0), r: (r, 0, b, 0, low, 16)}
-        doctored = replace(sieve, forms=[forms.get(form[0], form) for form in sieve.forms])
+        doctored, _ = refined(T231, doctor=lambda form: forms.get(form[0], form))
         classes = _scan_classes(T231, doctored, n, max_value)
-        assert classes is doctored.classes
+        assert classes is doctored
         assert any(form[0] == r for form in classes.forms) == (case == "other-k")
         plan = scan_plan(T231, {1, 2}, max_steps=max_steps,
                          max_value=max_value, classes=classes)
@@ -831,7 +848,7 @@ class TestJumpTable:
         max_value = coeff * qmax + const
         jumps = build_jumps(t, max(CYCLE_MEMBERS[t]), max_value)
         assert jumps.qmax == qmax
-        assert _scan_classes(t, sieve, hi, max_value) is sieve.classes
+        assert _scan_classes(t, sieve, hi, max_value) is sieve
         limits = Limits(max_steps=sieve.depth + jumps.depth + past_k, max_value=max_value)
         cp = assert_tables_keep_report(job(t, 1, hi, TARGETS[t], limits=limits,
                                            chunk_size=20_000))
@@ -1144,14 +1161,24 @@ class TestFinishTable:
         assert calls == ["jumps", "finish", "sieve"]
 
     def test_tables_built_once_per_process(self):
+        # the finish table, and under the shortcut the sieve, whose merge
+        # runs in its build: a job scans the built class list itself
         j = job(T10128, 10**12, 10**12 + 50, TARGETS[T10128], below_frontier_shortcut=False)
-        with mock.patch.object(verify, "build_finish", wraps=verify.build_finish) as builds:
+        with mock.patch.object(verify, "build_finish", wraps=verify.build_finish) as builds, \
+                mock.patch.object(verify, "build_sieve", wraps=verify.build_sieve) as sieves:
             first = verify_range(j, workers=1)
             again = verify_range(replace(j, lo=10**12 + 51, hi=10**12 + 80), workers=1)
             assert builds.call_count == 1
             verify_range(replace(j, limits=Limits(max_value=10**20)), workers=1)
             assert builds.call_count == 2
+            shortcut = job(T10128, 1, 3_000, TARGETS[T10128])
+            verify_range(shortcut, workers=1)
+            verify_range(replace(shortcut, lo=3_001, hi=6_000, prefix_verified_to=3_000),
+                         workers=1)
+            assert (sieves.call_count, builds.call_count) == (1, 2)
         assert first.exceptions == again.exceptions == ()
+        sieve = build_sieve(T10128, DEFAULT_MAX_STEPS)
+        assert _scan_classes(T10128, sieve, 10**6, Limits().max_value) is sieve
 
 
 def steps_to_member(t: Triplet, n: int, members) -> int:
@@ -1277,8 +1304,8 @@ class TestOracle:
         # representative, with a chunk starting at the merged class, and at
         # the merged class
         sieve = build_sieve(t, DEFAULT_MAX_STEPS)
-        rep = min(sieve.classes.merged) if sieve.classes.merged else sieve.forms[1][0]
-        merged = sieve.classes.merged[rep][0] if sieve.classes.merged else rep + 1
+        rep = min(sieve.merged) if sieve.merged else sieve.forms[1][0]
+        merged = sieve.merged[rep][0] if sieve.merged else rep + 1
         base = 3 * sieve.modulus
         hi = base + merged + 400
         steps = [sieve.depth - 1, sieve.depth + 1]
@@ -1305,8 +1332,8 @@ class TestOracle:
         # at which representatives report step_cap; and with every
         # representative's lower guard doctored to 0, so each is scanned
         # from n0 and decides none of its merged seeds
-        sieve = build_sieve(t, DEFAULT_MAX_STEPS)
-        classes, modulus, reach = sieve.classes, sieve.modulus, sieve.classes.reach
+        classes = build_sieve(t, DEFAULT_MAX_STEPS)
+        modulus, reach = classes.modulus, classes.reach
         rep = next(rep for rep, kept in classes.merged.items() if kept[-1] - rep == reach)
         base = 2 * modulus + rep
         for chunk in (1, 3, reach):
@@ -1319,8 +1346,9 @@ class TestOracle:
         assert any(2 * modulus + rep in failed and 2 * modulus + r <= hi
                    for rep, kept in classes.merged.items() for r in kept)
         reps = set(classes.merged)
-        doctored = replace(sieve, forms=[(*form[:3], 0, 0, form[5]) if form[0] in reps else form
-                                         for form in sieve.forms])
+        doctored, _ = refined(t, doctor=lambda form: (*form[:3], 0, 0, form[5])
+                              if form[0] in reps else form)
+        assert doctored.merged.keys() == reps
         with mock.patch.object(verify, "build_sieve", lambda *args: doctored):
             for limits in (Limits(), Limits(max_steps=max_steps)):
                 assert_oracle_report(t, lo, hi, limits=limits, chunk_size=600)
