@@ -178,12 +178,14 @@ def _emit(report, args) -> int:
 
 
 def _write_outputs(report, args) -> None:
-    if getattr(args, "json", None):
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(emit_table(report, "json") + "\n")
-    if getattr(args, "csv", None):
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(emit_table(report, "csv"))
+    """Write --json and --csv, each rendered before its file is opened, so a
+    report that fails to render leaves no empty file behind."""
+    for fmt, end in (("json", "\n"), ("csv", "")):
+        path = getattr(args, fmt, None)
+        if path:
+            text = emit_table(report, fmt) + end
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
 
 
 # --- command handlers ---------------------------------------------------------
@@ -460,4 +462,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
+    # every integer the command line reads or writes is a decimal string, so
+    # it lifts CPython's 4,300-digit cap on int <-> str; in-process `run`
+    # callers keep their own
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(run(sys.argv[1:]))

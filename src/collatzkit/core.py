@@ -11,6 +11,12 @@ naturals into the naturals exactly when the triplet is well-formed, i.e.
     alpha + kappa*beta > ((kappa - 1)/2) * beta * d   and
     alpha + kappa*beta == 0  (mod d).
 
+For kappa = +-1, [kappa*n]_d = kappa * (n mod kappa*d), with Python's
+floored mod (n mod -d lies in (-d, 0]), so the fast kernels take one rule
+for both signs: r = n mod kappa*d, and T(n) = (alpha*n + kappa*beta*r) / d
+when r != 0.  As kappa^2 = 1, kappa*beta*r = beta*[kappa*n]_d: the
+numerator is the one above, so every division is exact.
+
 All arithmetic is exact over Python's arbitrary-precision integers.
 """
 
@@ -107,18 +113,21 @@ class Triplet:
         }
 
     def step_function(self) -> Callable[[int], int]:
-        """Fast single-step closure for hot loops; assumes well-formedness checked."""
+        """Fast single-step closure for hot loops; assumes well-formedness checked.
+
+        One rule serves both signs of kappa: with sd = kappa*d and sb =
+        kappa*beta, r = n % sd is kappa*[kappa*n]_d, since Python's n % -d
+        is -[-n]_d.  So r == 0 exactly when d | n, and otherwise sb*r =
+        beta*[kappa*n]_d: the numerator alpha*n + sb*r is that of
+        `apply_map`, a multiple of d for a well-formed triplet, and the
+        floor division is exact."""
         if not self.is_wellformed:
             raise NotWellFormedError(f"triplet {self} is not well-formed")
-        d, alpha, beta, kappa = self.d, self.alpha, self.beta, self.kappa
-        if kappa == PLUS:
-            def step(n: int) -> int:
-                r = n % d
-                return n // d if r == 0 else (alpha * n + beta * r) // d
-        else:
-            def step(n: int) -> int:
-                r = n % d
-                return n // d if r == 0 else (alpha * n + beta * (d - r)) // d
+        d, alpha, sd, sb = self.d, self.alpha, self.kappa * self.d, self.kappa * self.beta
+
+        def step(n: int) -> int:
+            r = n % sd
+            return n // d if r == 0 else (alpha * n + sb * r) // d
         return step
 
 

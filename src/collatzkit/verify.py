@@ -65,7 +65,7 @@ from math import gcd, inf
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .core import PLUS, Triplet, parse_triplet
+from .core import Triplet, parse_triplet
 from .dynamics import Cycle, Limits, canonicalize
 from .errors import (CheckpointError, DigestMismatchError,
                      InvalidTargetsError, NotACycleError, ShortcutUnsoundError)
@@ -223,8 +223,8 @@ def _refine(t: Triplet, split: int, cap: int):
     for no iterate), so L*m + Q covers iterates 1..j-1 whatever the number
     of steps a level fixes.
     """
-    d, alpha, beta = t.d, t.alpha, t.beta
-    plus = t.kappa == PLUS
+    # the step rule of `Triplet.step_function`, one for both signs of kappa
+    d, alpha, sd, sb = t.d, t.alpha, t.kappa * t.d, t.kappa * t.beta
     # level 0 (M_0 = 1, n = m): iterate 0 is m, and n + 1 stands below
     live = [(0, 1, 0, 0, None, 1, 1)]
     depth, scale, width = 0, 1, d  # l - 1, M_(l-1), and the split at level l
@@ -247,12 +247,12 @@ def _refine(t: Triplet, split: int, cap: int):
                 v = u = a * digit + b  # u: the constant of iterate j
                 steps = j
                 if fixed:
-                    res = v % d
+                    res = v % sd
                     if res == 0:
                         v //= d
                         coeff //= d
                     else:
-                        v = (alpha * v + beta * (res if plus else d - res)) // d
+                        v = (alpha * v + sb * res) // d
                         coeff = coeff // d * alpha
                     steps += 1
                 if not fixed or coeff > level or v >= rr > 0:
@@ -676,11 +676,11 @@ def _scan_members(plan: ScanPlan, seeds: Sequence[int]) -> list[tuple[int, str]]
     follows, and is emptied before it would pass MEMO_CAP entries."""
     t, members, max_elem = plan.triplet, plan.members, plan.max_elem
     shortcut = plan.classes is not None
-    d, alpha, beta = t.d, t.alpha, t.beta
+    # the step rule of `Triplet.step_function`, one for both signs of kappa
+    d, alpha, sd, sb = t.d, t.alpha, t.kappa * t.d, t.kappa * t.beta
     max_steps, max_value = plan.limits.max_steps, plan.limits.max_value
     jumps, finish = plan.jumps, plan.finish
     exceptions: list[tuple[int, str]] = []
-    plus = t.kappa == PLUS
     # a jump may start only while steps <= jump_last, i.e. steps + k <= max_steps
     jump_last = -1
     if jumps is not None:
@@ -740,12 +740,11 @@ def _scan_members(plan: ScanPlan, seeds: Sequence[int]) -> list[tuple[int, str]]
                     v = coeff[r] * q + const[r]
                     steps += depth
                     continue
-            r = v % d
+            r = v % sd
             if r == 0:
                 v //= d
             else:
-                v = (alpha * v + beta * r) // d if plus else \
-                    (alpha * v + beta * (d - r)) // d
+                v = (alpha * v + sb * r) // d
             steps += 1
             if v > max_value:
                 status = VALUE_CAP
@@ -784,10 +783,10 @@ def _scan_survivors(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
     with no exception, and fell below itself by a step s <= max_steps under
     both caps, so the merge argument of `build_sieve` holds for it too."""
     t, jumps = plan.triplet, plan.jumps
-    d, alpha, beta = t.d, t.alpha, t.beta
+    # the step rule of `Triplet.step_function`, one for both signs of kappa
+    d, alpha, sd, sb = t.d, t.alpha, t.kappa * t.d, t.kappa * t.beta
     max_steps, max_value = plan.limits.max_steps, plan.limits.max_value
     exceptions: list[tuple[int, str]] = []
-    plus = t.kappa == PLUS
     # a jump may start only while steps <= jump_last, i.e. steps + k <= max_steps
     jump_last = -1
     if jumps is not None:
@@ -800,7 +799,6 @@ def _scan_survivors(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
     m, r_lo = divmod(lo, modulus)
     base = lo - r_lo
     start = bisect_left(forms, r_lo, key=_RESIDUE)
-    fell_back = False
     while base <= hi:
         r_hi = hi - base
         todo = forms[start:bisect_right(forms, r_hi, key=_RESIDUE)]
@@ -842,12 +840,11 @@ def _scan_survivors(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
                     if steps >= max_steps:
                         status = STEP_CAP
                         break
-                    r = v % d
+                    r = v % sd
                     if r == 0:
                         v //= d
                     else:
-                        v = (alpha * v + beta * r) // d if plus else \
-                            (alpha * v + beta * (d - r)) // d
+                        v = (alpha * v + sb * r) // d
                     steps += 1
                     if v > max_value:
                         status = VALUE_CAP
@@ -855,8 +852,6 @@ def _scan_survivors(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
                 if status is not None:
                     exceptions.append((n, status))
                     dropped.add(n - base)  # r is rebound by the walk
-            if not merged or not dropped:
-                break
             # each from n, by the form (r, M, r, M, r, 0) of `_FROM_N`; a merged
             # class lies above its representative, so only the classes merged
             # into one below lo can lie below lo too
@@ -865,12 +860,10 @@ def _scan_survivors(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
             if not todo:
                 break
             dropped = set()  # the merged classes have no merged classes
-            fell_back = True
         m += 1
         base += modulus
         start = r_lo = 0
-    if fell_back:
-        exceptions.sort()
+    exceptions.sort()
     return exceptions
 
 

@@ -514,10 +514,15 @@ def test_bound_precision_out_of_range_is_usage_error(capsys):
     assert "--precision-bits" in capsys.readouterr().err
 
 
-def test_python_dash_m_entry_point():
+def _subprocess_env() -> dict:
+    """The environment of a child Python that imports this collatzkit."""
     src = str(Path(collatzkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_python_dash_m_entry_point():
+    env = _subprocess_env()
     done = subprocess.run([sys.executable, "-m", "collatzkit", "--help"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0
@@ -527,9 +532,7 @@ def test_python_dash_m_entry_point():
 def test_parser_and_verify_import_no_mpmath():
     # mpmath comes with the first interval context, which the parser and a
     # verify run never build; a bound run still builds one
-    src = str(Path(collatzkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _subprocess_env()
     script = "\n".join([
         "import sys, collatzkit",
         "from collatzkit import cli",
@@ -548,9 +551,7 @@ def test_parser_and_verify_import_no_mpmath():
 def test_verify_on_two_workers_exits_and_leaves_no_process():
     # the kept pool's workers share the CLI's process group, which must be
     # empty once the CLI has exited and been reaped
-    src = str(Path(collatzkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _subprocess_env()
     proc = subprocess.Popen([sys.executable, "-m", "collatzkit", "verify", "--triplet", "2:3:1:+",
                              "--hi", "200000", "--targets", "1", "--chunk", "20000",
                              "--max-steps", "40", "--threads", "2"],
@@ -566,3 +567,46 @@ def test_verify_on_two_workers_exits_and_leaves_no_process():
     assert "step_cap" in out
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
+
+
+def test_cli_reads_and_writes_integers_past_4300_digits(tmp_path):
+    # CPython refuses int <-> str past 4,300 digits by default; the CLI's
+    # integers are decimal strings, so `main` lifts the cap for its process.
+    # Decimal strings are built here, as this process keeps the cap.
+    big, big_plus_10 = "1" + "0" * 5000, "1" + "0" * 4998 + "10"  # 10^5000, 10^5000 + 10
+
+    def cli(*argv):
+        done = subprocess.run([sys.executable, "-m", "collatzkit", *argv], capture_output=True,
+                              text=True, env=_subprocess_env(), cwd=tmp_path, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    assert cli("map", "--triplet", "2:3:1:+", "--n", "10^5000") == "5" + "0" * 4999 + "\n"
+    assert "peak value: " + big in cli("trace", "--triplet", "2:3:1:+", "--n", "10^5000")
+    cli("verify", "--triplet", "2:3:1:+", "--lo", "10^5000", "--hi", "10^5000", "--targets", "1",
+        "--no-shortcut", "--max-value", "10^6000", "--json", "out.json",
+        "--checkpoint", "cp.json")
+    for name in ("out.json", "cp.json"):
+        doc = json.loads((tmp_path / name).read_text())
+        assert doc["verified_frontier"] == big and doc["seeds_scanned"] == "1"
+        assert doc["job"]["lo"] == doc["job"]["hi"] == big
+    out = cli("resume", "--checkpoint", "cp.json", "--hi", big_plus_10)
+    assert "exceptions: 0\n" in out and "seeds scanned: 11 " in out
+    assert json.loads((tmp_path / "cp.json").read_text())["verified_frontier"] == big_plus_10
+
+
+def test_report_rendered_before_its_file_is_opened(monkeypatch, capsys, tmp_path):
+    import collatzkit.cli as cli
+
+    def failing(report, fmt="text"):
+        if fmt != "text":
+            raise ValueError("cannot render")
+        return emit_table(report, fmt)
+
+    monkeypatch.setattr(cli, "emit_table", failing)
+    for flag in ("--json", "--csv"):
+        path = tmp_path / f"report{flag}"
+        with pytest.raises(ValueError):
+            run(["cycles", "--triplet", "2:3:1:+", "--seed-lo", "1", "--seed-hi", "10",
+                 flag, str(path)])
+        assert not path.exists()

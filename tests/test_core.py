@@ -118,12 +118,23 @@ def test_dplus1_triplets_wellformed_through_100():
         assert Triplet(d, d + 1, 1, -1).is_wellformed
 
 
+# every sign combination of (kappa, beta): the step takes n % (kappa*d), a
+# negative modulus for kappa = -1, where apply_map takes [kappa*n]_d
+STEP_TRIPLETS = ("2:3:1:+", "3:8:5:-", "10:12:8:+", "3:28:-19:+", "3:5:-1:-")
+
+
 def test_step_function_matches_apply_map():
-    for text in ("2:3:1:+", "3:8:5:-", "10:12:8:+", "3:28:-19:+"):
+    for text in STEP_TRIPLETS:
         t = parse_triplet(text)
         step = t.step_function()
         for n in range(1, 500):
             assert step(n) == apply_map(t, n)
+
+
+@given(text=st.sampled_from(STEP_TRIPLETS), n=st.integers(10**12, 10**40))
+def test_step_function_matches_apply_map_on_multi_limb_n(text, n):
+    t = parse_triplet(text)
+    assert t.step_function()(n) == apply_map(t, n)
 
 
 def test_json_dict_uses_decimal_strings():

@@ -39,6 +39,7 @@ T23m1 = parse_triplet("2:3:-1:+")
 T257 = parse_triplet("257:258:256:+")  # sieve depth 1
 T41054 = parse_triplet("4:10:54:+")  # gcd(alpha, d) = 2
 T364032 = parse_triplet("36:40:32:+")  # gcd(alpha, d) = 4
+T35m1m = parse_triplet("3:5:-1:-")  # kappa = -1 with beta < 0
 TARGETS = {
     T231: (OMEGA1,),
     T10128: (OMEGA4,),
@@ -47,6 +48,7 @@ TARGETS = {
     # the cycles with no element above 300; many orbits end in larger ones
     T41054: tuple(detect_cycle_from(T41054, m) for m in (1, 2, 3, 6, 7, 9, 18, 27)),
     T364032: (detect_cycle_from(T364032, 8),),
+    T35m1m: (detect_cycle_from(T35m1m, 1),),  # seeds to 2,000 reach no other cycle
 }
 CYCLE_MEMBERS = {t: frozenset(x for c in cycles for x in c.elements)
                  for t, cycles in TARGETS.items()}

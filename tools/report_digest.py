@@ -12,9 +12,10 @@ the src of the checkout that holds this script, so that
 sweeps another checkout with the same jobs.  The sweep is 320
 `verify_range` jobs and a `resume` of every third job, chained once more
 for every ninth, over the target triplets of tests/test_verify.py and
-3:4:-1:+ and 2:3:-1:+: with and without the below-frontier shortcut, on 1
-and 2 workers, chunks of 7, 1,000, 65,536 and one drawn in [1, 3,000],
-step caps around each triplet's sieve depth, value caps within 3 of the
+3:4:-1:+ and 2:3:-1:+, which together take every sign combination of kappa
+and beta: with and without the below-frontier shortcut, on 1 and 2
+workers, chunks of 7, 1,000, 65,536 and one drawn in [1, 3,000], step
+caps around each triplet's sieve depth, value caps within 3 of the
 closed-form sieve gate at hi, and the default caps.  `--no-shortcut` jobs
 of 4:10:54:+ are held to 2,000 steps, as seeds that enter a non-target
 cycle walk to the step cap.  A report is `checkpoint_to_json_dict` without
@@ -41,6 +42,7 @@ TRIPLETS = {  # triplet -> the minima of its target cycles
     "36:40:32:+": (8,),
     "3:4:-1:+": (1, 2),
     "2:3:-1:+": (1, 5, 17),
+    "3:5:-1:-": (1,),
 }
 TRAPPED = "4:10:54:+"  # held to TRAPPED_STEPS without the shortcut
 TRAPPED_STEPS = 2_000
