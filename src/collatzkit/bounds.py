@@ -4,10 +4,12 @@ Each report encloses its one real quantity (gamma0 for alg1 and mu, the
 shifted ratio X = xi + log_d(1 + beta*(d-1)/(alpha*M)) for alg2, the
 radicand for hurwitz) on one `intervals._Ladder`, one interval context per
 precision rung, beside log_d(alpha), and decides every row (R_n floors,
-stop tests, D_n signs and digits, square-root floors) by exact rational
-comparison against the enclosure's endpoints.  A row the enclosure leaves
-ambiguous is settled on the first rung above that decides it, and the
-report stays there; its convergents are expanded on the same rungs.
+stop tests, D_n digits, square-root floors) by exact rational comparison
+against the enclosure's endpoints.  The sign of D_n needs no enclosure: it
+is that of an integer comparison, which `farey_sign` decides exactly.  A
+row the enclosure leaves ambiguous is settled on the first rung above that
+decides it, and the report stays there; its convergents are expanded on
+the same rungs.
 Rerunning any bound at doubled precision returns the identical integers.
 alg1 and mu share one peak walk and one row type.  Two bounds are advisory
 and labeled as such: the irrationality-measure bound (its validity
@@ -28,8 +30,6 @@ from .errors import BoundPreconditionError, CoprimalityError, MTooSmallError
 from .intervals import (DEFAULT_POLICY, CertifiedReal, ConvergentStream,
                         PrecisionPolicy, _Ambiguous, _Ladder, _Rung, endpoints,
                         log_ratio_expr)
-
-EXACT_SIGN_Q_LIMIT = 10**4
 
 
 @dataclass(frozen=True)
@@ -308,6 +308,55 @@ def exact_farey_sign(t: Triplet, M: int, p: int, q: int) -> int:
     return 0
 
 
+def _truncate(m: int, e: int, k: int, up: bool) -> tuple[int, int]:
+    """m*2^e with m cut to its top k bits, rounded down, or up if up."""
+    cut = max(m.bit_length() - k, 0)
+    top = m >> cut
+    return top + (up and top << cut != m), e + cut
+
+
+def _power_bound(x: int, n: int, k: int, up: bool) -> tuple[int, int]:
+    """x^n as m*2^e by square and multiply, every product truncated to k
+    bits: a lower bound, or an upper bound if up."""
+    m, e = _power_bound(x, n // 2, k, up) if n > 1 else (1, 0)
+    return _truncate(m * m * x ** (n % 2), 2 * e, k, up)
+
+
+def _below(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """a < b for positive m*2^e pairs."""
+    (am, ae), (bm, be) = a, b
+    if am.bit_length() + ae != bm.bit_length() + be:
+        return am.bit_length() + ae < bm.bit_length() + be
+    return am << max(ae - be, 0) < bm << max(be - ae, 0)
+
+
+def farey_sign(t: Triplet, M: int, p: int, q: int) -> int:
+    """Sign of X - p/q, X = xi + log_d(1 + beta*(d-1)/(alpha*M)), for any
+    p >= 0 and q >= 1.
+
+    X = log_d(A/B) with A = alpha*(alpha*M + beta*(d-1)) and B = alpha*M,
+    so the sign is that of A^q - d^p*B^q.  Both sides are bounded on k-bit
+    products, k doubling from 64 until the bounds separate or, with nothing
+    truncated, are the exact powers, which then tie: a sign of 0.
+    """
+    A, B = t.alpha * (t.alpha * M + t.beta * (t.d - 1)), t.alpha * M
+
+    def sides(k: int, up: bool) -> tuple[tuple[int, int], tuple[int, int]]:
+        (dm, de), (bm, be) = _power_bound(t.d, p, k, up), _power_bound(B, q, k, up)
+        return _power_bound(A, q, k, up), _truncate(dm * bm, de + be, k, up)
+
+    k = 64
+    while True:
+        (lhs_lo, rhs_lo), (lhs_hi, rhs_hi) = sides(k, False), sides(k, True)
+        if _below(rhs_hi, lhs_lo):
+            return 1
+        if _below(lhs_hi, rhs_lo):
+            return -1
+        if lhs_lo == lhs_hi and rhs_lo == rhs_hi:
+            return 0
+        k *= 2
+
+
 def farey_bound(t: Triplet, M: int,
                 policy: PrecisionPolicy = DEFAULT_POLICY) -> BoundReport:
     """Cycle-length bound p_(2*n0+1) from the first odd convergent index
@@ -315,36 +364,23 @@ def farey_bound(t: Triplet, M: int,
 
     Requires D_1(M) < 0 (otherwise M is too small for this method).  Even
     rows are positive throughout; odd rows are negative until the flip.
-    Every sign is interval-certified, and so are the three digits of D_n
-    each row prints; rows with q_n <= EXACT_SIGN_Q_LIMIT are
-    cross-checked by integer power comparison, which alone signs a D_1(M)
-    of exactly 0.
+    Every sign, 0 included, is exact (`farey_sign`); the three digits of
+    D_n each row prints are interval-certified, and must show that sign.
     """
     _require_section_preconditions(t, M)
     ladder = _Ladder(t.d, t.alpha, policy, lambda ctx: _shifted_xi(t, ctx, M))
 
-    def digits(rung, x, n):
-        shown = CertifiedReal(rung.lo - x, rung.hi - x, rung.bits).sci_certified(3)
-        if shown is None:
-            raise _Ambiguous(f"3 digits of D_{n}(M) still uncertain")
-        return shown
-
     def row(rung, n, p, q, _qprev):
-        x = Fraction(p, q)
-        exact = exact_farey_sign(t, M, p, q) if q <= EXACT_SIGN_Q_LIMIT else None
-        # D_1(M) can be exactly 0 (X = 2 = p_1/q_1 for 2:3:1:+ at M = 1),
-        # which no rung's enclosure can sign: row 1 takes the exact zero
-        sign = 0 if n == 1 and exact == 0 else _sign(rung.lo - x, rung.hi - x, f"D_{n}(M)")
-        if exact is not None and exact != sign:
-            raise AssertionError(
-                f"interval sign {sign} disagrees with exact comparison {exact} at n={n}")
+        sign = farey_sign(t, M, p, q)
         if n == 1 and sign >= 0:
             raise MTooSmallError(
                 f"D_1(M) >= 0 for M={M}; threshold too small for the sign-flip bound")
-        # an enclosure tight enough for the sign can be too loose for its
-        # digits; they are then read on the rungs above, which the walk
-        # does not climb for them
-        approx, _ = ladder.settle(lambda finer: digits(finer, x, n), rung.bits, n)
+        x = Fraction(p, q)
+        approx = CertifiedReal(rung.lo - x, rung.hi - x, rung.bits).sci_certified(3)
+        if approx is None:
+            raise _Ambiguous(f"3 digits of D_{n}(M) still uncertain")
+        if approx.startswith("-") != (sign < 0):
+            raise AssertionError(f"digits {approx} of D_{n}(M) contradict its exact sign {sign}")
         if n % 2 == 0 and sign < 0:
             raise AssertionError(f"even-index D_{n} certified negative; defect")
         return Alg2Row(n, p, q, sign, approx), n % 2 == 1 and sign > 0

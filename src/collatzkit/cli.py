@@ -108,7 +108,10 @@ def emit_table(report, fmt: str = "text") -> str:
         header = ["n", "p_n", "q_n", "value"]
         rows = _bound_rows(report)
         if fmt == "csv":
-            return _csv_string(header, rows)
+            summary = [report.method, report.triplet.text, report.M, report.bound, report.n0,
+                       report.boxed_index, "true" if report.certified else "false"]
+            return _csv_string(["method", "triplet", "min_omega", "bound", "n0", "boxed_index",
+                                "certified"], [summary]) + "\n" + _csv_string(header, rows)
         lines = []
         if rows:
             lines.append(_text_table(header, rows))

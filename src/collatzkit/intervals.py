@@ -99,18 +99,6 @@ class CertifiedReal:
     def contains(self, value) -> bool:
         return self.lo <= value <= self.hi
 
-    def __float__(self) -> float:
-        return float(self.midpoint)
-
-    def sci(self, sig: int = 3) -> str:
-        """Midpoint in scientific notation with sig significant digits."""
-        from decimal import Decimal, localcontext
-        with localcontext() as lctx:
-            lctx.prec = sig + 10
-            mid = self.midpoint
-            v = Decimal(mid.numerator) / Decimal(mid.denominator)
-        return format(v, f".{sig - 1}e")
-
     def sci_certified(self, sig: int = 3) -> Optional[str]:
         """The scientific notation with sig significant digits that every
         point of [lo, hi] rounds to, or None when two points round apart.
@@ -198,28 +186,25 @@ class _Ladder:
 
 def certified_partial_quotients(d: int, alpha: int, n_terms: int, ladder: _Ladder,
                                 start_bits: int = 0) -> tuple[list[int], int]:
-    """First n_terms partial quotients of log_d(alpha), each one certified,
-    and the precision that certified them.
+    """Every partial quotient of log_d(alpha) that the lowest rung
+    certifying at least n_terms of them certifies, and that rung's bits.
 
     Runs the continued-fraction recursion on the exact rational endpoints of
     an interval enclosure; a term is emitted only when both endpoints share
-    the same floor, so each emitted a_n is proven correct.  Ambiguity (or an
-    endpoint landing exactly on an integer) escalates the whole expansion to
-    the next rung.  The rungs are those of ladder, a ladder of log_d(alpha),
-    from start_bits up.
+    the same floor, so each emitted a_n is proven correct.  A rung that
+    certifies fewer than n_terms (the expansion stops at an ambiguous floor
+    or at an endpoint landing exactly on an integer) escalates the whole
+    expansion to the next rung.  The rungs are those of ladder, a ladder of
+    log_d(alpha), from start_bits up.
     """
     def expand(rung: _Rung) -> list[int]:
         lo, hi = rung.xi
         terms: list[int] = []
-        while len(terms) < n_terms:
-            flo = lo.numerator // lo.denominator
-            if flo != hi.numerator // hi.denominator:
-                break
+        while (flo := lo // 1) == hi // 1:
             terms.append(flo)
-            lo_frac, hi_frac = lo - flo, hi - flo
-            if lo_frac <= 0:
-                break  # next interval would be unbounded; escalate
-            lo, hi = 1 / hi_frac, 1 / lo_frac
+            if lo == flo:
+                break  # next interval would be unbounded
+            lo, hi = 1 / (hi - flo), 1 / (lo - flo)
         if len(terms) < n_terms:
             raise _Ambiguous(f"only certified {len(terms)} partial quotients of log_{d}({alpha})",
                              f", wanted {n_terms}")
@@ -231,13 +216,14 @@ def certified_partial_quotients(d: int, alpha: int, n_terms: int, ladder: _Ladde
 class ConvergentStream:
     """Lazily extended certified convergents p_n/q_n of log_d(alpha).
 
-    Extension recomputes the expansion from scratch on whatever rung of the
-    stream's ladder it needs: by default a ladder of policy's own, or a
-    bound report's ladder, so that extending the stream builds no context of
-    its own.  It climbs the ladder from bits_used rather than from its
-    start: each rung certifies a fixed number of terms, and every rung below
-    bits_used certified fewer than the stream already holds, so it cannot
-    certify more, and skipping it leaves the terms and bits_used unchanged.
+    Extension recomputes the expansion from scratch on the lowest rung of
+    the stream's ladder that certifies the terms asked for, and keeps every
+    term that rung certifies.  The ladder is by default one of policy's
+    own, or a bound report's ladder, so that extending the stream builds no
+    context of its own.  It climbs the ladder from bits_used rather than
+    from its start: each rung certifies a fixed number of terms, and the
+    stream already holds every term that bits_used certifies, more than any
+    rung below, so skipping those leaves the terms and bits_used unchanged.
     Prefixes are stable across extensions because every emitted term is
     certified.
     """
@@ -253,18 +239,8 @@ class ConvergentStream:
     def ensure(self, n_terms: int) -> None:
         if n_terms <= len(self._terms):
             return
-        target = max(n_terms, 2 * len(self._terms), 8)
-        try:
-            quotients, bits = certified_partial_quotients(
-                self.d, self.alpha, target, ladder=self.ladder, start_bits=self.bits_used)
-        except PrecisionExhaustedError:
-            if target == n_terms:
-                raise
-            # the amortized over-request exceeded the policy cap; the exact
-            # demand may still be certifiable
-            quotients, bits = certified_partial_quotients(
-                self.d, self.alpha, n_terms, ladder=self.ladder, start_bits=self.bits_used)
-        self.bits_used = max(self.bits_used, bits)
+        quotients, self.bits_used = certified_partial_quotients(
+            self.d, self.alpha, n_terms, ladder=self.ladder, start_bits=self.bits_used)
         terms: list[tuple[int, int, int]] = []
         p1, p2, q1, q2 = 1, 0, 0, 1
         for a in quotients:

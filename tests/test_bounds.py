@@ -8,6 +8,7 @@ their precision-exhausted tails.
 
 import dataclasses
 import math
+import random
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 
@@ -15,10 +16,10 @@ import pytest
 
 from collatzkit import (BoundPreconditionError, CoprimalityError,
                         MTooSmallError, PrecisionExhaustedError, PrecisionPolicy,
-                        convergents, detect_cycle_from, enumerate_cycles,
+                        bounds, convergents, detect_cycle_from, enumerate_cycles,
                         farey_bound, hurwitz_bound, intervals, mu_bound,
                         parse_triplet, r_infinity_bound, xi_value)
-from collatzkit.bounds import exact_farey_sign
+from collatzkit.bounds import exact_farey_sign, farey_sign
 
 T564 = parse_triplet("5:6:4:+")
 T231 = parse_triplet("2:3:1:+")
@@ -250,18 +251,19 @@ class TestFarey:
                 assert row.sign < 0
         assert rep.rows[-1].n == rep.boxed_index and rep.rows[-1].sign > 0
 
-    def test_exact_sign_agrees_with_intervals(self):
-        for e in (5, 10, 15):
-            rep = farey_bound(T564, 5**e)
-            for row in rep.rows:
-                if row.q <= 10**4:
-                    assert exact_farey_sign(T564, 5**e, row.p, row.q) == row.sign
+    @pytest.mark.parametrize("t, M", [*((T564, 5**e) for e in range(5, 31, 5)),
+                                      (T231, 2**40), (T231, 2**71)], ids=str)
+    def test_exact_sign_agrees_with_intervals(self, t, M):
+        # rows with q <= 10^4, where the full integer powers are cheap
+        rows = [row for row in farey_bound(t, M).rows if row.q <= 10**4]
+        assert rows
+        for row in rows:
+            assert exact_farey_sign(t, M, row.p, row.q) == row.sign
 
     def test_rows_match_decimal_oracle(self):
-        # exact_farey_sign reaches q <= 10^4 only (row 9); every row up to
-        # the flip at 5^25, 5^30 and 5^60 is checked against a decimal D_n
-        # instead.  At 5^60 the enclosures that certify the signs of rows 44
-        # and 45 are too wide for three digits
+        # signs come from farey_sign and digits from the enclosure; every
+        # row up to the flip at 5^25, 5^30 and 5^60, where q_n reaches
+        # 4e20, is checked against a 300-digit decimal D_n, independent of both
         for e in (25, 30, 60):
             M = 5**e
             rep = farey_bound(T564, M)
@@ -279,8 +281,9 @@ class TestFarey:
                              ids=str)
     def test_m_too_small(self, t, M):
         # D_1(M) > 0 for 5:6:4:+; for the other two X = log_d(d^2) = 2 =
-        # p_1/q_1 exactly, so D_1(M) = 0, which no rung can sign: each is
-        # refused on the first rung, so a one-rung ladder is not exhausted
+        # p_1/q_1 exactly, so D_1(M) = 0, which no rung's enclosure can
+        # sign and farey_sign finds exactly: each is refused on the first
+        # rung, so a one-rung ladder is not exhausted
         with pytest.raises(MTooSmallError, match=r"D_1\(M\) >= 0"):
             farey_bound(t, M, PrecisionPolicy(start_bits=64, max_bits=64))
 
@@ -294,9 +297,9 @@ class TestFarey:
             farey_bound(T564, 5**15, PrecisionPolicy(start_bits=8, max_bits=16))
 
     def test_exact_demand_survives_over_request(self):
-        # the amortized stream over-request must not turn a satisfiable
-        # bound run into exhaustion: flip index 17 needs 18 terms, and a
-        # 64-bit cap certifies ~27
+        # the stream asks for the terms the walk needs and no more, so a
+        # tight cap that certifies them is enough: flip index 17 needs 18
+        # terms, and a 64-bit cap certifies ~27
         rep = farey_bound(T564, 5**20, PrecisionPolicy(start_bits=8, max_bits=64))
         assert (rep.bound, rep.boxed_index) == (10850489, 17)
 
@@ -313,19 +316,79 @@ class TestFarey:
         with pytest.raises(PrecisionExhaustedError) as exc:
             farey_bound(T564, 5**15)
         assert exc.value.ambiguous_index == 0
-        assert str(exc.value) == "sign of D_0(M) still ambiguous at 16384 bits"
+        assert str(exc.value) == "3 digits of D_0(M) still uncertain at 16384 bits"
 
-    def test_digit_rungs_leave_bits_used(self):
-        # from 8 bits at 5^10 every sign settles by 16 bits, and the three
-        # digits of D_7 need 32: they are read there, and the walk stays at 16
+    def test_digit_rungs_climb_the_walk(self):
+        # from 8 bits at 5^10 the three digits of D_7 need 32 bits: the
+        # walk climbs there, and the report says so
         rep = farey_bound(T564, 5**10, PrecisionPolicy(start_bits=8))
-        assert rep.bits_used == 16
+        assert rep.bits_used == 32
         assert rep.rows[7].approx == "1.14e-7"
+
+    def test_digits_showing_the_wrong_sign_are_a_defect(self, monkeypatch):
+        # mirror X about 1 on every rung: the enclosure of D_0 = X - 1 > 0
+        # then certifies the digits of -D_0, which the exact sign refutes
+        enclose_rung = intervals._Ladder.__getitem__
+
+        def mirrored(ladder, i):
+            rung = enclose_rung(ladder, i)
+            return dataclasses.replace(rung, lo=2 - rung.hi, hi=2 - rung.lo)
+
+        monkeypatch.setattr(intervals._Ladder, "__getitem__", mirrored)
+        with pytest.raises(AssertionError, match=r"digits -1\.\d\de-1 of D_0\(M\) contradict "
+                                                 r"its exact sign 1"):
+            farey_bound(T564, 5**15)
 
     def test_d3_at_5pow5_positive_exactly(self):
         # the decisive entry: D_3(5^5) > 0 by pure integer arithmetic
         assert 6**44 * (6 * 5**5 + 16)**44 > 5**49 * (6 * 5**5)**44
         assert exact_farey_sign(T564, 5**5, 49, 44) == 1
+
+
+class TestFareySign:
+    """farey_sign against exact integer powers, decimal D_n and known zeros."""
+
+    @pytest.mark.parametrize("t, M, p, q", [(parse_triplet("4:5:3:+"), 3, 3, 2),
+                                            (parse_triplet("8:13:3:+"), 7, 4, 3)], ids=str)
+    def test_exact_zero(self, t, M, p, q):
+        # X = log_4 8 = 3/2 and X = log_8 16 = 4/3: A^q = d^p*B^q exactly
+        assert farey_sign(t, M, p, q) == exact_farey_sign(t, M, p, q) == 0
+        assert farey_sign(t, M, p + 1, q) == -1 and farey_sign(t, M, p - 1, q) == 1
+        # the same zero with powers of about 10^4 bits, which 64-bit
+        # products only tie once nothing is truncated, and a p/q within
+        # 10^-30 of it
+        assert farey_sign(t, M, 1000 * p, 1000 * q) == 0
+        assert farey_sign(t, M, 10**30 * p + 1, 10**30 * q) == -1
+
+    @pytest.mark.parametrize("e, n, k", [(30, 23, 128), (60, 41, 256)])
+    def test_rows_that_need_more_than_64_bits(self, monkeypatch, e, n, k):
+        _a, p, q = convergents(T564, n + 1).terms[n]
+        used = []
+        power_bound = bounds._power_bound
+
+        def recording(x, n, k, up):
+            used.append(k)
+            return power_bound(x, n, k, up)
+
+        monkeypatch.setattr(bounds, "_power_bound", recording)
+        sign = farey_sign(T564, 5**e, p, q)
+        assert max(used) == k
+        with localcontext() as c:
+            c.prec = 100
+            shift = (Decimal(6).ln() + (1 + Decimal(16) / (6 * 5**e)).ln()) / Decimal(5).ln()
+            assert sign == (1 if shift > Decimal(p) / q else -1)
+
+    def test_agrees_with_exact_powers(self):
+        rng = random.Random(31)
+        triplets = [T564, T231] + [parse_triplet(text)
+                                   for text in ("3:4:2:+", "7:46:3:+", "4:5:3:+", "8:13:3:+")]
+        for _ in range(200):
+            t = rng.choice(triplets)
+            M = rng.randint(1, 10**rng.randint(1, 12))
+            q = rng.randint(1, 2000)
+            x = math.log(t.alpha * (t.alpha * M + t.beta * (t.d - 1)) / (t.alpha * M), t.d)
+            p = round(q * x) + rng.randint(-1, 1)
+            assert farey_sign(t, M, p, q) == exact_farey_sign(t, M, p, q), (t, M, p, q)
 
 
 def test_cross_method_sanity():
@@ -469,8 +532,4 @@ def test_one_context_per_rung(monkeypatch, method, e, policy):
                  "convergents": lambda: convergents(T564, e, policy).precision_bits_used,
                  }[method]()
     assert built == list(policy.ladder())[:len(built)]
-    if method == "alg2":
-        # the three digits of a row may need rungs above its sign's
-        assert built[-1] >= bits_used
-    else:
-        assert built[-1] == bits_used
+    assert built[-1] == bits_used

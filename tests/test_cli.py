@@ -221,8 +221,23 @@ def test_bound_alg1_table(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "bound=102678 n0=11" in out
     lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "n,p_n,q_n,value"
-    assert lines[12].split(",") == ["11", "167863", "150782", "102678"]
+    assert lines[3] == "n,p_n,q_n,value"
+    assert lines[15].split(",") == ["11", "167863", "150782", "102678"]
+
+
+@pytest.mark.parametrize("method, summary", [
+    ("alg1", "alg1,5:6:4:+,30517578125,102678,11,,true"),
+    ("alg2", "alg2,5:6:4:+,30517578125,167863,5,11,true"),
+    ("hurwitz", "hurwitz,5:6:4:+,30517578125,90758,0,,false"),
+])
+def test_bound_csv_states_the_bound(tmp_path, method, summary):
+    # a summary row first, as in the checkpoint CSV, then the table
+    csv_path = tmp_path / "b.csv"
+    assert run(["bound", method, "--triplet", "5:6:4:+", "--min-omega", "5^15",
+                "--csv", str(csv_path)]) == 0
+    lines = csv_path.read_text().splitlines()
+    assert lines[:4] == ["method,triplet,min_omega,bound,n0,boxed_index,certified", summary, "",
+                         "n,p_n,q_n,value"]
 
 
 def test_bound_json_uses_decimal_strings(capsys, tmp_path):
