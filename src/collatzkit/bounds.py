@@ -6,10 +6,11 @@ radicand for hurwitz) on one `intervals._Ladder`, one interval context per
 precision rung, beside log_d(alpha), and decides every row (R_n floors,
 stop tests, D_n digits, square-root floors) by exact rational comparison
 against the enclosure's endpoints.  The sign of D_n needs no enclosure: it
-is that of an integer comparison, which `farey_sign` decides exactly.  A
-row the enclosure leaves ambiguous is settled on the first rung above that
-decides it, and the report stays there; its convergents are expanded on
-the same rungs.
+is that of an integer comparison, which `farey_sign` decides exactly.
+Each report climbs its ladder once.  Its walk runs on one rung, whose
+log_d(alpha) enclosure certifies the convergents; where a row is ambiguous
+there, or the rung certifies no convergent for it, the walk moves to the
+next rung and resumes from that row, keeping the rows it settled.
 Rerunning any bound at doubled precision returns the identical integers.
 alg1 and mu share one peak walk and one row type.  Two bounds are advisory
 and labeled as such: the irrationality-measure bound (its validity
@@ -27,9 +28,8 @@ from typing import Any, Callable, Optional, Union
 
 from .core import Triplet
 from .errors import BoundPreconditionError, CoprimalityError, MTooSmallError
-from .intervals import (DEFAULT_POLICY, CertifiedReal, ConvergentStream,
-                        PrecisionPolicy, _Ambiguous, _Ladder, _Rung, endpoints,
-                        log_ratio_expr)
+from .intervals import (DEFAULT_POLICY, CertifiedReal, PrecisionPolicy, _Ambiguous,
+                        _Ladder, _Rung, endpoints, log_ratio_expr)
 
 
 @dataclass(frozen=True)
@@ -148,9 +148,20 @@ def convergents(t: Triplet, min_terms: int,
     """At least min_terms certified convergents of log_d(alpha)."""
     if math.gcd(t.d, t.alpha) != 1:
         raise CoprimalityError(f"gcd({t.d}, {t.alpha}) != 1")
-    stream = ConvergentStream(t.d, t.alpha, policy)
-    terms = stream.prefix(min_terms)
-    return ConvergentSequence(t, tuple(terms), stream.bits_used)
+    if min_terms < 1:
+        return ConvergentSequence(t, (), 0)
+    terms, bits = _Ladder(t.d, t.alpha, policy).settle(
+        lambda rung: _terms(t, rung, min_terms)[:min_terms])
+    return ConvergentSequence(t, terms, bits)
+
+
+def _terms(t: Triplet, rung: _Rung, n: int) -> tuple[tuple[int, int, int], ...]:
+    """The rung's certified convergents of log_d(alpha), at least n of them."""
+    terms = rung.convergents
+    if len(terms) < n:
+        raise _Ambiguous(f"only certified {len(terms)} partial quotients of "
+                         f"log_{t.d}({t.alpha})", f", wanted {n}")
+    return terms
 
 
 def _gamma0(t: Triplet, ctx) -> Any:
@@ -205,23 +216,32 @@ def _walk(t: Triplet, ladder: _Ladder,
     """The convergent walk of alg1, alg2 and mu.
 
     Row n of the certified convergents p_n/q_n of log_d(alpha) is
-    row(rung, n, p_n, q_n, q_(n-1)) -> (row, stop), decided on the walk's
-    current rung or, where that rung leaves it ambiguous, on the first rung
-    above that settles it, where the walk then stays.  Returns the rows
-    through the first that stops the walk, and the bits used: the highest
-    rung a row needed, or the convergent stream's precision if higher.
+    row(rung, n, p_n, q_n, q_(n-1)) -> (row, stop).  The walk runs on one
+    rung, the ladder's lowest first.  Where a row is ambiguous there, or
+    the rung certifies no convergent for it, the walk moves to the next
+    rung and resumes from that row; the rows it settled are kept, and must
+    be that rung's convergents too.  Returns the rows through the first
+    that stops the walk, and the bits of the rung it ended on.
     """
-    stream = ConvergentStream(t.d, t.alpha, ladder=ladder)
     rows: list = []
-    bits = qprev = 0
-    while True:
-        n = len(rows)
-        _a, p, q = stream.term(n)
-        (r, stop), bits = ladder.settle(lambda rung: row(rung, n, p, q, qprev), bits, n)
-        rows.append(r)
-        if stop:
-            return rows, max(bits, stream.bits_used)
-        qprev = q
+
+    def resume(rung: _Rung) -> list:
+        terms = rung.convergents
+        if [(r.p, r.q) for r in rows] != [(p, q) for _a, p, q in terms[:len(rows)]]:
+            raise AssertionError(f"certified convergents changed at {rung.bits} bits")
+        while True:
+            n = len(rows)
+            _a, p, q = _terms(t, rung, n + 1)[n]
+            try:
+                r, stop = row(rung, n, p, q, terms[n - 1][2] if n else 0)
+            except _Ambiguous as exc:
+                exc.index = n
+                raise
+            rows.append(r)
+            if stop:
+                return rows
+
+    return ladder.settle(resume)
 
 
 def hurwitz_bound(t: Triplet, m0: int,
@@ -316,10 +336,13 @@ def _truncate(m: int, e: int, k: int, up: bool) -> tuple[int, int]:
 
 
 def _power_bound(x: int, n: int, k: int, up: bool) -> tuple[int, int]:
-    """x^n as m*2^e by square and multiply, every product truncated to k
-    bits: a lower bound, or an upper bound if up."""
-    m, e = _power_bound(x, n // 2, k, up) if n > 1 else (1, 0)
-    return _truncate(m * m * x ** (n % 2), 2 * e, k, up)
+    """x^n as m*2^e by square and multiply over the bits of n, left to
+    right, every product truncated to k bits: a lower bound, or an upper
+    bound if up."""
+    m, e = 1, 0
+    for bit in bin(n)[2:]:
+        m, e = _truncate(m * m * x ** int(bit), 2 * e, k, up)
+    return m, e
 
 
 def _below(a: tuple[int, int], b: tuple[int, int]) -> bool:

@@ -5,19 +5,23 @@ endpoints are extracted as exact dyadic rationals.  A comparison is
 *certified* when the whole enclosure lies on one side.  Precision climbs
 one way, a `_Ladder`: one interval context per rung of the policy, built
 when first needed and kept, holding the enclosures of log_d(alpha) and of
-one optional quantity.  A decision that a rung leaves ambiguous is
-`settle`d on the first rung above that decides it; past the last rung the
-caller gets PrecisionExhaustedError, naming that rung, rather than a
-guess.  The convergent expansion, `bounds.xi_value` and every bound report
-decide on ladders.  Contexts are local to one ladder, so concurrent
-callers never share rounding state.
+one optional quantity, and the convergents that the log_d(alpha)
+enclosure certifies.  Each caller climbs once: it `settle`s one decision,
+tried on each rung from the lowest up, and a decision that keeps its
+settled parts (a bound report's walk keeps its rows) resumes on the next
+rung where the last one left it ambiguous.  Past the last rung the caller
+gets PrecisionExhaustedError, naming that rung, rather than a guess.  The
+convergents, `bounds.xi_value` and every bound report decide on ladders.
+Contexts are local to one ladder, so concurrent callers never share
+rounding state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Optional, Sequence
+from functools import cached_property
+from typing import Any, Callable, Iterator, Optional
 
 from .errors import PrecisionExhaustedError
 
@@ -129,7 +133,10 @@ def log_ratio_expr(d: int, alpha: int) -> Expr:
 
 class _Ambiguous(Exception):
     """A decision that the enclosure on the current rung leaves open; tail
-    follows the precision in the message when no rung settles it."""
+    follows the precision, and index names the row, when no rung settles
+    it."""
+
+    index: Optional[int] = None
 
     def __init__(self, what: str, tail: str = ""):
         super().__init__(what)
@@ -146,12 +153,22 @@ class _Rung:
     hi: Optional[Fraction]
     xi: tuple[Fraction, Fraction]  # log_d(alpha)
 
+    @cached_property
+    def convergents(self) -> tuple[tuple[int, int, int], ...]:
+        """(a_n, p_n, q_n) for every partial quotient a_n that xi certifies."""
+        terms = []
+        p1, p2, q1, q2 = 1, 0, 0, 1
+        for a in certified_partial_quotients(self)[0]:
+            p1, p2, q1, q2 = a * p1 + p2, p1, a * q1 + q2, q1
+            terms.append((a, p1, q1))
+        return tuple(terms)
+
 
 class _Ladder:
     """log_d(alpha), and optionally one more quantity, enclosed on the rungs
     of a precision policy.  Rung i is one interval context at the policy's
     i-th precision, built when first asked for and kept, so every decision
-    made on a rung, and every convergent expansion done there, shares its
+    made on a rung, and the convergent expansion done there, shares its
     context and its enclosures."""
 
     def __init__(self, d: int, alpha: int, policy: PrecisionPolicy,
@@ -169,93 +186,36 @@ class _Ladder:
             self._rungs.append(_Rung(bits, ctx, lo, hi, endpoints(self._log_ratio(ctx))))
         return self._rungs[i]
 
-    def settle(self, decide: Callable[[_Rung], Any], start_bits: int = 0,
-               n: Optional[int] = None) -> tuple[Any, int]:
-        """decide(rung) on the lowest rung of at least start_bits that
-        settles it: (decision, the rung's bits).  Past the last rung, raises
-        PrecisionExhaustedError naming the last ambiguity, the last rung
-        tried and row n."""
+    def settle(self, decide: Callable[[_Rung], Any]) -> tuple[Any, int]:
+        """decide(rung) on each rung from the lowest up, until one settles
+        it: (decision, that rung's bits).  A decide that keeps what it
+        settled resumes there on the next rung, so a climb decides nothing
+        twice.  Past the last rung, raises PrecisionExhaustedError naming
+        the last ambiguity, the last rung tried and the ambiguity's row."""
         for i, bits in enumerate(self._bits):
-            if bits >= start_bits:
-                try:
-                    return decide(self[i]), bits
-                except _Ambiguous as exc:
-                    last = exc
-        raise PrecisionExhaustedError(f"{last} at {bits} bits{last.tail}", ambiguous_index=n)
+            try:
+                return decide(self[i]), bits
+            except _Ambiguous as exc:
+                last = exc
+        raise PrecisionExhaustedError(f"{last} at {bits} bits{last.tail}",
+                                      ambiguous_index=last.index)
 
 
-def certified_partial_quotients(d: int, alpha: int, n_terms: int, ladder: _Ladder,
-                                start_bits: int = 0) -> tuple[list[int], int]:
-    """Every partial quotient of log_d(alpha) that the lowest rung
-    certifying at least n_terms of them certifies, and that rung's bits.
+def certified_partial_quotients(rung: _Rung) -> tuple[list[int], int]:
+    """Every partial quotient of log_d(alpha) that rung's enclosure
+    certifies, and the rung's bits.
 
     Runs the continued-fraction recursion on the exact rational endpoints of
-    an interval enclosure; a term is emitted only when both endpoints share
-    the same floor, so each emitted a_n is proven correct.  A rung that
-    certifies fewer than n_terms (the expansion stops at an ambiguous floor
-    or at an endpoint landing exactly on an integer) escalates the whole
-    expansion to the next rung.  The rungs are those of ladder, a ladder of
-    log_d(alpha), from start_bits up.
+    the enclosure; a term is emitted only when both endpoints share the same
+    floor, so each emitted a_n is proven correct.  The expansion stops at
+    the first ambiguous floor, or at an endpoint landing exactly on an
+    integer.
     """
-    def expand(rung: _Rung) -> list[int]:
-        lo, hi = rung.xi
-        terms: list[int] = []
-        while (flo := lo // 1) == hi // 1:
-            terms.append(flo)
-            if lo == flo:
-                break  # next interval would be unbounded
-            lo, hi = 1 / (hi - flo), 1 / (lo - flo)
-        if len(terms) < n_terms:
-            raise _Ambiguous(f"only certified {len(terms)} partial quotients of log_{d}({alpha})",
-                             f", wanted {n_terms}")
-        return terms
-
-    return ladder.settle(expand, start_bits)
-
-
-class ConvergentStream:
-    """Lazily extended certified convergents p_n/q_n of log_d(alpha).
-
-    Extension recomputes the expansion from scratch on the lowest rung of
-    the stream's ladder that certifies the terms asked for, and keeps every
-    term that rung certifies.  The ladder is by default one of policy's
-    own, or a bound report's ladder, so that extending the stream builds no
-    context of its own.  It climbs the ladder from bits_used rather than
-    from its start: each rung certifies a fixed number of terms, and the
-    stream already holds every term that bits_used certifies, more than any
-    rung below, so skipping those leaves the terms and bits_used unchanged.
-    Prefixes are stable across extensions because every emitted term is
-    certified.
-    """
-
-    def __init__(self, d: int, alpha: int, policy: PrecisionPolicy = DEFAULT_POLICY,
-                 ladder: Optional[_Ladder] = None):
-        self.d = d
-        self.alpha = alpha
-        self.ladder = ladder or _Ladder(d, alpha, policy)
-        self.bits_used = 0
-        self._terms: list[tuple[int, int, int]] = []  # (a_n, p_n, q_n)
-
-    def ensure(self, n_terms: int) -> None:
-        if n_terms <= len(self._terms):
-            return
-        quotients, self.bits_used = certified_partial_quotients(
-            self.d, self.alpha, n_terms, ladder=self.ladder, start_bits=self.bits_used)
-        terms: list[tuple[int, int, int]] = []
-        p1, p2, q1, q2 = 1, 0, 0, 1
-        for a in quotients:
-            p = a * p1 + p2
-            q = a * q1 + q2
-            terms.append((a, p, q))
-            p2, p1, q2, q1 = p1, p, q1, q
-        if self._terms and terms[: len(self._terms)] != self._terms:
-            raise AssertionError("certified prefix changed across extension")
-        self._terms = terms
-
-    def term(self, n: int) -> tuple[int, int, int]:
-        self.ensure(n + 1)
-        return self._terms[n]
-
-    def prefix(self, n_terms: int) -> Sequence[tuple[int, int, int]]:
-        self.ensure(n_terms)
-        return tuple(self._terms[:n_terms])
+    lo, hi = rung.xi
+    terms: list[int] = []
+    while (flo := lo // 1) == hi // 1:
+        terms.append(flo)
+        if lo == flo:
+            break  # next interval would be unbounded
+        lo, hi = 1 / (hi - flo), 1 / (lo - flo)
+    return terms, rung.bits

@@ -9,6 +9,7 @@ their precision-exhausted tails.
 import dataclasses
 import math
 import random
+from collections import Counter
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 
@@ -297,7 +298,7 @@ class TestFarey:
             farey_bound(T564, 5**15, PrecisionPolicy(start_bits=8, max_bits=16))
 
     def test_exact_demand_survives_over_request(self):
-        # the stream asks for the terms the walk needs and no more, so a
+        # the walk asks its rung for the terms it needs and no more, so a
         # tight cap that certifies them is enough: flip index 17 needs 18
         # terms, and a 64-bit cap certifies ~27
         rep = farey_bound(T564, 5**20, PrecisionPolicy(start_bits=8, max_bits=64))
@@ -324,6 +325,31 @@ class TestFarey:
         rep = farey_bound(T564, 5**10, PrecisionPolicy(start_bits=8))
         assert rep.bits_used == 32
         assert rep.rows[7].approx == "1.14e-7"
+
+    def test_a_climb_keeps_the_settled_rows(self, monkeypatch):
+        # the same walk climbs twice; each climb redoes only the row that
+        # stopped it, so farey_sign runs once per row plus once per climb
+        calls = []
+        sign = bounds.farey_sign
+        monkeypatch.setattr(bounds, "farey_sign",
+                            lambda t, M, p, q: calls.append((p, q)) or sign(t, M, p, q))
+        rep = farey_bound(T564, 5**10, PrecisionPolicy(start_bits=8))
+        assert rep.bits_used == 32 and len(calls) <= len(rep.rows) + 2
+        assert list(dict.fromkeys(calls)) == [(r.p, r.q) for r in rep.rows]
+
+    def test_kept_rows_must_be_the_next_rungs_convergents(self, monkeypatch):
+        # rungs above the first enclose log_5(7) as xi: the walk that
+        # climbs off 8 bits keeps rows whose p_n/q_n that rung refutes
+        enclose_rung = intervals._Ladder.__getitem__
+        other = intervals._Ladder(5, 7, PrecisionPolicy(start_bits=8))
+
+        def swapped(ladder, i):
+            rung = enclose_rung(ladder, i)
+            return dataclasses.replace(rung, xi=enclose_rung(other, i).xi) if i else rung
+
+        monkeypatch.setattr(intervals._Ladder, "__getitem__", swapped)
+        with pytest.raises(AssertionError, match="certified convergents changed at 16 bits"):
+            farey_bound(T564, 5**10, PrecisionPolicy(start_bits=8))
 
     def test_digits_showing_the_wrong_sign_are_a_defect(self, monkeypatch):
         # mirror X about 1 on every rung: the enclosure of D_0 = X - 1 > 0
@@ -359,6 +385,12 @@ class TestFareySign:
         # 10^-30 of it
         assert farey_sign(t, M, 1000 * p, 1000 * q) == 0
         assert farey_sign(t, M, 10**30 * p + 1, 10**30 * q) == -1
+
+    def test_powers_of_more_than_a_thousand_bits(self):
+        # q = 2^1100 takes 1,101 square-and-multiply steps; X is about
+        # 1.585, so p/q = 0 lies below it and p/q = 2 above
+        assert farey_sign(T231, 2**40, 0, 2**1100) == 1
+        assert farey_sign(T231, 2**40, 2**1101, 2**1100) == -1
 
     @pytest.mark.parametrize("e, n, k", [(30, 23, 128), (60, 41, 256)])
     def test_rows_that_need_more_than_64_bits(self, monkeypatch, e, n, k):
@@ -473,6 +505,22 @@ class TestMuBound:
         rep = mu_bound(T231, 2**71, 2)
         assert rep.bound >= 1
         assert rep.constants["mu"] == "2"
+
+    def test_a_climb_for_convergents_decides_no_row_twice(self, monkeypatch):
+        # from 16 bits at 5^15 every row settles on the rung it meets, and
+        # the walk climbs to 64 bits for convergents alone: each row's two
+        # signs are decided once
+        decided = Counter()
+        sign = bounds._sign
+
+        def recording(lo, hi, what):
+            decided[what] += 1
+            return sign(lo, hi, what)
+
+        monkeypatch.setattr(bounds, "_sign", recording)
+        rep = mu_bound(T564, 5**15, 2, PrecisionPolicy(start_bits=16))
+        assert rep.bits_used == 64
+        assert set(decided.values()) == {1} and len(decided) == 2 * len(rep.rows)
 
     def test_mu_below_two_rejected(self):
         with pytest.raises(BoundPreconditionError):
