@@ -359,8 +359,12 @@ def farey_sign(t: Triplet, M: int, p: int, q: int) -> int:
 
     X = log_d(A/B) with A = alpha*(alpha*M + beta*(d-1)) and B = alpha*M,
     so the sign is that of A^q - d^p*B^q.  Both sides are bounded on k-bit
-    products, k doubling from 64 until the bounds separate or, with nothing
-    truncated, are the exact powers, which then tie: a sign of 0.
+    products, k doubling until the bounds separate or, with nothing
+    truncated, are the exact powers, which then tie: a sign of 0.  k starts
+    at the least 64*2^j that is at least twice the b bits of q: a
+    convergent row's two sides differ by a factor of about 1 + 2^-b, and
+    each of the b square and multiply steps doubles the relative error of
+    the truncated products, so fewer bits rarely separate such a row.
     """
     A, B = t.alpha * (t.alpha * M + t.beta * (t.d - 1)), t.alpha * M
 
@@ -369,6 +373,8 @@ def farey_sign(t: Triplet, M: int, p: int, q: int) -> int:
         return _power_bound(A, q, k, up), _truncate(dm * bm, de + be, k, up)
 
     k = 64
+    while k < 2 * q.bit_length():
+        k *= 2
     while True:
         (lhs_lo, rhs_lo), (lhs_hi, rhs_hi) = sides(k, False), sides(k, True)
         if _below(rhs_hi, lhs_lo):

@@ -28,13 +28,10 @@ no step when the jump's dip, its iterate with the smallest coefficient,
 is below the seed.
 Without the shortcut, a finish table (`build_finish`) ends a seed as soon
 as it reaches a small value from which a member is known to follow within
-the caps, and an orbit memo, kept for one chunk, ends it as soon as it
-reaches a value that an earlier seed of the chunk passed early on its way
-to a member, when the steps recorded for that value fit in the steps left
-(`_scan_members`); a seed whose iterate k, by the jump table, is that of
-a seed a few places below it in the chunk and in its block mod d^k ends,
-with no step, when that seed met a member (the partner exit).  The report
-is the same as without any of the tables, the memo, the partner exit or
+the caps, and the seeds of a chunk are walked together as one frontier
+(`_scan_frontier`): all live values move one jump per round, and seeds
+whose values meet at the same step count share the rest of one walk.  The
+report is the same as without any of the tables, the frontier's merges or
 the dip exit.  Each table is built once per process for its
 triplet, value cap and targets, the jump table for the largest target
 element alone (`_memo_table`), and a job's tables travel with its map,
@@ -86,15 +83,11 @@ FINISH_CAP = 1 << 14
 # a finish-table entry counts at most this many steps to the first member,
 # which keeps each entry in a 2-byte array item
 FINISH_STEPS = 1 << 9
-# the orbit memo of a chunk without the shortcut (`_scan_members`) is emptied
-# rather than grow past this many entries: a chunk of 1,000 seeds in
-# [10^12, 10^13) holds at most about 2,300, and a 65,536-seed chunk, which
-# holds 12 MB traced when unbounded, is as fast at this cap, at 0.4 MB
-MEMO_CAP = 1 << 12
-# a seed probes and fills the memo only in its first this many steps: seeds
-# in [10^12, 10^13) meet an earlier orbit within them, and a seed that meets
-# none, or ends at a cap, pays for the memo only there
-MEMO_STEPS = 1 << 6
+# the frontier of a chunk without the shortcut (`_scan_frontier`) walks at
+# most this many seeds at once: over 65,536 seeds at 10^12, one frontier
+# held 11-12 MB traced, and frontiers of this size 0.7 MB, at 0.9-1.2x its
+# speed
+FRONTIER_SEEDS = 1 << 12
 
 STEP_CAP = "step_cap"
 VALUE_CAP = "value_cap"
@@ -424,11 +417,7 @@ class JumpTable:
     membership loop jumps from n only when hit[r] < q <= qmax, the descent
     loop of a seed s only when q <= qmax and low_c[r]*q + low_p[r] >= s,
     and ends s where its lower guard alone refuses a jump, with no step,
-    when dip_c[r]*q + dip_p[r] < s; the membership loop without the
-    shortcut takes the partner exit of a seed n only when b = back[r] > 0,
-    hit[r] < q <= qmax and hit[r - b] < q, its partner n - b being the
-    nearest seed below n in its own block with its iterate k (see
-    `build_jumps`).
+    when dip_c[r]*q + dip_p[r] < s.
     """
 
     depth: int  # k
@@ -441,7 +430,6 @@ class JumpTable:
     dip_c: list  # dip_c[r]*q + dip_p[r] is the iterate 1..k of d^k*q + r with
     dip_p: list  # the smallest coefficient, and the smaller constant on a tie
     qmax: int  # iterates 1..k stay at or below max_value for q <= qmax
-    back: list  # n - back[r], of n's block, has n's iterate k, n = d^k*q + r; 0 for none
 
 
 def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable]:
@@ -495,17 +483,6 @@ def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable
     every iterate 1..k-1 exceeds the largest member, and none is a member.
     Under the shortcut the membership loop runs only seeds n <= max_elem,
     so those iterates exceed n too, and no below-seed exit lies inside.
-
-    Partners.  The partner of n = d^k*q + r is d^k*q + r' for the largest
-    r' < r with coeff[r'] = coeff[r] and const[r'] = const[r], walked before
-    r, the nearest seed of n's own block whose iterate k is that of n for
-    every q, and back[r] = r - r' is the distance to it, or 0 when there is
-    none.  The partner has n's q, so for q > hit[r] and q > hit[r'],
-    iterates 1..k-1 of both n and its partner exceed max_elem, and the
-    exit reads both guards, once per seed.  A partner in the block before
-    is not looked for: it would partner 26 more of the 1,024 residues of
-    `4:10:54:+`, 10 more of the 1,000 of `10:12:8:+` and none of
-    `2:3:1:+`.  `_scan_members` says why the exit is exact.
     """
     d = t.d
     # d >= 2, so no k past the cap's log2 has d^k <= JUMP_MODULUS_CAP
@@ -514,9 +491,8 @@ def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable
     if depth < 2:
         return None
     step = t.step_function()
-    coeff, const, hit, low_c, low_p, dip_c, dip_p, back = ([0] * modulus for _ in range(8))
+    coeff, const, hit, low_c, low_p, dip_c, dip_p = ([0] * modulus for _ in range(7))
     top_c = top_p = 0  # C and P so far; starting at 0 changes neither, as r = 0 walks 0
-    same: dict = {}  # (coeff, const) -> the largest residue so far of that form
     for r in range(modulus):
         v, c, forms = r, modulus, []  # iterate j of d^k*q + r is c*q + v
         for _ in range(depth):
@@ -528,10 +504,8 @@ def build_jumps(t: Triplet, max_elem: int, max_value: int) -> Optional[JumpTable
         hit[r] = (max_elem - low_p[r]) // low_c[r]
         dip_c[r], dip_p[r] = min(forms)
         top_c, top_p = max(top_c, *cs), max(top_p, *vs)
-        back[r] = r - same.get((c, v), r)  # 0 when there is none
-        same[(c, v)] = r
     return JumpTable(depth, modulus, coeff, const, hit, low_c, low_p, dip_c, dip_p,
-                     (max_value - top_p) // top_c, back)
+                     (max_value - top_p) // top_c)
 
 
 def build_finish(t: Triplet, members: Iterable[int], max_value: int) -> array:
@@ -618,68 +592,32 @@ class ScanPlan:
 def _scan_chunk(plan: ScanPlan, lo: int, hi: int) -> list[tuple[int, str]]:
     """Scan seeds [lo, hi]; returns (seed, status) for every undecided seed.
 
-    Without the shortcut, in a plan with no class list, every seed runs the
-    membership loop, which takes the jump table's guarded k-step jumps and
-    stops at the finish table's exit and at the orbit memo's.  Under the
-    shortcut, seeds up to max_elem run the membership loop with the jumps
-    but neither the finish exit nor the memo, and the seeds above it the
-    descent loop of `_scan_survivors`, which jumps: the seeds of the
-    classes in the plan's class list, each entered at its class's step
-    where its guards hold.
+    Without the shortcut, in a plan with no class list, the seeds are
+    walked together as frontiers (`_scan_frontier`), which take the jump
+    table's guarded k-step jumps, stop at the finish table's exit, and
+    share the walk of seeds whose values meet at the same step count.
+    Under the shortcut, seeds up to max_elem run the membership loop
+    (`_scan_members`) with the jumps, and the seeds above it the descent
+    loop of `_scan_survivors`, which jumps: the seeds of the classes in the
+    plan's class list, each entered at its class's step where its guards
+    hold.
     """
     if plan.classes is None:
-        return _scan_members(plan, range(lo, hi + 1))
+        return _scan_frontier(plan, range(lo, hi + 1))
     split = min(hi, plan.max_elem)
     return (_scan_members(plan, range(lo, split + 1))
             + _scan_survivors(plan, max(lo, split + 1), hi))
 
 
 def _scan_members(plan: ScanPlan, seeds: Sequence[int]) -> list[tuple[int, str]]:
-    """The membership loop over `seeds`, in increasing order: each seed runs
-    until it meets a member or, under the shortcut, falls below itself.
-    Takes the plan's jumps, and its finish exit, the orbit memo and the
-    partner exit only without the shortcut; under it, the loop runs only
-    the seeds up to max_elem.
-
-    Partner exit.  A seed n = d^k*q + r ends with no exception, and takes
-    no step, when b = back[r] > 0, hit[r] < q <= qmax, hit[r - b] < q, and
-    its partner n' = n - b, of the same block mod d^k and so with the same
-    q, is one of `seeds`, above max_elem, and ended with no exception.  n'
-    is no member, and iterates 1..k-1 of n' exceed max_elem (hit[r - b] <
-    q), so n' met its first member at a step s' >= k, with s' <= max_steps
-    and iterates 1..s' at most max_value, as the loop's exits are exact.
-    Iterates 1..k-1 of n are no members (hit[r] < q) and at most max_value
-    (qmax), and iterate k of n is that of n' (see `build_jumps`).  So n
-    meets its first member at step s' too, under both caps: the exit is
-    exact, and does not need the members to be closed under the map.  A
-    partner that ended with an exception lets n walk.
-
-    Orbit memo.  In its first MEMO_STEPS steps, a seed records each loop
-    value above small, none of them a member or in the finish table; the
-    i-th was reached at step i or later.  When the seed ends with no
-    exception after S steps, at a member, a finish exit or a memo exit, the
-    i-th value u gets memo[u] = S - i, at least its steps to that member; a
-    seed that ends with an exception records nothing.  A later seed at a
-    recorded loop value v with `steps` taken stops with no exception when
-    memo[v] <= max_steps - steps, and otherwise walks on.  The walk from v
-    is deterministic.  Its iterates up to its first member are at most
-    max_value: single steps check the cap, jumps are bounded by qmax, and a
-    finish or memo tail was bounded when it was recorded.  None of them is
-    a member before the last: the loop tests every loop value for
-    membership, and `hit` keeps a jump off a member.  So stepping on, the
-    seed would meet its first member at most memo[v] steps on, by step
-    max_steps, with no cap before it: the exit is exact, as the finish exit
-    is, and every exception, its status, the frontier, seeds_scanned and
-    the digest are unchanged.  An entry above the true count only lets a
-    seed walk on, as it would without the memo.  The memo lives for one
-    call, so for one chunk, is off for a lone seed, which no later seed
-    follows, and is emptied before it would pass MEMO_CAP entries."""
+    """The membership loop of the shortcut over `seeds`, all up to
+    max_elem: each seed runs, taking the plan's jumps, until it meets a
+    member or falls below itself."""
     t, members, max_elem = plan.triplet, plan.members, plan.max_elem
-    shortcut = plan.classes is not None
     # the step rule of `Triplet.step_function`, one for both signs of kappa
     d, alpha, sd, sb = t.d, t.alpha, t.kappa * t.d, t.kappa * t.beta
     max_steps, max_value = plan.limits.max_steps, plan.limits.max_value
-    jumps, finish = plan.jumps, plan.finish
+    jumps = plan.jumps
     exceptions: list[tuple[int, str]] = []
     # a jump may start only while steps <= jump_last, i.e. steps + k <= max_steps
     jump_last = -1
@@ -687,50 +625,12 @@ def _scan_members(plan: ScanPlan, seeds: Sequence[int]) -> list[tuple[int, str]]
         depth, modulus, qmax = jumps.depth, jumps.modulus, jumps.qmax
         coeff, const, hit = jumps.coeff, jumps.const, jumps.hit
         jump_last = max_steps - depth
-    # values below fin_cap look up their steps to the first member; above
-    # small, a value is neither a member nor in the table
-    fin_cap = 0 if finish is None else len(finish)
-    small = max(max_elem, fin_cap - 1)
-    # the orbit memo: a value above small -> a bound on its steps to its
-    # first member, probed and filled only at steps below memo_steps, so a
-    # path holds at most MEMO_CAP values; memo_steps is 0 for a lone seed
-    # and under the shortcut, where n <= max_elem keeps every value below n
-    # at most small
-    memo = {}
-    memo_steps = 0 if shortcut or len(seeds) < 2 else min(MEMO_STEPS, MEMO_CAP)
-    # the partner exit: off under the shortcut, where no seed exceeds max_elem
-    partner = jumps is not None and not shortcut
-    if partner:
-        back = jumps.back
-    failed = set()  # the seeds that ended with an exception
     for n in seeds:
-        if partner:
-            q, r = divmod(n, modulus)
-            b = back[r]
-            if b and hit[r] < q <= qmax and hit[r - b] < q:
-                prev = n - b
-                if prev > max_elem and prev in seeds and prev not in failed:
-                    continue
         v = n
         steps = 0
         status = None
-        path = []  # this seed's recorded loop values, in order
-        while True:
-            if v <= small:
-                if v <= max_elem and v in members:
-                    tail = 0
-                    break
-                if v < fin_cap:
-                    tail = finish[v]
-                    if 0 <= tail <= max_steps - steps:
-                        break
-                if shortcut and v < n:
-                    break
-            elif steps < memo_steps:
-                if v in memo and memo[v] <= max_steps - steps:
-                    tail = memo[v]
-                    break
-                path.append(v)
+        # n <= max_elem, so a value below n is at most max_elem too
+        while v > max_elem or (v >= n and v not in members):
             if steps >= max_steps:
                 status = STEP_CAP
                 break
@@ -751,13 +651,100 @@ def _scan_members(plan: ScanPlan, seeds: Sequence[int]) -> list[tuple[int, str]]
                 break
         if status is not None:
             exceptions.append((n, status))
-            failed.add(n)
-        elif path:
-            if len(memo) + len(path) > MEMO_CAP:
-                memo.clear()
-            # path[i] was reached at step i or later
-            end = steps + tail
-            memo.update(zip(path, range(end, end - len(path), -1)))
+    return exceptions
+
+
+def _scan_frontier(plan: ScanPlan, seeds: Sequence[int]) -> list[tuple[int, str]]:
+    """The membership loop without the shortcut over `seeds`, walked
+    FRONTIER_SEEDS seeds at a time as one frontier: each seed runs until it
+    meets a member, taking the plan's jumps and its finish exit.
+
+    Rounds.  Round i holds each live walk's value at step i*k, with the
+    first seed of the walk.  A value above max_elem and the finish table,
+    whose jump the jump table's guards allow, lands in round i + 1, and
+    joins the walk already at that value there, if any; every other value
+    walks on alone, in single steps and jumps, to its end, as after its
+    first single step it is off the rounds' step counts.  When some walk
+    ends with an exception, every seed follows its chain of joins to its
+    walk, and takes the walk's status.
+
+    Merges.  A walk from a value v with `steps` taken ends the same way
+    whichever seed it came from: its exits (a member, and a finish entry
+    against max_steps - steps), its jump guards (steps + k <= max_steps,
+    hit[r] < q <= qmax), both caps, and each step and jump read v and
+    steps alone.  So seeds whose values are equal at the same step count
+    meet the same end, and one walk stands for all of them: every
+    exception, its status, the verified frontier, seeds_scanned and the
+    digest are those of each seed walked alone.  The shortcut's below-seed exit reads
+    the seed too, so the shortcut's loops do not merge walks."""
+    t, members, max_elem = plan.triplet, plan.members, plan.max_elem
+    # the step rule of `Triplet.step_function`, one for both signs of kappa
+    d, alpha, sd, sb = t.d, t.alpha, t.kappa * t.d, t.kappa * t.beta
+    max_steps, max_value = plan.limits.max_steps, plan.limits.max_value
+    jumps, finish = plan.jumps, plan.finish
+    exceptions: list[tuple[int, str]] = []
+    # a jump may start only while steps <= jump_last, i.e. steps + k <= max_steps
+    depth, jump_last = 0, -1
+    if jumps is not None:
+        depth, modulus, qmax = jumps.depth, jumps.modulus, jumps.qmax
+        coeff, const, hit = jumps.coeff, jumps.const, jumps.hit
+        jump_last = max_steps - depth
+    # values below fin_cap look up their steps to the first member; above
+    # small, a value is neither a member nor in the table
+    fin_cap = 0 if finish is None else len(finish)
+    small = max(max_elem, fin_cap - 1)
+    for start in range(0, len(seeds), FRONTIER_SEEDS):
+        part = seeds[start:start + FRONTIER_SEEDS]
+        level = dict(zip(part, part))  # a live value -> the first seed of its walk
+        joined = {}  # the first seed of a walk that joined another -> that one's
+        failed = {}  # the first seed of a walk that ended with an exception -> status
+        steps = 0
+        while level:
+            landed = {}
+            for v, n in level.items():
+                if v > small and steps <= jump_last:
+                    q, r = divmod(v, modulus)
+                    if hit[r] < q <= qmax:
+                        v = coeff[r] * q + const[r]
+                        if v in landed:
+                            joined[n] = landed[v]
+                        else:
+                            landed[v] = n
+                        continue
+                s = steps
+                while True:
+                    if v <= small:
+                        if v <= max_elem and v in members:
+                            break
+                        if v < fin_cap and 0 <= finish[v] <= max_steps - s:
+                            break
+                    if s >= max_steps:
+                        failed[n] = STEP_CAP
+                        break
+                    if s <= jump_last:
+                        q, r = divmod(v, modulus)
+                        if hit[r] < q <= qmax:
+                            v = coeff[r] * q + const[r]
+                            s += depth
+                            continue
+                    r = v % sd
+                    if r == 0:
+                        v //= d
+                    else:
+                        v = (alpha * v + sb * r) // d
+                    s += 1
+                    if v > max_value:
+                        failed[n] = VALUE_CAP
+                        break
+            level = landed
+            steps += depth
+        if failed:
+            for n in part:
+                walk = n
+                while walk in joined:
+                    walk = joined[walk]
+                if walk in failed:
+                    exceptions.append((n, failed[walk]))
     return exceptions
 
 

@@ -410,6 +410,32 @@ class TestFareySign:
             shift = (Decimal(6).ln() + (1 + Decimal(16) / (6 * 5**e)).ln()) / Decimal(5).ln()
             assert sign == (1 if shift > Decimal(p) / q else -1)
 
+    @pytest.mark.parametrize("bits, k", [(200, 512), (600, 2048), (1100, 4096)])
+    def test_a_row_is_decided_at_its_first_width(self, monkeypatch, bits, k):
+        # the best p/q with q < 2^bits lies within about 2^(-2*bits) of X,
+        # and its sides differ by a factor of about 1 + 2^-bits, so the
+        # first width of at least 2*bits decides it; at 1,100 bits, 2,048
+        # does not
+        M = 2**40
+        A, B = 3 * (3 * M + 1), 3 * M
+        with localcontext() as c:
+            c.prec = 1000
+            x = (Decimal(A).ln() - Decimal(B).ln()) / Decimal(2).ln()
+            row = Fraction(x).limit_denominator(2**bits)
+            p, q = row.numerator, row.denominator
+            expected = 1 if x > Decimal(p) / q else -1
+        assert q.bit_length() == bits
+        used = []
+        power_bound = bounds._power_bound
+
+        def recording(x, n, k, up):
+            used.append(k)
+            return power_bound(x, n, k, up)
+
+        monkeypatch.setattr(bounds, "_power_bound", recording)
+        assert farey_sign(T231, M, p, q) == expected
+        assert set(used) == {k}
+
     def test_agrees_with_exact_powers(self):
         rng = random.Random(31)
         triplets = [T564, T231] + [parse_triplet(text)

@@ -22,7 +22,7 @@ from collatzkit import (CheckpointError, DigestMismatchError, InvalidTargetsErro
 from collatzkit.core import PLUS, Triplet
 from collatzkit.dynamics import DEFAULT_MAX_STEPS, Cycle, enumerate_cycles
 from collatzkit.verify import (_FROM_N, FINISH_CAP, FINISH_STEPS, Checkpoint, ScanPlan,
-                               _scan_chunk, _scan_classes, _scan_members, build_finish,
+                               _scan_chunk, _scan_classes, _scan_frontier, build_finish,
                                build_jumps, build_sieve, checkpoint_from_json_dict,
                                checkpoint_to_json_dict, job_digest)
 
@@ -66,17 +66,36 @@ def report_bytes(cp) -> str:
     return json.dumps(doc)
 
 
+def oracle_exceptions(t: Triplet, lo: int, hi: int, members, limits: Limits,
+                      shortcut: bool) -> list[tuple[int, str]]:
+    """The exceptions of [lo, hi] walked one seed and one step at a time,
+    with none of verify's tables: a seed ends at a member or, under the
+    shortcut, below itself; else at the step cap, or past the value cap."""
+    step, out = t.step_function(), []
+    for n in range(lo, hi + 1):
+        v, steps = n, 0
+        while v not in members and not (shortcut and v < n):
+            if steps >= limits.max_steps:
+                out.append((n, "step_cap"))
+                break
+            v, steps = step(v), steps + 1
+            if v > limits.max_value:
+                out.append((n, "value_cap"))
+                break
+    return out
+
+
 def assert_tables_keep_report(j, workers=1):
-    """verify_range with its tables and orbit memo against the same scan
-    with the sieve alone and with neither a table nor the memo."""
+    """verify_range with its tables against the same scan with the sieve
+    alone, and the exceptions of both against the oracle's."""
     full = verify_range(j, workers=workers)
     with mock.patch.object(verify, "build_jumps", lambda *args: None), \
             mock.patch.object(verify, "build_finish", lambda *args: None):
         sieve_only = verify_range(j, workers=1)
-        with mock.patch.object(verify, "build_sieve", lambda *args: None), \
-                mock.patch.object(verify, "MEMO_CAP", 0):
-            plain = verify_range(j, workers=1)
-    assert report_bytes(full) == report_bytes(sieve_only) == report_bytes(plain)
+    assert report_bytes(full) == report_bytes(sieve_only)
+    members = frozenset(x for c in j.targets for x in c.elements)
+    assert list(full.exceptions) == oracle_exceptions(j.triplet, j.lo, j.hi, members, j.limits,
+                                                      j.below_frontier_shortcut)
     return full
 
 
@@ -625,18 +644,16 @@ def scan_plan(t, members, max_steps=10**5, max_value=10**30,
 
 
 def assert_tables_keep_scan(t, lo, hi, members, **caps):
-    """_scan_chunk with its jump table and its finish table, each alone and
-    both together, and with both tables but no partners, against the same
-    scan with neither a table nor the orbit memo."""
+    """_scan_chunk without the shortcut, with neither table, with its jump
+    table and its finish table, each alone and both together, against the
+    oracle."""
     plan = scan_plan(t, members, **caps)
     jumps = build_jumps(t, plan.max_elem, plan.limits.max_value)
     finish = build_finish(t, plan.members, plan.limits.max_value)
-    with mock.patch.object(verify, "MEMO_CAP", 0):
-        plain = _scan_chunk(plan, lo, hi)
-    alone = jumps and replace(jumps, back=[0] * jumps.modulus)
-    for tables in ((jumps, None), (None, finish), (jumps, finish), (alone, finish)):
-        assert _scan_chunk(replace(plan, jumps=tables[0], finish=tables[1]), lo, hi) == plain
-    return plain
+    expected = oracle_exceptions(t, lo, hi, plan.members, plan.limits, shortcut=False)
+    for tables in ((None, None), (jumps, None), (None, finish), (jumps, finish)):
+        assert _scan_chunk(replace(plan, jumps=tables[0], finish=tables[1]), lo, hi) == expected
+    return expected
 
 
 def iterates(t: Triplet, n: int, k: int) -> list[int]:
@@ -863,84 +880,6 @@ class TestJumpTable:
         assert iterates(T231, 2560, 10)[8] == 5 and jumps.hit[512] >= 2
         assert assert_tables_keep_scan(T231, 2560, 2560, {5}, max_steps=50) == []
         assert assert_tables_keep_scan(T231, 2500, 2700, {5}, max_steps=50)
-
-    @pytest.mark.parametrize("t", [T231, T10128, T3241, T34m1, T8124, T41054], ids=str)
-    def test_partner_is_the_nearest_seed_with_the_same_iterate_k(self, t):
-        jumps = build_jumps(t, max(CYCLE_MEMBERS[t]), 10**30)
-        modulus, coeff, const = jumps.modulus, jumps.coeff, jumps.const
-
-        def same_form(r, b):  # r - b, in this block
-            return (coeff[r - b], const[r - b]) == (coeff[r], const[r])
-
-        assert jumps.back == [next((b for b in range(1, r + 1) if same_form(r, b)), 0)
-                              for r in range(modulus)]
-        partnered = [r for r in range(modulus) if jumps.back[r]]
-        assert partnered
-        for q in (1, 7, 10**9 + 7):
-            for r in partnered:
-                n = modulus * q + r
-                assert iterates(t, n, jumps.depth)[-1] == \
-                    iterates(t, n - jumps.back[r], jumps.depth)[-1]
-
-    @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124], ids=str)
-    def test_partner_guard_keeps_both_seeds_off_the_members(self, t):
-        # at q = max(hit[r], hit[r - back[r]]) + 1, the least q at which the
-        # partner exit reads both guards as passed, iterates 1..k-1 of the
-        # seed and of its partner, which has the same q, all exceed the
-        # largest member
-        max_elem = 10**6
-        jumps = build_jumps(t, max_elem, 10**30)
-        for r in range(jumps.modulus):
-            if jumps.back[r]:
-                guard = max(jumps.hit[r], jumps.hit[r - jumps.back[r]])
-                n = jumps.modulus * (guard + 1) + r
-                assert n // jumps.modulus == (n - jumps.back[r]) // jumps.modulus
-                for seed in (n, n - jumps.back[r]):
-                    assert min(iterates(t, seed, jumps.depth - 1)) > max_elem
-
-    def test_partner_meeting_a_member_before_step_k(self):
-        # 1024000003, the partner of 1024000007, meets the member 288000001
-        # at step 5, which 1024000007 never meets, so the later seed runs to
-        # the step cap: only the partner's own guard, hit[r - 4] < q,
-        # refuses the exit
-        n, member = 1_024_000_007, 288_000_001
-        jumps = build_jumps(T231, member, 10**30)
-        q, r = divmod(n, jumps.modulus)
-        assert jumps.back[r] == 4 and iterates(T231, n - 4, 5)[-1] == member
-        assert jumps.hit[r] < q <= jumps.hit[r - 4]
-        found = assert_tables_keep_scan(T231, n - 4, n, {member}, max_steps=300)
-        assert (n, "step_cap") in found and (n - 4, "step_cap") not in found
-
-    def test_partner_that_is_a_member(self):
-        # 10^12 + 7 is the only member and the partner of 10^12 + 11, whose
-        # orbit never meets it; iterates 1..2 of both exceed it, so only the
-        # floor above max_elem refuses the exit
-        n = 10**12 + 11
-        jumps = build_jumps(T10128, n - 4, 10**30)
-        q, r = divmod(n, jumps.modulus)
-        assert jumps.back[r] == 4 and max(jumps.hit[r], jumps.hit[r - 4]) < q
-        assert assert_tables_keep_scan(T10128, n - 4, n, {n - 4}, max_steps=200) == [
-            (n - 3, "step_cap"), (n - 2, "step_cap"), (n - 1, "step_cap"), (n, "step_cap")]
-
-    def test_partner_ending_at_the_step_cap(self):
-        # 1000023 and its partner 1000022 meet 1 at the same step, one past
-        # the cap: the later seed walks, and ends at the cap too
-        n = 1_000_023
-        assert build_jumps(T231, 2, 10**30).back[n % 1024] == 1
-        cap = steps_to_member(T231, n - 1, {1, 2}) - 1
-        assert assert_tables_keep_scan(T231, n - 1, n, {1, 2}, max_steps=cap) == [
-            (n - 1, "step_cap"), (n, "step_cap")]
-        assert assert_tables_keep_scan(T231, n - 1, n, {1, 2}, max_steps=cap + 1) == []
-
-    def test_partner_ending_at_the_value_cap(self):
-        # the orbit of 1000022 peaks at 87680384 at step 30, past k = 10,
-        # and q = 976 is within qmax: the later seed walks to the cap too
-        n = 1_000_023
-        assert max(iterates(T231, n - 1, 30)) == iterates(T231, n - 1, 30)[-1] == 87_680_384
-        assert n // 1024 <= build_jumps(T231, 2, 87_680_383).qmax
-        assert assert_tables_keep_scan(T231, n - 1, n, {1, 2}, max_value=87_680_383) == [
-            (n - 1, "value_cap"), (n, "value_cap")]
-        assert assert_tables_keep_scan(T231, n - 1, n, {1, 2}, max_value=87_680_384) == []
 
     @pytest.mark.parametrize("max_steps", [9, 10, 11, 25, 39])
     def test_step_cap_inside_a_jump(self, max_steps):
@@ -1190,90 +1129,138 @@ def steps_to_member(t: Triplet, n: int, members) -> int:
     return steps
 
 
-class TestOrbitMemo:
+def tabled_plan(t, members, **caps):
+    """A `scan_plan` with the jump table and the finish table of its caps."""
+    plan = scan_plan(t, members, **caps)
+    return replace(plan, jumps=build_jumps(t, plan.max_elem, plan.limits.max_value),
+                   finish=build_finish(t, plan.members, plan.limits.max_value))
+
+
+def assert_jumps_until(t, plan, n, steps):
+    """The frontier moves seed n by jumps alone to step `steps`: at each
+    value before it, above max_elem and the finish table, the jump table's
+    guards hold."""
+    jumps, k = plan.jumps, plan.jumps.depth
+    for v in [n] + iterates(t, n, steps)[k - 1:steps - 1:k]:
+        q, r = divmod(v, jumps.modulus)
+        assert v > max(plan.max_elem, FINISH_CAP) and jumps.hit[r] < q <= jumps.qmax
+
+
+# seeds that share iterate k; and two that share iterate k with a smaller
+# seed that meets them only at iterate 2k, so that in one frontier the last
+# seed joins the second's walk, which joins the first's
+MERGED = {"2:3:1:+ pair": (T231, (1_000_022, 1_000_023)),
+          "2:3:1:+ chain": (T231, (10**12 + 14_088, 10**12 + 14_102, 10**12 + 14_103)),
+          "10:12:8:+ pair": (T10128, (10**12 + 245, 10**12 + 247)),
+          "10:12:8:+ chain": (T10128, (10**12 + 205, 10**12 + 245, 10**12 + 247))}
+
+
+class TestFrontier:
     @pytest.mark.parametrize("t", [T231, T10128, T3241, T8124], ids=str)
     @pytest.mark.parametrize("limits", [Limits(), Limits(max_steps=60, max_value=10**14)],
                              ids=["default caps", "small caps"])
     @pytest.mark.parametrize("lo", [1, 10**12 + 54_321])
-    def test_report_unchanged_without_the_memo(self, t, limits, lo):
-        # a memo of 40 entries is emptied many times over a chunk
-        for chunk, workers, cap in ((1, 1, verify.MEMO_CAP), (700, 1, verify.MEMO_CAP),
-                                    (700, 2, verify.MEMO_CAP), (4_000, 1, verify.MEMO_CAP),
-                                    (4_000, 1, 40)):
+    def test_report_unchanged_by_chunks_and_frontier_size(self, t, limits, lo):
+        # frontiers of one seed merge nothing, and frontiers of 40 seeds
+        # split each chunk many times over
+        expected = oracle_exceptions(t, lo, lo + 3_999, CYCLE_MEMBERS[t], limits, False)
+        for chunk, workers, size in ((1, 1, verify.FRONTIER_SEEDS), (700, 1, verify.FRONTIER_SEEDS),
+                                     (700, 2, verify.FRONTIER_SEEDS),
+                                     (4_000, 1, verify.FRONTIER_SEEDS), (4_000, 1, 40),
+                                     (4_000, 1, 1)):
             hi = lo + (199 if chunk == 1 else 3_999)
             j = job(t, lo, hi, TARGETS[t], limits=limits, chunk_size=chunk,
                     below_frontier_shortcut=False)
-            with mock.patch.object(verify, "MEMO_CAP", 0):
-                plain = verify_range(j, workers=1)
-            with mock.patch.object(verify, "MEMO_CAP", cap):
-                assert report_bytes(verify_range(j, workers=workers)) == report_bytes(plain)
+            with mock.patch.object(verify, "FRONTIER_SEEDS", size):
+                found = verify_range(j, workers=workers).exceptions
+            assert list(found) == [e for e in expected if e[0] <= hi]
+
+    @pytest.mark.parametrize("merged", MERGED)
+    @pytest.mark.parametrize("cap", ["step_cap", "value_cap"])
+    def test_merged_seeds_take_the_status_of_their_walk(self, merged, cap):
+        # the walk from the seeds' shared iterate meets a member exactly at
+        # the step cap, or peaks exactly at the value cap, above every
+        # earlier iterate of the seeds: every seed ends at the cap, and none
+        # with one more step or value to spare
+        t, seeds = MERGED[merged]
+        members = CYCLE_MEMBERS[t]
+        k = build_jumps(t, max(members), 10**30).depth
+        meet = k * (len(seeds) - 1)
+        assert len({iterates(t, n, meet)[-1] for n in seeds}) == 1
+        assert len({iterates(t, n, k)[-1] for n in seeds}) == len(seeds) - 1
+        total = steps_to_member(t, seeds[0], members)
+        peak = max(iterates(t, seeds[0], total)[meet:])
+        assert all(max(n, *iterates(t, n, meet)) < peak for n in seeds)
+        for spare in (0, 1):
+            caps = ({"max_steps": total - 1 + spare} if cap == "step_cap"
+                    else {"max_value": peak - 1 + spare})
+            plan = tabled_plan(t, members, **caps)
+            for n in seeds:
+                assert_jumps_until(t, plan, n, meet)
+            expected = [] if spare else [(n, cap) for n in seeds]
+            assert _scan_frontier(plan, seeds) == expected
+            found = assert_tables_keep_scan(t, seeds[0], seeds[-1], members, **caps)
+            assert set(expected) <= set(found)
 
     @pytest.mark.parametrize("tables", [False, True], ids=["no tables", "tables"])
     @pytest.mark.parametrize("spare", [0, 1])
-    def test_too_few_steps_left_at_a_recorded_value(self, tables, spare):
+    def test_a_seed_meeting_another_at_another_step_count_is_not_merged(self, tables, spare):
         # the later seed reaches the first one's seed value `lead` steps in,
-        # by one single step (2n) or by one jump of 10 steps (1024n); the
-        # first seed meets a member exactly at the step cap, so the later one
-        # can finish from there only with a step to spare
+        # by one single step (2n) or by one jump of 10 steps (1024n), where
+        # n is live at step 0; n meets a member exactly at the step cap, so
+        # the later seed meets one in time only with a step to spare
         n = 10**12 + 7
         total = steps_to_member(T231, n, {1, 2})
         lead = 10 if tables else 1
-        plan = scan_plan(T231, {1, 2}, max_steps=total + lead - 1 + spare)
-        if tables:
-            plan = replace(plan, jumps=build_jumps(T231, 2, plan.limits.max_value),
-                           finish=build_finish(T231, plan.members, plan.limits.max_value))
+        max_steps = total + lead - 1 + spare
+        plan = tabled_plan(T231, {1, 2}, max_steps=max_steps) if tables else \
+            scan_plan(T231, {1, 2}, max_steps=max_steps)
         later = 2**lead * n
         expected = [] if spare else [(later, "step_cap")]
-        assert _scan_members(plan, [later]) == expected
-        assert _scan_members(plan, [n, later]) == expected
+        assert _scan_frontier(plan, [later]) == expected
+        assert _scan_frontier(plan, [n, later]) == expected
 
-    def test_a_seed_ending_at_a_cap_leaves_no_entry(self):
-        # 10^12 + 7 rises past the value cap at step 3, and 2 (10^12 + 7)
-        # steps to it; 10^12 meets a member first, under the cap
-        n = 10**12 + 7
-        plan = scan_plan(T231, {1, 2}, max_value=3 * 10**12)
-        expected = [(n, "value_cap"), (2 * n, "value_cap")]
-        assert _scan_members(plan, [10**12, n, 2 * n]) == expected
-        assert _scan_members(plan, [10**12, 2 * n]) == expected[1:]
+    @pytest.mark.parametrize("t, member, n", [(T10128, 10**12 + 7, 10**12 + 11),
+                                              (T231, 10**12 + 1_086, 10**12 + 1_087)], ids=str)
+    def test_a_member_seed_is_never_merged_into(self, t, member, n):
+        # the only member shares iterate k with the seed n, whose orbit
+        # never meets it: the member ends its walk at step 0, so n jumps
+        # on, to the step cap, as does every seed between them
+        k = build_jumps(t, member, 10**30).depth
+        assert iterates(t, member, k)[-1] == iterates(t, n, k)[-1]
+        plan = tabled_plan(t, {member}, max_steps=200)
+        assert_jumps_until(t, plan, n, k)
+        assert _scan_frontier(plan, [member, n]) == [(n, "step_cap")]
+        assert assert_tables_keep_scan(t, member, n, {member}, max_steps=200) == [
+            (seed, "step_cap") for seed in range(member + 1, n + 1)]
 
-    @pytest.mark.parametrize("cap", [8, verify.MEMO_CAP])
-    def test_a_seed_walking_to_the_step_cap_keeps_a_short_path(self, cap):
-        # 13 enters the cycle 13, 33, 83, 208, 104, 52, 26 of 2:5:1:+, all
-        # above the members 1, 2, 3, 4, 8, and walks it to the step cap; 12
-        # meets a member, so the memo is in use
-        plan = scan_plan(parse_triplet("2:5:1:+"), {1, 2, 3, 4, 8})
-        seeds = [12, 13, 26]
-        with mock.patch.object(verify, "MEMO_CAP", 0):
-            plain = _scan_members(plan, seeds)
+    def test_a_seed_meeting_a_member_inside_a_jump_walks_alone(self):
+        # 1024000003 meets the member 288000001 at step 5 and shares
+        # iterate 10 with 1024000007, which never meets it: the member
+        # guard refuses the first seed's jump alone, so it walks to the
+        # member, and the later seed jumps on, to the step cap
+        n, member = 1_024_000_007, 288_000_001
+        jumps = build_jumps(T231, member, 10**30)
+        q, r = divmod(n, jumps.modulus)
+        assert iterates(T231, n - 4, 10)[-1] == iterates(T231, n, 10)[-1]
+        assert iterates(T231, n - 4, 5)[-1] == member
+        assert jumps.hit[r] < q <= jumps.hit[r - 4]
+        found = assert_tables_keep_scan(T231, n - 4, n, {member}, max_steps=300)
+        assert (n, "step_cap") in found and (n - 4, "step_cap") not in found
+
+    @pytest.mark.parametrize("t", [T231, T10128, T8124], ids=str)
+    def test_a_chunk_of_65536_seeds_peaks_under_1_mb(self, t):
+        # one frontier of the whole chunk held 11-12 MB; these hold about 0.7 MB
+        limits = Limits()
+        plan = tabled_plan(t, CYCLE_MEMBERS[t], max_steps=limits.max_steps,
+                           max_value=limits.max_value)
         tracemalloc.start()
         try:
-            with mock.patch.object(verify, "MEMO_CAP", cap):
-                got = _scan_members(plan, seeds)
+            found = _scan_chunk(plan, 10**12, 10**12 + 65_535)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert got == plain == [(13, "step_cap"), (26, "step_cap")]
-        # a path of every one of the 10^5 loop values would take 800 KB
-        assert peak < 50_000
-
-
-def oracle_exceptions(t: Triplet, lo: int, hi: int, members, limits: Limits,
-                      shortcut: bool) -> list[tuple[int, str]]:
-    """The exceptions of [lo, hi] walked one seed and one step at a time,
-    with none of verify's tables: a seed ends at a member or, under the
-    shortcut, below itself; else at the step cap, or past the value cap."""
-    step, out = t.step_function(), []
-    for n in range(lo, hi + 1):
-        v, steps = n, 0
-        while v not in members and not (shortcut and v < n):
-            if steps >= limits.max_steps:
-                out.append((n, "step_cap"))
-                break
-            v, steps = step(v), steps + 1
-            if v > limits.max_value:
-                out.append((n, "value_cap"))
-                break
-    return out
+        assert found == [] and peak < 1_000_000
 
 
 def assert_oracle_report(t, lo, hi, shortcut=True, workers=1, **kw):
